@@ -1,0 +1,177 @@
+"""Binary model checkpoints with a CRC-32 trailer.
+
+Layout, all multi-byte values little-endian:
+
+    magic "SATN" | u32 version=1 | u32 h, c, v_buckets, t_max, f
+    | u8 encoder kind (0=meanpool, 1=minitransformer)
+    | u32 vocab count, then per code u16 byte-length + UTF-8 bytes
+    | tensors as raw float32, row-major, pinned order:
+      E, P, kind-specific encoder tensors in declaration order, then S, W, b
+    | u32 CRC-32 of all preceding bytes
+
+Loading reproduces every tensor bit-exactly. Training metadata (epochs
+run, best validation micro-F1, seed) lives only on the in-memory object;
+the byte layout above is the whole on-disk contract.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .corpus import LabelVocabulary
+from .encoder import (
+    MEANPOOL,
+    MINITRANSFORMER,
+    EncoderParams,
+    MeanPoolParams,
+    MiniTransformerParams,
+    ModelDims,
+)
+from .head import HeadParams
+
+MAGIC = b"SATN"
+VERSION = 1
+_KIND_CODES = {MEANPOOL: 0, MINITRANSFORMER: 1}
+_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+
+
+class CheckpointError(Exception):
+    """Base class for checkpoint file failures."""
+
+
+class BadMagic(CheckpointError):
+    pass
+
+
+class UnsupportedVersion(CheckpointError):
+    pass
+
+
+class ChecksumMismatch(CheckpointError):
+    pass
+
+
+class TruncatedFile(CheckpointError):
+    pass
+
+
+@dataclass
+class TrainMeta:
+    epochs_run: int
+    best_val_micro_f1: float
+    seed: int
+
+
+@dataclass
+class Checkpoint:
+    dims: ModelDims
+    kind: str
+    vocab: LabelVocabulary
+    encoder_params: EncoderParams
+    head_params: HeadParams
+    version: int = VERSION
+    meta: TrainMeta | None = None
+
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        return self.encoder_params.named_tensors() + self.head_params.named_tensors()
+
+
+def _tensor_shapes(dims: ModelDims, kind: str) -> list[tuple[str, tuple[int, ...]]]:
+    h, f = dims.h, dims.f
+    shapes = [("E", (4 + dims.v_buckets, h)), ("P", (dims.t_max, h))]
+    if kind == MEANPOOL:
+        shapes += [("M", (h, h)), ("q", (h,))]
+    else:
+        shapes += [
+            ("Q", (h, h)), ("K", (h, h)), ("Vp", (h, h)),
+            ("F1", (h, f)), ("F2", (f, h)), ("g1", (f,)), ("g2", (h,)),
+        ]
+    shapes += [("S", (dims.c, h)), ("W", (dims.c, h)), ("b", (dims.c,))]
+    return shapes
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Serialize to the pinned byte layout and append the CRC-32 trailer."""
+    parts = [MAGIC]
+    d = ckpt.dims
+    parts.append(struct.pack("<6I", VERSION, d.h, d.c, d.v_buckets, d.t_max, d.f))
+    parts.append(struct.pack("<B", _KIND_CODES[ckpt.kind]))
+    parts.append(struct.pack("<I", len(ckpt.vocab)))
+    for code in ckpt.vocab.codes:
+        raw = code.encode("utf-8")
+        parts.append(struct.pack("<H", len(raw)) + raw)
+    expected = _tensor_shapes(d, ckpt.kind)
+    tensors = dict(ckpt.tensors())
+    for name, shape in expected:
+        t = tensors[name]
+        if t.shape != shape:
+            raise CheckpointError(f"tensor {name} has shape {t.shape}, expected {shape}")
+        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    blob = b"".join(parts)
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    Path(path).write_bytes(blob)
+
+
+class _Reader:
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise TruncatedFile(f"needed {n} bytes at offset {self.pos}, file ends at {len(self.blob)}")
+        out = self.blob[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Parse and verify a checkpoint file; every tensor comes back bit-exact."""
+    blob = Path(path).read_bytes()
+    r = _Reader(blob)
+    if r.take(4) != MAGIC:
+        raise BadMagic(f"{path} is not a checkpoint file")
+    version = r.u32()
+    if version != VERSION:
+        raise UnsupportedVersion(f"version {version}, supported: {VERSION}")
+    h, c, v_buckets, t_max, f = (r.u32() for _ in range(5))
+    kind_code = r.take(1)[0]
+    if kind_code not in _KIND_NAMES:
+        raise CheckpointError(f"unknown encoder kind code {kind_code}")
+    kind = _KIND_NAMES[kind_code]
+    try:
+        dims = ModelDims(h=h, c=c, v_buckets=v_buckets, t_max=t_max, f=f)
+    except ValueError as exc:
+        raise CheckpointError(f"bad dimensions in header: {exc}") from exc
+    codes = []
+    for _ in range(r.u32()):
+        n = struct.unpack("<H", r.take(2))[0]
+        codes.append(r.take(n).decode("utf-8"))
+    tensors = {}
+    for name, shape in _tensor_shapes(dims, kind):
+        count = int(np.prod(shape))
+        raw = r.take(4 * count)
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+    stored = struct.unpack("<I", r.take(4))[0]
+    if r.pos != len(blob):
+        raise CheckpointError(f"{len(blob) - r.pos} unexpected trailing bytes")
+    if stored != zlib.crc32(blob[: r.pos - 4]) & 0xFFFFFFFF:
+        raise ChecksumMismatch("stored CRC-32 does not match file contents")
+    if kind == MEANPOOL:
+        enc = MeanPoolParams(E=tensors["E"], P=tensors["P"], M=tensors["M"], q=tensors["q"])
+    else:
+        enc = MiniTransformerParams(
+            E=tensors["E"], P=tensors["P"], Q=tensors["Q"], K=tensors["K"], Vp=tensors["Vp"],
+            F1=tensors["F1"], F2=tensors["F2"], g1=tensors["g1"], g2=tensors["g2"],
+        )
+    head = HeadParams(S=tensors["S"], W=tensors["W"], b=tensors["b"])
+    return Checkpoint(dims=dims, kind=kind, vocab=LabelVocabulary(codes=codes),
+                      encoder_params=enc, head_params=head, version=version)

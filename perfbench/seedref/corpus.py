@@ -1,0 +1,268 @@
+"""Patent corpus ingestion, IPC label handling, and dataset splitting.
+
+The corpus file format is JSON lines: one object per line with fields
+"id" (required), "title", "abstract", "description" (optional) and
+"ipc_codes" (required, list of raw code strings). Labels are IPC
+subclasses, i.e. the 4-character prefix like "B82Y"; anything after the
+subclass letter (main group / subgroup) is discarded.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
+
+from .hashing import stable_hash64
+
+IPC_SUBCLASS_RE = re.compile(r"^[A-H][0-9][0-9][A-Z]$")
+
+# load_corpus skip reasons, in report order
+SKIP_CORRUPT_LINE = "corrupt_line"
+SKIP_BAD_ID = "bad_id"
+SKIP_DUPLICATE_ID = "duplicate_id"
+SKIP_BAD_FIELD = "bad_field"
+SKIP_BAD_IPC = "bad_ipc"
+SKIP_NO_TEXT = "no_text"
+
+
+class CorpusError(Exception):
+    """Base class for corpus-level failures."""
+
+
+class MalformedIpc(CorpusError):
+    """Raw IPC string does not contain a valid [A-H][0-9][0-9][A-Z] subclass."""
+
+
+class FileUnreadable(CorpusError):
+    """Corpus file missing or not readable."""
+
+
+class NoLabels(CorpusError):
+    """No record yielded any parseable IPC code."""
+
+
+class EmptyInput(CorpusError):
+    """Operation received an empty id set."""
+
+
+@dataclass
+class PatentRecord:
+    """One patent: text fields plus raw IPC code strings."""
+
+    id: str
+    title: str = ""
+    abstract: str = ""
+    description: str = ""
+    ipc_codes: list[str] = field(default_factory=list)
+
+    def normalized_codes(self) -> list[str]:
+        """Distinct parseable subclasses, sorted; malformed codes are skipped."""
+        seen = set()
+        for raw in self.ipc_codes:
+            try:
+                seen.add(parse_ipc(raw))
+            except MalformedIpc:
+                continue
+        return sorted(seen)
+
+
+@dataclass
+class LoadReport:
+    """Ingestion totals: lines read, records retained, per-reason skips."""
+
+    read: int = 0
+    retained: int = 0
+    skipped: dict[str, int] = field(default_factory=dict)
+    malformed_codes: int = 0
+
+    def skip(self, reason: str) -> None:
+        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+
+    @property
+    def total_skipped(self) -> int:
+        return sum(self.skipped.values())
+
+
+@dataclass
+class LabelVocabulary:
+    """Ordered label space: codes by descending frequency, ties lexicographic."""
+
+    codes: list[str]
+    counts: list[int] | None = None
+
+    def __post_init__(self) -> None:
+        self._index = {code: i for i, code in enumerate(self.codes)}
+        if len(self._index) != len(self.codes):
+            raise ValueError("duplicate codes in vocabulary")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def index(self, code: str) -> int | None:
+        return self._index.get(code)
+
+
+@dataclass
+class DatasetSplit:
+    """Disjoint train/validation/test id sets."""
+
+    train: set[str]
+    validation: set[str]
+    test: set[str]
+
+    def part(self, name: str) -> set[str]:
+        if name == "all":
+            return self.train | self.validation | self.test
+        if name not in ("train", "validation", "test"):
+            raise ValueError(f"unknown split name: {name!r}")
+        return getattr(self, name)
+
+
+def parse_ipc(raw: str) -> str:
+    """Normalize a raw IPC string to its 4-character subclass.
+
+    Whitespace anywhere is removed, letters uppercased, and everything after
+    the subclass letter (main group "20/00" etc.) is truncated. Raises
+    MalformedIpc if the leading 4 characters are not [A-H][0-9][0-9][A-Z].
+    """
+    if not isinstance(raw, str):
+        raise MalformedIpc(f"not a string: {raw!r}")
+    cleaned = "".join(raw.split()).upper()
+    head = cleaned[:4]
+    if not IPC_SUBCLASS_RE.match(head):
+        raise MalformedIpc(f"no valid subclass in {raw!r}")
+    return head
+
+
+def _record_from_obj(obj: object, seen_ids: set[str], report: LoadReport) -> PatentRecord | None:
+    if not isinstance(obj, dict):
+        report.skip(SKIP_CORRUPT_LINE)
+        return None
+    rid = obj.get("id")
+    if not isinstance(rid, str) or not rid:
+        report.skip(SKIP_BAD_ID)
+        return None
+    if rid in seen_ids:
+        report.skip(SKIP_DUPLICATE_ID)
+        return None
+    texts = {}
+    for name in ("title", "abstract", "description"):
+        value = obj.get(name, "")
+        if not isinstance(value, str):
+            report.skip(SKIP_BAD_FIELD)
+            return None
+        texts[name] = value
+    codes = obj.get("ipc_codes")
+    if not isinstance(codes, list) or any(not isinstance(c, str) for c in codes):
+        report.skip(SKIP_BAD_IPC)
+        return None
+    if not texts["title"].strip() and not texts["abstract"].strip():
+        report.skip(SKIP_NO_TEXT)
+        return None
+    seen_ids.add(rid)
+    return PatentRecord(id=rid, ipc_codes=codes, **texts)
+
+
+def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
+    """Read a JSONL corpus file; malformed lines are counted, never fatal."""
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    report = LoadReport()
+    records: list[PatentRecord] = []
+    seen_ids: set[str] = set()
+    for line in lines:
+        if not line.strip():
+            continue
+        report.read += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            report.skip(SKIP_CORRUPT_LINE)
+            continue
+        record = _record_from_obj(obj, seen_ids, report)
+        if record is None:
+            continue
+        parsed = 0
+        for raw in record.ipc_codes:
+            try:
+                parse_ipc(raw)
+                parsed += 1
+            except MalformedIpc:
+                report.malformed_codes += 1
+        records.append(record)
+        report.retained += 1
+    return records, report
+
+
+def build_vocabulary(records: Iterable[PatentRecord], top_c: int) -> LabelVocabulary:
+    """Top-C most frequent subclasses; each record counts a code at most once.
+
+    Ties break lexicographically ascending; with fewer than top_c distinct
+    codes the vocabulary is simply all of them.
+    """
+    if top_c <= 0:
+        raise ValueError("top_c must be positive")
+    freq: Counter[str] = Counter()
+    for record in records:
+        freq.update(record.normalized_codes())
+    if not freq:
+        raise NoLabels("no record yielded any parseable IPC code")
+    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_c]
+    return LabelVocabulary(codes=[c for c, _ in ranked], counts=[n for _, n in ranked])
+
+
+def encode_labels(record: PatentRecord, vocab: LabelVocabulary) -> np.ndarray | None:
+    """Binarize a record's labels against the vocabulary.
+
+    Returns None (record dropped) when no code falls inside the vocabulary;
+    such records carry no positive label and are excluded from train/eval.
+    """
+    bits = np.zeros(len(vocab), dtype=np.int8)
+    for code in record.normalized_codes():
+        i = vocab.index(code)
+        if i is not None:
+            bits[i] = 1
+    if not bits.any():
+        return None
+    return bits
+
+
+def split_dataset(ids: Iterable[str], seed: int) -> DatasetSplit:
+    """Deterministic 8:1:1 id-hash split, independent of input order.
+
+    bucket(id) = stable_hash64(seed, id) mod 10; buckets 0-7 go to train,
+    8 to validation, 9 to test.
+    """
+    split = DatasetSplit(train=set(), validation=set(), test=set())
+    n = 0
+    for rid in ids:
+        n += 1
+        bucket = stable_hash64(seed, rid) % 10
+        if bucket <= 7:
+            split.train.add(rid)
+        elif bucket == 8:
+            split.validation.add(rid)
+        else:
+            split.test.add(rid)
+    if n == 0:
+        raise EmptyInput("cannot split an empty id set")
+    return split
+
+
+def label_stats(records: Iterable[PatentRecord], vocab: LabelVocabulary) -> dict[str, int]:
+    """Per-code document counts in vocabulary order (duplicates collapse per record)."""
+    counts = {code: 0 for code in vocab.codes}
+    for record in records:
+        for code in record.normalized_codes():
+            if code in counts:
+                counts[code] += 1
+    return counts

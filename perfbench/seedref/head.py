@@ -1,0 +1,161 @@
+"""Label-wise sentence attention head: attention pooling, scoring, BCE.
+
+For each label i the head computes attention weights over the document's
+sentence columns, alpha[i] = softmax_j(tanh(s_i . d_j)), pools them into a
+label representation l_i = sum_j alpha[i][j] d_j, and scores the label with
+its own linear map, score_i = sigmoid(w_i . l_i + b_i). A label is
+predicted when its score strictly exceeds the threshold.
+
+The tanh squashing caps attention logits to [-1, 1], so no sentence can
+outweigh another by more than a factor of e^2. Softmax runs over the
+sentence axis with max-subtraction; the BCE loss works on logits, never on
+stored sigmoid outputs. The uniform mode freezes alpha at 1/k (ablation;
+no gradient flows into S there).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .encoder import CacheMismatch, ShapeMismatch
+
+
+@dataclass
+class HeadParams:
+    S: np.ndarray  # (c, h) attention vectors, row i for label i
+    W: np.ndarray  # (c, h) per-label classifier weights
+    b: np.ndarray  # (c,)
+
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        return [("S", self.S), ("W", self.W), ("b", self.b)]
+
+
+def init_head(c: int, h: int, rng: np.random.Generator, dtype: np.dtype | type = np.float32) -> HeadParams:
+    """Seeded init matching the encoders: uniform weights, zero biases."""
+    return HeadParams(
+        S=rng.uniform(-0.05, 0.05, size=(c, h)).astype(dtype),
+        W=rng.uniform(-0.05, 0.05, size=(c, h)).astype(dtype),
+        b=np.zeros(c, dtype=dtype),
+    )
+
+
+@dataclass
+class HeadCache:
+    D: np.ndarray       # (h, k)
+    zt: np.ndarray      # (c, k) tanh(S @ D), None in uniform mode
+    alpha: np.ndarray   # (c, k)
+    L: np.ndarray       # (c, h)
+    logits: np.ndarray  # (c,)
+    scores: np.ndarray  # (c,)
+    uniform: bool
+
+
+def _attention(D: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh scores and their row softmax (max-subtracted for stability)."""
+    if D.ndim != 2 or S.ndim != 2 or S.shape[1] != D.shape[0]:
+        raise ShapeMismatch(f"S {S.shape} against D {D.shape}")
+    zt = np.tanh(S @ D)
+    shifted = zt - zt.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return zt, e / e.sum(axis=1, keepdims=True)
+
+
+def attention_forward(D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Row-stochastic attention weights alpha (c x k) over sentence columns."""
+    return _attention(D, S)[1]
+
+
+def pool_labels(alpha: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Label representations L (c x h): l_i = sum_j alpha[i][j] d_j."""
+    if alpha.shape[1] != D.shape[1]:
+        raise ShapeMismatch(f"alpha {alpha.shape} against D {D.shape}")
+    return alpha @ D.T
+
+
+def score(L: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-label sigmoid scores from the per-label linear maps."""
+    if L.shape != W.shape or b.shape != (W.shape[0],):
+        raise ShapeMismatch(f"L {L.shape}, W {W.shape}, b {b.shape}")
+    return _sigmoid(_logits(L, W, b))
+
+
+def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Multi-label decision: bit i = 1 iff score[i] > threshold, strictly."""
+    return (scores > threshold).astype(np.int8)
+
+
+def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean-over-labels binary cross-entropy, computed stably from logits.
+
+    Uses max(t,0) - t*y + log(1 + exp(-|t|)) per label; no log of a stored
+    sigmoid output ever happens.
+    """
+    if logits.shape != targets.shape:
+        raise ShapeMismatch(f"logits {logits.shape} against targets {targets.shape}")
+    t = logits.astype(np.float64)
+    y = targets.astype(np.float64)
+    per_label = np.maximum(t, 0.0) - t * y + np.log1p(np.exp(-np.abs(t)))
+    return float(per_label.mean())
+
+
+def _logits(L, W, b):
+    return (W * L).sum(axis=1) + b
+
+
+def _sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def head_forward(D: np.ndarray, params: HeadParams, uniform: bool = False) -> HeadCache:
+    """Full attention -> pooling -> scoring chain with backward cache."""
+    c = params.S.shape[0]
+    k = D.shape[1]
+    if uniform:
+        zt = None
+        alpha = np.full((c, k), 1.0 / k, dtype=D.dtype)
+    else:
+        zt, alpha = _attention(D, params.S)
+    L = pool_labels(alpha, D)
+    logits = _logits(L, params.W, params.b)
+    return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits,
+                     scores=_sigmoid(logits), uniform=uniform)
+
+
+def head_backward(
+    params: HeadParams, cache: HeadCache, targets: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Exact BCE gradients w.r.t. S, W, b plus dD for the encoder.
+
+    Chains through the sigmoid (dlogit_i = (score_i - y_i)/c), the
+    per-label linear maps, the convex pooling, the row-softmax Jacobian
+    and the tanh. In uniform mode alpha is constant: dS stays zero and dD
+    comes from pooling alone.
+    """
+    c = params.S.shape[0]
+    if targets.shape != (c,):
+        raise CacheMismatch(f"targets {targets.shape} against c={c}")
+    if cache.D.shape[1] != cache.alpha.shape[1]:
+        raise CacheMismatch("cache is internally inconsistent")
+    y = targets.astype(cache.scores.dtype)
+    dlogits = (cache.scores - y) / c
+    grads = {
+        "S": np.zeros_like(params.S),
+        "W": dlogits[:, None] * cache.L,
+        "b": dlogits.copy(),
+    }
+    dL = dlogits[:, None] * params.W
+    dD = dL.T @ cache.alpha
+    if not cache.uniform:
+        dalpha = dL @ cache.D
+        dz = cache.alpha * (dalpha - (dalpha * cache.alpha).sum(axis=1, keepdims=True))
+        dpre = dz * (1.0 - cache.zt**2)
+        grads["S"] = dpre @ cache.D.T
+        dD = dD + params.S.T @ dpre
+    return grads, dD

@@ -1,0 +1,417 @@
+"""Mini-batch training, evaluation, and gradient verification.
+
+The training loop is fully deterministic for a fixed seed: id-hash split,
+vocabulary built from the training split only, seeded parameter init,
+seeded epoch shuffles, sequential gradient accumulation in document order
+and 32-bit parameter arithmetic. Two runs with the same config produce
+byte-identical checkpoints and logs.
+
+Model selection is validation micro-F1; the best-epoch parameters are
+snapshotted and training stops after `patience` epochs without
+improvement. grad_check rebuilds a small random instance in float64 and
+compares every analytic gradient against central finite differences.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from . import corpus as corpus_mod
+from .checkpoint import Checkpoint, TrainMeta
+from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_dataset
+from .encoder import (
+    ENCODER_KINDS,
+    MEANPOOL,
+    EncoderParams,
+    ModelDims,
+    encode_document,
+    encoder_backward,
+    init_encoder,
+)
+from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
+from .metrics import ConfusionCounts, macro_scores, micro_scores
+from .metrics import report as metrics_report
+from .segmenter import segment, tokenize
+
+LEARNED = "learned"
+UNIFORM = "uniform"
+
+
+class EmptySplit(Exception):
+    """A required split contains no usable document."""
+
+
+SplitEmpty = EmptySplit
+
+
+class DimsMismatch(Exception):
+    """No record in the split carries any label from the checkpoint vocabulary."""
+
+
+class NonFiniteLoss(Exception):
+    """Training loss became NaN or infinite."""
+
+
+@dataclass
+class TrainConfig:
+    dims: ModelDims
+    k_max: int = 128
+    encoder: str = MEANPOOL
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    batch_size: int = 16
+    max_epochs: int = 200
+    patience: int = 10
+    seed: int = 42
+    use_description: bool = False
+    attention_mode: str = LEARNED
+    log_train_f1: bool = False
+    stop_at_train_f1: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.encoder not in ENCODER_KINDS:
+            raise ValueError(f"unknown encoder kind: {self.encoder!r}")
+        if self.attention_mode not in (LEARNED, UNIFORM):
+            raise ValueError(f"unknown attention mode: {self.attention_mode!r}")
+        for name in ("k_max", "lr", "beta1", "beta2", "adam_eps", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.patience > self.max_epochs:
+            raise ValueError("patience must not exceed max_epochs")
+
+
+@dataclass
+class EpochLog:
+    epoch: int
+    train_loss: float
+    val_micro_f1: float
+    val_macro_f1: float
+    train_micro_f1: float | None = None
+
+
+@dataclass
+class TrainResult:
+    checkpoint: Checkpoint
+    epochs: list[EpochLog]
+    load_report: corpus_mod.LoadReport
+    split_sizes: dict[str, int]
+    dropped: dict[str, int]
+
+
+@dataclass
+class PreparedDoc:
+    id: str
+    sentences: list[np.ndarray]
+    target: np.ndarray | None
+
+
+class EarlyStopper:
+    """Best-value tracking with strict-improvement patience counting."""
+
+    def __init__(self, patience: int):
+        self.patience = patience
+        self.best = -math.inf
+        self.best_epoch = 0
+        self.since_improved = 0
+
+    def update(self, epoch: int, value: float) -> bool:
+        """Record one epoch; True when the value strictly improved."""
+        if value > self.best:
+            self.best = value
+            self.best_epoch = epoch
+            self.since_improved = 0
+            return True
+        self.since_improved += 1
+        return False
+
+    @property
+    def should_stop(self) -> bool:
+        return self.since_improved >= self.patience
+
+
+class Adam:
+    """Adaptive moment estimation with bias correction, in-place updates."""
+
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
+
+    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, p in tensors.items():
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def document_text(record: PatentRecord, use_description: bool = False) -> str:
+    """Model input text: title + ". " + abstract, description only when asked."""
+    parts = [record.title, record.abstract]
+    if use_description:
+        parts.append(record.description)
+    return ". ".join(p.strip() for p in parts if p.strip())
+
+
+def prepare_documents(
+    records: list[PatentRecord],
+    vocab: LabelVocabulary | None,
+    k_max: int,
+    t_max: int,
+    v_buckets: int,
+    use_description: bool = False,
+    require_labels: bool = True,
+) -> tuple[list[PreparedDoc], int]:
+    """Segment + tokenize records; returns (docs, dropped-for-no-label count)."""
+    docs: list[PreparedDoc] = []
+    dropped = 0
+    for record in records:
+        target = None
+        if vocab is not None:
+            target = corpus_mod.encode_labels(record, vocab)
+            if target is None and require_labels:
+                dropped += 1
+                continue
+        sentences = [
+            tokenize(s.text, t_max, v_buckets)
+            for s in segment(document_text(record, use_description), k_max)
+        ]
+        docs.append(PreparedDoc(id=record.id, sentences=sentences, target=target))
+    return docs, dropped
+
+
+def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc, uniform: bool):
+    D, enc_caches = encode_document(doc.sentences, enc_params)
+    return head_forward(D, head_params, uniform=uniform), enc_caches
+
+
+def _merged_tensors(enc_params: EncoderParams, head_params: HeadParams) -> dict[str, np.ndarray]:
+    return dict(enc_params.named_tensors() + head_params.named_tensors())
+
+
+def _micro_f1(enc_params, head_params, docs, c: int, uniform: bool) -> tuple[float, float]:
+    counts = ConfusionCounts(c)
+    for doc in docs:
+        cache, _ = _forward(enc_params, head_params, doc, uniform)
+        counts.accumulate(predict(cache.scores), doc.target)
+    return micro_scores(counts)[2], macro_scores(counts)[2]
+
+
+def train(config: TrainConfig, corpus_path) -> TrainResult:
+    """Train encoder + head on the corpus file's 8:1:1 split."""
+    records, load_report = load_corpus(corpus_path)
+    if not records:
+        raise EmptySplit("corpus holds no usable records")
+    split = split_dataset((r.id for r in records), config.seed)
+    train_records = [r for r in records if r.id in split.train]
+    val_records = [r for r in records if r.id in split.validation]
+    if not train_records:
+        raise EmptySplit("training split is empty")
+    vocab = corpus_mod.build_vocabulary(train_records, config.dims.c)
+    dims = replace(config.dims, c=len(vocab))
+
+    train_docs, dropped_train = prepare_documents(
+        train_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
+    val_docs, dropped_val = prepare_documents(
+        val_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
+    if not train_docs:
+        raise EmptySplit("training split is empty after label filtering")
+    if not val_docs:
+        raise EmptySplit("validation split is empty")
+
+    rng = np.random.default_rng(config.seed)
+    enc_params = init_encoder(config.encoder, dims, rng, dtype=np.float32)
+    head_params = init_head(dims.c, dims.h, rng, dtype=np.float32)
+    tensors = _merged_tensors(enc_params, head_params)
+    optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
+    uniform = config.attention_mode == UNIFORM
+
+    stopper = EarlyStopper(config.patience)
+    best_snapshot = None
+    epochs: list[EpochLog] = []
+
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_docs))
+        loss_sum = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_docs[i] for i in order[start : start + config.batch_size]]
+            totals = {name: np.zeros_like(p) for name, p in tensors.items()}
+            batch_loss = 0.0
+            for doc in batch:
+                cache, enc_caches = _forward(enc_params, head_params, doc, uniform)
+                batch_loss += bce_loss(cache.logits, doc.target)
+                head_grads, dD = head_backward(head_params, cache, doc.target)
+                enc_grads = encoder_backward(enc_params, enc_caches, dD)
+                for name, g in {**enc_grads, **head_grads}.items():
+                    totals[name] += g
+            if not math.isfinite(batch_loss):
+                raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
+            inv = 1.0 / len(batch)
+            for name in totals:
+                totals[name] *= inv
+            optimizer.step(tensors, totals)
+            loss_sum += batch_loss
+        val_micro, val_macro = _micro_f1(enc_params, head_params, val_docs, dims.c, uniform)
+        entry = EpochLog(
+            epoch=epoch,
+            train_loss=loss_sum / len(train_docs),
+            val_micro_f1=val_micro,
+            val_macro_f1=val_macro,
+        )
+        if config.log_train_f1:
+            entry.train_micro_f1 = _micro_f1(enc_params, head_params, train_docs, dims.c, uniform)[0]
+        epochs.append(entry)
+        if stopper.update(epoch, val_micro):
+            best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
+        if config.stop_at_train_f1 is not None and entry.train_micro_f1 is not None:
+            if entry.train_micro_f1 >= config.stop_at_train_f1:
+                break
+        if stopper.should_stop:
+            break
+
+    enc_best, head_best = best_snapshot
+    ckpt = Checkpoint(
+        dims=dims, kind=config.encoder, vocab=vocab,
+        encoder_params=enc_best, head_params=head_best,
+        meta=TrainMeta(epochs_run=len(epochs), best_val_micro_f1=stopper.best, seed=config.seed),
+    )
+    return TrainResult(
+        checkpoint=ckpt,
+        epochs=epochs,
+        load_report=load_report,
+        split_sizes={"train": len(train_records), "validation": len(val_records),
+                     "test": sum(1 for r in records if r.id in split.test)},
+        dropped={"train": dropped_train, "validation": dropped_val},
+    )
+
+
+def evaluate(
+    ckpt: Checkpoint,
+    corpus_path,
+    split_name: str = "test",
+    seed: int = 42,
+    k_max: int = 128,
+    use_description: bool = False,
+    uniform: bool = False,
+) -> dict:
+    """Forward + threshold-0.5 predict over one split, with the checkpoint's vocabulary."""
+    records, load_report = load_corpus(corpus_path)
+    if not records:
+        raise EmptySplit("corpus holds no usable records")
+    part = split_dataset((r.id for r in records), seed).part(split_name)
+    selected = [r for r in records if r.id in part]
+    if not selected:
+        raise EmptySplit(f"split {split_name!r} is empty")
+    docs, dropped = prepare_documents(
+        selected, ckpt.vocab, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
+    if not docs:
+        raise DimsMismatch(f"no record in split {split_name!r} carries a vocabulary label")
+    counts = ConfusionCounts(ckpt.dims.c)
+    for doc in docs:
+        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc, uniform)
+        counts.accumulate(predict(cache.scores), doc.target)
+    out = metrics_report(counts, labels=ckpt.vocab.codes)
+    out["totals"] = {"documents": len(docs), "dropped": dropped, "skipped": load_report.total_skipped}
+    return out
+
+
+def predict_records(
+    ckpt: Checkpoint,
+    records: list[PatentRecord],
+    k_max: int = 128,
+    threshold: float = 0.5,
+    with_attention: bool = False,
+    use_description: bool = False,
+) -> list[dict]:
+    """Score records against the checkpoint; labels in the input are ignored."""
+    docs, _ = prepare_documents(
+        records, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
+        require_labels=False)
+    results = []
+    for doc in docs:
+        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc, uniform=False)
+        bits = predict(cache.scores, threshold)
+        entry = {
+            "id": doc.id,
+            "scores": {code: float(cache.scores[i]) for i, code in enumerate(ckpt.vocab.codes)},
+            "predicted": [code for i, code in enumerate(ckpt.vocab.codes) if bits[i]],
+        }
+        if with_attention:
+            entry["attention"] = cache.alpha.tolist()
+        results.append(entry)
+    return results
+
+
+@dataclass
+class GradCheckReport:
+    kind: str
+    max_rel_error: float
+    worst_param: str
+    n_checked: int
+
+
+def grad_check(
+    kind: str = MEANPOOL,
+    seed: int = 0,
+    eps: float = 1e-3,
+    dims: ModelDims | None = None,
+    k: int = 3,
+) -> GradCheckReport:
+    """Compare every analytic gradient to central finite differences (float64).
+
+    Builds one random small instance; relative error per element is
+    |analytic - fd| / max(1, |fd|).
+    """
+    dims = dims or ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=5)
+    rng = np.random.default_rng(seed)
+    enc_params = init_encoder(kind, dims, rng, dtype=np.float64)
+    head_params = init_head(dims.c, dims.h, rng, dtype=np.float64)
+    sentences = []
+    for _ in range(k):
+        m = int(rng.integers(3, dims.t_max + 1))
+        interior = rng.integers(4, 4 + dims.v_buckets, size=m - 2)
+        sentences.append(np.array([1, *interior, 2], dtype=np.int64))
+    targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
+    doc = PreparedDoc(id="gradcheck", sentences=sentences, target=targets)
+
+    cache, enc_caches = _forward(enc_params, head_params, doc, uniform=False)
+    head_grads, dD = head_backward(head_params, cache, targets)
+    analytic = {**encoder_backward(enc_params, enc_caches, dD), **head_grads}
+
+    def loss() -> float:
+        c, _ = _forward(enc_params, head_params, doc, uniform=False)
+        return bce_loss(c.logits, targets)
+
+    tensors = _merged_tensors(enc_params, head_params)
+    worst = ("", -1.0)
+    n_checked = 0
+    for name, tensor in tensors.items():
+        flat = tensor.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            loss_plus = loss()
+            flat[i] = orig - eps
+            loss_minus = loss()
+            flat[i] = orig
+            fd = (loss_plus - loss_minus) / (2.0 * eps)
+            rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
+            n_checked += 1
+            if rel > worst[1]:
+                worst = (f"{name}[{i}]", rel)
+    return GradCheckReport(kind=kind, max_rel_error=worst[1], worst_param=worst[0], n_checked=n_checked)
