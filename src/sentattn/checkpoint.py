@@ -9,13 +9,18 @@ Layout, all multi-byte values little-endian:
       E, P, kind-specific encoder tensors in declaration order, then S, W, b
     | u32 CRC-32 of all preceding bytes
 
-Loading reproduces every tensor bit-exactly. Training metadata (epochs
-run, best validation micro-F1, seed) lives only on the in-memory object;
-the byte layout above is the whole on-disk contract.
+The tensor shapes come from each kind's spec (`MeanPoolParams.spec`,
+`MiniTransformerParams.spec`, `HeadParams.spec`). Loading checks the file
+length and the CRC before it decodes any code or builds any array, so a
+corrupted file ends in a CheckpointError, never a decoding error. It
+reproduces every tensor bit-exactly. Training metadata (epochs run, best
+validation micro-F1, seed) lives only on the in-memory object; the byte
+layout above is the whole on-disk contract.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -24,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LabelVocabulary
-from .encoder import (
-    MEANPOOL,
-    MINITRANSFORMER,
-    EncoderParams,
-    MeanPoolParams,
-    MiniTransformerParams,
-    ModelDims,
-)
+from .encoder import ENCODER_PARAMS, MEANPOOL, MINITRANSFORMER, EncoderParams, ModelDims
 from .head import HeadParams
 
 MAGIC = b"SATN"
@@ -81,20 +79,6 @@ class Checkpoint:
         return self.encoder_params.named_tensors() + self.head_params.named_tensors()
 
 
-def _tensor_shapes(dims: ModelDims, kind: str) -> list[tuple[str, tuple[int, ...]]]:
-    h, f = dims.h, dims.f
-    shapes = [("E", (4 + dims.v_buckets, h)), ("P", (dims.t_max, h))]
-    if kind == MEANPOOL:
-        shapes += [("M", (h, h)), ("q", (h,))]
-    else:
-        shapes += [
-            ("Q", (h, h)), ("K", (h, h)), ("Vp", (h, h)),
-            ("F1", (h, f)), ("F2", (f, h)), ("g1", (f,)), ("g2", (h,)),
-        ]
-    shapes += [("S", (dims.c, h)), ("W", (dims.c, h)), ("b", (dims.c,))]
-    return shapes
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the pinned byte layout and append the CRC-32 trailer."""
     parts = [MAGIC]
@@ -105,9 +89,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     for code in ckpt.vocab.codes:
         raw = code.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)) + raw)
-    expected = _tensor_shapes(d, ckpt.kind)
     tensors = dict(ckpt.tensors())
-    for name, shape in expected:
+    for name, shape in ENCODER_PARAMS[ckpt.kind].spec(d) + HeadParams.spec(d.c, d.h):
         t = tensors[name]
         if t.shape != shape:
             raise CheckpointError(f"tensor {name} has shape {t.shape}, expected {shape}")
@@ -129,21 +112,24 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse and verify a checkpoint file; every tensor comes back bit-exact."""
+    """Parse and verify a checkpoint file; every tensor comes back bit-exact.
+
+    The layout is walked as raw bytes first; the length and the CRC are
+    checked before any code is decoded or any array is built.
+    """
     blob = Path(path).read_bytes()
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise BadMagic(f"{path} is not a checkpoint file")
-    version = r.u32()
+    (version,) = r.unpack("<I")
     if version != VERSION:
         raise UnsupportedVersion(f"version {version}, supported: {VERSION}")
-    h, c, v_buckets, t_max, f = (r.u32() for _ in range(5))
-    kind_code = r.take(1)[0]
+    h, c, v_buckets, t_max, f, kind_code = r.unpack("<5IB")
     if kind_code not in _KIND_NAMES:
         raise CheckpointError(f"unknown encoder kind code {kind_code}")
     kind = _KIND_NAMES[kind_code]
@@ -151,27 +137,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         dims = ModelDims(h=h, c=c, v_buckets=v_buckets, t_max=t_max, f=f)
     except ValueError as exc:
         raise CheckpointError(f"bad dimensions in header: {exc}") from exc
-    codes = []
-    for _ in range(r.u32()):
-        n = struct.unpack("<H", r.take(2))[0]
-        codes.append(r.take(n).decode("utf-8"))
-    tensors = {}
-    for name, shape in _tensor_shapes(dims, kind):
-        count = int(np.prod(shape))
-        raw = r.take(4 * count)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-    stored = struct.unpack("<I", r.take(4))[0]
+    raw_codes = [r.take(r.unpack("<H")[0]) for _ in range(r.unpack("<I")[0])]
+    cls = ENCODER_PARAMS[kind]
+    enc_spec, head_spec = cls.spec(dims), HeadParams.spec(dims.c, dims.h)
+    raw = {name: r.take(4 * math.prod(shape)) for name, shape in enc_spec + head_spec}
+    (stored,) = r.unpack("<I")
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} unexpected trailing bytes")
     if stored != zlib.crc32(blob[: r.pos - 4]) & 0xFFFFFFFF:
         raise ChecksumMismatch("stored CRC-32 does not match file contents")
-    if kind == MEANPOOL:
-        enc = MeanPoolParams(E=tensors["E"], P=tensors["P"], M=tensors["M"], q=tensors["q"])
-    else:
-        enc = MiniTransformerParams(
-            E=tensors["E"], P=tensors["P"], Q=tensors["Q"], K=tensors["K"], Vp=tensors["Vp"],
-            F1=tensors["F1"], F2=tensors["F2"], g1=tensors["g1"], g2=tensors["g2"],
-        )
-    head = HeadParams(S=tensors["S"], W=tensors["W"], b=tensors["b"])
-    return Checkpoint(dims=dims, kind=kind, vocab=LabelVocabulary(codes=codes),
-                      encoder_params=enc, head_params=head, version=version)
+
+    def arrays(spec):
+        return {name: np.frombuffer(raw[name], dtype="<f4").reshape(shape).astype(np.float32)
+                for name, shape in spec}
+
+    vocab = LabelVocabulary(codes=[code.decode("utf-8") for code in raw_codes])
+    return Checkpoint(dims=dims, kind=kind, vocab=vocab, encoder_params=cls(**arrays(enc_spec)),
+                      head_params=HeadParams(**arrays(head_spec)), version=version)

@@ -6,7 +6,9 @@ segment, gradcheck. Machine-readable JSON goes to standard output (or
 1 usage or config error, 2 data error, 3 numeric failure.
 
 The optional config file is line-oriented `key = value` with `#`
-comments; explicit flags override config-file values.
+comments; explicit flags override config-file values. A key that neither
+sets is left to the default of the function it is passed to, so the
+training defaults live only on TrainConfig and ModelDims.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError, build_vocabulary, label_stats, load_corpus, split_dataset
-from .encoder import ENCODER_KINDS, MEANPOOL, ModelDims
+from .encoder import ENCODER_KINDS, ModelDims
 from .segmenter import EmptyText, segment
 from .trainer import (
-    LEARNED,
-    UNIFORM,
+    ATTENTION_MODES,
     DimsMismatch,
     EmptySplit,
     NonFiniteLoss,
@@ -40,19 +42,18 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-DEFAULTS = {
-    "h": 64, "f": 128, "c": 50, "v_buckets": 32768, "t_max": 64, "k_max": 128,
-    "encoder": MEANPOOL, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999,
-    "adam_eps": 1e-8, "batch_size": 16, "max_epochs": 200, "patience": 10,
-    "seed": 42, "use_description": False, "attention_mode": LEARNED,
-    "log_train_f1": False, "threshold": 0.5, "eps": 1e-3, "top_c": 50,
+# Config-file keys and flags, typed by their annotations: the ModelDims and
+# TrainConfig fields, except the nested dims and stop_at_train_f1, which the
+# command line does not set, plus three keys for other subcommands.
+_DIMS_KEYS = [f.name for f in fields(ModelDims)]
+_TRAIN_KEYS = [f.name for f in fields(TrainConfig) if f.name not in ("dims", "stop_at_train_f1")]
+_KEY_TYPES = {
+    **get_type_hints(ModelDims),
+    **{key: t for key, t in get_type_hints(TrainConfig).items() if key in _TRAIN_KEYS},
+    "threshold": float, "eps": float, "top_c": int,
 }
-
-_INT_KEYS = {"h", "f", "c", "v_buckets", "t_max", "k_max", "batch_size",
-             "max_epochs", "patience", "seed", "top_c"}
-_FLOAT_KEYS = {"lr", "beta1", "beta2", "adam_eps", "threshold", "eps"}
-_BOOL_KEYS = {"use_description", "log_train_f1"}
-_STR_KEYS = {"encoder", "attention_mode"}
+_KEY_CHOICES = {"encoder": ENCODER_KINDS, "attention_mode": ATTENTION_MODES}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 class ConfigError(Exception):
@@ -81,24 +82,18 @@ def load_config(path: str | Path) -> dict:
         if "=" not in line:
             raise BadValue(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, text = (part.strip() for part in line.partition("="))
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(text)
-            except ValueError as exc:
-                raise BadValue(f"line {lineno}: {key} expects an integer, got {text!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(text)
-            except ValueError as exc:
-                raise BadValue(f"line {lineno}: {key} expects a number, got {text!r}") from exc
-        elif key in _BOOL_KEYS:
+        if key not in _KEY_TYPES:
+            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+        typ = _KEY_TYPES[key]
+        if typ is bool:
             if text.lower() not in ("true", "false"):
                 raise BadValue(f"line {lineno}: {key} expects true/false, got {text!r}")
             values[key] = text.lower() == "true"
-        elif key in _STR_KEYS:
-            values[key] = text
-        else:
-            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+            continue
+        try:
+            values[key] = typ(text)
+        except ValueError as exc:
+            raise BadValue(f"line {lineno}: {key} expects {_TYPE_NAMES[typ]}, got {text!r}") from exc
     return values
 
 
@@ -114,17 +109,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Defaults < config file < explicit flags."""
+    """The keys set by an explicit flag or, failing that, by the config file."""
     config = load_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = DEFAULTS[key]
+    out = {key: config[key] for key in keys if key in config}
+    out.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     return out
 
 
@@ -143,31 +131,41 @@ def _progress(message: str) -> None:
 def _add_common(p: _Parser, *names: str) -> None:
     if "config" in names:
         p.add_argument("--config", help="key = value config file")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, help="split / init seed")
     if "out" in names:
         p.add_argument("--out", help="write the JSON result here instead of stdout")
+
+
+def _add_keys(p: _Parser, *keys: str) -> None:
+    """One flag per config key, typed from the key table; an unset flag reads None."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if _KEY_TYPES[key] is bool:
+            p.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            p.add_argument(flag, dest=key, type=_KEY_TYPES[key], choices=_KEY_CHOICES.get(key))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sentattn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    splits = ["train", "validation", "test", "all"]
 
     p = sub.add_parser("build-vocab", help="build the top-C label vocabulary")
     p.add_argument("corpus")
-    p.add_argument("--top-c", dest="top_c", type=int)
-    p.add_argument("--split", choices=["train", "validation", "test", "all"], default="all")
-    _add_common(p, "config", "seed", "out")
+    p.add_argument("--split", choices=splits, default="all")
+    _add_keys(p, "top_c", "seed")
+    _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("split", help="deterministic 8:1:1 id-hash split")
     p.add_argument("corpus")
-    _add_common(p, "seed", "out")
+    _add_keys(p, "seed")
+    _add_common(p, "out")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("stats", help="per-code document counts")
     p.add_argument("corpus")
-    p.add_argument("--top-c", dest="top_c", type=int)
+    _add_keys(p, "top_c")
     _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_stats)
 
@@ -175,73 +173,67 @@ def build_parser() -> _Parser:
     p.add_argument("corpus")
     p.add_argument("model_out", help="checkpoint output path")
     p.add_argument("--log-out", help="per-epoch JSONL log path")
-    for key in ("h", "f", "c", "v-buckets", "t-max", "k-max", "batch-size",
-                "max-epochs", "patience"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int)
-    for key in ("lr", "beta1", "beta2", "adam-eps"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=float)
-    p.add_argument("--encoder", choices=list(ENCODER_KINDS))
-    p.add_argument("--attention-mode", dest="attention_mode", choices=[LEARNED, UNIFORM])
-    p.add_argument("--use-description", dest="use_description", action="store_true", default=None)
-    p.add_argument("--log-train-f1", dest="log_train_f1", action="store_true", default=None)
-    _add_common(p, "config", "seed", "out")
+    _add_keys(p, *_DIMS_KEYS, *_TRAIN_KEYS)
+    _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics report for one split")
     p.add_argument("model")
     p.add_argument("corpus")
-    p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--use-description", dest="use_description", action="store_true", default=None)
-    _add_common(p, "config", "seed", "out")
+    p.add_argument("--split", choices=splits)
+    _add_keys(p, "k_max", "use_description", "seed")
+    _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="score documents against a checkpoint")
     p.add_argument("model")
     p.add_argument("corpus")
-    p.add_argument("--split", choices=["train", "validation", "test", "all"], default="all")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--split", choices=splits, default="all")
     p.add_argument("--attention", action="store_true", help="include the c x k attention matrix")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--use-description", dest="use_description", action="store_true", default=None)
-    _add_common(p, "config", "seed", "out")
+    _add_keys(p, "threshold", "k_max", "use_description", "seed")
+    _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("segment", help="segment stdin text into sentences")
-    p.add_argument("--k-max", dest="k_max", type=int)
+    _add_keys(p, "k_max")
     _add_common(p, "out")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--encoder", choices=list(ENCODER_KINDS))
-    p.add_argument("--eps", type=float)
-    _add_common(p, "config", "seed", "out")
+    _add_keys(p, "encoder", "eps", "seed")
+    _add_common(p, "config", "out")
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
 
 
+def _seed(args) -> int:
+    return _resolve(args, ["seed"]).get("seed", TrainConfig.seed)
+
+
+def _top_c(args) -> int:
+    """The vocabulary size defaults to the model's label count."""
+    return _resolve(args, ["top_c"]).get("top_c", ModelDims.c)
+
+
 def _select_records(args, records):
     if args.split == "all":
         return records
-    resolved = _resolve(args, ["seed"])
-    part = split_dataset((r.id for r in records), resolved["seed"]).part(args.split)
+    part = split_dataset((r.id for r in records), _seed(args)).part(args.split)
     return [r for r in records if r.id in part]
 
 
 def _cmd_build_vocab(args):
     records, report = load_corpus(args.corpus)
     records = _select_records(args, records)
-    resolved = _resolve(args, ["top_c"])
-    vocab = build_vocabulary(records, resolved["top_c"])
+    vocab = build_vocabulary(records, _top_c(args))
     _progress(f"read {report.read} lines, retained {report.retained} records")
     return {"codes": vocab.codes, "counts": vocab.counts}
 
 
 def _cmd_split(args):
     records, _ = load_corpus(args.corpus)
-    resolved = _resolve(args, ["seed"])
-    split = split_dataset((r.id for r in records), resolved["seed"])
+    split = split_dataset((r.id for r in records), _seed(args))
     payload = {name: sorted(split.part(name)) for name in ("train", "validation", "test")}
     payload["counts"] = {name: len(payload[name]) for name in ("train", "validation", "test")}
     return payload
@@ -249,27 +241,17 @@ def _cmd_split(args):
 
 def _cmd_stats(args):
     records, report = load_corpus(args.corpus)
-    resolved = _resolve(args, ["top_c"])
-    vocab = build_vocabulary(records, resolved["top_c"])
+    vocab = build_vocabulary(records, _top_c(args))
     counts = label_stats(records, vocab)
     dropped = sum(1 for r in records if corpus_mod.encode_labels(r, vocab) is None)
     return {"counts": counts, "dropped": dropped, "skipped": report.total_skipped}
 
 
 def _cmd_train(args):
-    keys = ["h", "f", "c", "v_buckets", "t_max", "k_max", "encoder", "lr",
-            "beta1", "beta2", "adam_eps", "batch_size", "max_epochs",
-            "patience", "seed", "use_description", "attention_mode", "log_train_f1"]
-    r = _resolve(args, keys)
+    r = _resolve(args, _TRAIN_KEYS + _DIMS_KEYS)
     try:
-        config = TrainConfig(
-            dims=ModelDims(h=r["h"], c=r["c"], v_buckets=r["v_buckets"], t_max=r["t_max"], f=r["f"]),
-            k_max=r["k_max"], encoder=r["encoder"], lr=r["lr"], beta1=r["beta1"],
-            beta2=r["beta2"], adam_eps=r["adam_eps"], batch_size=r["batch_size"],
-            max_epochs=r["max_epochs"], patience=r["patience"], seed=r["seed"],
-            use_description=r["use_description"], attention_mode=r["attention_mode"],
-            log_train_f1=r["log_train_f1"],
-        )
+        dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
+        config = TrainConfig(dims=dims, **r)
     except ValueError as exc:
         raise BadValue(str(exc)) from exc
     result = train(config, args.corpus)
@@ -297,28 +279,29 @@ def _cmd_train(args):
 def _cmd_evaluate(args):
     ckpt = load_checkpoint(args.model)
     r = _resolve(args, ["seed", "k_max", "use_description"])
-    return evaluate(ckpt, args.corpus, split_name=args.split, seed=r["seed"],
-                    k_max=r["k_max"], use_description=r["use_description"])
+    if args.split:
+        r["split_name"] = args.split
+    return evaluate(ckpt, args.corpus, **r)
 
 
 def _cmd_predict(args):
     ckpt = load_checkpoint(args.model)
     records, _ = load_corpus(args.corpus)
     records = _select_records(args, records)
-    r = _resolve(args, ["k_max", "threshold", "use_description"])
-    return predict_records(ckpt, records, k_max=r["k_max"], threshold=r["threshold"],
-                           with_attention=args.attention, use_description=r["use_description"])
+    return predict_records(ckpt, records, with_attention=args.attention,
+                           **_resolve(args, ["k_max", "threshold", "use_description"]))
 
 
 def _cmd_segment(args):
-    r = _resolve(args, ["k_max"])
-    text = sys.stdin.read()
-    return [s.text for s in segment(text, r["k_max"])]
+    k_max = _resolve(args, ["k_max"]).get("k_max", TrainConfig.k_max)
+    return [s.text for s in segment(sys.stdin.read(), k_max)]
 
 
 def _cmd_gradcheck(args):
     r = _resolve(args, ["seed", "eps", "encoder"])
-    report = grad_check(kind=r["encoder"], seed=r["seed"], eps=r["eps"])
+    if "encoder" in r:
+        r["kind"] = r.pop("encoder")
+    report = grad_check(**r)
     return {"encoder": report.kind, "max_rel_error": report.max_rel_error,
             "worst_param": report.worst_param, "n_checked": report.n_checked}
 

@@ -53,23 +53,29 @@ class EmptyInput(CorpusError):
 
 @dataclass
 class PatentRecord:
-    """One patent: text fields plus raw IPC code strings."""
+    """One patent: text fields plus raw IPC code strings, parsed once when built."""
 
     id: str
     title: str = ""
     abstract: str = ""
     description: str = ""
     ipc_codes: list[str] = field(default_factory=list)
+    malformed_codes: int = field(init=False, repr=False, compare=False)
+    _codes: list[str] = field(init=False, repr=False, compare=False)
 
-    def normalized_codes(self) -> list[str]:
-        """Distinct parseable subclasses, sorted; malformed codes are skipped."""
+    def __post_init__(self) -> None:
         seen = set()
+        self.malformed_codes = 0
         for raw in self.ipc_codes:
             try:
                 seen.add(parse_ipc(raw))
             except MalformedIpc:
-                continue
-        return sorted(seen)
+                self.malformed_codes += 1
+        self._codes = sorted(seen)
+
+    def normalized_codes(self) -> list[str]:
+        """Distinct parseable subclasses, sorted; malformed codes are skipped."""
+        return self._codes
 
 
 @dataclass
@@ -191,13 +197,7 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
         record = _record_from_obj(obj, seen_ids, report)
         if record is None:
             continue
-        parsed = 0
-        for raw in record.ipc_codes:
-            try:
-                parse_ipc(raw)
-                parsed += 1
-            except MalformedIpc:
-                report.malformed_codes += 1
+        report.malformed_codes += record.malformed_codes
         records.append(record)
         report.retained += 1
     return records, report

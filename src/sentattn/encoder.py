@@ -18,13 +18,12 @@ building float64 parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 MEANPOOL = "meanpool"
 MINITRANSFORMER = "minitransformer"
-ENCODER_KINDS = (MEANPOOL, MINITRANSFORMER)
 
 
 class ShapeMismatch(Exception):
@@ -39,54 +38,87 @@ class CacheMismatch(Exception):
 class ModelDims:
     """Fixed model dimensions; the per-document sentence count k varies."""
 
-    h: int
-    c: int
-    v_buckets: int
-    t_max: int
-    f: int
+    h: int = 64
+    c: int = 50
+    v_buckets: int = 32768
+    t_max: int = 64
+    f: int = 128
 
     def __post_init__(self) -> None:
-        for name in ("h", "c", "v_buckets", "t_max", "f"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
+
+
+TensorSpec = list[tuple[str, tuple[int, ...]]]
+
+
+class TensorSet:
+    """Base of the parameter dataclasses: the field order is the checkpoint order.
+
+    Each subclass declares its tensors once, as a (name, shape) spec in that
+    order; init, named_tensors and the checkpoint layout all follow it.
+    """
+
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+
+def init_tensors(cls, spec: TensorSpec, rng: np.random.Generator, dtype: np.dtype | type):
+    """Seeded init in spec order: matrices uniform in [-0.05, 0.05], vectors zero."""
+    return cls(**{
+        name: rng.uniform(-0.05, 0.05, size=shape).astype(dtype) if len(shape) == 2
+        else np.zeros(shape, dtype=dtype)
+        for name, shape in spec
+    })
+
+
+def _embedding_spec(dims: ModelDims) -> TensorSpec:
+    """Token table (the 4 reserved ids, then the hash buckets) and positions, shared by both kinds."""
+    return [("E", (4 + dims.v_buckets, dims.h)), ("P", (dims.t_max, dims.h))]
 
 
 @dataclass
-class MeanPoolParams:
-    E: np.ndarray  # (4 + v_buckets, h)
-    P: np.ndarray  # (t_max, h)
-    M: np.ndarray  # (h, h)
-    q: np.ndarray  # (h,)
+class MeanPoolParams(TensorSet):
+    E: np.ndarray
+    P: np.ndarray
+    M: np.ndarray
+    q: np.ndarray
 
     kind = MEANPOOL
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("E", self.E), ("P", self.P), ("M", self.M), ("q", self.q)]
+    @staticmethod
+    def spec(dims: ModelDims) -> TensorSpec:
+        h = dims.h
+        return _embedding_spec(dims) + [("M", (h, h)), ("q", (h,))]
 
 
 @dataclass
-class MiniTransformerParams:
-    E: np.ndarray  # (4 + v_buckets, h)
-    P: np.ndarray  # (t_max, h)
-    Q: np.ndarray  # (h, h)
-    K: np.ndarray  # (h, h)
-    Vp: np.ndarray  # (h, h)
-    F1: np.ndarray  # (h, f)
-    F2: np.ndarray  # (f, h)
-    g1: np.ndarray  # (f,)
-    g2: np.ndarray  # (h,)
+class MiniTransformerParams(TensorSet):
+    E: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    K: np.ndarray
+    Vp: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
 
     kind = MINITRANSFORMER
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("E", self.E), ("P", self.P), ("Q", self.Q), ("K", self.K),
-            ("Vp", self.Vp), ("F1", self.F1), ("F2", self.F2),
-            ("g1", self.g1), ("g2", self.g2),
+    @staticmethod
+    def spec(dims: ModelDims) -> TensorSpec:
+        h, f = dims.h, dims.f
+        return _embedding_spec(dims) + [
+            ("Q", (h, h)), ("K", (h, h)), ("Vp", (h, h)),
+            ("F1", (h, f)), ("F2", (f, h)), ("g1", (f,)), ("g2", (h,)),
         ]
 
 
 EncoderParams = MeanPoolParams | MiniTransformerParams
+ENCODER_PARAMS = {cls.kind: cls for cls in (MeanPoolParams, MiniTransformerParams)}
+ENCODER_KINDS = tuple(ENCODER_PARAMS)
 
 
 def init_encoder(
@@ -96,25 +128,10 @@ def init_encoder(
     dtype: np.dtype | type = np.float32,
 ) -> EncoderParams:
     """Seeded init: weights uniform in [-0.05, 0.05], biases zero."""
-
-    def u(*shape):
-        return rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
-
-    def z(*shape):
-        return np.zeros(shape, dtype=dtype)
-
-    E = u(4 + dims.v_buckets, dims.h)
-    P = u(dims.t_max, dims.h)
-    if kind == MEANPOOL:
-        return MeanPoolParams(E=E, P=P, M=u(dims.h, dims.h), q=z(dims.h))
-    if kind == MINITRANSFORMER:
-        return MiniTransformerParams(
-            E=E, P=P,
-            Q=u(dims.h, dims.h), K=u(dims.h, dims.h), Vp=u(dims.h, dims.h),
-            F1=u(dims.h, dims.f), F2=u(dims.f, dims.h),
-            g1=z(dims.f), g2=z(dims.h),
-        )
-    raise ValueError(f"unknown encoder kind: {kind!r}")
+    if kind not in ENCODER_PARAMS:
+        raise ValueError(f"unknown encoder kind: {kind!r}")
+    cls = ENCODER_PARAMS[kind]
+    return init_tensors(cls, cls.spec(dims), rng, dtype)
 
 
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:

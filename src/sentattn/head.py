@@ -19,26 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import CacheMismatch, ShapeMismatch
+from .encoder import CacheMismatch, ShapeMismatch, TensorSet, TensorSpec, init_tensors
 
 
 @dataclass
-class HeadParams:
-    S: np.ndarray  # (c, h) attention vectors, row i for label i
-    W: np.ndarray  # (c, h) per-label classifier weights
-    b: np.ndarray  # (c,)
+class HeadParams(TensorSet):
+    S: np.ndarray  # attention vectors, row i for label i
+    W: np.ndarray  # per-label classifier weights
+    b: np.ndarray
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("S", self.S), ("W", self.W), ("b", self.b)]
+    @staticmethod
+    def spec(c: int, h: int) -> TensorSpec:
+        return [("S", (c, h)), ("W", (c, h)), ("b", (c,))]
 
 
 def init_head(c: int, h: int, rng: np.random.Generator, dtype: np.dtype | type = np.float32) -> HeadParams:
     """Seeded init matching the encoders: uniform weights, zero biases."""
-    return HeadParams(
-        S=rng.uniform(-0.05, 0.05, size=(c, h)).astype(dtype),
-        W=rng.uniform(-0.05, 0.05, size=(c, h)).astype(dtype),
-        b=np.zeros(c, dtype=dtype),
-    )
+    return init_tensors(HeadParams, HeadParams.spec(c, h), rng, dtype)
 
 
 @dataclass

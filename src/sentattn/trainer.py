@@ -39,13 +39,11 @@ from .segmenter import segment, tokenize
 
 LEARNED = "learned"
 UNIFORM = "uniform"
+ATTENTION_MODES = (LEARNED, UNIFORM)
 
 
 class EmptySplit(Exception):
     """A required split contains no usable document."""
-
-
-SplitEmpty = EmptySplit
 
 
 class DimsMismatch(Exception):
@@ -77,7 +75,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.encoder not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind: {self.encoder!r}")
-        if self.attention_mode not in (LEARNED, UNIFORM):
+        if self.attention_mode not in ATTENTION_MODES:
             raise ValueError(f"unknown attention mode: {self.attention_mode!r}")
         for name in ("k_max", "lr", "beta1", "beta2", "adam_eps", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
@@ -304,8 +302,8 @@ def evaluate(
     ckpt: Checkpoint,
     corpus_path,
     split_name: str = "test",
-    seed: int = 42,
-    k_max: int = 128,
+    seed: int = TrainConfig.seed,
+    k_max: int = TrainConfig.k_max,
     use_description: bool = False,
     uniform: bool = False,
 ) -> dict:
@@ -333,7 +331,7 @@ def evaluate(
 def predict_records(
     ckpt: Checkpoint,
     records: list[PatentRecord],
-    k_max: int = 128,
+    k_max: int = TrainConfig.k_max,
     threshold: float = 0.5,
     with_attention: bool = False,
     use_description: bool = False,

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from sentattn.cli import BadValue, UnknownKey, load_config, main
+from sentattn.encoder import ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
+from sentattn.trainer import EmptySplit, TrainConfig, grad_check
 
 from conftest import record_line, write_corpus
 
@@ -40,6 +42,30 @@ class TestLoadConfig:
         with pytest.raises(BadValue, match="line 1"):
             load_config(path)
 
+    def test_every_accepted_key_and_its_type(self, tmp_path):
+        expected = {
+            "h": 1, "c": 2, "v_buckets": 3, "t_max": 4, "f": 5, "k_max": 6,
+            "encoder": "minitransformer", "lr": 0.5, "beta1": 0.25, "beta2": 0.125,
+            "adam_eps": 1.0, "batch_size": 7, "max_epochs": 8, "patience": 9, "seed": 10,
+            "use_description": True, "attention_mode": "uniform", "log_train_f1": False,
+            "threshold": 0.75, "eps": 2.0, "top_c": 11,
+        }
+        path = tmp_path / "t.cfg"
+        path.write_text("".join(f"{key} = {str(value).lower()}\n" for key, value in expected.items()))
+        loaded = load_config(path)
+        assert loaded == expected
+        assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("line, error", [
+        ("dims = 1", UnknownKey), ("stop_at_train_f1 = 1.0", UnknownKey),
+        ("seed = 1.5", BadValue), ("lr = fast", BadValue), ("log_train_f1 = 1", BadValue),
+    ])
+    def test_rejected_lines(self, tmp_path, line, error):
+        path = tmp_path / "t.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(error, match="line 1"):
+            load_config(path)
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -67,6 +93,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
         assert code == 1
         assert "line 1" in err
+
+
+class TestDefaults:
+    def test_train_config_from_flags_file_and_defaults(self, capsys, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_train(config, corpus_path):
+            seen.append(config)
+            raise EmptySplit("stop before reading the corpus")
+
+        monkeypatch.setattr("sentattn.cli.train", fake_train)
+        model = str(tmp_path / "m.satn")
+        assert run(capsys, "train", "corpus.jsonl", model)[0] == 2
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("lr = 0.5\nseed = 1\nt_max = 9\n")
+        assert run(capsys, "train", "corpus.jsonl", model, "--config", str(cfg),
+                   "--seed", "2", "--h", "8")[0] == 2
+        assert seen == [TrainConfig(dims=ModelDims()),
+                        TrainConfig(dims=ModelDims(h=8, t_max=9), lr=0.5, seed=2)]
+
+    def test_gradcheck_without_flags_is_grad_check_defaults(self, capsys):
+        code, out, _ = run(capsys, "gradcheck")
+        assert code == 0
+        report = grad_check()
+        assert json.loads(out) == {"encoder": report.kind, "max_rel_error": report.max_rel_error,
+                                   "worst_param": report.worst_param, "n_checked": report.n_checked}
 
 
 class TestStdoutDiscipline:
@@ -168,6 +220,17 @@ class TestPipelineCommands:
         payload = json.loads(out)
         assert payload["max_rel_error"] < 1e-4
         assert payload["worst_param"]
+
+    def test_corrupt_checkpoint_is_data_error(self, trained, capsys, corpus, tmp_path):
+        model, _ = trained
+        blob = bytearray(model.read_bytes())
+        blob[35] ^= 0xFF  # inside the first vocabulary code
+        corrupt = tmp_path / "corrupt.satn"
+        corrupt.write_bytes(bytes(blob))
+        code, out, err = run(capsys, "predict", str(corrupt), str(corpus))
+        assert code == 2
+        assert out == ""
+        assert "ChecksumMismatch" in err
 
     def test_flag_overrides_config(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "t.cfg"

@@ -106,6 +106,22 @@ class TestLoadCorpus:
         _, report = load_corpus(path)
         assert report.malformed_codes == 1
 
+    def test_each_code_parsed_once(self, tmp_path, monkeypatch):
+        import sentattn.corpus as corpus_mod
+
+        calls = []
+        monkeypatch.setattr(corpus_mod, "parse_ipc", lambda raw: calls.append(raw) or parse_ipc(raw))
+        lines = [record_line("p1", ["G06N 3/00", "ZZZZ", "H04L"]), record_line("p2", ["G06N"])]
+        records, report = load_corpus(write_corpus(tmp_path / "c.jsonl", lines))
+        assert calls == ["G06N 3/00", "ZZZZ", "H04L", "G06N"]
+        assert report.malformed_codes == 1
+        vocab = build_vocabulary(records, top_c=5)
+        label_stats(records, vocab)
+        for r in records:
+            encode_labels(r, vocab)
+        assert records[0].normalized_codes() == ["G06N", "H04L"]
+        assert len(calls) == 4
+
 
 class TestBuildVocabulary:
     def test_toy_multiset(self, toy_records):

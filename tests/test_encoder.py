@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from sentattn.encoder import (
+    ENCODER_PARAMS,
     MEANPOOL,
     MINITRANSFORMER,
     CacheMismatch,
@@ -16,6 +18,7 @@ from sentattn.encoder import (
     init_encoder,
     zero_grads,
 )
+from sentattn.head import HeadParams, init_head
 from sentattn.trainer import grad_check
 
 TANH_HALF = 0.46211715726000974  # frozen scalar oracle
@@ -167,6 +170,38 @@ class TestBackward:
         grads = zero_grads(params)
         for name, tensor in params.named_tensors():
             assert grads[name].shape == tensor.shape
+
+
+class TestTensorSpec:
+    DIMS = ModelDims(h=4, c=3, v_buckets=16, t_max=6, f=5)
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_spec_is_the_field_order_and_the_shapes(self, kind):
+        rng = np.random.default_rng(0)
+        params = init_encoder(kind, self.DIMS, rng)
+        head = init_head(self.DIMS.c, self.DIMS.h, rng)
+        declared = ENCODER_PARAMS[kind].spec(self.DIMS) + HeadParams.spec(self.DIMS.c, self.DIMS.h)
+        built = [(name, t.shape) for name, t in params.named_tensors() + head.named_tensors()]
+        assert built == declared
+
+    @pytest.mark.parametrize("kind, digest", [
+        (MEANPOOL, "76c69f2dd4d58fb72c7a6362f3a6d70c795c58532475c570d2dfd9450a2dc1c3"),
+        (MINITRANSFORMER, "143f9bc227480f5ee1d3fd2fac26e2d99924f8df751c3b58f52f10aa609c1baa"),
+    ])
+    def test_init_stream_is_pinned(self, kind, digest):
+        # The spec order is the RNG draw order: reordering a spec changes every
+        # seeded checkpoint and the needle result.
+        rng = np.random.default_rng(0)
+        params = init_encoder(kind, self.DIMS, rng)
+        head = init_head(self.DIMS.c, self.DIMS.h, rng)
+        h = hashlib.sha256()
+        for name, t in params.named_tensors() + head.named_tensors():
+            h.update(name.encode() + t.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown encoder kind"):
+            init_encoder("lstm", self.DIMS, np.random.default_rng(0))
 
 
 class TestGradientsAgainstFiniteDifferences:

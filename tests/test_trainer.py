@@ -258,6 +258,26 @@ class TestCheckpointFile:
         with pytest.raises(ChecksumMismatch):
             load_checkpoint(path)
 
+    def test_flipped_vocab_byte(self, tmp_path):
+        path = tmp_path / "m.satn"
+        save_checkpoint(fresh_checkpoint(), path)
+        blob = bytearray(path.read_bytes())
+        blob[35] ^= 0xFF  # first byte of the first code, "A" -> an invalid UTF-8 lead byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(path)
+
+    def test_every_flipped_byte_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.satn"
+        save_checkpoint(fresh_checkpoint(MINITRANSFORMER), path)
+        blob = path.read_bytes()
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
     def test_truncated_mid_tensor(self, tmp_path):
         path = tmp_path / "m.satn"
         save_checkpoint(fresh_checkpoint(), path)
