@@ -21,6 +21,7 @@ from .encoder import (
     MEANPOOL,
     MINITRANSFORMER,
     ModelDims,
+    RowGrad,
     encode_document,
     encode_sentence,
     encoder_backward,
@@ -47,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Checkpoint", "ConfusionCounts", "DatasetSplit", "HeadParams",
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
-    "ModelDims", "PatentRecord", "Sentence", "TrainConfig",
+    "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
     "attention_forward", "bce_loss", "build_vocabulary", "encode_document",
     "encode_labels", "encode_sentence", "encoder_backward", "evaluate",
     "grad_check", "head_backward", "head_forward", "init_encoder",

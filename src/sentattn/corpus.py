@@ -176,30 +176,36 @@ def _record_from_obj(obj: object, seen_ids: set[str], report: LoadReport) -> Pat
 
 
 def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
-    """Read a JSONL corpus file; malformed lines are counted, never fatal."""
+    """Read a JSONL corpus file; malformed lines are counted, never fatal.
+
+    The file is read as bytes, one LF-terminated line at a time (CRLF works
+    too). A line that is not valid UTF-8 or not valid JSON counts as a
+    corrupt line; lines of ASCII whitespace are skipped.
+    """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        fh = path.open("rb")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     report = LoadReport()
     records: list[PatentRecord] = []
     seen_ids: set[str] = set()
-    for line in lines:
-        if not line.strip():
-            continue
-        report.read += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            report.skip(SKIP_CORRUPT_LINE)
-            continue
-        record = _record_from_obj(obj, seen_ids, report)
-        if record is None:
-            continue
-        report.malformed_codes += record.malformed_codes
-        records.append(record)
-        report.retained += 1
+    with fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            report.read += 1
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                report.skip(SKIP_CORRUPT_LINE)
+                continue
+            record = _record_from_obj(obj, seen_ids, report)
+            if record is None:
+                continue
+            report.malformed_codes += record.malformed_codes
+            records.append(record)
+            report.retained += 1
     return records, report
 
 

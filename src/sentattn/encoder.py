@@ -4,16 +4,19 @@ Each sentence's token-id sequence maps to one h-dimensional CLS vector;
 stacking the k sentence vectors as columns gives the document matrix D.
 Two compact trainable encoders are provided:
 
-* MeanPool: cls = tanh(M @ mean_p(x_p) + q)
+* MeanPool: cls = tanh(M @ mean_p(x_p) + q). It runs on a whole document
+  at once: the sentences' ids are concatenated, np.add.reduceat takes the
+  per-sentence means, and the backward pass is the matching segment sum.
 * MiniTransformer: one block of single-head scaled dot-product
   self-attention with residual, then a tanh FFN with residual; the CLS
   vector is the output row at position 0. No layer norm, so gradients
-  stay hand-derivable.
+  stay hand-derivable. It encodes one sentence at a time.
 
 Inputs to both are x_p = E[id_p] + P[p]. Backward passes are exact
-analytic gradients, accumulated sentence by sentence in document order.
-Storage is float32; gradient checking re-runs everything in float64 by
-building float64 parameters.
+analytic gradients. The E gradient is row-sparse (RowGrad): one row per
+distinct token id of the document, summed in token order; every other
+gradient is a dense array. Storage is float32; gradient checking re-runs
+everything in float64 by building float64 parameters.
 """
 
 from __future__ import annotations
@@ -134,15 +137,37 @@ def init_encoder(
     return init_tensors(cls, cls.spec(dims), rng, dtype)
 
 
-def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.named_tensors()}
+@dataclass
+class RowGrad:
+    """Gradient of a table that is zero outside a few rows."""
+
+    ids: np.ndarray   # sorted distinct row indices
+    rows: np.ndarray  # (len(ids), width): the gradient at those rows
+
+    @classmethod
+    def from_tokens(cls, ids: np.ndarray, token_rows: np.ndarray) -> "RowGrad":
+        """Sum one gradient row per token into one row per distinct id, in token order."""
+        distinct, slot = np.unique(ids, return_inverse=True)
+        width = token_rows.shape[1]
+        rows = np.zeros((len(distinct), width), dtype=token_rows.dtype)
+        # the flat form of np.add.at is several times faster and adds in the same order
+        flat_slot = (slot[:, None] * width + np.arange(width)).reshape(-1)
+        np.add.at(rows.reshape(-1), flat_slot, token_rows.reshape(-1))
+        return cls(ids=distinct, rows=rows)
+
+    def add_to(self, table: np.ndarray) -> None:
+        table[self.ids] += self.rows
 
 
 @dataclass
-class MeanPoolCache:
-    ids: np.ndarray
-    u: np.ndarray    # mean of input rows, (h,)
-    cls: np.ndarray  # (h,)
+class MeanPoolDocCache:
+    """One document's meanpool forward, as its backward pass needs it."""
+
+    ids: np.ndarray   # (n,) every sentence's token ids, concatenated in document order
+    sent: np.ndarray  # (n,) each token's sentence index
+    lens: np.ndarray  # (k,) tokens per sentence, in the parameter dtype
+    U: np.ndarray     # (k, h) mean input row of each sentence
+    D: np.ndarray     # (h, k) output columns
 
 
 @dataclass
@@ -157,7 +182,16 @@ class MiniTransformerCache:
     T1: np.ndarray   # (m, f) tanh FFN hidden
 
 
-SentenceCache = MeanPoolCache | MiniTransformerCache
+DocumentCache = MeanPoolDocCache | list[MiniTransformerCache]
+
+
+def _check_tokens(ids: np.ndarray, lens: np.ndarray, params: EncoderParams) -> None:
+    t_max = params.P.shape[0]
+    bad = lens[(lens < 3) | (lens > t_max)]
+    if bad.size:
+        raise ShapeMismatch(f"token count {bad[0]} outside [3, {t_max}]")
+    if ids.max() >= params.E.shape[0]:
+        raise ShapeMismatch("token id outside embedding table")
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -166,19 +200,13 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def encode_sentence(ids: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, SentenceCache]:
-    """Encode one token-id sequence into its CLS vector plus backward cache."""
+def encode_sentence(ids: np.ndarray, params: MiniTransformerParams) -> tuple[np.ndarray, MiniTransformerCache]:
+    """Encode one token-id sequence into its minitransformer CLS vector plus backward cache."""
+    if not isinstance(params, MiniTransformerParams):
+        raise TypeError("meanpool encodes whole documents: use encode_document")
     m = len(ids)
-    t_max = params.P.shape[0]
-    if m < 3 or m > t_max:
-        raise ShapeMismatch(f"token count {m} outside [3, {t_max}]")
-    if ids.max() >= params.E.shape[0]:
-        raise ShapeMismatch("token id outside embedding table")
+    _check_tokens(ids, np.array([m]), params)
     X = params.E[ids] + params.P[:m]
-    if isinstance(params, MeanPoolParams):
-        u = X.mean(axis=0)
-        cls = np.tanh(params.M @ u + params.q)
-        return cls, MeanPoolCache(ids=ids, u=u, cls=cls)
     Qm = X @ params.Q
     Km = X @ params.K
     Vm = X @ params.Vp
@@ -189,28 +217,44 @@ def encode_sentence(ids: np.ndarray, params: EncoderParams) -> tuple[np.ndarray,
     return out[0].copy(), MiniTransformerCache(ids=ids, X=X, Qm=Qm, Km=Km, Vm=Vm, A=A, Z=Z, T1=T1)
 
 
-def encode_document(
-    sentences: list[np.ndarray], params: EncoderParams
-) -> tuple[np.ndarray, list[SentenceCache]]:
-    """Stack per-sentence CLS vectors as the columns of D (h x k)."""
+def _meanpool_document(ids: np.ndarray, lens: np.ndarray, params: MeanPoolParams):
+    starts = np.cumsum(lens) - lens
+    sent = np.repeat(np.arange(len(lens)), lens)
+    pos = np.arange(len(ids)) - starts[sent]
+    X = params.E[ids] + params.P[pos]
+    lens = lens.astype(X.dtype)
+    U = np.add.reduceat(X, starts, axis=0) / lens[:, None]
+    D = np.tanh(params.M @ U.T + params.q[:, None])
+    return D, MeanPoolDocCache(ids=ids, sent=sent, lens=lens, U=U, D=D)
+
+
+def encode_document(sentences: list[np.ndarray], params: EncoderParams) -> tuple[np.ndarray, DocumentCache]:
+    """Encode a document's sentences as the columns of D (h x k), plus the backward cache.
+
+    Meanpool runs on the whole document at once; the minitransformer
+    encodes one sentence at a time.
+    """
     if not sentences:
         raise ShapeMismatch("a document needs at least one sentence")
-    cols = []
-    caches = []
-    for ids in sentences:
-        cls, cache = encode_sentence(ids, params)
-        cols.append(cls)
-        caches.append(cache)
-    return np.stack(cols, axis=1), caches
+    if isinstance(params, MeanPoolParams):
+        ids = np.concatenate(sentences)
+        lens = np.array([len(s) for s in sentences])
+        _check_tokens(ids, lens, params)
+        return _meanpool_document(ids, lens, params)
+    cols, caches = zip(*(encode_sentence(ids, params) for ids in sentences))
+    return np.stack(cols, axis=1), list(caches)
 
 
-def _meanpool_backward(params, cache, dcls, grads):
-    da = dcls * (1.0 - cache.cls**2)
-    grads["M"] += np.outer(da, cache.u)
-    grads["q"] += da
-    dx = (params.M.T @ da) / len(cache.ids)
-    np.add.at(grads["E"], cache.ids, dx)
-    grads["P"][: len(cache.ids)] += dx
+def _meanpool_backward(params: MeanPoolParams, cache: MeanPoolDocCache, dD: np.ndarray):
+    dA = dD * (1.0 - cache.D**2)
+    dU = (params.M.T @ dA).T / cache.lens[:, None]  # every input row of sentence j gets dU[j]
+    covers = np.arange(params.P.shape[0])[:, None] < cache.lens  # (t_max, k): sentence j has position p
+    return {
+        "E": RowGrad.from_tokens(cache.ids, dU[cache.sent]),
+        "P": covers.astype(dU.dtype) @ dU,
+        "M": dA @ cache.U,
+        "q": dA.sum(axis=1),
+    }
 
 
 def _minitransformer_backward(params, cache, dcls, grads):
@@ -237,27 +281,28 @@ def _minitransformer_backward(params, cache, dcls, grads):
     grads["K"] += cache.X.T @ dKm
     grads["Vp"] += cache.X.T @ dVm
     dX = dZ + dQm @ params.Q.T + dKm @ params.K.T + dVm @ params.Vp.T
-    np.add.at(grads["E"], cache.ids, dX)
     grads["P"][:m] += dX
+    return dX
 
 
 def encoder_backward(
-    params: EncoderParams, caches: list[SentenceCache], dD: np.ndarray
-) -> dict[str, np.ndarray]:
+    params: EncoderParams, cache: DocumentCache, dD: np.ndarray
+) -> dict[str, np.ndarray | RowGrad]:
     """Exact gradients of the loss w.r.t. every encoder tensor.
 
-    dD holds the loss gradient for each CLS column; contributions are
-    accumulated over the k sentences in document order. Untouched embedding
-    rows stay zero.
+    dD holds the loss gradient for each column of D. The E gradient comes
+    back row-sparse: one row per distinct token id of the document, each
+    summed in token order. Every other gradient is dense.
     """
-    if dD.ndim != 2 or dD.shape[1] != len(caches):
-        raise CacheMismatch(f"dD shape {dD.shape} does not match {len(caches)} cached sentences")
-    grads = zero_grads(params)
-    for j, cache in enumerate(caches):
-        if isinstance(params, MeanPoolParams) != isinstance(cache, MeanPoolCache):
-            raise CacheMismatch("cache kind does not match params kind")
-        if isinstance(params, MeanPoolParams):
-            _meanpool_backward(params, cache, dD[:, j], grads)
-        else:
-            _minitransformer_backward(params, cache, dD[:, j], grads)
-    return grads
+    meanpool = isinstance(cache, MeanPoolDocCache)
+    k = len(cache.lens) if meanpool else len(cache)
+    if dD.ndim != 2 or dD.shape[1] != k:
+        raise CacheMismatch(f"dD shape {dD.shape} does not match {k} cached sentences")
+    if isinstance(params, MeanPoolParams) != meanpool:
+        raise CacheMismatch("cache kind does not match params kind")
+    if meanpool:
+        return _meanpool_backward(params, cache, dD)
+    grads = {name: np.zeros_like(t) for name, t in params.named_tensors() if name != "E"}
+    token_rows = [_minitransformer_backward(params, c, dD[:, j], grads) for j, c in enumerate(cache)]
+    ids = np.concatenate([c.ids for c in cache])
+    return {"E": RowGrad.from_tokens(ids, np.concatenate(token_rows)), **grads}

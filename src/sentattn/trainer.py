@@ -6,6 +6,11 @@ seeded epoch shuffles, sequential gradient accumulation in document order
 and 32-bit parameter arithmetic. Two runs with the same config produce
 byte-identical checkpoints and logs.
 
+Each batch's gradients are summed in buffers allocated once per run
+(BatchGradients). The embedding table's gradient arrives row-sparse and is
+scatter-added, so a batch costs work in proportion to the rows it used;
+only the dense Adam step walks the whole table.
+
 Model selection is validation micro-F1; the best-epoch parameters are
 snapshotted and training stops after `patience` epochs without
 improvement. grad_check rebuilds a small random instance in float64 and
@@ -28,6 +33,7 @@ from .encoder import (
     MEANPOOL,
     EncoderParams,
     ModelDims,
+    RowGrad,
     encode_document,
     encoder_backward,
     init_encoder,
@@ -134,7 +140,12 @@ class EarlyStopper:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction, in-place updates."""
+    """Adaptive moment estimation with bias correction, in-place updates.
+
+    Every operation writes into m, v, the parameter or one of two scratch
+    buffers per tensor, in the order of the textbook formula, so no step
+    allocates a full-size temporary.
+    """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
         self.lr = lr
@@ -144,18 +155,69 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self._scratch = {name: (np.empty_like(p), np.empty_like(p)) for name, p in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, p in tensors.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            # m = beta1*m + (1-beta1)*g
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.add(m, a, out=m)
+            # v = beta2*v + ((1-beta2)*g)*g
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
+            np.divide(m, bc1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
+
+
+class BatchGradients:
+    """Gradient sums over one batch, in buffers allocated once per run.
+
+    Dense gradients are added whole. Row-sparse ones (RowGrad) are
+    scatter-added, and scaling and clearing touch only the rows the batch
+    used, so every other row stays +0.0 without being visited.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray]):
+        self.sums = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self._row_ids: dict[str, list[np.ndarray]] = {}
+
+    def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
+        for name, g in grads.items():
+            if isinstance(g, RowGrad):
+                g.add_to(self.sums[name])
+                self._row_ids.setdefault(name, []).append(g.ids)
+            else:
+                self.sums[name] += g
+
+    def _rows(self, name: str) -> np.ndarray | slice:
+        ids = self._row_ids.get(name)
+        return slice(None) if ids is None else np.unique(np.concatenate(ids))
+
+    def mean(self, n_docs: int) -> dict[str, np.ndarray]:
+        """Scale the sums to the batch mean in place and return them."""
+        inv = 1.0 / n_docs
+        for name, total in self.sums.items():
+            total[self._rows(name)] *= inv
+        return self.sums
+
+    def clear(self) -> None:
+        for name, total in self.sums.items():
+            total[self._rows(name)] = 0.0
+        self._row_ids.clear()
 
 
 def document_text(record: PatentRecord, use_description: bool = False) -> str:
@@ -194,8 +256,8 @@ def prepare_documents(
 
 
 def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc, uniform: bool):
-    D, enc_caches = encode_document(doc.sentences, enc_params)
-    return head_forward(D, head_params, uniform=uniform), enc_caches
+    D, enc_cache = encode_document(doc.sentences, enc_params)
+    return head_forward(D, head_params, uniform=uniform), enc_cache
 
 
 def _merged_tensors(enc_params: EncoderParams, head_params: HeadParams) -> dict[str, np.ndarray]:
@@ -237,6 +299,7 @@ def train(config: TrainConfig, corpus_path) -> TrainResult:
     head_params = init_head(dims.c, dims.h, rng, dtype=np.float32)
     tensors = _merged_tensors(enc_params, head_params)
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
+    batch_grads = BatchGradients(tensors)
     uniform = config.attention_mode == UNIFORM
 
     stopper = EarlyStopper(config.patience)
@@ -248,21 +311,17 @@ def train(config: TrainConfig, corpus_path) -> TrainResult:
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [train_docs[i] for i in order[start : start + config.batch_size]]
-            totals = {name: np.zeros_like(p) for name, p in tensors.items()}
             batch_loss = 0.0
             for doc in batch:
-                cache, enc_caches = _forward(enc_params, head_params, doc, uniform)
+                cache, enc_cache = _forward(enc_params, head_params, doc, uniform)
                 batch_loss += bce_loss(cache.logits, doc.target)
                 head_grads, dD = head_backward(head_params, cache, doc.target)
-                enc_grads = encoder_backward(enc_params, enc_caches, dD)
-                for name, g in {**enc_grads, **head_grads}.items():
-                    totals[name] += g
+                batch_grads.add(encoder_backward(enc_params, enc_cache, dD))
+                batch_grads.add(head_grads)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
-            inv = 1.0 / len(batch)
-            for name in totals:
-                totals[name] *= inv
-            optimizer.step(tensors, totals)
+            optimizer.step(tensors, batch_grads.mean(len(batch)))
+            batch_grads.clear()
             loss_sum += batch_loss
         val_micro, val_macro = _micro_f1(enc_params, head_params, val_docs, dims.c, uniform)
         entry = EpochLog(
@@ -387,15 +446,17 @@ def grad_check(
     targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
     doc = PreparedDoc(id="gradcheck", sentences=sentences, target=targets)
 
-    cache, enc_caches = _forward(enc_params, head_params, doc, uniform=False)
+    tensors = _merged_tensors(enc_params, head_params)
+    cache, enc_cache = _forward(enc_params, head_params, doc, uniform=False)
     head_grads, dD = head_backward(head_params, cache, targets)
-    analytic = {**encoder_backward(enc_params, enc_caches, dD), **head_grads}
+    analytic = BatchGradients(tensors)  # scatters the row-sparse E gradient into a dense table
+    analytic.add(encoder_backward(enc_params, enc_cache, dD))
+    analytic.add(head_grads)
 
     def loss() -> float:
         c, _ = _forward(enc_params, head_params, doc, uniform=False)
         return bce_loss(c.logits, targets)
 
-    tensors = _merged_tensors(enc_params, head_params)
     worst = ("", -1.0)
     n_checked = 0
     for name, tensor in tensors.items():
@@ -408,7 +469,7 @@ def grad_check(
             loss_minus = loss()
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)
-            rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
+            rel = abs(analytic.sums[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
             n_checked += 1
             if rel > worst[1]:
                 worst = (f"{name}[{i}]", rel)

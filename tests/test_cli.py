@@ -129,6 +129,15 @@ class TestStdoutDiscipline:
         assert set(payload) == {"counts", "dropped", "skipped"}
         assert payload["dropped"] == 0
 
+    def test_stats_counts_an_undecodable_line(self, capsys, corpus, tmp_path):
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b'"id"', b'"\xffid"')
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(b"".join(lines))
+        code, out, _ = run(capsys, "stats", str(broken), "--top-c", "4")
+        assert code == 0
+        assert json.loads(out)["skipped"] == 1
+
     def test_build_vocab_progress_on_stderr(self, capsys, corpus):
         code, out, err = run(capsys, "build-vocab", str(corpus), "--top-c", "2")
         assert code == 0

@@ -78,6 +78,25 @@ class TestLoadCorpus:
         assert len(records) == 4
         assert report.skipped == {"corrupt_line": 1}
 
+    def test_invalid_utf8_byte_is_one_corrupt_line(self, tmp_path):
+        lines = [record_line(f"p{i}", ["G06N"]) for i in range(5)]
+        blob = "\n".join(lines).encode("utf-8").replace(b"p2", b"p\xff2")
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(blob + b"\n")
+        records, report = load_corpus(path)
+        assert [r.id for r in records] == ["p0", "p1", "p3", "p4"]
+        assert (report.read, report.retained) == (5, 4)
+        assert report.skipped == {"corrupt_line": 1}
+
+    def test_crlf_line_endings(self, tmp_path):
+        lines = [record_line(f"p{i}", ["G06N"], title="A T\u00e9st. It w\u00f6rks.") for i in range(3)]
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+        records, report = load_corpus(path)
+        assert [r.id for r in records] == ["p0", "p1", "p2"]
+        assert records[0].title == "A T\u00e9st. It w\u00f6rks."
+        assert (report.read, report.retained, report.total_skipped) == (3, 3, 0)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")

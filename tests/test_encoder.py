@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import meanpool_reference as reference
 from sentattn.encoder import (
     ENCODER_PARAMS,
     MEANPOOL,
@@ -11,12 +14,12 @@ from sentattn.encoder import (
     CacheMismatch,
     MeanPoolParams,
     ModelDims,
+    RowGrad,
     ShapeMismatch,
     encode_document,
     encode_sentence,
     encoder_backward,
     init_encoder,
-    zero_grads,
 )
 from sentattn.head import HeadParams, init_head
 from sentattn.trainer import grad_check
@@ -39,24 +42,36 @@ def seq(*ids):
     return np.array(ids, dtype=np.int64)
 
 
+def meanpool_cls(ids, params):
+    """One sentence through the document-level meanpool encoder."""
+    D, _ = encode_document([ids], params)
+    return D[:, 0]
+
+
+def dense(grad: RowGrad, like: np.ndarray) -> np.ndarray:
+    table = np.zeros_like(like)
+    grad.add_to(table)
+    return table
+
+
 class TestMeanPool:
     def test_zero_params_give_zero_cls(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         params.M[:] = 0
         params.q[:] = 0
-        cls, _ = encode_sentence(seq(1, 5, 6, 2), params)
+        cls = meanpool_cls(seq(1, 5, 6, 2), params)
         assert np.all(cls == 0.0)
 
     def test_scalar_oracle(self):
-        cls, _ = encode_sentence(seq(1, 4, 5, 2), scalar_meanpool())
+        cls = meanpool_cls(seq(1, 4, 5, 2), scalar_meanpool())
         assert cls.shape == (1,)
         assert math.isclose(cls[0], TANH_HALF, rel_tol=1e-12)
 
     def test_scalar_backward_oracle(self):
         params = scalar_meanpool()
-        _, cache = encode_sentence(seq(1, 4, 5, 2), params)
-        grads = encoder_backward(params, [cache], np.ones((1, 1)))
+        _, cache = encode_document([seq(1, 4, 5, 2)], params)
+        grads = encoder_backward(params, cache, np.ones((1, 1)))
         assert math.isclose(grads["M"][0, 0], DM_SCALAR, rel_tol=1e-12)
 
     def test_cls_stays_inside_tanh_range(self):
@@ -66,7 +81,7 @@ class TestMeanPool:
         params.M += rng.normal(scale=3.0, size=params.M.shape).astype(np.float32)
         for _ in range(20):
             ids = seq(1, *rng.integers(4, 36, size=5), 2)
-            cls, _ = encode_sentence(ids, params)
+            cls = meanpool_cls(ids, params)
             assert np.all(cls > -1.0) and np.all(cls < 1.0)
 
     def test_swap_invariance_of_mean_path(self):
@@ -74,8 +89,8 @@ class TestMeanPool:
         # interior tokens cannot change the CLS vector
         dims = ModelDims(h=4, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(2))
-        a, _ = encode_sentence(seq(1, 5, 9, 2), params)
-        b, _ = encode_sentence(seq(1, 9, 5, 2), params)
+        a = meanpool_cls(seq(1, 5, 9, 2), params)
+        b = meanpool_cls(seq(1, 9, 5, 2), params)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -101,15 +116,23 @@ class TestMiniTransformer:
 class TestEncodeDocument:
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
     def test_shape_and_column_order(self, kind):
+        # The minitransformer stacks encode_sentence's columns bit for bit.
+        # Meanpool sums each sentence in another order than the per-sentence
+        # reference, so it is compared in float64 (see TestMeanPoolMatchesReference).
         dims = ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4)
-        params = init_encoder(kind, dims, np.random.default_rng(1))
+        dtype = np.float64 if kind == MEANPOOL else np.float32
+        params = init_encoder(kind, dims, np.random.default_rng(1), dtype=dtype)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 2), seq(1, 7, 2)]
-        D, caches = encode_document(sentences, params)
+        D, cache = encode_document(sentences, params)
         assert D.shape == (5, 3)
-        assert len(caches) == 3
+        assert len(cache.lens if kind == MEANPOOL else cache) == 3
         for j, ids in enumerate(sentences):
-            cls, _ = encode_sentence(ids, params)
-            np.testing.assert_array_equal(D[:, j], cls)
+            if kind == MEANPOOL:
+                cls, _ = reference.encode_sentence(ids, params)
+                np.testing.assert_allclose(D[:, j], cls, rtol=0, atol=1e-12)
+            else:
+                cls, _ = encode_sentence(ids, params)
+                np.testing.assert_array_equal(D[:, j], cls)
 
     def test_single_sentence(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
@@ -141,35 +164,127 @@ class TestEncodeDocument:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
-        params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(4))
-        _, caches = encode_document([seq(1, 5, 2), seq(1, 6, 2)], params)
-        grads = encoder_backward(params, caches, np.zeros((4, 2)))
-        for name, g in grads.items():
-            assert not g.any(), name
+        for kind in (MINITRANSFORMER, MEANPOOL):
+            params = init_encoder(kind, dims, np.random.default_rng(4))
+            _, cache = encode_document([seq(1, 5, 2), seq(1, 6, 2)], params)
+            grads = encoder_backward(params, cache, np.zeros((4, 2)))
+            assert grads["E"].ids.tolist() == [1, 2, 5, 6]
+            for name, g in grads.items():
+                g = g.rows if isinstance(g, RowGrad) else g
+                assert not g.any(), (kind, name)
 
     def test_untouched_embedding_rows_stay_zero(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, caches = encode_document([seq(1, 5, 2)], params)
-        grads = encoder_backward(params, caches, np.ones((4, 1)))
+        _, cache = encode_document([seq(1, 5, 2)], params)
+        grads = encoder_backward(params, cache, np.ones((4, 1)))
         touched = {1, 5, 2}
+        assert grads["E"].ids.tolist() == sorted(touched)
+        dE = dense(grads["E"], params.E)
         for row in range(params.E.shape[0]):
             if row not in touched:
-                assert not grads["E"][row].any()
+                assert not dE[row].any()
+            else:
+                assert dE[row].any()
 
     def test_cache_mismatch(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, caches = encode_document([seq(1, 5, 2)], params)
+        _, cache = encode_document([seq(1, 5, 2)], params)
         with pytest.raises(CacheMismatch):
-            encoder_backward(params, caches, np.ones((4, 3)))
+            encoder_backward(params, cache, np.ones((4, 3)))
 
-    def test_zero_grads_matches_param_shapes(self):
+    def test_cache_of_the_other_kind(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
-        params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(4))
-        grads = zero_grads(params)
-        for name, tensor in params.named_tensors():
-            assert grads[name].shape == tensor.shape
+        rng = np.random.default_rng(4)
+        meanpool = init_encoder(MEANPOOL, dims, rng)
+        transformer = init_encoder(MINITRANSFORMER, dims, rng)
+        _, cache = encode_document([seq(1, 5, 2)], transformer)
+        with pytest.raises(CacheMismatch):
+            encoder_backward(meanpool, cache, np.ones((4, 1)))
+
+    def test_backward_covers_every_tensor_with_its_shape(self):
+        dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
+        for kind in (MEANPOOL, MINITRANSFORMER):
+            params = init_encoder(kind, dims, np.random.default_rng(4))
+            _, cache = encode_document([seq(1, 5, 2), seq(1, 6, 7, 2)], params)
+            grads = encoder_backward(params, cache, np.ones((4, 2), dtype=np.float32))
+            assert list(grads) == [name for name, _ in params.named_tensors()], kind
+            assert isinstance(grads["E"], RowGrad)
+            for name, tensor in params.named_tensors():
+                g = dense(grads[name], tensor) if name == "E" else grads[name]
+                assert g.shape == tensor.shape and g.dtype == tensor.dtype, (kind, name)
+
+
+class TestRowGrad:
+    def test_from_tokens_matches_dense_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        ids = rng.integers(0, 40, size=300)  # many repeats
+        token_rows = rng.normal(size=(300, 6)).astype(np.float32)
+        expected = np.zeros((50, 6), dtype=np.float32)
+        np.add.at(expected, ids, token_rows)
+        grad = RowGrad.from_tokens(ids, token_rows)
+        assert grad.ids.tolist() == sorted(set(ids.tolist()))
+        assert dense(grad, expected).tobytes() == expected.tobytes()
+
+    def test_add_to_accumulates(self):
+        table = np.ones((5, 2))
+        RowGrad(ids=np.array([1, 3]), rows=np.array([[1.0, 2.0], [3.0, 4.0]])).add_to(table)
+        assert table.tolist() == [[1, 1], [2, 3], [1, 1], [4, 5], [1, 1]]
+
+
+@st.composite
+def meanpool_documents(draw):
+    """Float64 meanpool params and a document whose ids repeat within and across sentences."""
+    h = draw(st.integers(1, 6))
+    t_max = draw(st.integers(3, 9))
+    n_ids = draw(st.integers(4, 7))  # few distinct ids, so repeats are common
+    lens = draw(st.lists(st.integers(3, t_max), min_size=1, max_size=6))
+    sentences = [np.array(draw(st.lists(st.integers(0, n_ids - 1), min_size=m, max_size=m)), dtype=np.int64)
+                 for m in lens]
+    seed = draw(st.integers(0, 2**32 - 1))
+    dims = ModelDims(h=h, c=2, v_buckets=n_ids, t_max=t_max, f=2)
+    rng = np.random.default_rng(seed)
+    params = init_encoder(MEANPOOL, dims, rng, dtype=np.float64)
+    for _, tensor in params.named_tensors():
+        tensor[...] = rng.normal(size=tensor.shape)
+    dD = rng.normal(size=(h, len(sentences)))
+    return params, sentences, dD
+
+
+def _fixed_document(lens, repeat):
+    """h=3, t_max=8; every sentence repeats id 4 when asked, and sentences share ids."""
+    rng = np.random.default_rng(sum(lens) + repeat)
+    params = init_encoder(MEANPOOL, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), rng, dtype=np.float64)
+    for _, tensor in params.named_tensors():
+        tensor[...] = rng.normal(size=tensor.shape)
+    sentences = [np.array([4] * m if repeat else [1, *range(4, 4 + m - 2), 2], dtype=np.int64) for m in lens]
+    return params, sentences, rng.normal(size=(3, len(lens)))
+
+
+class TestMeanPoolMatchesReference:
+    """The document-level meanpool equals the per-sentence loop in float64."""
+
+    TOL = 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(meanpool_documents())
+    @example(_fixed_document([3], repeat=False))          # k = 1, shortest sentence
+    @example(_fixed_document([8], repeat=True))           # k = 1, t_max tokens, one id
+    @example(_fixed_document([3, 8, 3, 8], repeat=False))  # both extremes, shared ids
+    @example(_fixed_document([3, 8, 5], repeat=True))
+    def test_forward_and_every_gradient(self, case):
+        params, sentences, dD = case
+        D, cache = encode_document(sentences, params)
+        D_ref, caches_ref = reference.encode_document(sentences, params)
+        np.testing.assert_allclose(D, D_ref, rtol=0, atol=self.TOL)
+        grads = encoder_backward(params, cache, dD)
+        expected = reference.encoder_backward(params, caches_ref, dD)
+        assert sorted(grads) == sorted(expected) == ["E", "M", "P", "q"]
+        assert grads["E"].ids.tolist() == sorted(set(np.concatenate(sentences).tolist()))
+        np.testing.assert_allclose(dense(grads["E"], params.E), expected["E"], rtol=0, atol=self.TOL)
+        for name in ("P", "M", "q"):
+            np.testing.assert_allclose(grads[name], expected[name], rtol=0, atol=self.TOL, err_msg=name)
 
 
 class TestTensorSpec:
@@ -221,10 +336,22 @@ class TestShapeValidation:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_sentence(seq(1, 500, 2), params)
+            encode_document([seq(1, 500, 2)], params)
 
     def test_too_many_tokens(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=4, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_sentence(seq(1, 4, 5, 6, 2), params)
+            encode_document([seq(1, 4, 5, 6, 2)], params)
+
+    def test_too_few_tokens_in_a_later_sentence(self):
+        dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
+        params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch):
+            encode_document([seq(1, 4, 2), seq(1, 2)], params)
+
+    def test_sentence_encoder_is_minitransformer_only(self):
+        dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
+        params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
+        with pytest.raises(TypeError, match="encode_document"):
+            encode_sentence(seq(1, 4, 2), params)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -15,11 +16,20 @@ from sentattn.checkpoint import (
     save_checkpoint,
 )
 from sentattn.corpus import LabelVocabulary, NoLabels
-from sentattn.encoder import MEANPOOL, MINITRANSFORMER, ModelDims, init_encoder
+from sentattn.encoder import (
+    MEANPOOL,
+    MINITRANSFORMER,
+    ModelDims,
+    RowGrad,
+    encode_document,
+    encoder_backward,
+    init_encoder,
+)
 from sentattn.head import head_forward, init_head
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import (
     Adam,
+    BatchGradients,
     DimsMismatch,
     EarlyStopper,
     EmptySplit,
@@ -83,6 +93,119 @@ class TestAdam:
         for _ in range(400):
             opt.step({"p": p}, {"p": 2 * p.copy()})
         assert abs(p[0]) < 1e-2
+
+
+    def test_in_place_step_is_the_textbook_formula_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        shapes = {"E": (40, 6), "q": (6,)}
+        params = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+        expected = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p) for n, p in params.items()}
+        v = {n: np.zeros_like(p) for n, p in params.items()}
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, beta1, beta2, eps)
+        moments = (dict(opt.m), dict(opt.v))
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+            grads["E"][::3] = 0.0  # rows a batch did not touch
+            opt.step(params, grads)
+            for n, g in grads.items():
+                m[n] = beta1 * m[n] + (1.0 - beta1) * g
+                v[n] = beta2 * v[n] + (1.0 - beta2) * g * g
+                m_hat = m[n] / (1.0 - beta1**t)
+                v_hat = v[n] / (1.0 - beta2**t)
+                expected[n] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for n in shapes:
+                assert params[n].tobytes() == expected[n].tobytes(), (t, n)
+                assert opt.m[n].tobytes() == m[n].tobytes(), (t, n)
+                assert opt.v[n].tobytes() == v[n].tobytes(), (t, n)
+        for n in shapes:
+            assert opt.m[n] is moments[0][n] and opt.v[n] is moments[1][n]
+
+
+def _document_grads(seed: int, dims: ModelDims, n_docs: int):
+    """Encoder and head-like gradients of a few random meanpool documents (float32)."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder(MEANPOOL, dims, rng)
+    docs = []
+    for _ in range(n_docs):
+        lens = rng.integers(3, dims.t_max + 1, size=int(rng.integers(1, 5)))
+        sentences = [rng.integers(4, 12, size=m) for m in lens]  # ids shared across documents
+        D, cache = encode_document(sentences, params)
+        dD = rng.normal(size=D.shape).astype(np.float32)
+        grads = encoder_backward(params, cache, dD)
+        grads["b"] = rng.normal(size=3).astype(np.float32)
+        docs.append(grads)
+    tensors = dict(params.named_tensors(), b=np.zeros(3, dtype=np.float32))
+    return tensors, docs
+
+
+class TestBatchGradients:
+    DIMS = ModelDims(h=5, c=3, v_buckets=60, t_max=7, f=2)
+
+    def dense_mean(self, tensors, docs):
+        """The per-batch sum as it was built before: full-size zeros plus each dense gradient."""
+        totals = {n: np.zeros_like(p) for n, p in tensors.items()}
+        for grads in docs:
+            for n, g in grads.items():
+                if isinstance(g, RowGrad):
+                    full = np.zeros_like(tensors[n])
+                    g.add_to(full)
+                    g = full
+                totals[n] += g
+        for n in totals:
+            totals[n] *= 1.0 / len(docs)
+        return totals
+
+    def test_scatter_add_equals_dense_sum_bit_for_bit(self):
+        tensors, docs = _document_grads(5, self.DIMS, n_docs=4)
+        acc = BatchGradients(tensors)
+        for grads in docs:
+            acc.add(grads)
+        got = acc.mean(len(docs))
+        expected = self.dense_mean(tensors, docs)
+        for n in tensors:
+            assert got[n].tobytes() == expected[n].tobytes(), n
+        used = np.unique(np.concatenate([g["E"].ids for g in docs]))
+        untouched = np.setdiff1d(np.arange(tensors["E"].shape[0]), used)
+        assert len(untouched) > 0
+        assert not got["E"][untouched].any()
+        assert not np.signbit(got["E"][untouched]).any()  # +0.0, never -0.0
+
+    def test_clear_restores_positive_zero_and_the_buffers_are_reused(self):
+        tensors, docs = _document_grads(6, self.DIMS, n_docs=6)
+        acc = BatchGradients(tensors)
+        buffers = dict(acc.sums)
+        for batch in (docs[:3], docs[3:]):
+            for grads in batch:
+                acc.add(grads)
+            got = acc.mean(len(batch))
+            expected = self.dense_mean(tensors, batch)
+            for n in tensors:
+                assert got[n].tobytes() == expected[n].tobytes(), n
+                assert got[n] is buffers[n]
+            acc.clear()
+            for n, total in acc.sums.items():
+                assert not total.any() and not np.signbit(total).any(), n
+
+    def test_memory_of_one_document_stays_far_below_the_table(self):
+        # At the default dims, one document's backward plus its accumulation
+        # must not allocate anything near a full-size E table.
+        dims = ModelDims()
+        rng = np.random.default_rng(0)
+        params = init_encoder(MEANPOOL, dims, rng)
+        acc = BatchGradients(dict(params.named_tensors()))
+        sentences = [np.concatenate([[1], rng.integers(4, 4 + dims.v_buckets, size=m - 2), [2]])
+                     for m in rng.integers(3, dims.t_max + 1, size=32)]
+        D, cache = encode_document(sentences, params)
+        dD = rng.normal(size=D.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            acc.add(encoder_backward(params, cache, dD))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.E.nbytes / 4, peak
 
 
 class TestDocumentText:
