@@ -27,20 +27,21 @@ from sentattn.synth import (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus-out", help="where to write the generated corpus JSONL")
     parser.add_argument("--max-epochs", type=int, default=200)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     check_no_bucket_collisions(8, needle_config().dims.v_buckets)
-    corpus = Path(args.corpus_out) if args.corpus_out else Path(tempfile.mkdtemp()) / "needle.jsonl"
-    write_jsonl(make_needle_corpus(), corpus)
-    print(f"corpus: {corpus}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = Path(args.corpus_out) if args.corpus_out else Path(scratch) / "needle.jsonl"
+        write_jsonl(make_needle_corpus(), corpus)
+        print(f"corpus: {corpus}", file=sys.stderr)
 
-    start = time.monotonic()
-    outcome, attention_run, ablation = run_needle_experiment(corpus, max_epochs=args.max_epochs)
-    elapsed = time.monotonic() - start
+        start = time.monotonic()
+        outcome, attention_run, ablation = run_needle_experiment(corpus, max_epochs=args.max_epochs)
+        elapsed = time.monotonic() - start
 
     summary = {
         **asdict(outcome),

@@ -12,7 +12,8 @@ Layout, all multi-byte values little-endian:
 The tensor shapes come from each kind's spec (`MeanPoolParams.spec`,
 `MiniTransformerParams.spec`, `HeadParams.spec`). Loading checks the file
 length and the CRC before it decodes any code or builds any array, so a
-corrupted file ends in a CheckpointError, never a decoding error. It
+corrupted file ends in a CheckpointError, never a decoding error; so does
+a file whose CRC matches but whose codes are not distinct UTF-8 strings. It
 reproduces every tensor bit-exactly. Training metadata (epochs run, best
 validation micro-F1, seed) lives only on the in-memory object; the byte
 layout above is the whole on-disk contract.
@@ -151,6 +152,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return {name: np.frombuffer(raw[name], dtype="<f4").reshape(shape).astype(np.float32)
                 for name, shape in spec}
 
-    vocab = LabelVocabulary(codes=[code.decode("utf-8") for code in raw_codes])
+    try:
+        vocab = LabelVocabulary(codes=[code.decode("utf-8") for code in raw_codes])
+    except ValueError as exc:  # not UTF-8, or a repeated code
+        raise CheckpointError(f"bad label vocabulary: {exc}") from exc
     return Checkpoint(dims=dims, kind=kind, vocab=vocab, encoder_params=cls(**arrays(enc_spec)),
                       head_params=HeadParams(**arrays(head_spec)), version=version)

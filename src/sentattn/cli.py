@@ -72,7 +72,7 @@ def load_config(path: str | Path) -> dict:
     """Parse a `key = value` config file into a typed flag map."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -179,8 +179,10 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
     """Read a JSONL corpus file; malformed lines are counted, never fatal.
 
     The file is read as bytes, one LF-terminated line at a time (CRLF works
-    too). A line that is not valid UTF-8 or not valid JSON counts as a
-    corrupt line; lines of ASCII whitespace are skipped.
+    too). A line that is not valid UTF-8 or not valid JSON, or that the JSON
+    decoder refuses (nesting past the recursion limit, an integer past the
+    digit limit), counts as a corrupt line; lines of ASCII whitespace are
+    skipped.
     """
     path = Path(path)
     try:
@@ -197,7 +199,7 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
             report.read += 1
             try:
                 obj = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
                 report.skip(SKIP_CORRUPT_LINE)
                 continue
             record = _record_from_obj(obj, seen_ids, report)

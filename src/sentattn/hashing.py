@@ -5,6 +5,8 @@ membership, token hashing) routes through these two functions so results
 are identical across runs and platforms.
 """
 
+from functools import lru_cache
+
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -24,6 +26,11 @@ def stable_hash64(seed: int, ident: str) -> int:
     return fnv1a64((seed & _MASK).to_bytes(8, "little") + ident.encode("utf-8"))
 
 
+@lru_cache(maxsize=1 << 16)
 def token_bucket(token: str, v_buckets: int) -> int:
-    """Map a token into the id space [4, 4 + v_buckets); 0-3 are reserved ids."""
+    """Map a token into the id space [4, 4 + v_buckets); 0-3 are reserved ids.
+
+    Memoized: patent text is Zipfian, so most calls repeat a token already
+    hashed. The bound keeps a large vocabulary from growing memory without limit.
+    """
     return 4 + fnv1a64(token.encode("utf-8")) % v_buckets

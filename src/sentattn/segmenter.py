@@ -6,8 +6,13 @@ bracket, then whitespace, then an ASCII uppercase letter or digit.
 A terminator ending a listed abbreviation (matched case-insensitively)
 or sitting between two digits never splits.
 
+Preprocessing is linear in the text it keeps: `segment` reads the text only
+up to the end of the k_max-th sentence, and `tokenize` stops after the
+t_max - 2 tokens it keeps.
+
 Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
-learned vocabulary; ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
+learned vocabulary; each distinct token is hashed once and then served from
+a bounded memo. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
 unreachable under hashing.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,10 +32,20 @@ SEP_ID = 2
 UNK_ID = 3
 
 ABBREVIATIONS = ("Fig.", "No.", "U.S.", "e.g.", "i.e.", "et al.", "vs.", "etc.")
+_ABBREVIATIONS_LOWER = tuple(a.lower() for a in ABBREVIATIONS)
+# Lowercasing never maps a char to fewer than one char, so the last
+# len(abbr) + 1 chars of a lowercased prefix come from at most that many
+# source chars; a final-sigma change near the window's start stays non-ASCII
+# and alphanumeric.
+_ABBREVIATION_WINDOW = max(len(a) for a in ABBREVIATIONS) + 1
 
 _DIGITS = "0123456789"
 # terminator, optional closing quotes/brackets, whitespace, then upper/digit
 _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
+# one token: an alphanumeric run up to the word's last alphanumeric char, or
+# any other single non-space char; [^\W_] is exactly str.isalnum and \s is
+# exactly str.isspace
+_TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 
 class EmptyText(Exception):
@@ -47,13 +63,12 @@ class Sentence:
 
 def _is_abbreviation(text: str, term_pos: int) -> bool:
     """True when the terminator at term_pos ends a listed abbreviation."""
-    prefix = text[: term_pos + 1].lower()
-    for abbr in ABBREVIATIONS:
-        abbr = abbr.lower()
-        if not prefix.endswith(abbr):
+    window = text[max(0, term_pos + 1 - _ABBREVIATION_WINDOW) : term_pos + 1].lower()
+    for abbr in _ABBREVIATIONS_LOWER:
+        if not window.endswith(abbr):
             continue
-        before = len(prefix) - len(abbr) - 1
-        if before < 0 or not prefix[before].isalnum():
+        before = len(window) - len(abbr) - 1
+        if before < 0 or not window[before].isalnum():
             return True
     return False
 
@@ -78,11 +93,12 @@ def segment(text: str, k_max: int) -> list[Sentence]:
     """Split text into at most k_max sentences under the pinned rule set.
 
     Nonempty text that yields no boundary comes back as a single sentence;
-    whitespace-only input raises EmptyText.
+    whitespace-only input raises EmptyText. Stops reading at the end of the
+    k_max-th sentence.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    if not text.strip():
+    if not text or text.isspace():
         raise EmptyText("text has no non-whitespace character")
     sentences: list[Sentence] = []
     start = 0
@@ -93,11 +109,13 @@ def segment(text: str, k_max: int) -> list[Sentence]:
         sentence = _trimmed(text, start, match.end(2))
         if sentence is not None:
             sentences.append(sentence)
+            if len(sentences) == k_max:
+                return sentences
         start = match.end()
     tail = _trimmed(text, start, len(text))
     if tail is not None:
         sentences.append(tail)
-    return sentences[:k_max]
+    return sentences
 
 
 def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
@@ -111,21 +129,8 @@ def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
         raise ValueError("t_max must be >= 3")
     if v_buckets < 1:
         raise ValueError("v_buckets must be >= 1")
-    tokens: list[str] = []
-    for word in text.lower().split():
-        lead = []
-        while word and not word[0].isalnum():
-            lead.append(word[0])
-            word = word[1:]
-        trail = []
-        while word and not word[-1].isalnum():
-            trail.append(word[-1])
-            word = word[:-1]
-        tokens.extend(lead)
-        if word:
-            tokens.append(word)
-        tokens.extend(reversed(trail))
-    if not tokens:
+    tokens = islice(_TOKEN_RE.finditer(text.lower()), t_max - 2)
+    interior = [token_bucket(m.group(), v_buckets) for m in tokens]
+    if not interior:
         raise ValueError("cannot tokenize an empty sentence")
-    interior = [token_bucket(t, v_buckets) for t in tokens[: t_max - 2]]
     return np.array([CLS_ID, *interior, SEP_ID], dtype=np.int64)

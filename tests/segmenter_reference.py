@@ -1,0 +1,95 @@
+"""The full-scan segmenter and the per-character tokenizer that
+`sentattn.segmenter` replaced, kept here as their oracle.
+
+`segment` lowercases the whole prefix for every boundary candidate and scans
+the whole text before it keeps the first k_max sentences; `tokenize` strips
+punctuation one character at a time and splits every word. Both are moved
+unchanged; only their imports differ. Token ids come from the unmemoized hash,
+so the oracle shares no cache with the code under test.
+"""
+
+import numpy as np
+
+from sentattn.hashing import token_bucket as _memoized_token_bucket
+from sentattn.segmenter import (
+    _BOUNDARY_RE,
+    ABBREVIATIONS,
+    CLS_ID,
+    SEP_ID,
+    EmptyText,
+    Sentence,
+    _is_decimal,
+    _trimmed,
+)
+
+token_bucket = _memoized_token_bucket.__wrapped__
+
+
+def _is_abbreviation(text: str, term_pos: int) -> bool:
+    """True when the terminator at term_pos ends a listed abbreviation."""
+    prefix = text[: term_pos + 1].lower()
+    for abbr in ABBREVIATIONS:
+        abbr = abbr.lower()
+        if not prefix.endswith(abbr):
+            continue
+        before = len(prefix) - len(abbr) - 1
+        if before < 0 or not prefix[before].isalnum():
+            return True
+    return False
+
+
+def segment(text: str, k_max: int) -> list[Sentence]:
+    """Split text into at most k_max sentences under the pinned rule set.
+
+    Nonempty text that yields no boundary comes back as a single sentence;
+    whitespace-only input raises EmptyText.
+    """
+    if k_max <= 0:
+        raise ValueError("k_max must be positive")
+    if not text.strip():
+        raise EmptyText("text has no non-whitespace character")
+    sentences: list[Sentence] = []
+    start = 0
+    for match in _BOUNDARY_RE.finditer(text):
+        term_pos = match.start(1)
+        if _is_abbreviation(text, term_pos) or _is_decimal(text, term_pos):
+            continue
+        sentence = _trimmed(text, start, match.end(2))
+        if sentence is not None:
+            sentences.append(sentence)
+        start = match.end()
+    tail = _trimmed(text, start, len(text))
+    if tail is not None:
+        sentences.append(tail)
+    return sentences[:k_max]
+
+
+def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
+    """Hash a sentence into a CLS ... SEP id sequence of length <= t_max.
+
+    Lowercases, splits on whitespace, detaches leading/trailing punctuation
+    as separate tokens, and keeps the first t_max - 2 interior tokens.
+    Never pads; padding is a batch concern.
+    """
+    if t_max < 3:
+        raise ValueError("t_max must be >= 3")
+    if v_buckets < 1:
+        raise ValueError("v_buckets must be >= 1")
+    tokens: list[str] = []
+    for word in text.lower().split():
+        lead = []
+        while word and not word[0].isalnum():
+            lead.append(word[0])
+            word = word[1:]
+        trail = []
+        while word and not word[-1].isalnum():
+            trail.append(word[-1])
+            word = word[:-1]
+        tokens.extend(lead)
+        if word:
+            tokens.append(word)
+        tokens.extend(reversed(trail))
+    if not tokens:
+        raise ValueError("cannot tokenize an empty sentence")
+    interior = [token_bucket(t, v_buckets) for t in tokens[: t_max - 2]]
+    return np.array([CLS_ID, *interior, SEP_ID], dtype=np.int64)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sentattn.cli import BadValue, UnknownKey, load_config, main
+from sentattn.cli import EXIT_USAGE, BadValue, UnknownKey, load_config, main
 from sentattn.encoder import ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
@@ -93,6 +93,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
         assert code == 1
         assert "line 1" in err
+
+    def test_undecodable_config_is_usage_error(self, capsys, corpus, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = 1 # caf\xe9\n")
+        code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "config error:" in err
+        assert str(cfg) in err
 
 
 class TestDefaults:

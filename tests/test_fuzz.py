@@ -1,0 +1,116 @@
+"""Random and corrupted bytes fed to the two file loaders.
+
+`load_corpus` must return a report or raise a `CorpusError`, and
+`load_checkpoint` must return a checkpoint or raise a `CheckpointError`;
+any other exception is a crash.
+"""
+
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sentattn.checkpoint import MAGIC, VERSION, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from sentattn.corpus import CorpusError, LabelVocabulary, load_corpus
+from sentattn.encoder import MEANPOOL, ModelDims, init_encoder
+from sentattn.head import init_head
+
+from conftest import record_line
+
+VALID_CORPUS = ("\n".join([
+    record_line("p1", ["G06N 3/00", "H04L"]),
+    record_line("p2", ["B82Y"], title="Ünïcode títle. Σ sentence.", abstract=""),
+    '{"id": "p3", "title": "x", "description": "Long. Text.", "ipc_codes": ["A01B", "bad"]}',
+]) + "\n").encode("utf-8")
+
+
+def valid_checkpoint_bytes() -> bytes:
+    dims = ModelDims(h=2, c=2, v_buckets=4, t_max=3, f=2)
+    rng = np.random.default_rng(0)
+    ckpt = Checkpoint(dims=dims, kind=MEANPOOL, vocab=LabelVocabulary(codes=["A01B", "G06N"]),
+                      encoder_params=init_encoder(MEANPOOL, dims, rng),
+                      head_params=init_head(dims.c, dims.h, rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.satn"
+        save_checkpoint(ckpt, path)
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = valid_checkpoint_bytes()
+FIRST_CODE = 35  # magic, 6 u32 header fields, kind byte, code count, first code's length
+
+
+def flip(blob: bytes, flips: list[tuple[int, int]]) -> bytes:
+    out = bytearray(blob)
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out)
+
+
+def with_fixed_crc(blob: bytes) -> bytes:
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+
+
+flips = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1, max_size=8)
+
+
+def load_corpus_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        try:
+            records, report = load_corpus(path)
+        except CorpusError:
+            return
+    assert report.retained == len(records)
+    assert report.read == report.retained + report.total_skipped
+
+
+def load_checkpoint_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.satn"
+        path.write_bytes(data)
+        try:
+            ckpt = load_checkpoint(path)
+        except CheckpointError:
+            return
+    assert ckpt.version == VERSION
+
+
+class TestLoadCorpus:
+    @settings(max_examples=200)
+    @given(st.binary(max_size=2000))
+    @example(b"[" * 100_000 + b"\n")
+    @example(b'{"id": "p", "n": ' + b"1" * 5000 + b"}\n")
+    @example(b'{"id": "p", "title": "\\ud800 lone surrogate.", "ipc_codes": ["G06N"]}\n')
+    @example(b"\xff\xfe\x00\n\r\n\x00{}\n")
+    def test_random_bytes(self, data):
+        load_corpus_bytes(data)
+
+    @settings(max_examples=200)
+    @given(flips, st.integers(0, len(VALID_CORPUS)))
+    def test_flipped_and_truncated_valid_file(self, flips, keep):
+        load_corpus_bytes(flip(VALID_CORPUS, flips)[:keep])
+
+
+class TestLoadCheckpoint:
+    @settings(max_examples=200)
+    @given(st.one_of(st.binary(max_size=600),
+                     st.binary(max_size=600).map(lambda b: MAGIC + struct.pack("<I", VERSION) + b)))
+    def test_random_bytes(self, data):
+        load_checkpoint_bytes(data)
+
+    @settings(max_examples=300)
+    @given(flips, st.booleans(), st.integers(0, len(VALID_CHECKPOINT)))
+    @example([(FIRST_CODE, 0xFF)], True, len(VALID_CHECKPOINT))  # first code not UTF-8
+    @example([(FIRST_CODE + 6 + i, ord(a) ^ ord(g)) for i, (a, g) in enumerate(zip("A01B", "G06N"))],
+             True, len(VALID_CHECKPOINT))  # both codes "A01B"
+    def test_flipped_and_truncated_valid_file(self, flips, fix_crc, keep):
+        blob = flip(VALID_CHECKPOINT, flips)
+        if fix_crc:
+            blob = with_fixed_crc(blob)
+        load_checkpoint_bytes(blob[:keep])

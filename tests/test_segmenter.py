@@ -1,11 +1,17 @@
 import json
+import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentattn.segmenter import CLS_ID, SEP_ID, EmptyText, segment, tokenize
+import segmenter_reference as reference
+from sentattn import segmenter
+from sentattn.hashing import fnv1a64, token_bucket
+from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, segment, tokenize
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "segmenter_golden.json").read_text())
 
@@ -112,3 +118,112 @@ class TestTokenize:
     def test_t_max_floor(self):
         with pytest.raises(ValueError):
             tokenize("word", t_max=2, v_buckets=8)
+
+
+def outcome(fn, *args):
+    """What a call returns, as plain values, or the type of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    if isinstance(out, list):
+        return [(x.text, x.start, x.end) for x in out]
+    return out.tolist()
+
+
+# text assembled from what the boundary, abbreviation, decimal and token rules
+# look at, including chars whose lowercase changes length or depends on context
+PIECES = (
+    *ABBREVIATIONS, *(a.upper() for a in ABBREVIATIONS), "et  al.", "Fig.2",
+    ".", "!", "?", "...", '"', "\'", "”", "’", ")", "]", "}", "(", "_",
+    " ", "  ", "\n", "\t", "\u00a0", "\u2003",
+    "A", "Z", "a", "x", "3", "12", "3.14", "1.", ".5",
+    "İ", "Σ", "ΑΣ", "σ", "K", "ß", "I", "word", "Word",
+)
+assembled = st.lists(st.sampled_from(PIECES), max_size=80).map("".join)
+any_text = st.one_of(st.text(max_size=300), assembled)
+
+
+class TestAgainstReference:
+    """The linear segmenter and tokenizer against the full-scan code they replaced."""
+
+    @settings(max_examples=400)
+    @given(any_text, st.integers(1, 200))
+    @example("", 1)
+    @example(" \n\t", 3)
+    @example("xİ.e. Then A. B", 2)
+    @example("ΑΣ etc. Next one. And more", 1)
+    @example("See xet al. Next", 4)
+    def test_segment_spans_and_errors_match(self, text, k_max):
+        assert outcome(segment, text, k_max) == outcome(reference.segment, text, k_max)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.sampled_from("ab.!? \nAZ19İΣK"), max_size=200), st.integers(1, 5))
+    def test_segment_matches_at_small_k_max(self, text, k_max):
+        assert outcome(segment, text, k_max) == outcome(reference.segment, text, k_max)
+
+    def test_is_abbreviation_matches_at_every_position(self):
+        befores = ("", "x", "3", "_", ".", " ", "İ", "Σ", "ΑΣ", "K", "ß")
+        abbrs = (*ABBREVIATIONS, *(a.upper() for a in ABBREVIATIONS))
+        text = "".join(PIECES) + " ".join(b + a for a in abbrs for b in befores)
+        for pos in range(len(text)):
+            assert segmenter._is_abbreviation(text, pos) == reference._is_abbreviation(text, pos), pos
+
+    @settings(max_examples=300)
+    @given(any_text, st.integers(3, 40), st.integers(1, 5000))
+    @example("((((a))))", 4, 64)
+    @example("(" * 500, 10, 64)
+    @example("_a_ a_b Σ. ΑΣ.", 16, 512)
+    def test_tokenize_ids_and_errors_match(self, text, t_max, v_buckets):
+        assert outcome(tokenize, text, t_max, v_buckets) == outcome(reference.tokenize, text, t_max, v_buckets)
+
+
+class TestBoundedWork:
+    """Work counts, not wall-clock times."""
+
+    def test_abbreviation_check_copies_only_a_window(self):
+        text = "x" * (1_000_000 - 4) + "e.g."
+        peaks = {}
+        for name, check in (("new", segmenter._is_abbreviation), ("reference", reference._is_abbreviation)):
+            tracemalloc.start()
+            try:
+                assert check(text, len(text) - 1) is False
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["new"] < 1024
+        assert peaks["reference"] > 1_000_000
+
+    def test_segment_stops_at_k_max(self, monkeypatch):
+        calls = []
+        real = segmenter._trimmed
+        monkeypatch.setattr(segmenter, "_trimmed", lambda *args: calls.append(args) or real(*args))
+        text = " ".join(f"Sentence number {i} ends here." for i in range(10_000))
+        out = segmenter.segment(text, 3)
+        assert [s.text for s in out] == [f"Sentence number {i} ends here." for i in range(3)]
+        assert len(calls) <= 3
+
+    def test_tokenize_hashes_at_most_t_max_minus_two_tokens(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(segmenter, "token_bucket", lambda t, v: calls.append(t) or token_bucket(t, v))
+        ids = segmenter.tokenize("(" * 80_000 + " word" * 10_000, t_max=8, v_buckets=64)
+        assert len(ids) == 8
+        assert calls == ["("] * 6
+
+    def test_token_regex_classes_are_the_str_methods(self):
+        # tokenize's regex stands in for str.isalnum and str.isspace
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"[^\W_]", every_char)) == "".join(filter(str.isalnum, every_char))
+        assert "".join(re.findall(r"\s", every_char)) == "".join(filter(str.isspace, every_char))
+
+
+class TestTokenBucketMemo:
+    def test_bounded_memo(self):
+        assert token_bucket.cache_info().maxsize == 1 << 16
+
+    def test_memo_returns_the_hash(self):
+        for token in ("the", "a", "ß", "σ", "ς", "日本", "x" * 300):
+            for v_buckets in (1, 64, 32768):
+                expected = 4 + fnv1a64(token.encode("utf-8")) % v_buckets
+                assert token_bucket(token, v_buckets) == expected
+                assert token_bucket(token, v_buckets) == expected  # served from the memo
