@@ -22,6 +22,7 @@ layout above is the whole on-disk contract.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Serialize to the pinned byte layout and append the CRC-32 trailer."""
+    """Serialize to the pinned byte layout, append the CRC-32 trailer, and
+    replace the file at `path` atomically."""
     parts = [MAGIC]
     d = ckpt.dims
     parts.append(struct.pack("<6I", VERSION, d.h, d.c, d.v_buckets, d.t_max, d.f))
@@ -98,7 +100,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
     blob = b"".join(parts)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
+    # Write a temp file beside the target and rename it over the target, so a
+    # failed or interrupted write never truncates the previous checkpoint.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -14,6 +14,7 @@ training defaults live only on TrainConfig and ModelDims.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -29,6 +30,7 @@ from .trainer import (
     ATTENTION_MODES,
     DimsMismatch,
     EmptySplit,
+    EpochLog,
     NonFiniteLoss,
     TrainConfig,
     evaluate,
@@ -254,16 +256,19 @@ def _cmd_train(args):
         config = TrainConfig(dims=dims, **r)
     except ValueError as exc:
         raise BadValue(str(exc)) from exc
-    result = train(config, args.corpus)
-    save_checkpoint(result.checkpoint, args.model_out)
-    if args.log_out:
-        with Path(args.log_out).open("w", encoding="utf-8") as fh:
-            for entry in result.epochs:
+    log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()
+    with log_file as log:
+
+        def on_epoch(entry: EpochLog) -> None:
+            _progress(f"epoch {entry.epoch}: loss {entry.train_loss:.4f} "
+                      f"val_micro_f1 {entry.val_micro_f1:.4f}")
+            if log is not None:
                 row = {k: v for k, v in asdict(entry).items() if v is not None}
-                fh.write(json.dumps(row) + "\n")
-    for entry in result.epochs:
-        _progress(f"epoch {entry.epoch}: loss {entry.train_loss:.4f} "
-                  f"val_micro_f1 {entry.val_micro_f1:.4f}")
+                log.write(json.dumps(row) + "\n")
+                log.flush()
+
+        result = train(config, args.corpus, on_epoch=on_epoch)
+    save_checkpoint(result.checkpoint, args.model_out)
     meta = result.checkpoint.meta
     return {
         "model": args.model_out,

@@ -146,12 +146,23 @@ def parse_ipc(raw: str) -> str:
     return head
 
 
+def _is_utf8(text: str) -> bool:
+    """False for a string holding a lone surrogate, such as a JSON-escaped "\\ud800"."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _record_from_obj(obj: object, seen_ids: set[str], report: LoadReport) -> PatentRecord | None:
     if not isinstance(obj, dict):
         report.skip(SKIP_CORRUPT_LINE)
         return None
     rid = obj.get("id")
-    if not isinstance(rid, str) or not rid:
+    if not isinstance(rid, str) or not rid or not _is_utf8(rid):
         report.skip(SKIP_BAD_ID)
         return None
     if rid in seen_ids:
@@ -160,12 +171,12 @@ def _record_from_obj(obj: object, seen_ids: set[str], report: LoadReport) -> Pat
     texts = {}
     for name in ("title", "abstract", "description"):
         value = obj.get(name, "")
-        if not isinstance(value, str):
+        if not isinstance(value, str) or not _is_utf8(value):
             report.skip(SKIP_BAD_FIELD)
             return None
         texts[name] = value
     codes = obj.get("ipc_codes")
-    if not isinstance(codes, list) or any(not isinstance(c, str) for c in codes):
+    if not isinstance(codes, list) or any(not isinstance(c, str) or not _is_utf8(c) for c in codes):
         report.skip(SKIP_BAD_IPC)
         return None
     if not texts["title"].strip() and not texts["abstract"].strip():
@@ -182,7 +193,8 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
     too). A line that is not valid UTF-8 or not valid JSON, or that the JSON
     decoder refuses (nesting past the recursion limit, an integer past the
     digit limit), counts as a corrupt line; lines of ASCII whitespace are
-    skipped.
+    skipped. A string that does not encode as UTF-8 (a JSON-escaped lone
+    surrogate) is refused as bad_id, bad_field or bad_ipc, by its field.
     """
     path = Path(path)
     try:

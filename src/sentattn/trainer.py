@@ -8,8 +8,10 @@ byte-identical checkpoints and logs.
 
 Each batch's gradients are summed in buffers allocated once per run
 (BatchGradients). The embedding table's gradient arrives row-sparse and is
-scatter-added, so a batch costs work in proportion to the rows it used;
-only the dense Adam step walks the whole table.
+scatter-added, so a batch costs work in proportion to the rows it used.
+Adam steps only the table's live rows, those that have ever had a gradient,
+which is exact; once so many rows are live that gathering them costs more,
+it steps the whole table in place.
 
 Model selection is validation micro-F1; the best-epoch parameters are
 snapshotted and training stops after `patience` epochs without
@@ -22,6 +24,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -139,12 +142,29 @@ class EarlyStopper:
         return self.since_improved >= self.patience
 
 
-class Adam:
-    """Adaptive moment estimation with bias correction, in-place updates.
+# Gathering a row, stepping it and scattering it back costs about 3.6 times
+# as much as stepping it in place inside the whole table (a 32,772 x 64
+# float32 table on one x86-64 Xeon core: 39-44 ms gathered over every row,
+# 11-12 ms in place). So gathering pays only while fewer than 1/3.6 of a
+# table's rows are live.
+_GATHER_COST_RATIO = 3.6
 
-    Every operation writes into m, v, the parameter or one of two scratch
-    buffers per tensor, in the order of the textbook formula, so no step
-    allocates a full-size temporary.
+
+class Adam:
+    """Adaptive moment estimation with bias correction, stepping only live rows.
+
+    The update is the textbook formula, one in-place operation at a time in
+    its order, written once and applied to a row selection. Dense tensors
+    are stepped whole (slice(None) gives in-place views). A row-sparse
+    tensor, the embedding table E, is stepped only on its live rows, the
+    sorted rows that have had a gradient at some step so far: they are
+    gathered, updated and scattered back on every later step, so their
+    moments keep decaying. That is exact, not lazy: a row whose gradient
+    has been +0.0 since the start has m = v = +0.0, and the formula leaves
+    it unchanged bit for bit. Once 1/3.6 of its rows are live, the tensor
+    is stepped whole from then on. m and v are full-size zero tables whose
+    never-live rows are never written; scratch is the size of what a step
+    updates.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
@@ -155,15 +175,38 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self._scratch = {name: (np.empty_like(p), np.empty_like(p)) for name, p in tensors.items()}
+        self._live: dict[str, np.ndarray | slice] = {}
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def _select(self, name: str, n_rows: int, rows: np.ndarray | None) -> np.ndarray | slice:
+        """The rows of one tensor to step: its live rows, or slice(None) for all."""
+        live = self._live.get(name)
+        if rows is None or isinstance(live, slice):
+            live = slice(None)
+        else:
+            live = rows if live is None else np.union1d(live, rows)
+            if len(live) * _GATHER_COST_RATIO >= n_rows:
+                live = slice(None)
+        self._live[name] = live
+        return live
+
+    def step(
+        self,
+        tensors: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray],
+        rows: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        """One update. `rows` gives, per row-sparse tensor, the sorted distinct
+        rows of this step's gradient; the gradient must be +0.0 on every
+        other row. A tensor missing from `rows` is stepped whole."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in tensors.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            a, b = self._scratch[name]
+        rows = rows or {}
+        for name, table in tensors.items():
+            sel = self._select(name, len(table), rows.get(name))
+            # views for slice(None), so the update runs in place; copies for live rows
+            p, g, m, v = table[sel], grads[name][sel], self.m[name][sel], self.v[name][sel]
+            a, b = np.empty_like(p), np.empty_like(p)
             # m = beta1*m + (1-beta1)*g
             np.multiply(m, self.beta1, out=m)
             np.multiply(g, 1.0 - self.beta1, out=a)
@@ -181,21 +224,26 @@ class Adam:
             np.add(b, self.eps, out=b)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
+            if not isinstance(sel, slice):
+                table[sel], self.m[name][sel], self.v[name][sel] = p, m, v
 
 
 class BatchGradients:
     """Gradient sums over one batch, in buffers allocated once per run.
 
     Dense gradients are added whole. Row-sparse ones (RowGrad) are
-    scatter-added, and scaling and clearing touch only the rows the batch
-    used, so every other row stays +0.0 without being visited.
+    scatter-added; the batch's distinct rows are found once (`rows`), and
+    scaling, clearing and the optimizer touch only those, so every other
+    row stays +0.0 without being visited.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.sums = {name: np.zeros_like(p) for name, p in tensors.items()}
         self._row_ids: dict[str, list[np.ndarray]] = {}
+        self._rows: dict[str, np.ndarray] | None = None
 
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
+        self._rows = None
         for name, g in grads.items():
             if isinstance(g, RowGrad):
                 g.add_to(self.sums[name])
@@ -203,21 +251,26 @@ class BatchGradients:
             else:
                 self.sums[name] += g
 
-    def _rows(self, name: str) -> np.ndarray | slice:
-        ids = self._row_ids.get(name)
-        return slice(None) if ids is None else np.unique(np.concatenate(ids))
+    def rows(self) -> dict[str, np.ndarray]:
+        """Each row-sparse sum's sorted distinct rows in this batch."""
+        if self._rows is None:
+            self._rows = {name: np.unique(np.concatenate(ids)) for name, ids in self._row_ids.items()}
+        return self._rows
 
     def mean(self, n_docs: int) -> dict[str, np.ndarray]:
         """Scale the sums to the batch mean in place and return them."""
         inv = 1.0 / n_docs
+        rows = self.rows()
         for name, total in self.sums.items():
-            total[self._rows(name)] *= inv
+            total[rows.get(name, slice(None))] *= inv
         return self.sums
 
     def clear(self) -> None:
+        rows = self.rows()
         for name, total in self.sums.items():
-            total[self._rows(name)] = 0.0
+            total[rows.get(name, slice(None))] = 0.0
         self._row_ids.clear()
+        self._rows = None
 
 
 def document_text(record: PatentRecord, use_description: bool = False) -> str:
@@ -272,8 +325,16 @@ def _micro_f1(enc_params, head_params, docs, c: int, uniform: bool) -> tuple[flo
     return micro_scores(counts)[2], macro_scores(counts)[2]
 
 
-def train(config: TrainConfig, corpus_path) -> TrainResult:
-    """Train encoder + head on the corpus file's 8:1:1 split."""
+def train(
+    config: TrainConfig,
+    corpus_path,
+    on_epoch: Callable[[EpochLog], None] | None = None,
+) -> TrainResult:
+    """Train encoder + head on the corpus file's 8:1:1 split.
+
+    `on_epoch`, when given, is called with each epoch's log as soon as the
+    epoch ends, so a caller can report progress while training runs.
+    """
     records, load_report = load_corpus(corpus_path)
     if not records:
         raise EmptySplit("corpus holds no usable records")
@@ -320,7 +381,7 @@ def train(config: TrainConfig, corpus_path) -> TrainResult:
                 batch_grads.add(head_grads)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
-            optimizer.step(tensors, batch_grads.mean(len(batch)))
+            optimizer.step(tensors, batch_grads.mean(len(batch)), batch_grads.rows())
             batch_grads.clear()
             loss_sum += batch_loss
         val_micro, val_macro = _micro_f1(enc_params, head_params, val_docs, dims.c, uniform)
@@ -333,6 +394,8 @@ def train(config: TrainConfig, corpus_path) -> TrainResult:
         if config.log_train_f1:
             entry.train_micro_f1 = _micro_f1(enc_params, head_params, train_docs, dims.c, uniform)[0]
         epochs.append(entry)
+        if on_epoch is not None:
+            on_epoch(entry)
         if stopper.update(epoch, val_micro):
             best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
         if config.stop_at_train_f1 is not None and entry.train_micro_f1 is not None:

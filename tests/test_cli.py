@@ -107,7 +107,7 @@ class TestDefaults:
     def test_train_config_from_flags_file_and_defaults(self, capsys, monkeypatch, tmp_path):
         seen = []
 
-        def fake_train(config, corpus_path):
+        def fake_train(config, corpus_path, on_epoch=None):
             seen.append(config)
             raise EmptySplit("stop before reading the corpus")
 
@@ -188,14 +188,16 @@ class TestSegmentCommand:
         assert code == 2
 
 
+TINY_TRAIN_FLAGS = ["--h", "8", "--f", "8", "--c", "4", "--v-buckets", "256", "--t-max", "12",
+                    "--k-max", "8", "--batch-size", "8", "--seed", "3"]
+
+
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     model = tmp_path_factory.mktemp("model") / "m.satn"
     log = model.with_suffix(".log.jsonl")
     code = main(["train", str(corpus), str(model), "--log-out", str(log),
-                 "--h", "8", "--f", "8", "--c", "4", "--v-buckets", "256",
-                 "--t-max", "12", "--k-max", "8", "--batch-size", "8",
-                 "--max-epochs", "4", "--patience", "4", "--seed", "3"])
+                 *TINY_TRAIN_FLAGS, "--max-epochs", "4", "--patience", "4"])
     assert code == 0
     return model, log
 
@@ -256,3 +258,40 @@ class TestPipelineCommands:
                            "--top-c", "3")
         assert code == 0
         assert len(json.loads(out)["codes"]) == 3
+
+    def test_train_streams_each_epoch_as_it_ends(self, capsys, corpus, tmp_path, monkeypatch):
+        import sentattn.cli as cli_mod
+
+        model, log = tmp_path / "m.satn", tmp_path / "log.jsonl"
+        seen = []
+        real_train = cli_mod.train
+
+        def spying_train(config, corpus_path, on_epoch):
+            def spy(entry):  # runs before the CLI reports this epoch
+                seen.append((entry.epoch, log.read_text().splitlines(), capsys.readouterr().err))
+                on_epoch(entry)
+            return real_train(config, corpus_path, on_epoch=spy)
+
+        monkeypatch.setattr(cli_mod, "train", spying_train)
+        code, _, err = run(capsys, "train", str(corpus), str(model), "--log-out", str(log),
+                           *TINY_TRAIN_FLAGS, "--max-epochs", "3", "--patience", "3")
+        assert code == 0
+        assert [epoch for epoch, _, _ in seen] == [1, 2, 3]
+        assert seen[0][1:] == ([], "")
+        for (epoch, rows, stderr), previous in zip(seen[1:], log.read_text().splitlines()):
+            assert rows[-1] == previous and json.loads(previous)["epoch"] == epoch - 1
+            assert stderr.startswith(f"epoch {epoch - 1}: loss ")
+        assert err.startswith("epoch 3: loss ")
+
+    def test_train_skips_records_with_lone_surrogates(self, capsys, corpus, tmp_path):
+        bad = [json.dumps({"id": "bad\udc00", "title": "T.", "ipc_codes": ["A01B"]}),
+               json.dumps({"id": "t1", "title": "A \ud800 title.", "ipc_codes": ["A01B"]}),
+               json.dumps({"id": "i1", "title": "T.", "ipc_codes": ["A01B\ud800"]})]
+        mixed = write_corpus(tmp_path / "mixed.jsonl", corpus.read_text().splitlines() + bad)
+        code, out, err = run(capsys, "train", str(mixed), str(tmp_path / "m.satn"),
+                             *TINY_TRAIN_FLAGS, "--max-epochs", "1", "--patience", "1")
+        assert code == 0, err
+        assert json.loads(out)["skipped"] == 3
+        code, out, _ = run(capsys, "stats", str(mixed), "--top-c", "4")
+        assert code == 0
+        assert json.loads(out)["skipped"] == 3

@@ -120,6 +120,21 @@ class TestLoadCorpus:
         assert [r.id for r in records] == ["ok"]
         assert report.skipped == {"bad_id": 1, "duplicate_id": 1, "no_text": 1, "bad_ipc": 1}
 
+    @pytest.mark.parametrize("field, reason", [
+        ("id", "bad_id"), ("title", "bad_field"), ("abstract", "bad_field"),
+        ("description", "bad_field"), ("ipc_codes", "bad_ipc"),
+    ])
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udc00"], ids=["high", "low"])
+    def test_lone_surrogate_is_refused_by_its_field(self, tmp_path, field, reason, surrogate):
+        obj = {"id": "p1", "title": "A Tést.", "abstract": "It works.",
+               "description": "Long text.", "ipc_codes": ["G06N 3/00"]}
+        obj[field] = ["G06N" + surrogate] if field == "ipc_codes" else "bad" + surrogate
+        line = json.dumps(obj)  # escapes the surrogate as \ud800, which the decoder accepts
+        assert "\\u" in line
+        records, report = load_corpus(write_corpus(tmp_path / "c.jsonl", [line, record_line("p2", ["G06N"])]))
+        assert [r.id for r in records] == ["p2"]
+        assert report.skipped == {reason: 1}
+
     def test_malformed_codes_counted(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record_line("p1", ["G06N", "ZZZZ"])])
         _, report = load_corpus(path)

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentattn.checkpoint import (
     BadMagic,
@@ -122,6 +125,84 @@ class TestAdam:
         for n in shapes:
             assert opt.m[n] is moments[0][n] and opt.v[n] is moments[1][n]
 
+    @staticmethod
+    def textbook(p, m, v, g, t, lr, beta1, beta2, eps):
+        """The whole-table update, one expression per line, in float32."""
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_rows=st.integers(2, 60), width=st.integers(1, 4),
+           touched=st.lists(st.sets(st.integers(0, 58), max_size=5), min_size=2, max_size=6),
+           seed=st.integers(0, 2**16))
+    @example(n_rows=60, width=3, touched=[{1, 2}, {5}, set(), {1}], seed=0)  # stays gathered
+    @example(n_rows=3, width=2, touched=[{0}, {1}], seed=1)  # ends with every row live
+    def test_live_row_steps_equal_the_textbook_whole_table(self, n_rows, width, touched, seed):
+        # Rows go live at random steps and most go silent again; the last row
+        # is touched only at the last step. Whether a step gathers the live
+        # rows or falls back to the whole table, the bits must match.
+        rng = np.random.default_rng(seed)
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        params = {"E": rng.normal(size=(n_rows, width)).astype(np.float32),
+                  "q": rng.normal(size=width).astype(np.float32)}
+        params["E"][0, 0] = -0.0  # a signed zero, in a row that may never go live
+        expected = {n: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for n, p in params.items()}
+        opt = Adam(params, lr, beta1, beta2, eps)
+        for t, subset in enumerate(touched, start=1):
+            ids = np.array(sorted(i for i in subset if i < n_rows - 1), dtype=np.int64)
+            if t == len(touched):
+                ids = np.append(ids, n_rows - 1)
+            grads = {n: np.zeros_like(p) for n, p in params.items()}
+            grads["E"][ids] = rng.normal(size=(len(ids), width)).astype(np.float32)
+            grads["q"][:] = rng.normal(size=width).astype(np.float32)
+            opt.step(params, grads, {"E": ids})
+            for n, g in grads.items():
+                expected[n] = self.textbook(*expected[n], g, t, lr, beta1, beta2, eps)
+            for n in params:
+                p, m, v = expected[n]
+                assert params[n].tobytes() == p.tobytes(), (t, n)
+                assert opt.m[n].tobytes() == m.tobytes(), (t, n)
+                assert opt.v[n].tobytes() == v.tobytes(), (t, n)
+
+    def test_a_fully_live_table_falls_back_to_the_whole_table(self):
+        rng = np.random.default_rng(4)
+        params = {"E": rng.normal(size=(4, 3)).astype(np.float32)}
+        expected = (params["E"].copy(), np.zeros_like(params["E"]), np.zeros_like(params["E"]))
+        opt = Adam(params, 1e-2, 0.9, 0.999, 1e-8)
+        for t, ids in enumerate([np.array([2]), np.array([0, 3]), np.array([1])], start=1):
+            g = np.zeros_like(params["E"])
+            g[ids] = rng.normal(size=(len(ids), 3)).astype(np.float32)
+            opt.step(params, {"E": g}, {"E": ids})
+            expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
+        assert opt._live["E"] == slice(None)
+        assert params["E"].tobytes() == expected[0].tobytes()
+        assert opt.m["E"].tobytes() == expected[1].tobytes()
+        assert opt.v["E"].tobytes() == expected[2].tobytes()
+
+    def test_memory_of_a_sparse_step_stays_far_below_the_table(self):
+        # Beyond m and v, whose never-written rows the OS never maps (but
+        # tracemalloc counts in full), building the optimizer and stepping
+        # 200 live E rows must not allocate anything near a full-size table.
+        rng = np.random.default_rng(0)
+        dims = ModelDims()
+        tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
+                       + init_head(dims.c, dims.h, rng).named_tensors())
+        grads = {n: np.zeros_like(p) for n, p in tensors.items()}
+        ids = np.sort(rng.choice(dims.v_buckets, size=200, replace=False)) + 4
+        grads["E"][ids] = rng.normal(size=(200, dims.h)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            opt = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
+            opt.step(tensors, grads, {"E": ids})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        moments = sum(t.nbytes for t in opt.m.values()) + sum(t.nbytes for t in opt.v.values())
+        assert peak - moments < tensors["E"].nbytes / 8, peak - moments
+
 
 def _document_grads(seed: int, dims: ModelDims, n_docs: int):
     """Encoder and head-like gradients of a few random meanpool documents (float32)."""
@@ -188,6 +269,21 @@ class TestBatchGradients:
             for n, total in acc.sums.items():
                 assert not total.any() and not np.signbit(total).any(), n
 
+    def test_distinct_rows_are_found_once_per_batch(self, monkeypatch):
+        tensors, docs = _document_grads(7, self.DIMS, n_docs=3)
+        acc = BatchGradients(tensors)
+        for grads in docs:
+            acc.add(grads)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        acc.mean(len(docs))
+        rows = acc.rows()
+        acc.clear()
+        assert len(calls) == 1
+        assert rows["E"].tolist() == sorted(set(np.concatenate([g["E"].ids for g in docs]).tolist()))
+        assert not acc.sums["E"].any()
+
     def test_memory_of_one_document_stays_far_below_the_table(self):
         # At the default dims, one document's backward plus its accumulation
         # must not allocate anything near a full-size E table.
@@ -235,6 +331,26 @@ class TestTrain:
             logs.append([json.dumps(asdict(e)) for e in result.epochs])
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert logs[0] == logs[1]
+
+    # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
+    # Adam still stepped every row: stepping only live rows changes no bit.
+    PINNED = {
+        MEANPOOL: "80345b83facaaa521e9d99970c0e8309c2e3276b3849871ceb0cb2e09aa81855",
+        MINITRANSFORMER: "d4b65e83cd8d8b8bf5f8b393e898f2d17f265aa147e279d2d73c4e28475338b5",
+    }
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_tensors_are_pinned_with_a_full_size_table(self, kind, tiny_corpus):
+        dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
+        result = train(tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3), tiny_corpus)
+        blob = b"".join(t.tobytes() for _, t in result.checkpoint.tensors())
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED[kind]
+
+    def test_on_epoch_sees_each_log_in_order(self, tiny_corpus):
+        seen = []
+        result = train(tiny_config(max_epochs=3, patience=3), tiny_corpus, on_epoch=seen.append)
+        assert [e.epoch for e in seen] == [1, 2, 3]
+        assert seen == result.epochs
 
     def test_loss_decreases(self, tiny_corpus):
         result = train(tiny_config(max_epochs=10, patience=10), tiny_corpus)
@@ -400,6 +516,50 @@ class TestCheckpointFile:
             path.write_bytes(bytes(flipped))
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("failing", ["write", "fsync", "replace"])
+    def test_failed_save_keeps_the_old_file_whole(self, tmp_path, monkeypatch, failing):
+        import os
+
+        path = tmp_path / "m.satn"
+        save_checkpoint(fresh_checkpoint(seed=0), path)
+        old = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "write":
+            from pathlib import Path
+
+            real_open = Path.open
+
+            class HalfFull:  # the disk fills up halfway through the blob
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, data):
+                    self.fh.write(data[: len(data) // 2])
+                    self.fh.flush()
+                    fail()
+
+            monkeypatch.setattr(Path, "open", lambda self, mode="r", *a, **k: (
+                HalfFull(real_open(self, mode, *a, **k)) if "w" in mode else real_open(self, mode, *a, **k)))
+        else:
+            monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError):
+            save_checkpoint(fresh_checkpoint(seed=1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.satn"]
+        save_checkpoint(fresh_checkpoint(seed=1), path)
+        assert path.read_bytes() != old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.satn"]
 
     def test_truncated_mid_tensor(self, tmp_path):
         path = tmp_path / "m.satn"
