@@ -13,11 +13,11 @@ from sentattn.encoder import MEANPOOL, MINITRANSFORMER, ModelDims
 from sentattn.trainer import grad_check
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instances", type=int, default=20)
     parser.add_argument("--eps", type=float, default=1e-3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     dims = ModelDims(h=8, c=3, v_buckets=8, t_max=6, f=6)
     rows = []

@@ -23,7 +23,6 @@ from .encoder import (
     ModelDims,
     RowGrad,
     encode_document,
-    encode_sentence,
     encoder_backward,
     init_encoder,
 )
@@ -50,10 +49,10 @@ __all__ = [
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
     "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
     "attention_forward", "bce_loss", "build_vocabulary", "encode_document",
-    "encode_labels", "encode_sentence", "encoder_backward", "evaluate",
-    "grad_check", "head_backward", "head_forward", "init_encoder",
-    "init_head", "label_stats", "load_checkpoint", "load_corpus",
-    "macro_scores", "micro_scores", "parse_ipc", "pool_labels", "predict",
+    "encode_labels", "encoder_backward", "evaluate", "grad_check",
+    "head_backward", "head_forward", "init_encoder", "init_head",
+    "label_stats", "load_checkpoint", "load_corpus", "macro_scores",
+    "micro_scores", "parse_ipc", "pool_labels", "predict",
     "save_checkpoint", "score", "segment", "split_dataset", "tokenize",
     "train",
 ]

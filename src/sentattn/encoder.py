@@ -2,21 +2,24 @@
 
 Each sentence's token-id sequence maps to one h-dimensional CLS vector;
 stacking the k sentence vectors as columns gives the document matrix D.
-Two compact trainable encoders are provided:
+Both encoders run on a whole document at once: the sentences' ids are
+concatenated, the inputs are x = E[id] + P[position in sentence], and
+per-sentence sums are np.add.reduceat segment sums, whose backward pass
+is the matching gather. Two compact trainable encoders are provided:
 
-* MeanPool: cls = tanh(M @ mean_p(x_p) + q). It runs on a whole document
-  at once: the sentences' ids are concatenated, np.add.reduceat takes the
-  per-sentence means, and the backward pass is the matching segment sum.
-* MiniTransformer: one block of single-head scaled dot-product
-  self-attention with residual, then a tanh FFN with residual; the CLS
-  vector is the output row at position 0. No layer norm, so gradients
-  stay hand-derivable. It encodes one sentence at a time.
+* MeanPool: cls = tanh(M @ mean_p(x_p) + q).
+* MiniTransformer: one block of single-head scaled dot-product attention
+  with residual, then a tanh FFN with residual; the CLS vector is the
+  block's output row at position 0. Only that row reaches D, and the FFN
+  and residuals act row by row, so each sentence needs one query,
+  q0 = x_0 @ Q, softmaxed over its own keys: z0 = x_0 + sum_p a_p x_p @ Vp,
+  cls = z0 + tanh(z0 @ F1 + g1) @ F2 + g2. No layer norm, so gradients
+  stay hand-derivable.
 
-Inputs to both are x_p = E[id_p] + P[p]. Backward passes are exact
-analytic gradients. The E gradient is row-sparse (RowGrad): one row per
-distinct token id of the document, summed in token order; every other
-gradient is a dense array. Storage is float32; gradient checking re-runs
-everything in float64 by building float64 parameters.
+Backward passes are exact analytic gradients. The E gradient is row-sparse
+(RowGrad): one row per distinct token id of the document, summed in token
+order; every other gradient is a dense array. Storage is float32; gradient
+checking re-runs everything in float64 by building float64 parameters.
 """
 
 from __future__ import annotations
@@ -160,29 +163,20 @@ class RowGrad:
 
 
 @dataclass
-class MeanPoolDocCache:
-    """One document's meanpool forward, as its backward pass needs it."""
+class EncoderCache:
+    """One document's encoder forward, as its backward pass needs it.
 
-    ids: np.ndarray   # (n,) every sentence's token ids, concatenated in document order
-    sent: np.ndarray  # (n,) each token's sentence index
-    lens: np.ndarray  # (k,) tokens per sentence, in the parameter dtype
-    U: np.ndarray     # (k, h) mean input row of each sentence
-    D: np.ndarray     # (h, k) output columns
+    The layout is the same for both kinds; `saved` holds what the kind's
+    own backward pass reads of its forward pass, in that order.
+    """
 
-
-@dataclass
-class MiniTransformerCache:
-    ids: np.ndarray
-    X: np.ndarray    # (m, h) input rows
-    Qm: np.ndarray   # (m, h)
-    Km: np.ndarray   # (m, h)
-    Vm: np.ndarray   # (m, h)
-    A: np.ndarray    # (m, m) row-softmax attention
-    Z: np.ndarray    # (m, h) post-attention residual
-    T1: np.ndarray   # (m, f) tanh FFN hidden
-
-
-DocumentCache = MeanPoolDocCache | list[MiniTransformerCache]
+    kind: str
+    ids: np.ndarray     # (n,) every sentence's token ids, concatenated in document order
+    lens: np.ndarray    # (k,) tokens per sentence
+    starts: np.ndarray  # (k,) index of each sentence's first (CLS) token
+    sent: np.ndarray    # (n,) each token's sentence index
+    pos: np.ndarray     # (n,) each token's position in its sentence
+    saved: tuple = ()
 
 
 def _check_tokens(ids: np.ndarray, lens: np.ndarray, params: EncoderParams) -> None:
@@ -190,103 +184,106 @@ def _check_tokens(ids: np.ndarray, lens: np.ndarray, params: EncoderParams) -> N
     bad = lens[(lens < 3) | (lens > t_max)]
     if bad.size:
         raise ShapeMismatch(f"token count {bad[0]} outside [3, {t_max}]")
-    if ids.max() >= params.E.shape[0]:
+    if ids.min() < 0 or ids.max() >= params.E.shape[0]:
         raise ShapeMismatch("token id outside embedding table")
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def encode_sentence(ids: np.ndarray, params: MiniTransformerParams) -> tuple[np.ndarray, MiniTransformerCache]:
-    """Encode one token-id sequence into its minitransformer CLS vector plus backward cache."""
-    if not isinstance(params, MiniTransformerParams):
-        raise TypeError("meanpool encodes whole documents: use encode_document")
-    m = len(ids)
-    _check_tokens(ids, np.array([m]), params)
-    X = params.E[ids] + params.P[:m]
-    Qm = X @ params.Q
-    Km = X @ params.K
-    Vm = X @ params.Vp
-    A = _softmax_rows(Qm @ Km.T / np.sqrt(X.dtype.type(params.E.shape[1])))
-    Z = X + A @ Vm
-    T1 = np.tanh(Z @ params.F1 + params.g1)
-    out = Z + T1 @ params.F2 + params.g2
-    return out[0].copy(), MiniTransformerCache(ids=ids, X=X, Qm=Qm, Km=Km, Vm=Vm, A=A, Z=Z, T1=T1)
-
-
-def _meanpool_document(ids: np.ndarray, lens: np.ndarray, params: MeanPoolParams):
-    starts = np.cumsum(lens) - lens
-    sent = np.repeat(np.arange(len(lens)), lens)
-    pos = np.arange(len(ids)) - starts[sent]
-    X = params.E[ids] + params.P[pos]
-    lens = lens.astype(X.dtype)
-    U = np.add.reduceat(X, starts, axis=0) / lens[:, None]
+def _meanpool_forward(params: MeanPoolParams, doc: EncoderCache, X: np.ndarray):
+    lens = doc.lens.astype(X.dtype)
+    U = np.add.reduceat(X, doc.starts, axis=0) / lens[:, None]
     D = np.tanh(params.M @ U.T + params.q[:, None])
-    return D, MeanPoolDocCache(ids=ids, sent=sent, lens=lens, U=U, D=D)
+    return D, (lens, U, D)
 
 
-def encode_document(sentences: list[np.ndarray], params: EncoderParams) -> tuple[np.ndarray, DocumentCache]:
-    """Encode a document's sentences as the columns of D (h x k), plus the backward cache.
-
-    Meanpool runs on the whole document at once; the minitransformer
-    encodes one sentence at a time.
-    """
-    if not sentences:
-        raise ShapeMismatch("a document needs at least one sentence")
-    if isinstance(params, MeanPoolParams):
-        ids = np.concatenate(sentences)
-        lens = np.array([len(s) for s in sentences])
-        _check_tokens(ids, lens, params)
-        return _meanpool_document(ids, lens, params)
-    cols, caches = zip(*(encode_sentence(ids, params) for ids in sentences))
-    return np.stack(cols, axis=1), list(caches)
-
-
-def _meanpool_backward(params: MeanPoolParams, cache: MeanPoolDocCache, dD: np.ndarray):
-    dA = dD * (1.0 - cache.D**2)
-    dU = (params.M.T @ dA).T / cache.lens[:, None]  # every input row of sentence j gets dU[j]
-    covers = np.arange(params.P.shape[0])[:, None] < cache.lens  # (t_max, k): sentence j has position p
+def _meanpool_backward(params: MeanPoolParams, doc: EncoderCache, dD: np.ndarray):
+    lens, U, D = doc.saved
+    dA = dD * (1.0 - D**2)
+    dU = (params.M.T @ dA).T / lens[:, None]  # every input row of sentence j gets dU[j]
+    covers = np.arange(params.P.shape[0])[:, None] < lens  # (t_max, k): sentence j has position p
     return {
-        "E": RowGrad.from_tokens(cache.ids, dU[cache.sent]),
+        "E": RowGrad.from_tokens(doc.ids, dU[doc.sent]),
         "P": covers.astype(dU.dtype) @ dU,
-        "M": dA @ cache.U,
+        "M": dA @ U,
         "q": dA.sum(axis=1),
     }
 
 
-def _minitransformer_backward(params, cache, dcls, grads):
-    m, h = cache.X.shape
-    dout = np.zeros_like(cache.X)
-    dout[0] = dcls
-    # FFN with residual: out = Z + tanh(Z@F1 + g1)@F2 + g2
-    dT1 = dout @ params.F2.T
-    grads["F2"] += cache.T1.T @ dout
-    grads["g2"] += dout.sum(axis=0)
-    dH1 = dT1 * (1.0 - cache.T1**2)
-    grads["F1"] += cache.Z.T @ dH1
-    grads["g1"] += dH1.sum(axis=0)
-    dZ = dout + dH1 @ params.F1.T
-    # attention with residual: Z = X + A@Vm, A = softmax(Qm@Km.T / sqrt(h))
-    dAtt = dZ
-    dA = dAtt @ cache.Vm.T
-    dVm = cache.A.T @ dAtt
-    dscores = cache.A * (dA - (dA * cache.A).sum(axis=1, keepdims=True))
-    scale = 1.0 / np.sqrt(cache.X.dtype.type(h))
-    dQm = dscores @ cache.Km * scale
-    dKm = dscores.T @ cache.Qm * scale
-    grads["Q"] += cache.X.T @ dQm
-    grads["K"] += cache.X.T @ dKm
-    grads["Vp"] += cache.X.T @ dVm
-    dX = dZ + dQm @ params.Q.T + dKm @ params.K.T + dVm @ params.Vp.T
-    grads["P"][:m] += dX
-    return dX
+def _minitransformer_forward(params: MiniTransformerParams, doc: EncoderCache, X: np.ndarray):
+    starts, sent = doc.starts, doc.sent
+    X0 = X[starts]  # (k, h) CLS input rows
+    q0 = X0 @ params.Q
+    Km = X @ params.K
+    Vm = X @ params.Vp
+    scores = np.einsum("nh,nh->n", q0[sent], Km) / np.sqrt(X.dtype.type(X.shape[1]))
+    # softmax over each sentence's own tokens, shifted by that sentence's max
+    e = np.exp(scores - np.maximum.reduceat(scores, starts)[sent])
+    a = e / np.add.reduceat(e, starts)[sent]
+    Z0 = X0 + np.add.reduceat(a[:, None] * Vm, starts, axis=0)
+    T1 = np.tanh(Z0 @ params.F1 + params.g1)
+    cls = Z0 + T1 @ params.F2 + params.g2
+    return cls.T, (X, q0, Km, Vm, a, Z0, T1)
+
+
+def _minitransformer_backward(params: MiniTransformerParams, doc: EncoderCache, dD: np.ndarray):
+    X, q0, Km, Vm, a, Z0, T1 = doc.saved
+    starts, sent = doc.starts, doc.sent
+    dcls = dD.T
+    # FFN with residual: cls = Z0 + tanh(Z0@F1 + g1)@F2 + g2
+    dH1 = (dcls @ params.F2.T) * (1.0 - T1**2)
+    dZ0 = dcls + dH1 @ params.F1.T
+    # attention with residual: Z0 = X0 + sum_i a_i Vm_i, a = softmax_i(q0 . Km_i / sqrt(h))
+    dZ0_tokens = dZ0[sent]
+    dVm = a[:, None] * dZ0_tokens
+    da = np.einsum("nh,nh->n", dZ0_tokens, Vm)
+    dscores = a * (da - np.add.reduceat(a * da, starts)[sent]) / np.sqrt(X.dtype.type(X.shape[1]))
+    dq0 = np.add.reduceat(dscores[:, None] * Km, starts, axis=0)
+    dKm = dscores[:, None] * q0[sent]
+    dX = dKm @ params.K.T + dVm @ params.Vp.T
+    dX[starts] += dZ0 + dq0 @ params.Q.T
+    dP = np.zeros_like(params.P)
+    RowGrad.from_tokens(doc.pos, dX).add_to(dP)
+    return {
+        "E": RowGrad.from_tokens(doc.ids, dX),
+        "P": dP,
+        "Q": X[starts].T @ dq0,
+        "K": X.T @ dKm,
+        "Vp": X.T @ dVm,
+        "F1": Z0.T @ dH1,
+        "F2": T1.T @ dcls,
+        "g1": dH1.sum(axis=0),
+        "g2": dcls.sum(axis=0),
+    }
+
+
+# each kind's (forward, backward) pair over the shared document layout
+_PASSES = {
+    MEANPOOL: (_meanpool_forward, _meanpool_backward),
+    MINITRANSFORMER: (_minitransformer_forward, _minitransformer_backward),
+}
+
+
+def encode_document(sentences: list[np.ndarray], params: EncoderParams) -> tuple[np.ndarray, EncoderCache]:
+    """Encode a document's sentences as the columns of D (h x k), plus the backward cache.
+
+    Both kinds run on the whole document at once, over one layout: the
+    sentences' ids concatenated, each token's sentence and position, and
+    the input rows X = E[ids] + P[pos].
+    """
+    if not sentences:
+        raise ShapeMismatch("a document needs at least one sentence")
+    ids = np.concatenate(sentences)
+    lens = np.array([len(s) for s in sentences])
+    _check_tokens(ids, lens, params)
+    starts = np.cumsum(lens) - lens
+    sent = np.repeat(np.arange(len(lens)), lens)
+    pos = np.arange(len(ids)) - starts[sent]
+    doc = EncoderCache(kind=params.kind, ids=ids, lens=lens, starts=starts, sent=sent, pos=pos)
+    D, doc.saved = _PASSES[params.kind][0](params, doc, params.E[ids] + params.P[pos])
+    return D, doc
 
 
 def encoder_backward(
-    params: EncoderParams, cache: DocumentCache, dD: np.ndarray
+    params: EncoderParams, cache: EncoderCache, dD: np.ndarray
 ) -> dict[str, np.ndarray | RowGrad]:
     """Exact gradients of the loss w.r.t. every encoder tensor.
 
@@ -294,15 +291,9 @@ def encoder_backward(
     back row-sparse: one row per distinct token id of the document, each
     summed in token order. Every other gradient is dense.
     """
-    meanpool = isinstance(cache, MeanPoolDocCache)
-    k = len(cache.lens) if meanpool else len(cache)
+    k = len(cache.lens)
     if dD.ndim != 2 or dD.shape[1] != k:
         raise CacheMismatch(f"dD shape {dD.shape} does not match {k} cached sentences")
-    if isinstance(params, MeanPoolParams) != meanpool:
+    if cache.kind != params.kind:
         raise CacheMismatch("cache kind does not match params kind")
-    if meanpool:
-        return _meanpool_backward(params, cache, dD)
-    grads = {name: np.zeros_like(t) for name, t in params.named_tensors() if name != "E"}
-    token_rows = [_minitransformer_backward(params, c, dD[:, j], grads) for j, c in enumerate(cache)]
-    ids = np.concatenate([c.ids for c in cache])
-    return {"E": RowGrad.from_tokens(ids, np.concatenate(token_rows)), **grads}
+    return _PASSES[params.kind][1](params, cache, dD)

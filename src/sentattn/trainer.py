@@ -317,12 +317,13 @@ def _merged_tensors(enc_params: EncoderParams, head_params: HeadParams) -> dict[
     return dict(enc_params.named_tensors() + head_params.named_tensors())
 
 
-def _micro_f1(enc_params, head_params, docs, c: int, uniform: bool) -> tuple[float, float]:
+def _confusion(enc_params, head_params, docs, c: int, uniform: bool) -> ConfusionCounts:
+    """Threshold-0.5 predictions of every document, counted against its target."""
     counts = ConfusionCounts(c)
     for doc in docs:
         cache, _ = _forward(enc_params, head_params, doc, uniform)
         counts.accumulate(predict(cache.scores), doc.target)
-    return micro_scores(counts)[2], macro_scores(counts)[2]
+    return counts
 
 
 def train(
@@ -384,15 +385,17 @@ def train(
             optimizer.step(tensors, batch_grads.mean(len(batch)), batch_grads.rows())
             batch_grads.clear()
             loss_sum += batch_loss
-        val_micro, val_macro = _micro_f1(enc_params, head_params, val_docs, dims.c, uniform)
+        val_counts = _confusion(enc_params, head_params, val_docs, dims.c, uniform)
+        val_micro = micro_scores(val_counts)[2]
         entry = EpochLog(
             epoch=epoch,
             train_loss=loss_sum / len(train_docs),
             val_micro_f1=val_micro,
-            val_macro_f1=val_macro,
+            val_macro_f1=macro_scores(val_counts)[2],
         )
         if config.log_train_f1:
-            entry.train_micro_f1 = _micro_f1(enc_params, head_params, train_docs, dims.c, uniform)[0]
+            train_counts = _confusion(enc_params, head_params, train_docs, dims.c, uniform)
+            entry.train_micro_f1 = micro_scores(train_counts)[2]
         epochs.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
@@ -441,10 +444,7 @@ def evaluate(
         selected, ckpt.vocab, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
     if not docs:
         raise DimsMismatch(f"no record in split {split_name!r} carries a vocabulary label")
-    counts = ConfusionCounts(ckpt.dims.c)
-    for doc in docs:
-        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc, uniform)
-        counts.accumulate(predict(cache.scores), doc.target)
+    counts = _confusion(ckpt.encoder_params, ckpt.head_params, docs, ckpt.dims.c, uniform)
     out = metrics_report(counts, labels=ckpt.vocab.codes)
     out["totals"] = {"documents": len(docs), "dropped": dropped, "skipped": load_report.total_skipped}
     return out

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import meanpool_reference as reference
+import meanpool_reference
+import minitransformer_reference
 from sentattn.encoder import (
+    ENCODER_KINDS,
     ENCODER_PARAMS,
     MEANPOOL,
     MINITRANSFORMER,
@@ -17,7 +19,6 @@ from sentattn.encoder import (
     RowGrad,
     ShapeMismatch,
     encode_document,
-    encode_sentence,
     encoder_backward,
     init_encoder,
 )
@@ -42,16 +43,31 @@ def seq(*ids):
     return np.array(ids, dtype=np.int64)
 
 
-def meanpool_cls(ids, params):
-    """One sentence through the document-level meanpool encoder."""
+# the per-sentence loops that the whole-document encoders replaced
+REFERENCES = {MEANPOOL: meanpool_reference, MINITRANSFORMER: minitransformer_reference}
+
+
+def sentence_cls(ids, params):
+    """One sentence through the document encoder, as a one-sentence document."""
     D, _ = encode_document([ids], params)
     return D[:, 0]
 
 
-def dense(grad: RowGrad, like: np.ndarray) -> np.ndarray:
+def dense(grad: RowGrad | np.ndarray, like: np.ndarray) -> np.ndarray:
+    if isinstance(grad, np.ndarray):
+        return grad
     table = np.zeros_like(like)
     grad.add_to(table)
     return table
+
+
+def normal_params(kind, dims, seed):
+    """Float64 params of one kind, every tensor standard normal."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder(kind, dims, rng, dtype=np.float64)
+    for _, tensor in params.named_tensors():
+        tensor[...] = rng.normal(size=tensor.shape)
+    return params
 
 
 class TestMeanPool:
@@ -60,11 +76,11 @@ class TestMeanPool:
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         params.M[:] = 0
         params.q[:] = 0
-        cls = meanpool_cls(seq(1, 5, 6, 2), params)
+        cls = sentence_cls(seq(1, 5, 6, 2), params)
         assert np.all(cls == 0.0)
 
     def test_scalar_oracle(self):
-        cls = meanpool_cls(seq(1, 4, 5, 2), scalar_meanpool())
+        cls = sentence_cls(seq(1, 4, 5, 2), scalar_meanpool())
         assert cls.shape == (1,)
         assert math.isclose(cls[0], TANH_HALF, rel_tol=1e-12)
 
@@ -81,7 +97,7 @@ class TestMeanPool:
         params.M += rng.normal(scale=3.0, size=params.M.shape).astype(np.float32)
         for _ in range(20):
             ids = seq(1, *rng.integers(4, 36, size=5), 2)
-            cls = meanpool_cls(ids, params)
+            cls = sentence_cls(ids, params)
             assert np.all(cls > -1.0) and np.all(cls < 1.0)
 
     def test_swap_invariance_of_mean_path(self):
@@ -89,8 +105,8 @@ class TestMeanPool:
         # interior tokens cannot change the CLS vector
         dims = ModelDims(h=4, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(2))
-        a = meanpool_cls(seq(1, 5, 9, 2), params)
-        b = meanpool_cls(seq(1, 9, 5, 2), params)
+        a = sentence_cls(seq(1, 5, 9, 2), params)
+        b = sentence_cls(seq(1, 9, 5, 2), params)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -101,38 +117,42 @@ class TestMiniTransformer:
         for name, tensor in params.named_tensors():
             if name not in ("E", "P"):
                 tensor[:] = 0
-        ids = seq(1, 5, 2)
-        cls, _ = encode_sentence(ids, params)
+        cls = sentence_cls(seq(1, 5, 2), params)
         np.testing.assert_array_equal(cls, params.E[1] + params.P[0])
 
     def test_swap_sensitivity_through_positions(self):
         dims = ModelDims(h=4, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(3))
-        a, _ = encode_sentence(seq(1, 5, 9, 2), params)
-        b, _ = encode_sentence(seq(1, 9, 5, 2), params)
+        a = sentence_cls(seq(1, 5, 9, 2), params)
+        b = sentence_cls(seq(1, 9, 5, 2), params)
         assert not np.array_equal(a, b)
 
 
 class TestEncodeDocument:
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
     def test_shape_and_column_order(self, kind):
-        # The minitransformer stacks encode_sentence's columns bit for bit.
-        # Meanpool sums each sentence in another order than the per-sentence
-        # reference, so it is compared in float64 (see TestMeanPoolMatchesReference).
+        # Column j is sentence j encoded alone, both as a one-sentence document
+        # and by the per-sentence reference. Both sum in another order than the
+        # whole-document pass, so they are compared in float64.
         dims = ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4)
-        dtype = np.float64 if kind == MEANPOOL else np.float32
-        params = init_encoder(kind, dims, np.random.default_rng(1), dtype=dtype)
+        params = init_encoder(kind, dims, np.random.default_rng(1), dtype=np.float64)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 2), seq(1, 7, 2)]
         D, cache = encode_document(sentences, params)
         assert D.shape == (5, 3)
-        assert len(cache.lens if kind == MEANPOOL else cache) == 3
+        assert len(cache.lens) == 3
         for j, ids in enumerate(sentences):
-            if kind == MEANPOOL:
-                cls, _ = reference.encode_sentence(ids, params)
-                np.testing.assert_allclose(D[:, j], cls, rtol=0, atol=1e-12)
-            else:
-                cls, _ = encode_sentence(ids, params)
-                np.testing.assert_array_equal(D[:, j], cls)
+            cls, _ = REFERENCES[kind].encode_sentence(ids, params)
+            np.testing.assert_allclose(D[:, j], cls, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(D[:, j], sentence_cls(ids, params), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    def test_permuting_sentences_permutes_columns(self, kind):
+        params = normal_params(kind, ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4), seed=6)
+        sentences = [seq(1, 4, 2), seq(1, 5, 6, 7, 8, 9, 10, 2), seq(1, 7, 2), seq(1, 4, 4, 9, 2)]
+        order = [2, 0, 3, 1]
+        D, _ = encode_document(sentences, params)
+        D_permuted, _ = encode_document([sentences[j] for j in order], params)
+        np.testing.assert_allclose(D_permuted, D[:, order], rtol=0, atol=1e-12)
 
     def test_single_sentence(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
@@ -234,32 +254,61 @@ class TestRowGrad:
 
 
 @st.composite
-def meanpool_documents(draw):
-    """Float64 meanpool params and a document whose ids repeat within and across sentences."""
+def documents(draw, kind):
+    """Float64 params of one kind and a document whose ids repeat within and across sentences."""
     h = draw(st.integers(1, 6))
     t_max = draw(st.integers(3, 9))
     n_ids = draw(st.integers(4, 7))  # few distinct ids, so repeats are common
     lens = draw(st.lists(st.integers(3, t_max), min_size=1, max_size=6))
     sentences = [np.array(draw(st.lists(st.integers(0, n_ids - 1), min_size=m, max_size=m)), dtype=np.int64)
                  for m in lens]
+    f = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
-    dims = ModelDims(h=h, c=2, v_buckets=n_ids, t_max=t_max, f=2)
-    rng = np.random.default_rng(seed)
-    params = init_encoder(MEANPOOL, dims, rng, dtype=np.float64)
-    for _, tensor in params.named_tensors():
-        tensor[...] = rng.normal(size=tensor.shape)
-    dD = rng.normal(size=(h, len(sentences)))
+    params = normal_params(kind, ModelDims(h=h, c=2, v_buckets=n_ids, t_max=t_max, f=f), seed)
+    dD = np.random.default_rng(seed).normal(size=(h, len(sentences)))
     return params, sentences, dD
 
 
-def _fixed_document(lens, repeat):
+def _fixed_document(kind, lens, repeat):
     """h=3, t_max=8; every sentence repeats id 4 when asked, and sentences share ids."""
-    rng = np.random.default_rng(sum(lens) + repeat)
-    params = init_encoder(MEANPOOL, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), rng, dtype=np.float64)
-    for _, tensor in params.named_tensors():
-        tensor[...] = rng.normal(size=tensor.shape)
+    seed = sum(lens) + repeat
+    params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), seed)
     sentences = [np.array([4] * m if repeat else [1, *range(4, 4 + m - 2), 2], dtype=np.int64) for m in lens]
-    return params, sentences, rng.normal(size=(3, len(lens)))
+    return params, sentences, np.random.default_rng(seed).normal(size=(3, len(lens)))
+
+
+def _scores_far_apart():
+    """Sentence 0's attention scores sit about 1000 above sentence 1's.
+
+    Q = K = I and E[4] = (38, 0), so sentence 0's scores are near
+    38^2 / sqrt(2) = 1021 while sentence 1's stay near 0. A softmax shifted
+    by the document's max rather than each sentence's own underflows every
+    exp of sentence 1 to 0, and its attention to 0/0.
+    """
+    params = normal_params(MINITRANSFORMER, ModelDims(h=2, c=2, v_buckets=4, t_max=5, f=3), seed=8)
+    params.P *= 0.1
+    params.Q[...] = params.K[...] = np.eye(2)
+    params.E[4] = (38.0, 0.0)
+    sentences = [seq(4, 4, 4, 4), seq(5, 6, 7, 5, 3)]
+    return params, sentences, np.random.default_rng(8).normal(size=(2, 2))
+
+
+def assert_matches_reference(params, sentences, dD, tol):
+    """D and every gradient equal the per-sentence reference loop's within tol."""
+    reference = REFERENCES[params.kind]
+    D, cache = encode_document(sentences, params)
+    D_ref, caches_ref = reference.encode_document(sentences, params)
+    assert np.isfinite(D).all()
+    np.testing.assert_allclose(D, D_ref, rtol=0, atol=tol)
+    grads = encoder_backward(params, cache, dD)
+    expected = reference.encoder_backward(params, caches_ref, dD)
+    assert list(grads) == [name for name, _ in params.named_tensors()]
+    assert sorted(expected) == sorted(grads)
+    assert grads["E"].ids.tolist() == sorted(set(np.concatenate(sentences).tolist()))
+    for name, tensor in params.named_tensors():
+        got, want = dense(grads[name], tensor), dense(expected[name], tensor)
+        assert np.isfinite(got).all(), name
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
 
 
 class TestMeanPoolMatchesReference:
@@ -268,23 +317,30 @@ class TestMeanPoolMatchesReference:
     TOL = 1e-10
 
     @settings(max_examples=150, deadline=None)
-    @given(meanpool_documents())
-    @example(_fixed_document([3], repeat=False))          # k = 1, shortest sentence
-    @example(_fixed_document([8], repeat=True))           # k = 1, t_max tokens, one id
-    @example(_fixed_document([3, 8, 3, 8], repeat=False))  # both extremes, shared ids
-    @example(_fixed_document([3, 8, 5], repeat=True))
+    @given(documents(MEANPOOL))
+    @example(_fixed_document(MEANPOOL, [3], repeat=False))          # k = 1, shortest sentence
+    @example(_fixed_document(MEANPOOL, [8], repeat=True))           # k = 1, t_max tokens, one id
+    @example(_fixed_document(MEANPOOL, [3, 8, 3, 8], repeat=False))  # both extremes, shared ids
+    @example(_fixed_document(MEANPOOL, [3, 8, 5], repeat=True))
     def test_forward_and_every_gradient(self, case):
-        params, sentences, dD = case
-        D, cache = encode_document(sentences, params)
-        D_ref, caches_ref = reference.encode_document(sentences, params)
-        np.testing.assert_allclose(D, D_ref, rtol=0, atol=self.TOL)
-        grads = encoder_backward(params, cache, dD)
-        expected = reference.encoder_backward(params, caches_ref, dD)
-        assert sorted(grads) == sorted(expected) == ["E", "M", "P", "q"]
-        assert grads["E"].ids.tolist() == sorted(set(np.concatenate(sentences).tolist()))
-        np.testing.assert_allclose(dense(grads["E"], params.E), expected["E"], rtol=0, atol=self.TOL)
-        for name in ("P", "M", "q"):
-            np.testing.assert_allclose(grads[name], expected[name], rtol=0, atol=self.TOL, err_msg=name)
+        assert_matches_reference(*case, tol=self.TOL)
+
+
+class TestMiniTransformerMatchesReference:
+    """CLS-query attention over the whole document equals the per-sentence
+    m x m block in float64."""
+
+    TOL = 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents(MINITRANSFORMER))
+    @example(_fixed_document(MINITRANSFORMER, [3], repeat=False))          # k = 1, shortest sentence
+    @example(_fixed_document(MINITRANSFORMER, [8], repeat=True))           # k = 1, t_max tokens, one id
+    @example(_fixed_document(MINITRANSFORMER, [3, 8, 3, 8], repeat=False))  # both extremes, shared ids
+    @example(_fixed_document(MINITRANSFORMER, [3, 8, 5], repeat=True))
+    @example(_scores_far_apart())
+    def test_forward_and_every_gradient(self, case):
+        assert_matches_reference(*case, tol=self.TOL)
 
 
 class TestTensorSpec:
@@ -350,8 +406,9 @@ class TestShapeValidation:
         with pytest.raises(ShapeMismatch):
             encode_document([seq(1, 4, 2), seq(1, 2)], params)
 
-    def test_sentence_encoder_is_minitransformer_only(self):
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    def test_negative_token_id(self, kind):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
-        params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
-        with pytest.raises(TypeError, match="encode_document"):
-            encode_sentence(seq(1, 4, 2), params)
+        params = init_encoder(kind, dims, np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch):
+            encode_document([seq(1, 4, 2), seq(1, -3, 2)], params)

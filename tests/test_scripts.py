@@ -20,3 +20,11 @@ def test_needle_experiment_leaves_no_temp_files(capsys, monkeypatch, tmp_path):
     assert code in (0, 1)
     assert len(summary["ablation_epochs"]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gradcheck_sweep_checks_both_encoder_kinds(capsys):
+    code = load_script("gradcheck_sweep").main(["--instances", "1"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [row["encoder"] for row in summary["results"]] == ["meanpool", "minitransformer"]
+    assert all(row["instances"] == 1 for row in summary["results"])

@@ -334,9 +334,11 @@ class TestTrain:
 
     # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
     # Adam still stepped every row: stepping only live rows changes no bit.
+    # The minitransformer digest was re-recorded when it became CLS-query
+    # attention over the whole document, which sums in another order.
     PINNED = {
         MEANPOOL: "80345b83facaaa521e9d99970c0e8309c2e3276b3849871ceb0cb2e09aa81855",
-        MINITRANSFORMER: "d4b65e83cd8d8b8bf5f8b393e898f2d17f265aa147e279d2d73c4e28475338b5",
+        MINITRANSFORMER: "7e6cc77e3a1cd5c320a16716ee84b174e4a957f7ed4ddd1626a79dbfed3b4a61",
     }
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
