@@ -78,7 +78,12 @@ class Checkpoint:
     meta: TrainMeta | None = None
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return self.encoder_params.named_tensors() + self.head_params.named_tensors()
+        return model_tensors(self.encoder_params, self.head_params)
+
+
+def model_tensors(encoder_params: EncoderParams, head_params: HeadParams) -> list[tuple[str, np.ndarray]]:
+    """A model's named tensors in file order: the encoder's, then S, W, b."""
+    return encoder_params.named_tensors() + head_params.named_tensors()
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

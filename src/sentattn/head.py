@@ -9,8 +9,9 @@ predicted when its score strictly exceeds the threshold.
 The tanh squashing caps attention logits to [-1, 1], so no sentence can
 outweigh another by more than a factor of e^2. Softmax runs over the
 sentence axis with max-subtraction; the BCE loss works on logits, never on
-stored sigmoid outputs. The uniform mode freezes alpha at 1/k (ablation;
-no gradient flows into S there).
+stored sigmoid outputs. With S = 0 every logit is tanh(0) = 0 and alpha
+is exactly 1/k: the uniform-pooling ablation is this head with S held at
+zero, not a separate path.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ def init_head(c: int, h: int, rng: np.random.Generator, dtype: np.dtype | type =
 @dataclass
 class HeadCache:
     D: np.ndarray       # (h, k)
-    zt: np.ndarray      # (c, k) tanh(S @ D), None in uniform mode
+    zt: np.ndarray      # (c, k) tanh(S @ D)
     alpha: np.ndarray   # (c, k)
     L: np.ndarray       # (c, h)
     logits: np.ndarray  # (c,)
     scores: np.ndarray  # (c,)
-    uniform: bool
 
 
 def _attention(D: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,19 +110,12 @@ def _sigmoid(t):
     return out
 
 
-def head_forward(D: np.ndarray, params: HeadParams, uniform: bool = False) -> HeadCache:
+def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:
     """Full attention -> pooling -> scoring chain with backward cache."""
-    c = params.S.shape[0]
-    k = D.shape[1]
-    if uniform:
-        zt = None
-        alpha = np.full((c, k), 1.0 / k, dtype=D.dtype)
-    else:
-        zt, alpha = _attention(D, params.S)
+    zt, alpha = _attention(D, params.S)
     L = pool_labels(alpha, D)
     logits = _logits(L, params.W, params.b)
-    return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits,
-                     scores=_sigmoid(logits), uniform=uniform)
+    return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits, scores=_sigmoid(logits))
 
 
 def head_backward(
@@ -132,8 +125,7 @@ def head_backward(
 
     Chains through the sigmoid (dlogit_i = (score_i - y_i)/c), the
     per-label linear maps, the convex pooling, the row-softmax Jacobian
-    and the tanh. In uniform mode alpha is constant: dS stays zero and dD
-    comes from pooling alone.
+    and the tanh.
     """
     c = params.S.shape[0]
     if targets.shape != (c,):
@@ -142,17 +134,10 @@ def head_backward(
         raise CacheMismatch("cache is internally inconsistent")
     y = targets.astype(cache.scores.dtype)
     dlogits = (cache.scores - y) / c
-    grads = {
-        "S": np.zeros_like(params.S),
-        "W": dlogits[:, None] * cache.L,
-        "b": dlogits.copy(),
-    }
     dL = dlogits[:, None] * params.W
-    dD = dL.T @ cache.alpha
-    if not cache.uniform:
-        dalpha = dL @ cache.D
-        dz = cache.alpha * (dalpha - (dalpha * cache.alpha).sum(axis=1, keepdims=True))
-        dpre = dz * (1.0 - cache.zt**2)
-        grads["S"] = dpre @ cache.D.T
-        dD = dD + params.S.T @ dpre
+    dalpha = dL @ cache.D
+    dz = cache.alpha * (dalpha - (dalpha * cache.alpha).sum(axis=1, keepdims=True))
+    dpre = dz * (1.0 - cache.zt**2)
+    grads = {"S": dpre @ cache.D.T, "W": dlogits[:, None] * cache.L, "b": dlogits.copy()}
+    dD = dL.T @ cache.alpha + params.S.T @ dpre
     return grads, dD

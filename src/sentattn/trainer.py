@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import corpus as corpus_mod
-from .checkpoint import Checkpoint, TrainMeta
+from .checkpoint import Checkpoint, TrainMeta, model_tensors
 from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_dataset
 from .encoder import (
     ENCODER_KINDS,
@@ -91,6 +91,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
+        if self.stop_at_train_f1 is not None and not self.log_train_f1:
+            raise ValueError("stop_at_train_f1 needs log_train_f1, which computes train F1")
 
 
 @dataclass
@@ -234,7 +236,8 @@ class BatchGradients:
     Dense gradients are added whole. Row-sparse ones (RowGrad) are
     scatter-added; the batch's distinct rows are found once (`rows`), and
     scaling, clearing and the optimizer touch only those, so every other
-    row stays +0.0 without being visited.
+    row stays +0.0 without being visited. Gradients of tensors it does not
+    hold, such as the frozen S of a uniform-attention run, are dropped.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]):
@@ -245,6 +248,8 @@ class BatchGradients:
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
         self._rows = None
         for name, g in grads.items():
+            if name not in self.sums:
+                continue
             if isinstance(g, RowGrad):
                 g.add_to(self.sums[name])
                 self._row_ids.setdefault(name, []).append(g.ids)
@@ -308,20 +313,16 @@ def prepare_documents(
     return docs, dropped
 
 
-def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc, uniform: bool):
+def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc):
     D, enc_cache = encode_document(doc.sentences, enc_params)
-    return head_forward(D, head_params, uniform=uniform), enc_cache
+    return head_forward(D, head_params), enc_cache
 
 
-def _merged_tensors(enc_params: EncoderParams, head_params: HeadParams) -> dict[str, np.ndarray]:
-    return dict(enc_params.named_tensors() + head_params.named_tensors())
-
-
-def _confusion(enc_params, head_params, docs, c: int, uniform: bool) -> ConfusionCounts:
+def _confusion(enc_params, head_params, docs, c: int) -> ConfusionCounts:
     """Threshold-0.5 predictions of every document, counted against its target."""
     counts = ConfusionCounts(c)
     for doc in docs:
-        cache, _ = _forward(enc_params, head_params, doc, uniform)
+        cache, _ = _forward(enc_params, head_params, doc)
         counts.accumulate(predict(cache.scores), doc.target)
     return counts
 
@@ -359,10 +360,13 @@ def train(
     rng = np.random.default_rng(config.seed)
     enc_params = init_encoder(config.encoder, dims, rng, dtype=np.float32)
     head_params = init_head(dims.c, dims.h, rng, dtype=np.float32)
-    tensors = _merged_tensors(enc_params, head_params)
+    tensors = dict(model_tensors(enc_params, head_params))
+    if config.attention_mode == UNIFORM:
+        # S = +0.0 makes every attention row exactly 1/k; S is never stepped
+        head_params.S.fill(0.0)
+        del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
     batch_grads = BatchGradients(tensors)
-    uniform = config.attention_mode == UNIFORM
 
     stopper = EarlyStopper(config.patience)
     best_snapshot = None
@@ -375,7 +379,7 @@ def train(
             batch = [train_docs[i] for i in order[start : start + config.batch_size]]
             batch_loss = 0.0
             for doc in batch:
-                cache, enc_cache = _forward(enc_params, head_params, doc, uniform)
+                cache, enc_cache = _forward(enc_params, head_params, doc)
                 batch_loss += bce_loss(cache.logits, doc.target)
                 head_grads, dD = head_backward(head_params, cache, doc.target)
                 batch_grads.add(encoder_backward(enc_params, enc_cache, dD))
@@ -385,7 +389,7 @@ def train(
             optimizer.step(tensors, batch_grads.mean(len(batch)), batch_grads.rows())
             batch_grads.clear()
             loss_sum += batch_loss
-        val_counts = _confusion(enc_params, head_params, val_docs, dims.c, uniform)
+        val_counts = _confusion(enc_params, head_params, val_docs, dims.c)
         val_micro = micro_scores(val_counts)[2]
         entry = EpochLog(
             epoch=epoch,
@@ -394,7 +398,7 @@ def train(
             val_macro_f1=macro_scores(val_counts)[2],
         )
         if config.log_train_f1:
-            train_counts = _confusion(enc_params, head_params, train_docs, dims.c, uniform)
+            train_counts = _confusion(enc_params, head_params, train_docs, dims.c)
             entry.train_micro_f1 = micro_scores(train_counts)[2]
         epochs.append(entry)
         if on_epoch is not None:
@@ -430,7 +434,6 @@ def evaluate(
     seed: int = TrainConfig.seed,
     k_max: int = TrainConfig.k_max,
     use_description: bool = False,
-    uniform: bool = False,
 ) -> dict:
     """Forward + threshold-0.5 predict over one split, with the checkpoint's vocabulary."""
     records, load_report = load_corpus(corpus_path)
@@ -444,7 +447,7 @@ def evaluate(
         selected, ckpt.vocab, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
     if not docs:
         raise DimsMismatch(f"no record in split {split_name!r} carries a vocabulary label")
-    counts = _confusion(ckpt.encoder_params, ckpt.head_params, docs, ckpt.dims.c, uniform)
+    counts = _confusion(ckpt.encoder_params, ckpt.head_params, docs, ckpt.dims.c)
     out = metrics_report(counts, labels=ckpt.vocab.codes)
     out["totals"] = {"documents": len(docs), "dropped": dropped, "skipped": load_report.total_skipped}
     return out
@@ -464,7 +467,7 @@ def predict_records(
         require_labels=False)
     results = []
     for doc in docs:
-        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc, uniform=False)
+        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc)
         bits = predict(cache.scores, threshold)
         entry = {
             "id": doc.id,
@@ -495,7 +498,9 @@ def grad_check(
     """Compare every analytic gradient to central finite differences (float64).
 
     Builds one random small instance; relative error per element is
-    |analytic - fd| / max(1, |fd|).
+    |analytic - fd| / max(1, |fd|). The matrices are scaled from the init's
+    +-0.05 to +-0.5: at the init, the minitransformer's query-path term of
+    dX is too small for the check to see.
     """
     dims = dims or ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=5)
     rng = np.random.default_rng(seed)
@@ -509,15 +514,17 @@ def grad_check(
     targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
     doc = PreparedDoc(id="gradcheck", sentences=sentences, target=targets)
 
-    tensors = _merged_tensors(enc_params, head_params)
-    cache, enc_cache = _forward(enc_params, head_params, doc, uniform=False)
+    tensors = dict(model_tensors(enc_params, head_params))
+    for tensor in tensors.values():
+        tensor *= 10.0
+    cache, enc_cache = _forward(enc_params, head_params, doc)
     head_grads, dD = head_backward(head_params, cache, targets)
     analytic = BatchGradients(tensors)  # scatters the row-sparse E gradient into a dense table
     analytic.add(encoder_backward(enc_params, enc_cache, dD))
     analytic.add(head_grads)
 
     def loss() -> float:
-        c, _ = _forward(enc_params, head_params, doc, uniform=False)
+        c, _ = _forward(enc_params, head_params, doc)
         return bce_loss(c.logits, targets)
 
     worst = ("", -1.0)

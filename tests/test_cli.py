@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sentattn.cli import EXIT_USAGE, BadValue, UnknownKey, load_config, main
@@ -232,6 +233,19 @@ class TestPipelineCommands:
         assert len(first["scores"]) == 4
         assert len(first["attention"]) == 4  # c rows
         assert len(first["attention"][0]) == 8  # k columns
+
+    def test_uniform_model_predicts_uniform_attention(self, capsys, corpus, tmp_path):
+        model = tmp_path / "uniform.satn"
+        code, _, err = run(capsys, "train", str(corpus), str(model), *TINY_TRAIN_FLAGS,
+                           "--attention-mode", "uniform", "--max-epochs", "2", "--patience", "2")
+        assert code == 0, err
+        code, out, _ = run(capsys, "predict", str(model), str(corpus), "--k-max", "8", "--attention")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) == 48
+        for row in payload:
+            alpha = np.array(row["attention"])
+            np.testing.assert_array_equal(alpha, np.full(alpha.shape, 1 / alpha.shape[1], np.float32))
 
     def test_gradcheck_reports_error_and_worst_param(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--seed", "7")

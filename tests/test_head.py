@@ -29,6 +29,25 @@ def random_instance(rng, h, k, c, scale=1.0):
     return D, params
 
 
+def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5):
+    """Every head_backward gradient (S, W, b and dD) against central differences."""
+    grads, dD = head_backward(params, head_forward(D, params), targets)
+    analytic = {**grads, "D": dD}
+    tensors = {"S": params.S, "W": params.W, "b": params.b, "D": D}
+    for name, tensor in tensors.items():
+        flat = tensor.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp = bce_loss(head_forward(D, params).logits, targets)
+            flat[i] = orig - eps
+            lm = bce_loss(head_forward(D, params).logits, targets)
+            flat[i] = orig
+            fd = (lp - lm) / (2 * eps)
+            rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
+            assert rel < 1e-4, (name, i, rel)
+
+
 class TestAttentionForward:
     def test_single_sentence_gets_all_weight(self):
         alpha = attention_forward(np.random.default_rng(0).normal(size=(3, 1)), np.zeros((4, 3)))
@@ -153,28 +172,7 @@ class TestHeadBackward:
     def test_seed11_finite_difference_check(self):
         rng = np.random.default_rng(11)
         D, params = random_instance(rng, h=3, k=4, c=2)
-        targets = np.array([1, 0])
-        cache = head_forward(D, params)
-        grads, dD = head_backward(params, cache, targets)
-        eps = 1e-5
-
-        def loss_at(d, p):
-            return bce_loss(head_forward(d, p).logits, targets)
-
-        analytic = {**grads, "D": dD}
-        tensors = {"S": params.S, "W": params.W, "b": params.b, "D": D}
-        for name, tensor in tensors.items():
-            flat = tensor.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = loss_at(D, params)
-                flat[i] = orig - eps
-                lm = loss_at(D, params)
-                flat[i] = orig
-                fd = (lp - lm) / (2 * eps)
-                rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
-                assert rel < 1e-4, (name, i, rel)
+        assert_gradients_match_finite_differences(D, params, np.array([1, 0]))
 
 
 class TestHeadInvariants:
@@ -205,33 +203,22 @@ class TestHeadInvariants:
 
 
 class TestUniformMode:
+    """The uniform-pooling ablation is the learned head with S held at +0.0."""
+
     def test_alpha_is_one_over_k(self):
         rng = np.random.default_rng(9)
+        for dtype in (np.float32, np.float64):
+            for k in (*range(1, 65), 100, 127, 1000, 4095, 4096):
+                D = rng.normal(size=(4, k)).astype(dtype)
+                alpha = attention_forward(D, np.zeros((3, 4), dtype=dtype))
+                assert alpha.dtype == dtype
+                np.testing.assert_array_equal(alpha, np.full((3, k), 1 / k, dtype=dtype))
         D, params = random_instance(rng, h=4, k=8, c=2)
-        cache = head_forward(D, params, uniform=True)
-        np.testing.assert_array_equal(cache.alpha, np.full((2, 8), 1 / 8))
-
-    def test_no_gradient_reaches_attention(self):
-        rng = np.random.default_rng(10)
-        D, params = random_instance(rng, h=4, k=8, c=2)
-        cache = head_forward(D, params, uniform=True)
-        grads, _ = head_backward(params, cache, np.array([1, 0]))
-        assert not grads["S"].any()
+        params.S[...] = 0.0
+        np.testing.assert_array_equal(head_forward(D, params).alpha, np.full((2, 8), 1 / 8))
 
     def test_dD_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         D, params = random_instance(rng, h=3, k=4, c=2)
-        targets = np.array([0, 1])
-        cache = head_forward(D, params, uniform=True)
-        _, dD = head_backward(params, cache, targets)
-        eps = 1e-6
-        flat = D.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = bce_loss(head_forward(D, params, uniform=True).logits, targets)
-            flat[i] = orig - eps
-            lm = bce_loss(head_forward(D, params, uniform=True).logits, targets)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            assert abs(dD.reshape(-1)[i] - fd) / max(1.0, abs(fd)) < 1e-4
+        params.S[...] = 0.0
+        assert_gradients_match_finite_differences(D, params, np.array([0, 1]), eps=1e-6)

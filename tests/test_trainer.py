@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -18,7 +19,8 @@ from sentattn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sentattn.corpus import LabelVocabulary, NoLabels
+from sentattn import encoder
+from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus
 from sentattn.encoder import (
     MEANPOOL,
     MINITRANSFORMER,
@@ -29,8 +31,9 @@ from sentattn.encoder import (
     init_encoder,
 )
 from sentattn.head import head_forward, init_head
-from sentattn.synth import make_needle_corpus, write_jsonl
+from sentattn.synth import make_needle_corpus, needle_config, write_jsonl
 from sentattn.trainer import (
+    UNIFORM,
     Adam,
     BatchGradients,
     DimsMismatch,
@@ -41,6 +44,7 @@ from sentattn.trainer import (
     document_text,
     evaluate,
     grad_check,
+    predict_records,
     prepare_documents,
     train,
 )
@@ -60,6 +64,13 @@ def tiny_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "tiny.jsonl"
     write_jsonl(make_needle_corpus(n_docs=48, n_labels=4, k=8, seed=1), path)
     return path
+
+
+class TestTrainConfig:
+    def test_stop_at_train_f1_needs_train_f1(self):
+        with pytest.raises(ValueError, match="stop_at_train_f1 needs log_train_f1"):
+            tiny_config(stop_at_train_f1=1.0)
+        assert tiny_config(stop_at_train_f1=1.0, log_train_f1=True).stop_at_train_f1 == 1.0
 
 
 class TestEarlyStopper:
@@ -348,6 +359,29 @@ class TestTrain:
         blob = b"".join(t.tobytes() for _, t in result.checkpoint.tensors())
         assert hashlib.sha256(blob).hexdigest() == self.PINNED[kind]
 
+    # The same runs with uniform attention, over every tensor but S, recorded
+    # when uniform attention was a separate head path that froze alpha at 1/k.
+    PINNED_UNIFORM = {
+        MEANPOOL: "b32d50ed11c06789d19137608218d054b4218d0c988735662c6198e54c97569d",
+        MINITRANSFORMER: "d42c780dfda9b4acd8cc49eb0610ab3f0897fa74a3ee910f68cf12ec0f3baa0d",
+    }
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_uniform_tensors_but_s_are_pinned(self, kind, tiny_corpus):
+        dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
+        config = tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3, attention_mode=UNIFORM)
+        tensors = train(config, tiny_corpus).checkpoint.tensors()
+        blob = b"".join(t.tobytes() for name, t in tensors if name != "S")
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_UNIFORM[kind]
+
+    def test_uniform_run_saves_s_at_positive_zero(self, tiny_corpus, tmp_path):
+        result = train(tiny_config(attention_mode=UNIFORM), tiny_corpus)
+        path = tmp_path / "uniform.satn"
+        save_checkpoint(result.checkpoint, path)
+        S = load_checkpoint(path).head_params.S
+        assert S.shape == (4, TINY_DIMS.h)
+        assert not S.any() and not np.signbit(S).any()
+
     def test_on_epoch_sees_each_log_in_order(self, tiny_corpus):
         seen = []
         result = train(tiny_config(max_epochs=3, patience=3), tiny_corpus, on_epoch=seen.append)
@@ -450,6 +484,24 @@ class TestEvaluate:
         a = evaluate(result.checkpoint, tiny_corpus, split_name="validation", seed=3, k_max=8)
         b = evaluate(result.checkpoint, tiny_corpus, split_name="validation", seed=3, k_max=8)
         assert a == b
+
+    def test_saved_uniform_checkpoint_scores_with_uniform_attention(self, tmp_path):
+        # learned attention over this run's S scores the validation split
+        # differently from the uniform attention it was trained and selected
+        # with (the tiny corpus scores alike under both)
+        corpus = tmp_path / "needle.jsonl"
+        write_jsonl(make_needle_corpus(n_docs=160), corpus)
+        config = needle_config(UNIFORM, 60)
+        result = train(config, corpus)
+        path = tmp_path / "uniform.satn"
+        save_checkpoint(result.checkpoint, path)
+        ckpt = load_checkpoint(path)
+        out = evaluate(ckpt, corpus, split_name="validation", seed=config.seed, k_max=config.k_max)
+        assert out["micro"]["f1"] == result.checkpoint.meta.best_val_micro_f1
+        records, _ = load_corpus(corpus)
+        for row in predict_records(ckpt, records, k_max=config.k_max, with_attention=True):
+            alpha = np.array(row["attention"])
+            np.testing.assert_array_equal(alpha, np.full(alpha.shape, 1 / alpha.shape[1], np.float32))
 
 
 def fresh_checkpoint(kind=MEANPOOL, seed=0):
@@ -603,6 +655,19 @@ class TestGradCheck:
 
     def test_minitransformer_tight(self):
         assert grad_check(kind=MINITRANSFORMER, seed=1, eps=1e-3).max_rel_error < 1e-4
+
+    def test_sees_a_dropped_query_path_term(self, monkeypatch):
+        # Q enters the minitransformer's backward only through dq0 @ Q.T in
+        # dX, so a zero Q there is exactly the backward without that term
+        forward, backward = encoder._PASSES[MINITRANSFORMER]
+
+        def without_query_term(params, cache, dD):
+            return backward(dataclasses.replace(params, Q=np.zeros_like(params.Q)), cache, dD)
+
+        monkeypatch.setitem(encoder._PASSES, MINITRANSFORMER, (forward, without_query_term))
+        dims = ModelDims(h=8, c=3, v_buckets=8, t_max=6, f=6)
+        report = grad_check(kind=MINITRANSFORMER, seed=0, eps=1e-3, dims=dims, k=4)
+        assert report.max_rel_error > 1e-4, report
 
     def test_coarse_eps_degrades_without_crashing(self):
         fine = grad_check(kind=MEANPOOL, seed=2, eps=1e-3)
