@@ -13,10 +13,11 @@ The tensor shapes come from each kind's spec (`MeanPoolParams.spec`,
 `MiniTransformerParams.spec`, `HeadParams.spec`). Loading checks the file
 length and the CRC before it decodes any code or builds any array, so a
 corrupted file ends in a CheckpointError, never a decoding error; so does
-a file whose CRC matches but whose codes are not distinct UTF-8 strings. It
-reproduces every tensor bit-exactly. Training metadata (epochs run, best
-validation micro-F1, seed) lives only on the in-memory object; the byte
-layout above is the whole on-disk contract.
+a file whose CRC matches but whose codes are not distinct UTF-8 strings,
+or not c of them (saving refuses such a checkpoint too). It reproduces
+every tensor bit-exactly. Training metadata (epochs run, best validation
+micro-F1, seed) lives only on the in-memory object; the byte layout above
+is the whole on-disk contract.
 """
 
 from __future__ import annotations
@@ -70,12 +71,15 @@ class TrainMeta:
 @dataclass
 class Checkpoint:
     dims: ModelDims
-    kind: str
     vocab: LabelVocabulary
     encoder_params: EncoderParams
     head_params: HeadParams
     version: int = VERSION
     meta: TrainMeta | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.encoder_params.kind
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return model_tensors(self.encoder_params, self.head_params)
@@ -89,8 +93,10 @@ def model_tensors(encoder_params: EncoderParams, head_params: HeadParams) -> lis
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the pinned byte layout, append the CRC-32 trailer, and
     replace the file at `path` atomically."""
-    parts = [MAGIC]
     d = ckpt.dims
+    if len(ckpt.vocab) != d.c:
+        raise CheckpointError(f"{len(ckpt.vocab)} label codes for c = {d.c}")
+    parts = [MAGIC]
     parts.append(struct.pack("<6I", VERSION, d.h, d.c, d.v_buckets, d.t_max, d.f))
     parts.append(struct.pack("<B", _KIND_CODES[ckpt.kind]))
     parts.append(struct.pack("<I", len(ckpt.vocab)))
@@ -166,6 +172,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{len(blob) - r.pos} unexpected trailing bytes")
     if stored != zlib.crc32(blob[: r.pos - 4]) & 0xFFFFFFFF:
         raise ChecksumMismatch("stored CRC-32 does not match file contents")
+    if len(raw_codes) != c:
+        raise CheckpointError(f"{len(raw_codes)} label codes for c = {c}")
 
     def arrays(spec):
         return {name: np.frombuffer(raw[name], dtype="<f4").reshape(shape).astype(np.float32)
@@ -175,5 +183,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         vocab = LabelVocabulary(codes=[code.decode("utf-8") for code in raw_codes])
     except ValueError as exc:  # not UTF-8, or a repeated code
         raise CheckpointError(f"bad label vocabulary: {exc}") from exc
-    return Checkpoint(dims=dims, kind=kind, vocab=vocab, encoder_params=cls(**arrays(enc_spec)),
+    return Checkpoint(dims=dims, vocab=vocab, encoder_params=cls(**arrays(enc_spec)),
                       head_params=HeadParams(**arrays(head_spec)), version=version)

@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import CorpusError, build_vocabulary, label_stats, load_corpus, split_dataset
+from .corpus import CorpusError, build_vocabulary, label_stats, load_corpus, split_dataset, split_records
 from .encoder import ENCODER_KINDS, ModelDims
 from .segmenter import EmptyText, segment
 from .trainer import (
@@ -218,16 +218,9 @@ def _top_c(args) -> int:
     return _resolve(args, ["top_c"]).get("top_c", ModelDims.c)
 
 
-def _select_records(args, records):
-    if args.split == "all":
-        return records
-    part = split_dataset((r.id for r in records), _seed(args)).part(args.split)
-    return [r for r in records if r.id in part]
-
-
 def _cmd_build_vocab(args):
     records, report = load_corpus(args.corpus)
-    records = _select_records(args, records)
+    records = split_records(records, _seed(args), args.split)
     vocab = build_vocabulary(records, _top_c(args))
     _progress(f"read {report.read} lines, retained {report.retained} records")
     return {"codes": vocab.codes, "counts": vocab.counts}
@@ -251,11 +244,8 @@ def _cmd_stats(args):
 
 def _cmd_train(args):
     r = _resolve(args, _TRAIN_KEYS + _DIMS_KEYS)
-    try:
-        dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
-        config = TrainConfig(dims=dims, **r)
-    except ValueError as exc:
-        raise BadValue(str(exc)) from exc
+    dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
+    config = TrainConfig(dims=dims, **r)
     log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()
     with log_file as log:
 
@@ -292,7 +282,7 @@ def _cmd_evaluate(args):
 def _cmd_predict(args):
     ckpt = load_checkpoint(args.model)
     records, _ = load_corpus(args.corpus)
-    records = _select_records(args, records)
+    records = split_records(records, _seed(args), args.split)
     return predict_records(ckpt, records, with_attention=args.attention,
                            **_resolve(args, ["k_max", "threshold", "use_description"]))
 
@@ -332,5 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: NonFiniteLoss: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # an argument out of its range, such as --k-max 0
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(payload, getattr(args, "out", None))
     return EXIT_OK

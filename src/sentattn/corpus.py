@@ -278,6 +278,14 @@ def split_dataset(ids: Iterable[str], seed: int) -> DatasetSplit:
     return split
 
 
+def split_records(records: list[PatentRecord], seed: int, name: str) -> list[PatentRecord]:
+    """The records of one part of the seed's split ("all" for every record), in input order."""
+    if name == "all":
+        return records
+    part = split_dataset((r.id for r in records), seed).part(name)
+    return [r for r in records if r.id in part]
+
+
 def label_stats(records: Iterable[PatentRecord], vocab: LabelVocabulary) -> dict[str, int]:
     """Per-code document counts in vocabulary order (duplicates collapse per record)."""
     counts = {code: 0 for code in vocab.codes}

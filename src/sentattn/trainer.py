@@ -6,12 +6,13 @@ seeded epoch shuffles, sequential gradient accumulation in document order
 and 32-bit parameter arithmetic. Two runs with the same config produce
 byte-identical checkpoints and logs.
 
-Each batch's gradients are summed in buffers allocated once per run
-(BatchGradients). The embedding table's gradient arrives row-sparse and is
-scatter-added, so a batch costs work in proportion to the rows it used.
-Adam steps only the table's live rows, those that have ever had a gradient,
-which is exact; once so many rows are live that gathering them costs more,
-it steps the whole table in place.
+One Adam object owns each batch: it sums the documents' gradients in
+buffers allocated once per run, then scales, steps and clears them. The
+embedding table's gradient arrives row-sparse and is scatter-added, so a
+batch costs work in proportion to the rows it used. Adam steps only the
+table's live rows, those that have ever had a gradient, which is exact;
+once so many rows are live that gathering them costs more, it steps the
+whole table in place.
 
 Model selection is validation micro-F1; the best-epoch parameters are
 snapshotted and training stops after `patience` epochs without
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .checkpoint import Checkpoint, TrainMeta, model_tensors
-from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_dataset
+from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_records
 from .encoder import (
     ENCODER_KINDS,
     MEANPOOL,
@@ -86,6 +87,8 @@ class TrainConfig:
             raise ValueError(f"unknown encoder kind: {self.encoder!r}")
         if self.attention_mode not in ATTENTION_MODES:
             raise ValueError(f"unknown attention mode: {self.attention_mode!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("k_max", "lr", "beta1", "beta2", "adam_eps", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -153,31 +156,53 @@ _GATHER_COST_RATIO = 3.6
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction, stepping only live rows.
+    """Mini-batch adaptive moment estimation with bias correction, stepping only live rows.
+
+    One object owns a batch from its first gradient to its update. `add`
+    sums each document's gradients into buffers allocated once per run:
+    dense ones whole, row-sparse ones (RowGrad, the embedding table E's)
+    scatter-added, with their ids recorded. Gradients of tensors it does not
+    hold, such as the frozen S of a uniform-attention run, are dropped.
+    `step` finds the batch's distinct rows once, scales them to the batch
+    mean, updates, and clears them back to +0.0, so every other row of a sum
+    stays +0.0 without being visited.
 
     The update is the textbook formula, one in-place operation at a time in
     its order, written once and applied to a row selection. Dense tensors
-    are stepped whole (slice(None) gives in-place views). A row-sparse
-    tensor, the embedding table E, is stepped only on its live rows, the
-    sorted rows that have had a gradient at some step so far: they are
-    gathered, updated and scattered back on every later step, so their
-    moments keep decaying. That is exact, not lazy: a row whose gradient
-    has been +0.0 since the start has m = v = +0.0, and the formula leaves
-    it unchanged bit for bit. Once 1/3.6 of its rows are live, the tensor
-    is stepped whole from then on. m and v are full-size zero tables whose
-    never-live rows are never written; scratch is the size of what a step
-    updates.
+    are stepped whole (slice(None) gives in-place views). E is stepped only
+    on its live rows, the sorted rows that have had a gradient at some step
+    so far: they are gathered, updated and scattered back on every later
+    step, so their moments keep decaying. That is exact, not lazy: a row
+    whose gradient has been +0.0 since the start has m = v = +0.0, and the
+    formula leaves it unchanged bit for bit. Once 1/3.6 of its rows are
+    live, the tensor is stepped whole from then on. The sums, m and v are
+    full-size zero tables whose never-touched rows are never written;
+    scratch is the size of what a step updates.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
+        self.tensors = tensors
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        self.grad = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self._row_ids: dict[str, list[np.ndarray]] = {}
         self._live: dict[str, np.ndarray | slice] = {}
+
+    def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
+        """Add one document's gradients to the batch sums."""
+        for name, g in grads.items():
+            if name not in self.grad:
+                continue
+            if isinstance(g, RowGrad):
+                g.add_to(self.grad[name])
+                self._row_ids.setdefault(name, []).append(g.ids)
+            else:
+                self.grad[name] += g
 
     def _select(self, name: str, n_rows: int, rows: np.ndarray | None) -> np.ndarray | slice:
         """The rows of one tensor to step: its live rows, or slice(None) for all."""
@@ -191,23 +216,20 @@ class Adam:
         self._live[name] = live
         return live
 
-    def step(
-        self,
-        tensors: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        rows: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        """One update. `rows` gives, per row-sparse tensor, the sorted distinct
-        rows of this step's gradient; the gradient must be +0.0 on every
-        other row. A tensor missing from `rows` is stepped whole."""
+    def step(self, n_docs: int) -> None:
+        """One update with the mean of the `n_docs` documents added since the last."""
+        rows = {name: np.unique(np.concatenate(ids)) for name, ids in self._row_ids.items()}
+        self._row_ids.clear()
+        inv = 1.0 / n_docs
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        rows = rows or {}
-        for name, table in tensors.items():
+        for name, table in self.tensors.items():
+            batch_rows = rows.get(name, slice(None))
+            self.grad[name][batch_rows] *= inv
             sel = self._select(name, len(table), rows.get(name))
             # views for slice(None), so the update runs in place; copies for live rows
-            p, g, m, v = table[sel], grads[name][sel], self.m[name][sel], self.v[name][sel]
+            p, g, m, v = table[sel], self.grad[name][sel], self.m[name][sel], self.v[name][sel]
             a, b = np.empty_like(p), np.empty_like(p)
             # m = beta1*m + (1-beta1)*g
             np.multiply(m, self.beta1, out=m)
@@ -228,57 +250,10 @@ class Adam:
             np.subtract(p, a, out=p)
             if not isinstance(sel, slice):
                 table[sel], self.m[name][sel], self.v[name][sel] = p, m, v
+            self.grad[name][batch_rows] = 0.0
 
 
-class BatchGradients:
-    """Gradient sums over one batch, in buffers allocated once per run.
-
-    Dense gradients are added whole. Row-sparse ones (RowGrad) are
-    scatter-added; the batch's distinct rows are found once (`rows`), and
-    scaling, clearing and the optimizer touch only those, so every other
-    row stays +0.0 without being visited. Gradients of tensors it does not
-    hold, such as the frozen S of a uniform-attention run, are dropped.
-    """
-
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.sums = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self._row_ids: dict[str, list[np.ndarray]] = {}
-        self._rows: dict[str, np.ndarray] | None = None
-
-    def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
-        self._rows = None
-        for name, g in grads.items():
-            if name not in self.sums:
-                continue
-            if isinstance(g, RowGrad):
-                g.add_to(self.sums[name])
-                self._row_ids.setdefault(name, []).append(g.ids)
-            else:
-                self.sums[name] += g
-
-    def rows(self) -> dict[str, np.ndarray]:
-        """Each row-sparse sum's sorted distinct rows in this batch."""
-        if self._rows is None:
-            self._rows = {name: np.unique(np.concatenate(ids)) for name, ids in self._row_ids.items()}
-        return self._rows
-
-    def mean(self, n_docs: int) -> dict[str, np.ndarray]:
-        """Scale the sums to the batch mean in place and return them."""
-        inv = 1.0 / n_docs
-        rows = self.rows()
-        for name, total in self.sums.items():
-            total[rows.get(name, slice(None))] *= inv
-        return self.sums
-
-    def clear(self) -> None:
-        rows = self.rows()
-        for name, total in self.sums.items():
-            total[rows.get(name, slice(None))] = 0.0
-        self._row_ids.clear()
-        self._rows = None
-
-
-def document_text(record: PatentRecord, use_description: bool = False) -> str:
+def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_description) -> str:
     """Model input text: title + ". " + abstract, description only when asked."""
     parts = [record.title, record.abstract]
     if use_description:
@@ -292,7 +267,7 @@ def prepare_documents(
     k_max: int,
     t_max: int,
     v_buckets: int,
-    use_description: bool = False,
+    use_description: bool = TrainConfig.use_description,
     require_labels: bool = True,
 ) -> tuple[list[PreparedDoc], int]:
     """Segment + tokenize records; returns (docs, dropped-for-no-label count)."""
@@ -340,9 +315,8 @@ def train(
     records, load_report = load_corpus(corpus_path)
     if not records:
         raise EmptySplit("corpus holds no usable records")
-    split = split_dataset((r.id for r in records), config.seed)
-    train_records = [r for r in records if r.id in split.train]
-    val_records = [r for r in records if r.id in split.validation]
+    train_records = split_records(records, config.seed, "train")
+    val_records = split_records(records, config.seed, "validation")
     if not train_records:
         raise EmptySplit("training split is empty")
     vocab = corpus_mod.build_vocabulary(train_records, config.dims.c)
@@ -366,7 +340,6 @@ def train(
         head_params.S.fill(0.0)
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
-    batch_grads = BatchGradients(tensors)
 
     stopper = EarlyStopper(config.patience)
     best_snapshot = None
@@ -382,12 +355,11 @@ def train(
                 cache, enc_cache = _forward(enc_params, head_params, doc)
                 batch_loss += bce_loss(cache.logits, doc.target)
                 head_grads, dD = head_backward(head_params, cache, doc.target)
-                batch_grads.add(encoder_backward(enc_params, enc_cache, dD))
-                batch_grads.add(head_grads)
+                optimizer.add(encoder_backward(enc_params, enc_cache, dD))
+                optimizer.add(head_grads)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
-            optimizer.step(tensors, batch_grads.mean(len(batch)), batch_grads.rows())
-            batch_grads.clear()
+            optimizer.step(len(batch))
             loss_sum += batch_loss
         val_counts = _confusion(enc_params, head_params, val_docs, dims.c)
         val_micro = micro_scores(val_counts)[2]
@@ -413,7 +385,7 @@ def train(
 
     enc_best, head_best = best_snapshot
     ckpt = Checkpoint(
-        dims=dims, kind=config.encoder, vocab=vocab,
+        dims=dims, vocab=vocab,
         encoder_params=enc_best, head_params=head_best,
         meta=TrainMeta(epochs_run=len(epochs), best_val_micro_f1=stopper.best, seed=config.seed),
     )
@@ -422,7 +394,7 @@ def train(
         epochs=epochs,
         load_report=load_report,
         split_sizes={"train": len(train_records), "validation": len(val_records),
-                     "test": sum(1 for r in records if r.id in split.test)},
+                     "test": len(split_records(records, config.seed, "test"))},
         dropped={"train": dropped_train, "validation": dropped_val},
     )
 
@@ -433,14 +405,13 @@ def evaluate(
     split_name: str = "test",
     seed: int = TrainConfig.seed,
     k_max: int = TrainConfig.k_max,
-    use_description: bool = False,
+    use_description: bool = TrainConfig.use_description,
 ) -> dict:
     """Forward + threshold-0.5 predict over one split, with the checkpoint's vocabulary."""
     records, load_report = load_corpus(corpus_path)
     if not records:
         raise EmptySplit("corpus holds no usable records")
-    part = split_dataset((r.id for r in records), seed).part(split_name)
-    selected = [r for r in records if r.id in part]
+    selected = split_records(records, seed, split_name)
     if not selected:
         raise EmptySplit(f"split {split_name!r} is empty")
     docs, dropped = prepare_documents(
@@ -459,7 +430,7 @@ def predict_records(
     k_max: int = TrainConfig.k_max,
     threshold: float = 0.5,
     with_attention: bool = False,
-    use_description: bool = False,
+    use_description: bool = TrainConfig.use_description,
 ) -> list[dict]:
     """Score records against the checkpoint; labels in the input are ignored."""
     docs, _ = prepare_documents(
@@ -502,6 +473,10 @@ def grad_check(
     +-0.05 to +-0.5: at the init, the minitransformer's query-path term of
     dX is too small for the check to see.
     """
+    if not eps > 0:  # NaN too
+        raise ValueError("eps must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     dims = dims or ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=5)
     rng = np.random.default_rng(seed)
     enc_params = init_encoder(kind, dims, rng, dtype=np.float64)
@@ -519,9 +494,11 @@ def grad_check(
         tensor *= 10.0
     cache, enc_cache = _forward(enc_params, head_params, doc)
     head_grads, dD = head_backward(head_params, cache, targets)
-    analytic = BatchGradients(tensors)  # scatters the row-sparse E gradient into a dense table
-    analytic.add(encoder_backward(enc_params, enc_cache, dD))
-    analytic.add(head_grads)
+    analytic = {**encoder_backward(enc_params, enc_cache, dD), **head_grads}
+    for name, g in analytic.items():
+        if isinstance(g, RowGrad):  # scatter the row-sparse E gradient into a dense table
+            analytic[name] = np.zeros_like(tensors[name])
+            g.add_to(analytic[name])
 
     def loss() -> float:
         c, _ = _forward(enc_params, head_params, doc)
@@ -539,7 +516,7 @@ def grad_check(
             loss_minus = loss()
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)
-            rel = abs(analytic.sums[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
+            rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
             n_checked += 1
             if rel > worst[1]:
                 worst = (f"{name}[{i}]", rel)

@@ -95,6 +95,27 @@ class TestExitCodes:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{model}", "{corpus}", "--k-max", "0"],
+        ["predict", "{model}", "{corpus}", "--k-max", "-3"],
+        ["segment", "--k-max", "0"],
+        ["build-vocab", "{corpus}", "--top-c", "0"],
+        ["stats", "{corpus}", "--top-c", "-1"],
+        ["gradcheck", "--eps", "0"],
+        ["gradcheck", "--seed", "-1"],
+        ["train", "{corpus}", "{out}", "--seed", "-1"],
+    ], ids=lambda argv: " ".join(arg for arg in argv if "{" not in arg))
+    def test_out_of_range_value_is_usage_error(self, capsys, monkeypatch, trained, corpus, tmp_path, argv):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("One thing. Another thing."))
+        names = {"model": trained[0], "corpus": corpus, "out": tmp_path / "m.satn"}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_undecodable_config_is_usage_error(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"seed = 1 # caf\xe9\n")

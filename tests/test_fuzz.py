@@ -31,7 +31,7 @@ VALID_CORPUS = ("\n".join([
 def valid_checkpoint_bytes() -> bytes:
     dims = ModelDims(h=2, c=2, v_buckets=4, t_max=3, f=2)
     rng = np.random.default_rng(0)
-    ckpt = Checkpoint(dims=dims, kind=MEANPOOL, vocab=LabelVocabulary(codes=["A01B", "G06N"]),
+    ckpt = Checkpoint(dims=dims, vocab=LabelVocabulary(codes=["A01B", "G06N"]),
                       encoder_params=init_encoder(MEANPOOL, dims, rng),
                       head_params=init_head(dims.c, dims.h, rng))
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import struct
 import tracemalloc
+import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -35,7 +37,6 @@ from sentattn.synth import make_needle_corpus, needle_config, write_jsonl
 from sentattn.trainer import (
     UNIFORM,
     Adam,
-    BatchGradients,
     DimsMismatch,
     EarlyStopper,
     EmptySplit,
@@ -72,6 +73,10 @@ class TestTrainConfig:
             tiny_config(stop_at_train_f1=1.0)
         assert tiny_config(stop_at_train_f1=1.0, log_train_f1=True).stop_at_train_f1 == 1.0
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            tiny_config(seed=-1)
+
 
 class TestEarlyStopper:
     def test_peak_at_three_with_patience_two(self):
@@ -97,7 +102,10 @@ class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         p = np.array([1.0], dtype=np.float32)
         opt = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        opt.step({"p": p}, {"p": np.array([4.0], dtype=np.float32)})
+        # a gradient of a tensor the optimizer does not hold (a frozen S) is dropped
+        opt.add({"p": np.array([4.0], dtype=np.float32), "S": np.array([1.0], dtype=np.float32)})
+        assert set(opt.grad) == {"p"}
+        opt.step(1)
         # bias-corrected m_hat/sqrt(v_hat) == g/|g| on step 1
         assert p[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -105,7 +113,8 @@ class TestAdam:
         p = np.array([3.0], dtype=np.float64)
         opt = Adam({"p": p}, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
         for _ in range(400):
-            opt.step({"p": p}, {"p": 2 * p.copy()})
+            opt.add({"p": 2 * p.copy()})
+            opt.step(1)
         assert abs(p[0]) < 1e-2
 
 
@@ -122,7 +131,8 @@ class TestAdam:
         for t in range(1, 6):
             grads = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
             grads["E"][::3] = 0.0  # rows a batch did not touch
-            opt.step(params, grads)
+            opt.add(grads)
+            opt.step(1)
             for n, g in grads.items():
                 m[n] = beta1 * m[n] + (1.0 - beta1) * g
                 v[n] = beta2 * v[n] + (1.0 - beta2) * g * g
@@ -169,7 +179,8 @@ class TestAdam:
             grads = {n: np.zeros_like(p) for n, p in params.items()}
             grads["E"][ids] = rng.normal(size=(len(ids), width)).astype(np.float32)
             grads["q"][:] = rng.normal(size=width).astype(np.float32)
-            opt.step(params, grads, {"E": ids})
+            opt.add({"E": RowGrad(ids=ids, rows=grads["E"][ids]), "q": grads["q"]})
+            opt.step(1)
             for n, g in grads.items():
                 expected[n] = self.textbook(*expected[n], g, t, lr, beta1, beta2, eps)
             for n in params:
@@ -186,7 +197,8 @@ class TestAdam:
         for t, ids in enumerate([np.array([2]), np.array([0, 3]), np.array([1])], start=1):
             g = np.zeros_like(params["E"])
             g[ids] = rng.normal(size=(len(ids), 3)).astype(np.float32)
-            opt.step(params, {"E": g}, {"E": ids})
+            opt.add({"E": RowGrad(ids=ids, rows=g[ids])})
+            opt.step(1)
             expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
         assert opt._live["E"] == slice(None)
         assert params["E"].tobytes() == expected[0].tobytes()
@@ -194,25 +206,27 @@ class TestAdam:
         assert opt.v["E"].tobytes() == expected[2].tobytes()
 
     def test_memory_of_a_sparse_step_stays_far_below_the_table(self):
-        # Beyond m and v, whose never-written rows the OS never maps (but
-        # tracemalloc counts in full), building the optimizer and stepping
-        # 200 live E rows must not allocate anything near a full-size table.
+        # Beyond the gradient sums, m and v, whose never-written rows the OS
+        # never maps (but tracemalloc counts in full), building the optimizer
+        # and stepping 200 live E rows must not allocate anything near a
+        # full-size table.
         rng = np.random.default_rng(0)
         dims = ModelDims()
         tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
                        + init_head(dims.c, dims.h, rng).named_tensors())
         grads = {n: np.zeros_like(p) for n, p in tensors.items()}
         ids = np.sort(rng.choice(dims.v_buckets, size=200, replace=False)) + 4
-        grads["E"][ids] = rng.normal(size=(200, dims.h)).astype(np.float32)
+        grads["E"] = RowGrad(ids=ids, rows=rng.normal(size=(200, dims.h)).astype(np.float32))
         tracemalloc.start()
         try:
             opt = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
-            opt.step(tensors, grads, {"E": ids})
+            opt.add(grads)
+            opt.step(1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        moments = sum(t.nbytes for t in opt.m.values()) + sum(t.nbytes for t in opt.v.values())
-        assert peak - moments < tensors["E"].nbytes / 8, peak - moments
+        full_size = sum(t.nbytes for state in (opt.grad, opt.m, opt.v) for t in state.values())
+        assert peak - full_size < tensors["E"].nbytes / 8, peak - full_size
 
 
 def _document_grads(seed: int, dims: ModelDims, n_docs: int):
@@ -232,10 +246,11 @@ def _document_grads(seed: int, dims: ModelDims, n_docs: int):
     return tensors, docs
 
 
-class TestBatchGradients:
+class TestAdamBatch:
     DIMS = ModelDims(h=5, c=3, v_buckets=60, t_max=7, f=2)
+    LR, BETA1, BETA2, EPS = 1e-2, 0.9, 0.999, 1e-8
 
-    def dense_mean(self, tensors, docs):
+    def dense_sum(self, tensors, docs):
         """The per-batch sum as it was built before: full-size zeros plus each dense gradient."""
         totals = {n: np.zeros_like(p) for n, p in tensors.items()}
         for grads in docs:
@@ -245,55 +260,61 @@ class TestBatchGradients:
                     g.add_to(full)
                     g = full
                 totals[n] += g
-        for n in totals:
-            totals[n] *= 1.0 / len(docs)
         return totals
+
+    def adam(self, tensors):
+        return Adam(tensors, self.LR, self.BETA1, self.BETA2, self.EPS)
 
     def test_scatter_add_equals_dense_sum_bit_for_bit(self):
         tensors, docs = _document_grads(5, self.DIMS, n_docs=4)
-        acc = BatchGradients(tensors)
+        opt = self.adam(tensors)
         for grads in docs:
-            acc.add(grads)
-        got = acc.mean(len(docs))
-        expected = self.dense_mean(tensors, docs)
+            opt.add(grads)
+        expected = self.dense_sum(tensors, docs)
         for n in tensors:
-            assert got[n].tobytes() == expected[n].tobytes(), n
+            assert opt.grad[n].tobytes() == expected[n].tobytes(), n
         used = np.unique(np.concatenate([g["E"].ids for g in docs]))
         untouched = np.setdiff1d(np.arange(tensors["E"].shape[0]), used)
         assert len(untouched) > 0
-        assert not got["E"][untouched].any()
-        assert not np.signbit(got["E"][untouched]).any()  # +0.0, never -0.0
+        assert not opt.grad["E"][untouched].any()
+        assert not np.signbit(opt.grad["E"][untouched]).any()  # +0.0, never -0.0
 
-    def test_clear_restores_positive_zero_and_the_buffers_are_reused(self):
+    def test_step_clears_to_positive_zero_and_the_buffers_are_reused(self):
+        # Each step applies the textbook update to the batch mean, then leaves
+        # every sum at +0.0 in the buffer it started in.
         tensors, docs = _document_grads(6, self.DIMS, n_docs=6)
-        acc = BatchGradients(tensors)
-        buffers = dict(acc.sums)
-        for batch in (docs[:3], docs[3:]):
+        opt = self.adam(tensors)
+        buffers = dict(opt.grad)
+        expected = {n: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for n, p in tensors.items()}
+        for t, batch in enumerate((docs[:3], docs[3:]), start=1):
             for grads in batch:
-                acc.add(grads)
-            got = acc.mean(len(batch))
-            expected = self.dense_mean(tensors, batch)
-            for n in tensors:
-                assert got[n].tobytes() == expected[n].tobytes(), n
-                assert got[n] is buffers[n]
-            acc.clear()
-            for n, total in acc.sums.items():
+                opt.add(grads)
+            mean = self.dense_sum(tensors, batch)
+            for n in mean:
+                mean[n] *= 1.0 / len(batch)
+                expected[n] = TestAdam.textbook(*expected[n], mean[n], t,
+                                                self.LR, self.BETA1, self.BETA2, self.EPS)
+            opt.step(len(batch))
+            assert not opt._row_ids
+            for n, total in opt.grad.items():
+                assert tensors[n].tobytes() == expected[n][0].tobytes(), (t, n)
+                assert total is buffers[n]
                 assert not total.any() and not np.signbit(total).any(), n
 
     def test_distinct_rows_are_found_once_per_batch(self, monkeypatch):
         tensors, docs = _document_grads(7, self.DIMS, n_docs=3)
-        acc = BatchGradients(tensors)
+        opt = self.adam(tensors)
         for grads in docs:
-            acc.add(grads)
+            opt.add(grads)
         calls = []
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-        acc.mean(len(docs))
-        rows = acc.rows()
-        acc.clear()
+        opt.step(len(docs))
         assert len(calls) == 1
-        assert rows["E"].tolist() == sorted(set(np.concatenate([g["E"].ids for g in docs]).tolist()))
-        assert not acc.sums["E"].any()
+        # on the first step the live rows are this batch's distinct rows
+        ids = np.concatenate([g["E"].ids for g in docs])
+        assert opt._live["E"].tolist() == sorted(set(ids.tolist()))
+        assert not opt.grad["E"].any()
 
     def test_memory_of_one_document_stays_far_below_the_table(self):
         # At the default dims, one document's backward plus its accumulation
@@ -301,14 +322,14 @@ class TestBatchGradients:
         dims = ModelDims()
         rng = np.random.default_rng(0)
         params = init_encoder(MEANPOOL, dims, rng)
-        acc = BatchGradients(dict(params.named_tensors()))
+        opt = self.adam(dict(params.named_tensors()))
         sentences = [np.concatenate([[1], rng.integers(4, 4 + dims.v_buckets, size=m - 2), [2]])
                      for m in rng.integers(3, dims.t_max + 1, size=32)]
         D, cache = encode_document(sentences, params)
         dD = rng.normal(size=D.shape).astype(np.float32)
         tracemalloc.start()
         try:
-            acc.add(encoder_backward(params, cache, dD))
+            opt.add(encoder_backward(params, cache, dD))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -508,7 +529,7 @@ def fresh_checkpoint(kind=MEANPOOL, seed=0):
     dims = ModelDims(h=4, c=3, v_buckets=16, t_max=6, f=5)
     rng = np.random.default_rng(seed)
     return Checkpoint(
-        dims=dims, kind=kind,
+        dims=dims,
         vocab=LabelVocabulary(codes=["A01B", "G06N", "H04L"]),
         encoder_params=init_encoder(kind, dims, rng),
         head_params=init_head(dims.c, dims.h, rng),
@@ -615,6 +636,26 @@ class TestCheckpointFile:
         assert path.read_bytes() != old
         assert [p.name for p in tmp_path.iterdir()] == ["m.satn"]
 
+    def test_label_count_other_than_c_is_refused(self, tmp_path):
+        dims = ModelDims(h=4, c=2, v_buckets=16, t_max=6, f=5)
+        rng = np.random.default_rng(0)
+        ckpt = Checkpoint(dims=dims, vocab=LabelVocabulary(codes=["A01B", "G06N"]),
+                          encoder_params=init_encoder(MEANPOOL, dims, rng),
+                          head_params=init_head(dims.c, dims.h, rng))
+        path = tmp_path / "m.satn"
+        for codes in (["A01B"], ["A01B", "G06N", "H04L"]):
+            with pytest.raises(CheckpointError, match=f"{len(codes)} label codes for c = 2"):
+                save_checkpoint(replace(ckpt, vocab=LabelVocabulary(codes=codes)), path)
+            assert not path.exists()
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        # by hand: the code count (offset 29) raised to 3, a third code after
+        # the two (which end at offset 45), and a valid CRC
+        body = blob[:29] + struct.pack("<I", 3) + blob[33:45] + struct.pack("<H", 4) + b"H04L" + blob[45:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="3 label codes for c = 2"):
+            load_checkpoint(path)
+
     def test_truncated_mid_tensor(self, tmp_path):
         path = tmp_path / "m.satn"
         save_checkpoint(fresh_checkpoint(), path)
@@ -650,6 +691,15 @@ class TestCheckpointFile:
 
 
 class TestGradCheck:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(eps=0.0), "eps must be positive"), (dict(eps=-1e-3), "eps must be positive"),
+        (dict(eps=float("nan")), "eps must be positive"),
+        (dict(seed=-1), "seed must be non-negative"),
+    ])
+    def test_out_of_range_arguments_are_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            grad_check(**kwargs)
+
     def test_meanpool_tight(self):
         assert grad_check(kind=MEANPOOL, seed=1, eps=1e-3).max_rel_error < 1e-4
 
