@@ -6,6 +6,7 @@ Usage: python scripts/gradcheck_sweep.py [--instances N] [--eps EPS]
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -26,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
         worst = ("", -1.0)
         for seed in range(args.instances):
             report = grad_check(kind=kind, seed=seed, eps=args.eps, dims=dims, k=4)
-            if report.max_rel_error > worst[1]:
+            if not report.max_rel_error <= worst[1] and not math.isnan(worst[1]):  # NaN is the worst
                 worst = (report.worst_param, report.max_rel_error)
             print(f"{kind:16s} seed {seed:3d}: max rel error {report.max_rel_error:.3e} "
                   f"({report.worst_param})", file=sys.stderr)

@@ -20,6 +20,7 @@ from .corpus import (
 from .encoder import (
     MEANPOOL,
     MINITRANSFORMER,
+    DocLayout,
     ModelDims,
     RowGrad,
     encode_document,
@@ -45,7 +46,7 @@ from .trainer import TrainConfig, evaluate, grad_check, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Checkpoint", "ConfusionCounts", "DatasetSplit", "HeadParams",
+    "Checkpoint", "ConfusionCounts", "DatasetSplit", "DocLayout", "HeadParams",
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
     "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
     "attention_forward", "bce_loss", "build_vocabulary", "encode_document",

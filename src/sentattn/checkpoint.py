@@ -148,7 +148,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     The layout is walked as raw bytes first; the length and the CRC are
     checked before any code is decoded or any array is built.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise BadMagic(f"{path} is not a checkpoint file")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,7 @@ from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_records
 from .encoder import (
     ENCODER_KINDS,
     MEANPOOL,
+    DocLayout,
     EncoderParams,
     ModelDims,
     RowGrad,
@@ -121,6 +123,11 @@ class PreparedDoc:
     id: str
     sentences: list[np.ndarray]
     target: np.ndarray | None
+
+    @cached_property
+    def layout(self) -> DocLayout:
+        """The encoders' token layout, built on the first encode and kept for every later one."""
+        return DocLayout(self.sentences)
 
 
 class EarlyStopper:
@@ -289,7 +296,7 @@ def prepare_documents(
 
 
 def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc):
-    D, enc_cache = encode_document(doc.sentences, enc_params)
+    D, enc_cache = encode_document(doc.layout, enc_params)
     return head_forward(D, head_params), enc_cache
 
 
@@ -518,6 +525,6 @@ def grad_check(
             fd = (loss_plus - loss_minus) / (2.0 * eps)
             rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
             n_checked += 1
-            if rel > worst[1]:
+            if not rel <= worst[1] and not math.isnan(worst[1]):  # the first NaN is the worst error
                 worst = (f"{name}[{i}]", rel)
     return GradCheckReport(kind=kind, max_rel_error=worst[1], worst_param=worst[0], n_checked=n_checked)

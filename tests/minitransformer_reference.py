@@ -83,4 +83,4 @@ def encoder_backward(params: MiniTransformerParams, caches: list[MiniTransformer
     grads = {name: np.zeros_like(t) for name, t in params.named_tensors() if name != "E"}
     token_rows = [_minitransformer_backward(params, c, dD[:, j], grads) for j, c in enumerate(caches)]
     ids = np.concatenate([c.ids for c in caches])
-    return {"E": RowGrad.from_tokens(ids, np.concatenate(token_rows)), **grads}
+    return {"E": RowGrad.from_slots(*np.unique(ids, return_inverse=True), np.concatenate(token_rows)), **grads}

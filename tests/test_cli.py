@@ -79,6 +79,16 @@ class TestExitCodes:
         assert code == 2
         assert "FileUnreadable" in err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing file", "directory"])
+    def test_unreadable_model_is_data_error(self, capsys, corpus, tmp_path, command, missing):
+        model = tmp_path / "nomodel" if missing else tmp_path
+        code, out, err = run(capsys, command, str(model), str(corpus))
+        assert code == 2
+        assert out == ""
+        assert f"CheckpointError: cannot read {model}" in err
+        assert "Traceback" not in err
+
     def test_unparseable_labels_is_two(self, capsys, tmp_path):
         lines = [record_line(f"p{i}", ["bogus"]) for i in range(40)]
         path = write_corpus(tmp_path / "bad.jsonl", lines)

@@ -14,6 +14,7 @@ from sentattn.encoder import (
     MEANPOOL,
     MINITRANSFORMER,
     CacheMismatch,
+    DocLayout,
     MeanPoolParams,
     ModelDims,
     RowGrad,
@@ -237,13 +238,13 @@ class TestBackward:
 
 
 class TestRowGrad:
-    def test_from_tokens_matches_dense_add_at_bit_for_bit(self):
+    def test_from_slots_matches_dense_add_at_bit_for_bit(self):
         rng = np.random.default_rng(11)
         ids = rng.integers(0, 40, size=300)  # many repeats
         token_rows = rng.normal(size=(300, 6)).astype(np.float32)
         expected = np.zeros((50, 6), dtype=np.float32)
         np.add.at(expected, ids, token_rows)
-        grad = RowGrad.from_tokens(ids, token_rows)
+        grad = RowGrad.from_slots(*np.unique(ids, return_inverse=True), token_rows)
         assert grad.ids.tolist() == sorted(set(ids.tolist()))
         assert dense(grad, expected).tobytes() == expected.tobytes()
 
@@ -275,6 +276,20 @@ def _fixed_document(kind, lens, repeat):
     params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), seed)
     sentences = [np.array([4] * m if repeat else [1, *range(4, 4 + m - 2), 2], dtype=np.int64) for m in lens]
     return params, sentences, np.random.default_rng(seed).normal(size=(3, len(lens)))
+
+
+def _distinct_document(kind, k=128):
+    """k sentences of t_max = 8 tokens whose interior ids are all distinct across the document."""
+    params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=6 * k, t_max=8, f=2), seed=k)
+    sentences = [np.array([1, *interior, 2], dtype=np.int64) for interior in np.arange(4, 4 + 6 * k).reshape(k, 6)]
+    return params, sentences, np.random.default_rng(k).normal(size=(3, k))
+
+
+def _one_interior_id(kind, lens=(3, 8, 5, 8, 4)):
+    """Every interior token of the document is id 4, between CLS and SEP."""
+    params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), seed=len(lens))
+    sentences = [np.array([1, *[4] * (m - 2), 2], dtype=np.int64) for m in lens]
+    return params, sentences, np.random.default_rng(len(lens)).normal(size=(3, len(lens)))
 
 
 def _scores_far_apart():
@@ -322,6 +337,8 @@ class TestMeanPoolMatchesReference:
     @example(_fixed_document(MEANPOOL, [8], repeat=True))           # k = 1, t_max tokens, one id
     @example(_fixed_document(MEANPOOL, [3, 8, 3, 8], repeat=False))  # both extremes, shared ids
     @example(_fixed_document(MEANPOOL, [3, 8, 5], repeat=True))
+    @example(_distinct_document(MEANPOOL))  # k = 128 at t_max, every interior id distinct
+    @example(_one_interior_id(MEANPOOL))
     def test_forward_and_every_gradient(self, case):
         assert_matches_reference(*case, tol=self.TOL)
 
@@ -338,6 +355,8 @@ class TestMiniTransformerMatchesReference:
     @example(_fixed_document(MINITRANSFORMER, [8], repeat=True))           # k = 1, t_max tokens, one id
     @example(_fixed_document(MINITRANSFORMER, [3, 8, 3, 8], repeat=False))  # both extremes, shared ids
     @example(_fixed_document(MINITRANSFORMER, [3, 8, 5], repeat=True))
+    @example(_distinct_document(MINITRANSFORMER))  # k = 128 at t_max, every interior id distinct
+    @example(_one_interior_id(MINITRANSFORMER))
     @example(_scores_far_apart())
     def test_forward_and_every_gradient(self, case):
         assert_matches_reference(*case, tol=self.TOL)
@@ -412,3 +431,43 @@ class TestShapeValidation:
         params = init_encoder(kind, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             encode_document([seq(1, 4, 2), seq(1, -3, 2)], params)
+
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    def test_a_layout_is_checked_against_the_params_of_every_encode(self, kind):
+        # the layout is built once and kept, so the checks run per call, not per build
+        rng = np.random.default_rng(0)
+        layout = DocLayout([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
+        encode_document(layout, init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=64, f=4), rng))
+        short = init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=12, f=4), rng)
+        with pytest.raises(ShapeMismatch, match=r"token count 32 outside \[3, 12\]"):
+            encode_document(layout, short)
+        narrow = init_encoder(kind, ModelDims(h=4, c=2, v_buckets=16, t_max=64, f=4), rng)  # 20 rows
+        with pytest.raises(ShapeMismatch, match="token id outside embedding table"):
+            encode_document(layout, narrow)
+
+
+class TestDocLayout:
+    def test_cells_are_slot_in_the_sorted_distinct_ids_times_k_plus_sentence(self):
+        sentences = [seq(1, 9, 5, 2), seq(1, 5, 5, 7, 2), seq(1, 9, 2)]
+        layout = DocLayout(sentences)
+        assert len(layout) == 3
+        assert layout.lens.tolist() == [4, 5, 3]
+        assert layout.distinct.tolist() == [1, 2, 5, 7, 9]
+        slot, sent = np.divmod(layout.cell, 3)
+        assert layout.distinct[slot].tolist() == np.concatenate(sentences).tolist()
+        assert sent.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
+
+    # every sentence holds CLS and SEP, so from two sentences on the distinct ids
+    # and sentence lengths together number no more than the tokens
+    @pytest.mark.parametrize("k, t_max, distinct", [(2, 3, True), (32, 12, False), (128, 64, True)])
+    def test_no_larger_than_the_sentence_list(self, k, t_max, distinct):
+        rng = np.random.default_rng(k)
+        ids = rng.permutation(k * t_max) + 4 if distinct else rng.integers(4, 64, size=k * t_max)
+        sentences = [np.array([1, *row, 2], dtype=np.int64) for row in ids.reshape(k, t_max)[:, : t_max - 2]]
+        layout = DocLayout(sentences)
+        cached = layout.lens.nbytes + layout.distinct.nbytes + layout.cell.nbytes
+        assert cached <= sum(s.nbytes for s in sentences)
+
+    def test_ids_beyond_the_index_type_are_refused(self):
+        with pytest.raises(ShapeMismatch, match="token id outside embedding table"):
+            DocLayout([seq(1, 2**31, 2)])

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -28,3 +30,32 @@ def test_gradcheck_sweep_checks_both_encoder_kinds(capsys):
     assert code == 0
     assert [row["encoder"] for row in summary["results"]] == ["meanpool", "minitransformer"]
     assert all(row["instances"] == 1 for row in summary["results"])
+
+
+def test_gradcheck_sweep_reports_a_nan_instance_as_the_worst(capsys, monkeypatch):
+    sweep = load_script("gradcheck_sweep")
+    grad_check = sweep.grad_check
+
+    def nan_at_seed_zero(kind, seed, **kwargs):
+        report = grad_check(kind=kind, seed=seed, **kwargs)
+        return dataclasses.replace(report, max_rel_error=math.nan, worst_param="q[0]") if seed == 0 else report
+
+    monkeypatch.setattr(sweep, "grad_check", nan_at_seed_zero)
+    code = sweep.main(["--instances", "2"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1
+    for row in summary["results"]:
+        assert math.isnan(row["worst_rel_error"]) and row["worst_param"] == "q[0]"
+
+
+def test_encoder_bench_times_both_kinds_at_every_shape(capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    code = load_script("encoder_bench").main(["--tiny", "--repeats", "2", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert json.loads(out.read_text()) == report
+    assert list(report["shapes"]) == ["bench", "longdoc", "zipf-k128", "worst"]
+    for shape in report["shapes"].values():
+        assert shape["k"] == 3 and shape["layout_us"]["median"] > 0
+        for kind in ("meanpool", "minitransformer"):
+            assert 0 < shape[kind]["forward_us"]["median"] <= shape[kind]["total_us"]["q3"]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 import zlib
@@ -21,7 +22,7 @@ from sentattn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sentattn import encoder
+from sentattn import encoder, trainer
 from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus
 from sentattn.encoder import (
     MEANPOOL,
@@ -41,6 +42,7 @@ from sentattn.trainer import (
     EarlyStopper,
     EmptySplit,
     NonFiniteLoss,
+    PreparedDoc,
     TrainConfig,
     document_text,
     evaluate,
@@ -367,9 +369,11 @@ class TestTrain:
     # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
     # Adam still stepped every row: stepping only live rows changes no bit.
     # The minitransformer digest was re-recorded when it became CLS-query
-    # attention over the whole document, which sums in another order.
+    # attention over the whole document, and the meanpool digest when its
+    # sentence means became matmuls over the count matrix; both sum in
+    # another order.
     PINNED = {
-        MEANPOOL: "80345b83facaaa521e9d99970c0e8309c2e3276b3849871ceb0cb2e09aa81855",
+        MEANPOOL: "fae5ff3338520e0382c032d438a9e15980e1ebc058d29c41352d4ff136f5c795",
         MINITRANSFORMER: "7e6cc77e3a1cd5c320a16716ee84b174e4a957f7ed4ddd1626a79dbfed3b4a61",
     }
 
@@ -381,9 +385,10 @@ class TestTrain:
         assert hashlib.sha256(blob).hexdigest() == self.PINNED[kind]
 
     # The same runs with uniform attention, over every tensor but S, recorded
-    # when uniform attention was a separate head path that froze alpha at 1/k.
+    # when uniform attention was a separate head path that froze alpha at 1/k;
+    # the meanpool digest re-recorded with the count-matrix means.
     PINNED_UNIFORM = {
-        MEANPOOL: "b32d50ed11c06789d19137608218d054b4218d0c988735662c6198e54c97569d",
+        MEANPOOL: "61c0db6fee06fe5b726e04434f5957e4e9a270b528794781837175cb0767576b",
         MINITRANSFORMER: "d42c780dfda9b4acd8cc49eb0610ab3f0897fa74a3ee910f68cf12ec0f3baa0d",
     }
 
@@ -439,6 +444,40 @@ class TestTrain:
         path.write_text(json.dumps({"id": "r0", "title": "Text here.", "ipc_codes": ["G06N"]}))
         with pytest.raises(EmptySplit):
             train(tiny_config(), path)
+
+    def test_one_layout_per_document_for_the_whole_run(self, tiny_corpus, monkeypatch):
+        built = []
+        build = encoder.DocLayout.__init__
+
+        def counting(layout, sentences):
+            built.append(len(sentences))
+            build(layout, sentences)
+
+        monkeypatch.setattr(encoder.DocLayout, "__init__", counting)
+        result = train(tiny_config(max_epochs=3, patience=3, log_train_f1=True), tiny_corpus)
+        assert len(result.epochs) == 3
+        sizes, dropped = result.split_sizes, result.dropped
+        docs = sizes["train"] - dropped["train"] + sizes["validation"] - dropped["validation"]
+        assert len(built) == docs
+
+    def test_forward_hands_encode_document_one_item_per_sentence(self, monkeypatch):
+        # the benchmark's tracer counts sentences as len() of this argument
+        seen = []
+        encode = trainer.encode_document
+
+        def spy(doc, params):
+            seen.append(len(doc))
+            return encode(doc, params)
+
+        monkeypatch.setattr(trainer, "encode_document", spy)
+        rng = np.random.default_rng(0)
+        enc_params = init_encoder(MEANPOOL, TINY_DIMS, rng)
+        head_params = init_head(TINY_DIMS.c, TINY_DIMS.h, rng)
+        sentences = [np.array([1, 5, 6, 2]), np.array([1, 7, 2]), np.array([1, 8, 9, 9, 2])]
+        doc = PreparedDoc(id="d", sentences=sentences, target=None)
+        for _ in range(2):
+            trainer._forward(enc_params, head_params, doc)
+        assert seen == [3, 3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_the_batch(self, tiny_corpus):
@@ -718,6 +757,20 @@ class TestGradCheck:
         dims = ModelDims(h=8, c=3, v_buckets=8, t_max=6, f=6)
         report = grad_check(kind=MINITRANSFORMER, seed=0, eps=1e-3, dims=dims, k=4)
         assert report.max_rel_error > 1e-4, report
+
+    @pytest.mark.parametrize("rows, named", [(slice(1, 2), "q[1]"), (slice(None), "q[0]")])
+    def test_a_nan_gradient_is_the_worst_error_and_named(self, monkeypatch, rows, named):
+        forward, backward = encoder._PASSES[MEANPOOL]
+
+        def nan_query_gradient(params, cache, dD):
+            grads = backward(params, cache, dD)
+            grads["q"][rows] = np.nan
+            return grads
+
+        monkeypatch.setitem(encoder._PASSES, MEANPOOL, (forward, nan_query_gradient))
+        report = grad_check(kind=MEANPOOL, seed=0)
+        assert math.isnan(report.max_rel_error)
+        assert report.worst_param == named
 
     def test_coarse_eps_degrades_without_crashing(self):
         fine = grad_check(kind=MEANPOOL, seed=2, eps=1e-3)
