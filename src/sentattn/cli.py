@@ -3,7 +3,8 @@
 Subcommands: build-vocab, split, stats, train, evaluate, predict,
 segment, gradcheck. Machine-readable JSON goes to standard output (or
 --out); progress text goes to standard error. Exit codes: 0 success,
-1 usage or config error, 2 data error, 3 numeric failure.
+1 usage or config error, 2 data error or an output that cannot be
+written, 3 numeric failure.
 
 The optional config file is line-oriented `key = value` with `#`
 comments; explicit flags override config-file values. A key that neither
@@ -312,11 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help lands here
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), getattr(args, "out", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, EmptySplit, DimsMismatch, EmptyText) as exc:
+    except (CorpusError, CheckpointError, EmptySplit, DimsMismatch, EmptyText, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteLoss as exc:
@@ -325,5 +326,4 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # an argument out of its range, such as --k-max 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, getattr(args, "out", None))
     return EXIT_OK

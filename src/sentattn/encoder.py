@@ -225,11 +225,6 @@ class EncoderCache:
     layout: DocLayout
     saved: tuple = ()
 
-    @property
-    def lens(self) -> np.ndarray:
-        """(k,) tokens per sentence."""
-        return self.layout.lens
-
 
 def _check_tokens(doc: DocLayout, params: EncoderParams) -> None:
     t_max = params.P.shape[0]

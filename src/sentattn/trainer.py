@@ -6,12 +6,8 @@ seeded epoch shuffles, sequential gradient accumulation in document order
 and 32-bit parameter arithmetic. Two runs with the same config produce
 byte-identical checkpoints and logs.
 
-One Adam object owns each batch: it sums the documents' gradients in
-buffers allocated once per run, then scales, steps and clears them. The
-embedding table's gradient arrives row-sparse and is scatter-added, so a
-batch costs work in proportion to the rows it used. Adam steps only the
-table's live rows, those that have ever had a gradient, which is exact;
-once so many rows are live that gathering them costs more, it steps the
+Adam steps only the embedding table's live rows, those that have ever had
+a gradient, which is exact; once gathering them costs more, it steps the
 whole table in place.
 
 Model selection is validation micro-F1; the best-epoch parameters are
@@ -165,26 +161,17 @@ _GATHER_COST_RATIO = 3.6
 class Adam:
     """Mini-batch adaptive moment estimation with bias correction, stepping only live rows.
 
-    One object owns a batch from its first gradient to its update. `add`
-    sums each document's gradients into buffers allocated once per run:
-    dense ones whole, row-sparse ones (RowGrad, the embedding table E's)
-    scatter-added, with their ids recorded. Gradients of tensors it does not
-    hold, such as the frozen S of a uniform-attention run, are dropped.
-    `step` finds the batch's distinct rows once, scales them to the batch
-    mean, updates, and clears them back to +0.0, so every other row of a sum
-    stays +0.0 without being visited.
-
-    The update is the textbook formula, one in-place operation at a time in
-    its order, written once and applied to a row selection. Dense tensors
-    are stepped whole (slice(None) gives in-place views). E is stepped only
-    on its live rows, the sorted rows that have had a gradient at some step
-    so far: they are gathered, updated and scattered back on every later
-    step, so their moments keep decaying. That is exact, not lazy: a row
-    whose gradient has been +0.0 since the start has m = v = +0.0, and the
-    formula leaves it unchanged bit for bit. Once 1/3.6 of its rows are
-    live, the tensor is stepped whole from then on. The sums, m and v are
-    full-size zero tables whose never-touched rows are never written;
-    scratch is the size of what a step updates.
+    `add` sums each document's gradients into buffers allocated once per
+    run: dense ones whole, row-sparse ones (RowGrad, the embedding table
+    E's) scatter-added, their rows marked live in one mask per tensor that
+    only grows. Gradients of tensors it does not hold, such as the frozen S
+    of a uniform-attention run, are dropped. `step` takes one selection per
+    tensor: its live rows, or the whole tensor if it is dense or gathering
+    costs more. It scales the selection to the batch mean, applies the
+    textbook update one in-place operation at a time, and clears it back to
+    +0.0. That is exact: a live row outside the batch sums +0.0, and a row
+    never live has m = v = +0.0, which the update leaves unchanged bit for
+    bit.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
@@ -197,8 +184,7 @@ class Adam:
         self.grad = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self._row_ids: dict[str, list[np.ndarray]] = {}
-        self._live: dict[str, np.ndarray | slice] = {}
+        self._live: dict[str, np.ndarray] = {}
 
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
         """Add one document's gradients to the batch sums."""
@@ -207,36 +193,26 @@ class Adam:
                 continue
             if isinstance(g, RowGrad):
                 g.add_to(self.grad[name])
-                self._row_ids.setdefault(name, []).append(g.ids)
+                live = self._live.get(name)
+                if live is None:
+                    live = self._live[name] = np.zeros(len(self.grad[name]), dtype=bool)
+                live[g.ids] = True
             else:
                 self.grad[name] += g
 
-    def _select(self, name: str, n_rows: int, rows: np.ndarray | None) -> np.ndarray | slice:
-        """The rows of one tensor to step: its live rows, or slice(None) for all."""
-        live = self._live.get(name)
-        if rows is None or isinstance(live, slice):
-            live = slice(None)
-        else:
-            live = rows if live is None else np.union1d(live, rows)
-            if len(live) * _GATHER_COST_RATIO >= n_rows:
-                live = slice(None)
-        self._live[name] = live
-        return live
-
     def step(self, n_docs: int) -> None:
         """One update with the mean of the `n_docs` documents added since the last."""
-        rows = {name: np.unique(np.concatenate(ids)) for name, ids in self._row_ids.items()}
-        self._row_ids.clear()
-        inv = 1.0 / n_docs
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, table in self.tensors.items():
-            batch_rows = rows.get(name, slice(None))
-            self.grad[name][batch_rows] *= inv
-            sel = self._select(name, len(table), rows.get(name))
+            live = self._live.get(name)
+            sel = slice(None)
+            if live is not None and np.count_nonzero(live) * _GATHER_COST_RATIO < len(table):
+                sel = np.flatnonzero(live)
             # views for slice(None), so the update runs in place; copies for live rows
             p, g, m, v = table[sel], self.grad[name][sel], self.m[name][sel], self.v[name][sel]
+            g *= 1.0 / n_docs
             a, b = np.empty_like(p), np.empty_like(p)
             # m = beta1*m + (1-beta1)*g
             np.multiply(m, self.beta1, out=m)
@@ -257,7 +233,7 @@ class Adam:
             np.subtract(p, a, out=p)
             if not isinstance(sel, slice):
                 table[sel], self.m[name][sel], self.v[name][sel] = p, m, v
-            self.grad[name][batch_rows] = 0.0
+            self.grad[name][sel] = 0.0
 
 
 def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_description) -> str:
@@ -440,6 +416,8 @@ def predict_records(
     use_description: bool = TrainConfig.use_description,
 ) -> list[dict]:
     """Score records against the checkpoint; labels in the input are ignored."""
+    if not 0.0 <= threshold <= 1.0:  # NaN too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     docs, _ = prepare_documents(
         records, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
         require_labels=False)

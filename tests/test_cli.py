@@ -108,6 +108,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],
         ["predict", "{model}", "{corpus}", "--k-max", "-3"],
+        ["predict", "{model}", "{corpus}", "--threshold", "nan"],
         ["segment", "--k-max", "0"],
         ["build-vocab", "{corpus}", "--top-c", "0"],
         ["stats", "{corpus}", "--top-c", "-1"],
@@ -284,6 +285,19 @@ class TestPipelineCommands:
         payload = json.loads(out)
         assert payload["max_rel_error"] < 1e-4
         assert payload["worst_param"]
+
+    @pytest.mark.parametrize("argv", [
+        ["split", "{corpus}", "--out", "{missing}/s.json"],
+        ["train", "{corpus}", "{missing}/m.satn", *TINY_TRAIN_FLAGS, "--max-epochs", "1", "--patience", "1"],
+        ["train", "{corpus}", "{model}", "--log-out", "{missing}/log.jsonl", *TINY_TRAIN_FLAGS],
+    ], ids=["--out", "MODEL_OUT", "--log-out"])
+    def test_unwritable_output_is_data_error(self, capsys, corpus, tmp_path, argv):
+        names = {"corpus": corpus, "missing": tmp_path / "missing", "model": tmp_path / "m.satn"}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert "error: FileNotFoundError: " in err
+        assert "Traceback" not in err
 
     def test_corrupt_checkpoint_is_data_error(self, trained, capsys, corpus, tmp_path):
         model, _ = trained

@@ -140,7 +140,7 @@ class TestEncodeDocument:
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 2), seq(1, 7, 2)]
         D, cache = encode_document(sentences, params)
         assert D.shape == (5, 3)
-        assert len(cache.lens) == 3
+        assert len(cache.layout) == 3
         for j, ids in enumerate(sentences):
             cls, _ = REFERENCES[kind].encode_sentence(ids, params)
             np.testing.assert_allclose(D[:, j], cls, rtol=0, atol=1e-12)
