@@ -6,7 +6,6 @@ D, attend over sentences per label, and score each label independently.
 """
 
 from .corpus import (
-    DatasetSplit,
     LabelVocabulary,
     MalformedIpc,
     PatentRecord,
@@ -15,7 +14,7 @@ from .corpus import (
     label_stats,
     load_corpus,
     parse_ipc,
-    split_dataset,
+    split_of,
 )
 from .encoder import (
     MEANPOOL,
@@ -46,7 +45,7 @@ from .trainer import TrainConfig, evaluate, grad_check, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Checkpoint", "ConfusionCounts", "DatasetSplit", "DocLayout", "HeadParams",
+    "Checkpoint", "ConfusionCounts", "DocLayout", "HeadParams",
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
     "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
     "attention_forward", "bce_loss", "build_vocabulary", "encode_document",
@@ -54,6 +53,6 @@ __all__ = [
     "head_backward", "head_forward", "init_encoder", "init_head",
     "label_stats", "load_checkpoint", "load_corpus", "macro_scores",
     "micro_scores", "parse_ipc", "pool_labels", "predict",
-    "save_checkpoint", "score", "segment", "split_dataset", "tokenize",
+    "save_checkpoint", "score", "segment", "split_of", "tokenize",
     "train",
 ]

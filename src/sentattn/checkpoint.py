@@ -90,6 +90,12 @@ def model_tensors(encoder_params: EncoderParams, head_params: HeadParams) -> lis
     return encoder_params.named_tensors() + head_params.named_tensors()
 
 
+def checkpoint_temp_path(path: str | Path) -> Path:
+    """The temp file that save_checkpoint writes beside `path` and renames over it."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the pinned byte layout, append the CRC-32 trailer, and
     replace the file at `path` atomically."""
@@ -113,8 +119,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     # Write a temp file beside the target and rename it over the target, so a
     # failed or interrupted write never truncates the previous checkpoint.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = checkpoint_temp_path(path)
     try:
         with tmp.open("wb") as fh:
             fh.write(blob)

@@ -23,8 +23,10 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import corpus as corpus_mod
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import CorpusError, build_vocabulary, label_stats, load_corpus, split_dataset, split_records
+from .checkpoint import CheckpointError, checkpoint_temp_path, load_checkpoint, save_checkpoint
+from .corpus import (
+    SPLIT_NAMES, CorpusError, EmptyInput, build_vocabulary, label_stats, load_corpus, split_records,
+)
 from .encoder import ENCODER_KINDS, ModelDims
 from .segmenter import EmptyText, segment
 from .trainer import (
@@ -151,7 +153,7 @@ def _add_keys(p: _Parser, *keys: str) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sentattn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    splits = ["train", "validation", "test", "all"]
+    splits = [*SPLIT_NAMES, "all"]
 
     p = sub.add_parser("build-vocab", help="build the top-C label vocabulary")
     p.add_argument("corpus")
@@ -229,9 +231,11 @@ def _cmd_build_vocab(args):
 
 def _cmd_split(args):
     records, _ = load_corpus(args.corpus)
-    split = split_dataset((r.id for r in records), _seed(args))
-    payload = {name: sorted(split.part(name)) for name in ("train", "validation", "test")}
-    payload["counts"] = {name: len(payload[name]) for name in ("train", "validation", "test")}
+    if not records:
+        raise EmptyInput("corpus holds no usable records")
+    seed = _seed(args)
+    payload = {name: sorted(r.id for r in split_records(records, seed, name)) for name in SPLIT_NAMES}
+    payload["counts"] = {name: len(payload[name]) for name in SPLIT_NAMES}
     return payload
 
 
@@ -247,6 +251,9 @@ def _cmd_train(args):
     r = _resolve(args, _TRAIN_KEYS + _DIMS_KEYS)
     dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
     config = TrainConfig(dims=dims, **r)
+    probe = checkpoint_temp_path(args.model_out)  # an unwritable MODEL_OUT fails now, not after training
+    probe.open("wb").close()
+    probe.unlink()
     log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()
     with log_file as log:
 

@@ -5,6 +5,9 @@ The corpus file format is JSON lines: one object per line with fields
 "ipc_codes" (required, list of raw code strings). Labels are IPC
 subclasses, i.e. the 4-character prefix like "B82Y"; anything after the
 subclass letter (main group / subgroup) is discarded.
+
+The train/validation/test split is one per-id rule, `split_of`, and every
+command selects its records through `split_records`, which filters with it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .hashing import stable_hash64
 
 IPC_SUBCLASS_RE = re.compile(r"^[A-H][0-9][0-9][A-Z]$")
+SPLIT_NAMES = ("train", "validation", "test")
 
 # load_corpus skip reasons, in report order
 SKIP_CORRUPT_LINE = "corrupt_line"
@@ -48,7 +52,7 @@ class NoLabels(CorpusError):
 
 
 class EmptyInput(CorpusError):
-    """Operation received an empty id set."""
+    """A corpus holds no usable record to work on."""
 
 
 @dataclass
@@ -112,22 +116,6 @@ class LabelVocabulary:
 
     def index(self, code: str) -> int | None:
         return self._index.get(code)
-
-
-@dataclass
-class DatasetSplit:
-    """Disjoint train/validation/test id sets."""
-
-    train: set[str]
-    validation: set[str]
-    test: set[str]
-
-    def part(self, name: str) -> set[str]:
-        if name == "all":
-            return self.train | self.validation | self.test
-        if name not in ("train", "validation", "test"):
-            raise ValueError(f"unknown split name: {name!r}")
-        return getattr(self, name)
 
 
 def parse_ipc(raw: str) -> str:
@@ -256,34 +244,26 @@ def encode_labels(record: PatentRecord, vocab: LabelVocabulary) -> np.ndarray | 
     return bits
 
 
-def split_dataset(ids: Iterable[str], seed: int) -> DatasetSplit:
-    """Deterministic 8:1:1 id-hash split, independent of input order.
+def split_of(seed: int, rid: str) -> str:
+    """The part of the seed's 8:1:1 id-hash split that holds `rid`.
 
-    bucket(id) = stable_hash64(seed, id) mod 10; buckets 0-7 go to train,
-    8 to validation, 9 to test.
+    bucket = stable_hash64(seed, rid) mod 10; buckets 0-7 go to "train",
+    8 to "validation", 9 to "test". The answer depends on the id alone,
+    never on the other ids or their order.
     """
-    split = DatasetSplit(train=set(), validation=set(), test=set())
-    n = 0
-    for rid in ids:
-        n += 1
-        bucket = stable_hash64(seed, rid) % 10
-        if bucket <= 7:
-            split.train.add(rid)
-        elif bucket == 8:
-            split.validation.add(rid)
-        else:
-            split.test.add(rid)
-    if n == 0:
-        raise EmptyInput("cannot split an empty id set")
-    return split
+    bucket = stable_hash64(seed, rid) % 10
+    return "train" if bucket <= 7 else "validation" if bucket == 8 else "test"
 
 
 def split_records(records: list[PatentRecord], seed: int, name: str) -> list[PatentRecord]:
-    """The records of one part of the seed's split ("all" for every record), in input order."""
+    """The records that `split_of` puts in part `name` ("all" for every record), in input order."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if name == "all":
         return records
-    part = split_dataset((r.id for r in records), seed).part(name)
-    return [r for r in records if r.id in part]
+    if name not in SPLIT_NAMES:
+        raise ValueError(f"unknown split name: {name!r}")
+    return [r for r in records if split_of(seed, r.id) == name]
 
 
 def label_stats(records: Iterable[PatentRecord], vocab: LabelVocabulary) -> dict[str, int]:

@@ -1,11 +1,9 @@
 """Multi-label confusion counting and macro/micro precision, recall, F1.
 
-Counts form a mergeable accumulator, so evaluation can shard freely and
-merge without changing results. The zero-division convention is pinned:
-0/0 counts as 0 for per-class precision and recall, which lets
-never-predicted rare classes depress macro scores. Macro F1 is the
-harmonic mean of macro precision and macro recall; the per-class-F1-mean
-variant is reported alongside for comparison.
+The zero-division convention is pinned: 0/0 counts as 0 for per-class
+precision and recall, which lets never-predicted rare classes depress
+macro scores. Macro F1 is the harmonic mean of macro precision and macro
+recall; the per-class-F1-mean variant is reported alongside for comparison.
 """
 
 from __future__ import annotations
@@ -42,16 +40,6 @@ class ConfusionCounts:
         self.tp += p & t
         self.fp += p & ~t
         self.fn += ~p & t
-
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        """Fieldwise sum; order of merging never matters."""
-        if other.c != self.c:
-            raise LengthMismatch(f"cannot merge c={other.c} into c={self.c}")
-        merged = ConfusionCounts(self.c)
-        merged.tp = self.tp + other.tp
-        merged.fp = self.fp + other.fp
-        merged.fn = self.fn + other.fn
-        return merged
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -377,7 +377,7 @@ def train(
         epochs=epochs,
         load_report=load_report,
         split_sizes={"train": len(train_records), "validation": len(val_records),
-                     "test": len(split_records(records, config.seed, "test"))},
+                     "test": len(records) - len(train_records) - len(val_records)},
         dropped={"train": dropped_train, "validation": dropped_val},
     )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentattn.corpus import MalformedIpc, PatentRecord, build_vocabulary, parse_ipc, split_dataset
+from sentattn.corpus import SPLIT_NAMES, MalformedIpc, PatentRecord, build_vocabulary, parse_ipc, split_records
 from sentattn.encoder import MEANPOOL, MINITRANSFORMER, ModelDims, encode_document, init_encoder
 from sentattn.head import HeadParams, head_forward, init_head
 from sentattn.metrics import ConfusionCounts, macro_scores, micro_scores
@@ -119,8 +119,8 @@ def test_needle_experiment(tmp_path):
 
 def test_pipeline_determinism(tmp_path):
     """Split ratios, byte-identical reruns, bit-exact round-trip, segmenter goldens."""
-    split = split_dataset([f"p{i}" for i in range(10000)], seed=42)
-    fractions = (len(split.train) / 1e4, len(split.validation) / 1e4, len(split.test) / 1e4)
+    records = [PatentRecord(id=f"p{i}", title="t") for i in range(10000)]
+    fractions = [len(split_records(records, 42, name)) / 1e4 for name in SPLIT_NAMES]
     ok = abs(fractions[0] - 0.80) <= 0.01 and all(abs(f - 0.10) <= 0.01 for f in fractions[1:])
 
     corpus = tmp_path / "train.jsonl"

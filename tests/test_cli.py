@@ -98,6 +98,13 @@ class TestExitCodes:
         assert code == 2
         assert "NoLabels" in err
 
+    def test_split_of_an_empty_corpus_is_data_error(self, capsys, tmp_path):
+        path = write_corpus(tmp_path / "empty.jsonl", ["not json", json.dumps({"id": ""})])
+        code, out, err = run(capsys, "split", str(path))
+        assert code == 2
+        assert out == ""
+        assert "EmptyInput" in err
+
     def test_config_error_is_one(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 1\n")
@@ -115,6 +122,10 @@ class TestExitCodes:
         ["gradcheck", "--eps", "0"],
         ["gradcheck", "--seed", "-1"],
         ["train", "{corpus}", "{out}", "--seed", "-1"],
+        ["split", "{corpus}", "--seed", "-1"],
+        ["build-vocab", "{corpus}", "--seed", "-1"],
+        ["evaluate", "{model}", "{corpus}", "--seed", "-1"],
+        ["predict", "{model}", "{corpus}", "--seed", "-1"],
     ], ids=lambda argv: " ".join(arg for arg in argv if "{" not in arg))
     def test_out_of_range_value_is_usage_error(self, capsys, monkeypatch, trained, corpus, tmp_path, argv):
         import io
@@ -240,6 +251,7 @@ class TestPipelineCommands:
         model, log = trained
         capsys.readouterr()
         assert model.exists()
+        assert not list(model.parent.glob("*.tmp"))
         entries = [json.loads(line) for line in log.read_text().splitlines()]
         assert [e["epoch"] for e in entries] == [1, 2, 3, 4]
         assert all({"train_loss", "val_micro_f1", "val_macro_f1"} <= set(e) for e in entries)
@@ -291,7 +303,11 @@ class TestPipelineCommands:
         ["train", "{corpus}", "{missing}/m.satn", *TINY_TRAIN_FLAGS, "--max-epochs", "1", "--patience", "1"],
         ["train", "{corpus}", "{model}", "--log-out", "{missing}/log.jsonl", *TINY_TRAIN_FLAGS],
     ], ids=["--out", "MODEL_OUT", "--log-out"])
-    def test_unwritable_output_is_data_error(self, capsys, corpus, tmp_path, argv):
+    def test_unwritable_output_is_data_error(self, capsys, monkeypatch, corpus, tmp_path, argv):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran before the output path was checked")
+
+        monkeypatch.setattr("sentattn.cli.train", no_training)
         names = {"corpus": corpus, "missing": tmp_path / "missing", "model": tmp_path / "m.satn"}
         code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
         assert code == 2

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentattn.corpus import (
-    EmptyInput,
+    SPLIT_NAMES,
     FileUnreadable,
     LabelVocabulary,
     MalformedIpc,
@@ -18,11 +20,14 @@ from sentattn.corpus import (
     label_stats,
     load_corpus,
     parse_ipc,
-    split_dataset,
+    split_of,
+    split_records,
 )
 from sentattn.hashing import fnv1a64, stable_hash64
 
 from conftest import record_line, write_corpus
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # frozen from the pinned FNV-1a definition, computed independently
 STABLE_HASH_PINS = {
@@ -220,32 +225,57 @@ class TestSplitDataset:
 
     def test_frozen_bucket_counts(self):
         # independently computed with the pinned hash before the build
-        split = split_dataset([f"p{i}" for i in range(10000)], seed=42)
-        assert (len(split.train), len(split.validation), len(split.test)) == (7980, 1010, 1010)
+        counts = Counter(split_of(42, f"p{i}") for i in range(10000))
+        assert counts == {"train": 7980, "validation": 1010, "test": 1010}
 
     def test_order_independence(self):
-        ids = [f"id{i}" for i in range(200)]
-        a = split_dataset(ids, seed=7)
-        b = split_dataset(list(reversed(ids)), seed=7)
-        assert (a.train, a.validation, a.test) == (b.train, b.validation, b.test)
+        records = [PatentRecord(id=f"id{i}", title="t") for i in range(200)]
+        for name in SPLIT_NAMES:
+            forward = split_records(records, 7, name)
+            assert split_records(records[::-1], 7, name) == forward[::-1]
 
     def test_single_id_lands_in_one_set(self):
-        split = split_dataset(["only"], seed=0)
-        members = [s for s in (split.train, split.validation, split.test) if "only" in s]
-        assert len(members) == 1
+        records = [PatentRecord(id="only", title="t")]
+        assert [name for name in SPLIT_NAMES if split_records(records, 0, name)] == [split_of(0, "only")]
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            split_dataset([], seed=0)
+        for name in (*SPLIT_NAMES, "all"):
+            assert split_records([], 0, name) == []
 
     @settings(max_examples=25)
-    @given(st.sets(st.text(min_size=1, max_size=12), min_size=1, max_size=60), st.integers(0, 2**63))
+    @given(st.lists(st.text(min_size=1, max_size=12), max_size=60), st.integers(0, 2**63))
     def test_disjoint_and_exhaustive(self, ids, seed):
-        split = split_dataset(ids, seed)
-        assert split.train | split.validation | split.test == ids
-        assert not (split.train & split.validation)
-        assert not (split.train & split.test)
-        assert not (split.validation & split.test)
+        """The three parts partition the records, keep input order, and agree with split_of."""
+        records = [PatentRecord(id=rid, title="t") for rid in ids]
+        position = {id(record): i for i, record in enumerate(records)}
+        placed = []
+        for name in SPLIT_NAMES:
+            part = split_records(records, seed, name)
+            where = [position[id(record)] for record in part]
+            assert where == sorted(where)
+            assert all(split_of(seed, record.id) == name for record in part)
+            placed += where
+        assert sorted(placed) == list(range(len(records)))
+        assert split_records(records, seed, "all") is records
+
+    @pytest.mark.parametrize("seed, name, match", [
+        (0, "dev", "unknown split name"), (0, "", "unknown split name"),
+        (-1, "train", "non-negative"), (-1, "all", "non-negative"),
+    ])
+    def test_refused_arguments(self, toy_records, seed, name, match):
+        with pytest.raises(ValueError, match=match):
+            split_records(toy_records, seed, name)
+
+    def test_benchmark_inputs_use_the_same_rule(self):
+        """perfbench/inputs.py keeps its own copy of the bucket rule; it must pick ids split_of agrees with."""
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for seed in (0, 5, 42, 2**63):
+            for base in (f"doc{i}" for i in range(40)):
+                for part, name in enumerate(SPLIT_NAMES):
+                    rid = inputs._id_in_split(base, seed, part)
+                    assert split_of(seed, rid) == name
 
 
 class TestLabelStats:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sentattn.metrics import (
     ConfusionCounts,
@@ -149,30 +147,3 @@ class TestOracleEquivalence:
             counts.accumulate(pred, target)
         p, r, f1 = micro_scores(counts)
         assert p == r == f1
-
-
-class TestMerge:
-    @settings(max_examples=40)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
-                    min_size=2, max_size=8))
-    def test_merge_matches_sequential(self, rows):
-        c = 3
-        rng = np.random.default_rng(sum(sum(r) for r in rows))
-        examples = [(rng.integers(0, 2, c), rng.integers(0, 2, c)) for _ in range(len(rows) * 2)]
-        sequential = ConfusionCounts(c)
-        for pred, target in examples:
-            sequential.accumulate(pred, target)
-        half = len(examples) // 2
-        a, b = ConfusionCounts(c), ConfusionCounts(c)
-        for pred, target in examples[:half]:
-            a.accumulate(pred, target)
-        for pred, target in examples[half:]:
-            b.accumulate(pred, target)
-        for merged in (a.merge(b), b.merge(a)):
-            assert merged.tp.tolist() == sequential.tp.tolist()
-            assert merged.fp.tolist() == sequential.fp.tolist()
-            assert merged.fn.tolist() == sequential.fn.tolist()
-
-    def test_merge_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            ConfusionCounts(2).merge(ConfusionCounts(3))
