@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time each encoder's forward + backward pass per document at four document shapes.
 
-Each shape is one seeded synthetic document. Both encoder kinds run on it
-with seeded float32 parameters and the document's layout built beforehand,
-as training builds it once and reuses it every epoch; the layout build is
-timed on its own. Each round times every shape and kind in turn, ten
+Each shape is one seeded synthetic document: one token-id array and its
+sentence lengths, as tokenization hands them over. Both encoder kinds run on
+it with seeded float32 parameters and the document's layout built
+beforehand, as preparing a document builds it once for every epoch; the
+layout build is timed on its own. Each round times every shape and kind in turn, ten
 calls in a row. BLAS runs on one thread. Prints one JSON object (times in
 microseconds: median and quartiles over about --repeats calls), and writes
 it to --out when given.
@@ -65,10 +66,11 @@ def _shapes(tiny: bool) -> dict[str, tuple[ModelDims, int, tuple[int, int], str]
 
 
 def make_document(dims: ModelDims, k: int, lens: tuple[int, int], ids: str,
-                  rng: np.random.Generator) -> list[np.ndarray]:
-    """k tokenized sentences: CLS, interior ids from the named distribution, SEP."""
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k tokenized sentences (CLS, interior ids from the named distribution, SEP) as ids and lengths."""
     sentences = []
-    for m in rng.integers(lens[0], lens[1] + 1, size=k):
+    counts = rng.integers(lens[0], lens[1] + 1, size=k)
+    for m in counts:
         if ids == "vocab":
             interior = rng.integers(0, min(VOCAB, dims.v_buckets), size=m - 2)
         elif ids == "zipf":
@@ -76,7 +78,7 @@ def make_document(dims: ModelDims, k: int, lens: tuple[int, int], ids: str,
         else:
             interior = rng.integers(0, dims.v_buckets, size=m - 2)
         sentences.append(np.array([1, *(4 + interior), 2], dtype=np.int64))
-    return sentences
+    return np.concatenate(sentences), counts
 
 
 def _cpu() -> str:
@@ -94,7 +96,7 @@ def _stats(seconds: list[float]) -> dict[str, float]:
     return {"median": round(float(median), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2)}
 
 
-def time_shapes(documents: dict[str, tuple[ModelDims, list[np.ndarray]]], repeats: int,
+def time_shapes(documents: dict[str, tuple[ModelDims, np.ndarray, np.ndarray]], repeats: int,
                 rng: np.random.Generator) -> dict[str, dict]:
     """Per shape: the layout build and each kind's forward and backward, in microseconds.
 
@@ -103,18 +105,18 @@ def time_shapes(documents: dict[str, tuple[ModelDims, list[np.ndarray]]], repeat
     which the machine runs slower spreads over every shape and kind.
     """
     cases = {}
-    for name, (dims, sentences) in documents.items():
-        layout = DocLayout(sentences)
-        dD = rng.normal(size=(dims.h, len(sentences))).astype(np.float32)
+    for name, (dims, ids, lens) in documents.items():
+        layout = DocLayout(ids, lens)
+        dD = rng.normal(size=(dims.h, len(lens))).astype(np.float32)
         for kind in ENCODER_KINDS:
             cases[name, kind] = (init_encoder(kind, dims, rng), layout, dD)
     times = {key: ([], []) for key in cases}
     layout_times = {name: [] for name in documents}
     for i in range(-(-repeats // BLOCK) + 1):  # round 0 warms up
-        for name, (_, sentences) in documents.items():
+        for name, (_, ids, lens) in documents.items():
             for _ in range(BLOCK):
                 t0 = perf_counter()
-                DocLayout(sentences)
+                DocLayout(ids, lens)
                 if i:
                     layout_times[name].append(perf_counter() - t0)
         for key, (params, layout, dD) in cases.items():
@@ -144,15 +146,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeats must be >= 1")
 
     rng = np.random.default_rng(0)
-    documents = {name: (dims, make_document(dims, k, lens, ids, rng))
+    documents = {name: (dims, *make_document(dims, k, lens, ids, rng))
                  for name, (dims, k, lens, ids) in _shapes(args.tiny).items()}
     timed = time_shapes(documents, args.repeats, rng)
     results = {}
-    for name, (dims, sentences) in documents.items():
-        tokens = np.concatenate(sentences)
+    for name, (dims, ids, lens) in documents.items():
         results[name] = {
             "dims": {"h": dims.h, "v_buckets": dims.v_buckets, "t_max": dims.t_max, "f": dims.f},
-            "k": len(sentences), "tokens": len(tokens), "distinct_ids": len(np.unique(tokens)),
+            "k": len(lens), "tokens": len(ids), "distinct_ids": len(np.unique(ids)),
             **timed[name],
         }
     report = {

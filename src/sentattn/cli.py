@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import sys
 from dataclasses import asdict, fields
@@ -251,7 +252,13 @@ def _cmd_train(args):
     r = _resolve(args, _TRAIN_KEYS + _DIMS_KEYS)
     dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
     config = TrainConfig(dims=dims, **r)
-    probe = checkpoint_temp_path(args.model_out)  # an unwritable MODEL_OUT fails now, not after training
+    # an unusable MODEL_OUT fails now, not after training: the temp file that
+    # save_checkpoint writes must be creatable, and the rename over MODEL_OUT
+    # fails on a directory (a symlink is replaced, not followed)
+    model_out = Path(args.model_out)
+    if model_out.is_dir() and not model_out.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, "MODEL_OUT is a directory", str(model_out))
+    probe = checkpoint_temp_path(model_out)
     probe.open("wb").close()
     probe.unlink()
     log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()

@@ -5,7 +5,8 @@ stacking the k sentence vectors as columns gives the document matrix D.
 Both encoders run on a whole document at once, over its DocLayout: the
 document's sorted distinct ids, and each token, in document order, as its
 cell in the distinct-id x sentence count matrix. The layout is built once
-per document and reused by every pass. The inputs are
+per document, from its one token-id array and its sentence lengths, when
+the document is prepared, and reused by every pass. The inputs are
 x = E[id] + P[position in sentence]. Two compact trainable encoders are
 provided:
 
@@ -176,24 +177,25 @@ _INDEX = np.iinfo(np.int32)
 class DocLayout:
     """Where each token of one document sits; built once, read by every pass over it.
 
-    `distinct` holds the document's sorted distinct token ids. Each token,
-    in document order, is stored as its cell, slot * k + sentence, where
-    slot is the index of its id in `distinct`: the cells index the
-    distinct-id x sentence count matrix directly, and both kinds' E gradient
-    is one row per distinct id with no per-pass np.unique. Indices are
-    int32, so the layout of a tokenized document of two or more sentences
-    is no larger than the int64 sentence list it is built from. len() is
-    the sentence count k.
+    Built from the document's token ids, its sentences one after another,
+    and each sentence's length. `distinct` holds the sorted distinct ids.
+    Each token, in document order, is stored as its cell, slot * k +
+    sentence, where slot is the index of its id in `distinct`: the cells
+    index the distinct-id x sentence count matrix directly, and both kinds'
+    E gradient is one row per distinct id with no per-pass np.unique.
+    Indices are int32, so the layout of a tokenized document of two or more
+    sentences is no larger than its int64 id array. len() is the sentence
+    count k.
     """
 
-    def __init__(self, sentences: Sequence[np.ndarray]):
-        k = len(sentences)
+    def __init__(self, ids: np.ndarray, lens: Sequence[int] | np.ndarray):
+        self.lens = np.asarray(lens, dtype=np.int32)
+        k = len(self.lens)
         if not k:
             raise ShapeMismatch("a document needs at least one sentence")
-        lens = [len(s) for s in sentences]
-        self.lens = np.array(lens, dtype=np.int32)
-        self.shortest, self.longest = min(lens), max(lens)
-        ids = np.concatenate(sentences)
+        self.shortest, self.longest = int(self.lens.min()), int(self.lens.max())
+        if self.shortest < 0 or self.lens.sum() != len(ids):
+            raise ShapeMismatch(f"sentence lengths do not sum to the {len(ids)} token ids")
         # np.unique(ids, return_inverse=True) gives the same, at about 1.5 times
         # the cost on a document that is encoded only once
         ordered = np.sort(ids)
@@ -208,6 +210,12 @@ class DocLayout:
         self.distinct = distinct.astype(np.int32)
         sent = np.repeat(np.arange(k), self.lens)
         self.cell = (np.searchsorted(distinct, ids) * k + sent).astype(np.int32)
+
+    @classmethod
+    def of_sentences(cls, sentences: Sequence[np.ndarray]) -> "DocLayout":
+        """The layout of a list of per-sentence id arrays."""
+        ids = np.concatenate(sentences) if len(sentences) else np.empty(0, dtype=np.int64)
+        return cls(ids, [len(s) for s in sentences])
 
     def __len__(self) -> int:
         return len(self.lens)
@@ -323,7 +331,7 @@ def encode_document(
     layout built for this call alone. Token counts and ids are checked
     against the params on every call.
     """
-    doc = sentences if isinstance(sentences, DocLayout) else DocLayout(sentences)
+    doc = sentences if isinstance(sentences, DocLayout) else DocLayout.of_sentences(sentences)
     _check_tokens(doc, params)
     D, saved = _PASSES[params.kind][0](params, doc)
     return D, EncoderCache(kind=params.kind, layout=doc, saved=saved)

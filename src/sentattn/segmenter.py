@@ -4,23 +4,29 @@ The boundary rule set is pinned so segmentation is bit-exact everywhere:
 a sentence ends at [.!?], optionally followed by a closing quote or
 bracket, then whitespace, then an ASCII uppercase letter or digit.
 A terminator ending a listed abbreviation (matched case-insensitively)
-or sitting between two digits never splits.
+never splits. Nor does one between two digits, such as the point of
+"3.14": the boundary pattern needs whitespace right after the terminator
+and its closing marks, so a digit there never matches.
 
 Preprocessing is linear in the text it keeps: `segment` reads the text only
-up to the end of the k_max-th sentence, and `tokenize` stops after the
-t_max - 2 tokens it keeps.
+up to the end of the k_max-th sentence, and tokenization splits a sentence
+on whitespace into at most t_max - 2 words and keeps the first t_max - 2
+tokens of them. A word that is all alphanumeric is one token; only the
+other words are split further, and only as far as the tokens still needed.
 
 Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
 learned vocabulary; each distinct token is hashed once and then served from
 a bounded memo. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
-unreachable under hashing.
+unreachable under hashing. `token_ids` tokenizes a whole document's
+sentences into one id array; `tokenize` is its one-sentence case.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 
 import numpy as np
 
@@ -39,7 +45,6 @@ _ABBREVIATIONS_LOWER = tuple(a.lower() for a in ABBREVIATIONS)
 # and alphanumeric.
 _ABBREVIATION_WINDOW = max(len(a) for a in ABBREVIATIONS) + 1
 
-_DIGITS = "0123456789"
 # terminator, optional closing quotes/brackets, whitespace, then upper/digit
 _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
 # one token: an alphanumeric run up to the word's last alphanumeric char, or
@@ -73,12 +78,6 @@ def _is_abbreviation(text: str, term_pos: int) -> bool:
     return False
 
 
-def _is_decimal(text: str, term_pos: int) -> bool:
-    prev_ok = term_pos > 0 and text[term_pos - 1] in _DIGITS
-    next_ok = term_pos + 1 < len(text) and text[term_pos + 1] in _DIGITS
-    return text[term_pos] == "." and prev_ok and next_ok
-
-
 def _trimmed(text: str, start: int, end: int) -> Sentence | None:
     while start < end and text[start].isspace():
         start += 1
@@ -104,7 +103,7 @@ def segment(text: str, k_max: int) -> list[Sentence]:
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
         term_pos = match.start(1)
-        if _is_abbreviation(text, term_pos) or _is_decimal(text, term_pos):
+        if _is_abbreviation(text, term_pos):
             continue
         sentence = _trimmed(text, start, match.end(2))
         if sentence is not None:
@@ -118,19 +117,58 @@ def segment(text: str, k_max: int) -> list[Sentence]:
     return sentences
 
 
-def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
-    """Hash a sentence into a CLS ... SEP id sequence of length <= t_max.
+def _word_tokens(word: str, need: int) -> list[str]:
+    """The first `need` tokens of a whitespace-free word that is not all alphanumeric.
 
-    Lowercases, splits on whitespace, detaches leading/trailing punctuation
-    as separate tokens, and keeps the first t_max - 2 interior tokens.
-    Never pads; padding is a batch concern.
+    Each char before the first alphanumeric one is a token, then the run up
+    to the last alphanumeric char, then each char after it. That is
+    `_TOKEN_RE` over the word, scanned only as far as the tokens still needed.
+    """
+    lead = 0
+    while lead < need and lead < len(word) and not word[lead].isalnum():
+        lead += 1
+    if lead >= need or lead == len(word):
+        return list(word[:lead])
+    core = _TOKEN_RE.match(word, lead).end()
+    return [*word[:lead], word[lead:core], *word[core : core + need - lead - 1]]
+
+
+def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndarray, list[int]]:
+    """Hash sentences into one array of CLS ... SEP id runs, plus each run's length.
+
+    Each sentence is lowercased and split on whitespace; leading and
+    trailing punctuation detaches from a word as separate tokens, and the
+    first t_max - 2 tokens are kept. A document's tokens are hashed in one
+    pass. Never pads; padding is a batch concern.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3")
     if v_buckets < 1:
         raise ValueError("v_buckets must be >= 1")
-    tokens = islice(_TOKEN_RE.finditer(text.lower()), t_max - 2)
-    interior = [token_bucket(m.group(), v_buckets) for m in tokens]
-    if not interior:
-        raise ValueError("cannot tokenize an empty sentence")
-    return np.array([CLS_ID, *interior, SEP_ID], dtype=np.int64)
+    n = t_max - 2
+    tokens: list[str] = []
+    lens: list[int] = []
+    for text in texts:
+        start = len(tokens)
+        # every word yields a token, so the first n words hold the first n tokens
+        for word in text.lower().split(None, n)[:n]:
+            if word.isalnum():
+                tokens.append(word)
+            else:
+                tokens += _word_tokens(word, start + n - len(tokens))
+        del tokens[start + n :]
+        if len(tokens) == start:
+            raise ValueError("cannot tokenize an empty sentence")
+        lens.append(len(tokens) - start + 2)
+    hashed = list(map(token_bucket, tokens, repeat(v_buckets)))
+    ids: list[int] = []
+    start = 0
+    for m in lens:
+        ids += (CLS_ID, *hashed[start : start + m - 2], SEP_ID)
+        start += m - 2
+    return np.array(ids, dtype=np.int64), lens
+
+
+def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
+    """Hash one sentence into a CLS ... SEP id sequence of length <= t_max (see token_ids)."""
+    return token_ids([text], t_max, v_buckets)[0]

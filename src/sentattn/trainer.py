@@ -6,6 +6,10 @@ seeded epoch shuffles, sequential gradient accumulation in document order
 and 32-bit parameter arithmetic. Two runs with the same config produce
 byte-identical checkpoints and logs.
 
+Every document is prepared once, before any pass over it: segmented,
+tokenized into one id array, and laid out as the DocLayout that every
+training and validation pass over it reads.
+
 Adam steps only the embedding table's live rows, those that have ever had
 a gradient, which is exact; once gathering them costs more, it steps the
 whole table in place.
@@ -21,7 +25,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,7 +46,7 @@ from .encoder import (
 from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 from .metrics import ConfusionCounts, macro_scores, micro_scores
 from .metrics import report as metrics_report
-from .segmenter import segment, tokenize
+from .segmenter import segment, token_ids
 
 LEARNED = "learned"
 UNIFORM = "uniform"
@@ -116,14 +119,11 @@ class TrainResult:
 
 @dataclass
 class PreparedDoc:
-    id: str
-    sentences: list[np.ndarray]
-    target: np.ndarray | None
+    """One document as every pass reads it: its token layout, built once, and its label bits."""
 
-    @cached_property
-    def layout(self) -> DocLayout:
-        """The encoders' token layout, built on the first encode and kept for every later one."""
-        return DocLayout(self.sentences)
+    id: str
+    layout: DocLayout
+    target: np.ndarray | None
 
 
 class EarlyStopper:
@@ -253,7 +253,11 @@ def prepare_documents(
     use_description: bool = TrainConfig.use_description,
     require_labels: bool = True,
 ) -> tuple[list[PreparedDoc], int]:
-    """Segment + tokenize records; returns (docs, dropped-for-no-label count)."""
+    """Segment, tokenize and lay out records; returns (docs, dropped-for-no-label count).
+
+    Each document's sentences are tokenized into one id array, hashed in one
+    pass, and its DocLayout is built from that array here, once.
+    """
     docs: list[PreparedDoc] = []
     dropped = 0
     for record in records:
@@ -263,11 +267,9 @@ def prepare_documents(
             if target is None and require_labels:
                 dropped += 1
                 continue
-        sentences = [
-            tokenize(s.text, t_max, v_buckets)
-            for s in segment(document_text(record, use_description), k_max)
-        ]
-        docs.append(PreparedDoc(id=record.id, sentences=sentences, target=target))
+        sentences = segment(document_text(record, use_description), k_max)
+        layout = DocLayout(*token_ids((s.text for s in sentences), t_max, v_buckets))
+        docs.append(PreparedDoc(id=record.id, layout=layout, target=target))
     return docs, dropped
 
 
@@ -472,7 +474,7 @@ def grad_check(
         interior = rng.integers(4, 4 + dims.v_buckets, size=m - 2)
         sentences.append(np.array([1, *interior, 2], dtype=np.int64))
     targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
-    doc = PreparedDoc(id="gradcheck", sentences=sentences, target=targets)
+    doc = PreparedDoc(id="gradcheck", layout=DocLayout.of_sentences(sentences), target=targets)
 
     tensors = dict(model_tensors(enc_params, head_params))
     for tensor in tensors.values():

@@ -1,11 +1,13 @@
 """The full-scan segmenter and the per-character tokenizer that
 `sentattn.segmenter` replaced, kept here as their oracle.
 
-`segment` lowercases the whole prefix for every boundary candidate and scans
-the whole text before it keeps the first k_max sentences; `tokenize` strips
-punctuation one character at a time and splits every word. Both are moved
-unchanged; only their imports differ. Token ids come from the unmemoized hash,
-so the oracle shares no cache with the code under test.
+`segment` lowercases the whole prefix for every boundary candidate, tests
+every boundary for a decimal point between two digits (which the boundary
+pattern already rules out), and scans the whole text before it keeps the
+first k_max sentences; `tokenize` strips punctuation one character at a time
+and splits every word. They are moved unchanged; only their imports differ.
+Token ids come from the unmemoized hash, so the oracle shares no cache with
+the code under test.
 """
 
 import numpy as np
@@ -18,11 +20,18 @@ from sentattn.segmenter import (
     SEP_ID,
     EmptyText,
     Sentence,
-    _is_decimal,
     _trimmed,
 )
 
 token_bucket = _memoized_token_bucket.__wrapped__
+
+_DIGITS = "0123456789"
+
+
+def _is_decimal(text: str, term_pos: int) -> bool:
+    prev_ok = term_pos > 0 and text[term_pos - 1] in _DIGITS
+    next_ok = term_pos + 1 < len(text) and text[term_pos + 1] in _DIGITS
+    return text[term_pos] == "." and prev_ok and next_ok
 
 
 def _is_abbreviation(text: str, term_pos: int) -> bool:

@@ -315,6 +315,15 @@ class TestPipelineCommands:
         assert "error: FileNotFoundError: " in err
         assert "Traceback" not in err
 
+    def test_model_out_that_is_a_directory_is_refused_before_training(self, capsys, corpus, tmp_path):
+        code, out, err = run(capsys, "train", str(corpus), str(tmp_path), *TINY_TRAIN_FLAGS,
+                             "--max-epochs", "2", "--patience", "2")
+        assert code == 2
+        assert out == ""
+        assert "error: IsADirectoryError: " in err
+        assert "epoch " not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_checkpoint_is_data_error(self, trained, capsys, corpus, tmp_path):
         model, _ = trained
         blob = bytearray(model.read_bytes())

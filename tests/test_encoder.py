@@ -436,7 +436,7 @@ class TestShapeValidation:
     def test_a_layout_is_checked_against_the_params_of_every_encode(self, kind):
         # the layout is built once and kept, so the checks run per call, not per build
         rng = np.random.default_rng(0)
-        layout = DocLayout([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
+        layout = DocLayout.of_sentences([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
         encode_document(layout, init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=64, f=4), rng))
         short = init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=12, f=4), rng)
         with pytest.raises(ShapeMismatch, match=r"token count 32 outside \[3, 12\]"):
@@ -448,26 +448,36 @@ class TestShapeValidation:
 
 class TestDocLayout:
     def test_cells_are_slot_in_the_sorted_distinct_ids_times_k_plus_sentence(self):
-        sentences = [seq(1, 9, 5, 2), seq(1, 5, 5, 7, 2), seq(1, 9, 2)]
-        layout = DocLayout(sentences)
+        ids = seq(1, 9, 5, 2, 1, 5, 5, 7, 2, 1, 9, 2)
+        layout = DocLayout(ids, [4, 5, 3])
         assert len(layout) == 3
         assert layout.lens.tolist() == [4, 5, 3]
         assert layout.distinct.tolist() == [1, 2, 5, 7, 9]
         slot, sent = np.divmod(layout.cell, 3)
-        assert layout.distinct[slot].tolist() == np.concatenate(sentences).tolist()
+        assert layout.distinct[slot].tolist() == ids.tolist()
         assert sent.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
+        sentences = [seq(1, 9, 5, 2), seq(1, 5, 5, 7, 2), seq(1, 9, 2)]
+        of_list = DocLayout.of_sentences(sentences)
+        for name in ("lens", "distinct", "cell"):
+            assert np.array_equal(getattr(of_list, name), getattr(layout, name)), name
 
     # every sentence holds CLS and SEP, so from two sentences on the distinct ids
-    # and sentence lengths together number no more than the tokens
+    # and sentence lengths together number no more than the tokens of the id array
     @pytest.mark.parametrize("k, t_max, distinct", [(2, 3, True), (32, 12, False), (128, 64, True)])
     def test_no_larger_than_the_sentence_list(self, k, t_max, distinct):
         rng = np.random.default_rng(k)
-        ids = rng.permutation(k * t_max) + 4 if distinct else rng.integers(4, 64, size=k * t_max)
-        sentences = [np.array([1, *row, 2], dtype=np.int64) for row in ids.reshape(k, t_max)[:, : t_max - 2]]
-        layout = DocLayout(sentences)
+        interior = rng.permutation(k * t_max) + 4 if distinct else rng.integers(4, 64, size=k * t_max)
+        sentences = [np.array([1, *row, 2], dtype=np.int64) for row in interior.reshape(k, t_max)[:, : t_max - 2]]
+        ids = np.concatenate(sentences)
+        layout = DocLayout(ids, [len(s) for s in sentences])
         cached = layout.lens.nbytes + layout.distinct.nbytes + layout.cell.nbytes
-        assert cached <= sum(s.nbytes for s in sentences)
+        assert cached <= ids.nbytes
 
     def test_ids_beyond_the_index_type_are_refused(self):
         with pytest.raises(ShapeMismatch, match="token id outside embedding table"):
-            DocLayout([seq(1, 2**31, 2)])
+            DocLayout(seq(1, 2**31, 2), [3])
+
+    @pytest.mark.parametrize("lens", [[], [2, 2], [3, 3, 1], [5, -1, 4]])
+    def test_lengths_that_do_not_cover_the_ids_are_refused(self, lens):
+        with pytest.raises(ShapeMismatch):
+            DocLayout(seq(1, 4, 5, 2, 1, 6, 7, 2), lens)

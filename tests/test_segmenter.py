@@ -4,14 +4,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segmenter_reference as reference
 from sentattn import segmenter
+from sentattn.corpus import PatentRecord
+from sentattn.encoder import DocLayout
 from sentattn.hashing import fnv1a64, token_bucket
 from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, segment, tokenize
+from sentattn.trainer import document_text, prepare_documents
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "segmenter_golden.json").read_text())
 
@@ -178,6 +182,47 @@ class TestAgainstReference:
         assert outcome(tokenize, text, t_max, v_buckets) == outcome(reference.tokenize, text, t_max, v_buckets)
 
 
+def prepared_layout(text, k_max, t_max, v_buckets):
+    """The layout that prepare_documents builds for a record whose text is `text`."""
+    docs, _ = prepare_documents([PatentRecord(id="d", title=text)], None, k_max, t_max, v_buckets,
+                                require_labels=False)
+    return docs[0].layout
+
+
+def reference_layout(text, k_max, t_max, v_buckets):
+    """The layout of the reference tokenizer's ids over the reference segmenter's sentences."""
+    text = document_text(PatentRecord(id="d", title=text))
+    sentences = [reference.tokenize(s.text, t_max, v_buckets) for s in reference.segment(text, k_max)]
+    return DocLayout(np.concatenate(sentences), [len(s) for s in sentences])
+
+
+def layout_outcome(build, *args):
+    """A layout's arrays as plain values, or the type of what building it raises."""
+    try:
+        layout = build(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    return [layout.lens.tolist(), layout.distinct.tolist(), layout.cell.tolist()]
+
+
+class TestPreparedLayout:
+    """prepare_documents' one pass from text to layout against the per-sentence reference."""
+
+    @settings(max_examples=300)
+    @given(any_text, st.integers(1, 20), st.integers(3, 40), st.integers(1, 5000))
+    @example("", 4, 8, 64)
+    @example("(cap). A cat!  Σ_x. 3.14 is İ. ((((", 3, 4, 64)
+    @example("w " * 50 + ". Next one.", 2, 6, 512)
+    def test_layout_and_errors_match(self, text, k_max, t_max, v_buckets):
+        assert layout_outcome(prepared_layout, text, k_max, t_max, v_buckets) \
+            == layout_outcome(reference_layout, text, k_max, t_max, v_buckets)
+
+    @pytest.mark.parametrize("t_max, v_buckets", [(2, 64), (8, 0)])
+    def test_refused_dims_raise_as_tokenize_does(self, t_max, v_buckets):
+        with pytest.raises(ValueError):
+            prepared_layout("A cat.", 4, t_max, v_buckets)
+
+
 class TestBoundedWork:
     """Work counts, not wall-clock times."""
 
@@ -209,6 +254,26 @@ class TestBoundedWork:
         ids = segmenter.tokenize("(" * 80_000 + " word" * 10_000, t_max=8, v_buckets=64)
         assert len(ids) == 8
         assert calls == ["("] * 6
+
+    # the unbounded per-word regex scan took 8.7 MB on the first of these
+    @pytest.mark.parametrize("text", ["(" * 500_000, "-" * 100_000 + " word" * 10, "a" + ")" * 500_000],
+                             ids=["open-parens", "dashes-then-words", "word-then-parens"])
+    @pytest.mark.parametrize("through", ["tokenize", "prepare_documents"])
+    def test_work_inside_one_word_stays_bounded(self, monkeypatch, text, through):
+        calls = []
+        monkeypatch.setattr(segmenter, "token_bucket", lambda t, v: calls.append(t) or token_bucket(t, v))
+        tracemalloc.start()
+        try:
+            if through == "tokenize":
+                lens = [len(segmenter.tokenize(text, t_max=64, v_buckets=64))]
+            else:
+                lens = prepared_layout(text, 8, 64, 64).lens.tolist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lens == [64]
+        assert len(calls) == 62
+        assert peak < 1_000_000, peak
 
     def test_token_regex_classes_are_the_str_methods(self):
         # tokenize's regex stands in for str.isalnum and str.isspace

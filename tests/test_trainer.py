@@ -449,9 +449,9 @@ class TestTrain:
         built = []
         build = encoder.DocLayout.__init__
 
-        def counting(layout, sentences):
-            built.append(len(sentences))
-            build(layout, sentences)
+        def counting(layout, ids, lens):
+            built.append(len(lens))
+            build(layout, ids, lens)
 
         monkeypatch.setattr(encoder.DocLayout, "__init__", counting)
         result = train(tiny_config(max_epochs=3, patience=3, log_train_f1=True), tiny_corpus)
@@ -474,7 +474,7 @@ class TestTrain:
         enc_params = init_encoder(MEANPOOL, TINY_DIMS, rng)
         head_params = init_head(TINY_DIMS.c, TINY_DIMS.h, rng)
         sentences = [np.array([1, 5, 6, 2]), np.array([1, 7, 2]), np.array([1, 8, 9, 9, 2])]
-        doc = PreparedDoc(id="d", sentences=sentences, target=None)
+        doc = PreparedDoc(id="d", layout=encoder.DocLayout.of_sentences(sentences), target=None)
         for _ in range(2):
             trainer._forward(enc_params, head_params, doc)
         assert seen == [3, 3]
@@ -796,4 +796,4 @@ class TestPrepareDocuments:
         records, _ = load_corpus(tiny_corpus)
         docs, _ = prepare_documents(records, None, k_max=5, t_max=12, v_buckets=64,
                                     require_labels=False)
-        assert all(1 <= len(d.sentences) <= 5 for d in docs)
+        assert all(1 <= len(d.layout) <= 5 for d in docs)
