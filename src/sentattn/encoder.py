@@ -8,22 +8,18 @@ cell in the distinct-id x sentence count matrix. The layout is built once
 per document, from its one token-id array and its sentence lengths, when
 the document is prepared, and reused by every pass. The inputs are
 x = E[id] + P[position in sentence]. Two compact trainable encoders are
-provided:
-
-* MeanPool: cls = tanh(M @ mean_p(x_p) + q). It is linear up to the tanh,
-  so the k sentence means are two small matmuls over the layout,
-  U = (C.T @ E[distinct] + B.T @ P) / len, where C[i, j] counts distinct
-  id i in sentence j and B[p, j] = [p < len_j]. The backward pass is the
-  transposed pair: C @ dX for E's rows and B @ dX for P, where dX = dU / len
-  is the gradient at each input row of a sentence.
-* MiniTransformer: one block of single-head scaled dot-product attention
-  with residual, then a tanh FFN with residual; the CLS vector is the
-  block's output row at position 0. Only that row reaches D, and the FFN
-  and residuals act row by row, so each sentence needs one query,
-  q0 = x_0 @ Q, softmaxed over its own keys: z0 = x_0 + sum_p a_p x_p @ Vp,
-  cls = z0 + tanh(z0 @ F1 + g1) @ F2 + g2. It builds the n input rows x,
-  and its per-sentence sums are np.add.reduceat segment sums. No layer
-  norm, so gradients stay hand-derivable.
+provided. MeanPool is cls = tanh(M @ mean_p(x_p) + q). MiniTransformer is
+one block of single-head scaled dot-product attention, then a tanh FFN,
+each with residual, read at the CLS row. Only that row reaches D, so each
+sentence needs one query, q0 = x_0 @ Q, and r = q0 @ K.T / sqrt(h) scores
+its own tokens: a = softmax_p(x_p . r), z0 = x_0 + (sum_p a_p x_p) @ Vp,
+cls = z0 + tanh(z0 @ F1 + g1) @ F2 + g2; no layer norm. Both kinds pool by
+cell, with weights 1 (then / len) or the softmax a: sentence j's
+sum_p w_p x_p is row j of C.T @ E[distinct] + B.T @ P, where C[i, j] sums
+the weights of distinct id i in sentence j and B[p, j] the weight at
+position p. The scores are E[distinct] @ r.T and P @ r.T read at each
+token's two cells. No array has one row per token: each gradient that
+reaches E or P is the transposed product, C @ g for E's rows, B @ g for P.
 
 Backward passes are exact analytic gradients. The E gradient is row-sparse
 (RowGrad): one row per distinct token id of the document; every other
@@ -157,16 +153,6 @@ class RowGrad:
     ids: np.ndarray   # sorted distinct row indices
     rows: np.ndarray  # (len(ids), width): the gradient at those rows
 
-    @classmethod
-    def from_slots(cls, ids: np.ndarray, slot: np.ndarray, token_rows: np.ndarray) -> "RowGrad":
-        """Sum one gradient row per token into row slot[t] (an index into ids), in token order."""
-        width = token_rows.shape[1]
-        rows = np.zeros((len(ids), width), dtype=token_rows.dtype)
-        # the flat form of np.add.at is several times faster and adds in the same order
-        flat_slot = (slot.astype(np.intp)[:, None] * width + np.arange(width)).reshape(-1)
-        np.add.at(rows.reshape(-1), flat_slot, token_rows.reshape(-1))
-        return cls(ids=ids, rows=rows)
-
     def add_to(self, table: np.ndarray) -> None:
         table[self.ids] += self.rows
 
@@ -243,11 +229,16 @@ def _check_tokens(doc: DocLayout, params: EncoderParams) -> None:
         raise ShapeMismatch("token id outside embedding table")
 
 
+def _counts(cells: np.ndarray, rows: int, k: int, dtype, weights: np.ndarray | None = None):
+    """The rows x k matrix whose entry (i, j) sums the weight (default 1) of each cell i * k + j."""
+    return np.bincount(cells, weights, minlength=rows * k).reshape(rows, k).astype(dtype)
+
+
 def _meanpool_forward(params: MeanPoolParams, doc: DocLayout):
     # U = (C.T @ E[distinct] + B.T @ P) / len: C[i, j] counts distinct id i in
     # sentence j and B[p, j] = [p < len_j]; dividing the k x h sums, not C and B, is cheaper
     k, nd, dtype = len(doc), len(doc.distinct), params.E.dtype
-    C = np.bincount(doc.cell, minlength=nd * k).reshape(nd, k).astype(dtype)
+    C = _counts(doc.cell, nd, k, dtype)
     B = (np.arange(params.P.shape[0], dtype=doc.lens.dtype)[:, None] < doc.lens).astype(dtype)
     lens = doc.lens.astype(dtype)[:, None]
     U = (C.T @ params.E[doc.distinct] + B.T @ params.P) / lens
@@ -268,45 +259,53 @@ def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarr
 
 
 def _minitransformer_forward(params: MiniTransformerParams, doc: DocLayout):
-    slot, sent = np.divmod(doc.cell, len(doc))
+    k, nd, t_max, dtype = len(doc), len(doc.distinct), params.P.shape[0], params.E.dtype
+    sent = np.repeat(np.arange(k), doc.lens)
     starts = np.cumsum(doc.lens) - doc.lens
-    pos = np.arange(len(sent)) - starts[sent]
-    X = params.E[doc.distinct[slot]] + params.P[pos]
-    X0 = X[starts]  # (k, h) CLS input rows
+    pcell = (np.arange(len(sent)) - starts[sent]) * k + sent  # position * k + sentence
+    Ed = params.E[doc.distinct]
+    first = doc.cell[starts] // k  # slot of each sentence's first id
+    X0 = Ed[first] + params.P[0]  # (k, h) CLS input rows
     q0 = X0 @ params.Q
-    Km = X @ params.K
-    Vm = X @ params.Vp
-    scores = np.einsum("nh,nh->n", q0[sent], Km) / np.sqrt(X.dtype.type(X.shape[1]))
+    r = q0 @ params.K.T / np.sqrt(dtype.type(Ed.shape[1]))
+    scores = (Ed @ r.T).ravel()[doc.cell] + (params.P @ r.T).ravel()[pcell]
     # softmax over each sentence's own tokens, shifted by that sentence's max
     e = np.exp(scores - np.maximum.reduceat(scores, starts)[sent])
     a = e / np.add.reduceat(e, starts)[sent]
-    Z0 = X0 + np.add.reduceat(a[:, None] * Vm, starts, axis=0)
+    Ca, Ba = _counts(doc.cell, nd, k, dtype, a), _counts(pcell, t_max, k, dtype, a)
+    Abar = Ca.T @ Ed + Ba.T @ params.P  # sum_t a_t x_t per sentence
+    Z0 = X0 + Abar @ params.Vp
     T1 = np.tanh(Z0 @ params.F1 + params.g1)
     cls = Z0 + T1 @ params.F2 + params.g2
-    return cls.T, (slot, sent, starts, pos, X, q0, Km, Vm, a, Z0, T1)
+    return cls.T, (sent, starts, pcell, first, Ed, X0, q0, r, a, Ca, Ba, Abar, Z0, T1)
 
 
 def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache, dD: np.ndarray):
-    slot, sent, starts, pos, X, q0, Km, Vm, a, Z0, T1 = cache.saved
-    dcls = dD.T
+    sent, starts, pcell, first, Ed, X0, q0, r, a, Ca, Ba, Abar, Z0, T1 = cache.saved
+    doc, dcls = cache.layout, dD.T
     # FFN with residual: cls = Z0 + tanh(Z0@F1 + g1)@F2 + g2
     dH1 = (dcls @ params.F2.T) * (1.0 - T1**2)
     dZ0 = dcls + dH1 @ params.F1.T
-    # attention with residual: Z0 = X0 + sum_i a_i Vm_i, a = softmax_i(q0 . Km_i / sqrt(h))
-    dZ0_tokens = dZ0[sent]
-    dVm = a[:, None] * dZ0_tokens
-    da = np.einsum("nh,nh->n", dZ0_tokens, Vm)
-    dscores = a * (da - np.add.reduceat(a * da, starts)[sent]) / np.sqrt(X.dtype.type(X.shape[1]))
-    dq0 = np.add.reduceat(dscores[:, None] * Km, starts, axis=0)
-    dKm = dscores[:, None] * q0[sent]
-    dX = dKm @ params.K.T + dVm @ params.Vp.T
-    dX[starts] += dZ0 + dq0 @ params.Q.T
+    # attention with residual: Z0 = X0 + Abar @ Vp, Abar = sum_t a_t x_t, a = softmax_t(x_t . r)
+    G = dZ0 @ params.Vp.T  # gradient at Abar
+    da = (Ed @ G.T).ravel()[doc.cell] + (params.P @ G.T).ravel()[pcell]
+    ds = a * (da - np.add.reduceat(a * da, starts)[sent])
+    Cs, Bs = _counts(doc.cell, *Ca.shape, Ed.dtype, ds), _counts(pcell, *Ba.shape, Ed.dtype, ds)
+    dr = Cs.T @ Ed + Bs.T @ params.P
+    scale = np.sqrt(Ed.dtype.type(Ed.shape[1]))
+    dq0 = dr @ params.K / scale
+    dX0 = dZ0 + dq0 @ params.Q.T
+    # each token's dx_t = a_t G_j + ds_t r_j, summed by cell; sentences may share a first id
+    E_rows = Ca @ G + Cs @ r
+    np.add.at(E_rows, first, dX0)
+    dP = Ba @ G + Bs @ r
+    dP[0] += dX0.sum(axis=0)
     return {
-        "E": RowGrad.from_slots(cache.layout.distinct, slot, dX),
-        "P": RowGrad.from_slots(np.arange(params.P.shape[0]), pos, dX).rows,
-        "Q": X[starts].T @ dq0,
-        "K": X.T @ dKm,
-        "Vp": X.T @ dVm,
+        "E": RowGrad(ids=doc.distinct, rows=E_rows),
+        "P": dP,
+        "Q": X0.T @ dq0,
+        "K": dr.T @ q0 / scale,
+        "Vp": Abar.T @ dZ0,
         "F1": Z0.T @ dH1,
         "F2": T1.T @ dcls,
         "g1": dH1.sum(axis=0),

@@ -90,9 +90,13 @@ class TrainConfig:
             raise ValueError(f"unknown attention mode: {self.attention_mode!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("k_max", "lr", "beta1", "beta2", "adam_eps", "batch_size", "max_epochs", "patience"):
+        for name in ("k_max", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # a NaN fails every comparison, so it is refused with the rest
+        for name, high in (("lr", math.inf), ("adam_eps", math.inf), ("beta1", 1), ("beta2", 1)):
+            if not 0 < getattr(self, name) < high:
+                raise ValueError(f"{name} must lie in the open interval (0, {high})")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.stop_at_train_f1 is not None and not self.log_train_f1:

@@ -82,5 +82,7 @@ def encoder_backward(params: MiniTransformerParams, caches: list[MiniTransformer
     """Gradients of every minitransformer tensor; E comes back as a RowGrad."""
     grads = {name: np.zeros_like(t) for name, t in params.named_tensors() if name != "E"}
     token_rows = [_minitransformer_backward(params, c, dD[:, j], grads) for j, c in enumerate(caches)]
-    ids = np.concatenate([c.ids for c in caches])
-    return {"E": RowGrad.from_slots(*np.unique(ids, return_inverse=True), np.concatenate(token_rows)), **grads}
+    distinct, slot = np.unique(np.concatenate([c.ids for c in caches]), return_inverse=True)
+    rows = np.zeros((len(distinct), params.E.shape[1]), dtype=params.E.dtype)
+    np.add.at(rows, slot, np.concatenate(token_rows))
+    return {"E": RowGrad(ids=distinct, rows=rows), **grads}

@@ -122,6 +122,8 @@ class TestExitCodes:
         ["gradcheck", "--eps", "0"],
         ["gradcheck", "--seed", "-1"],
         ["train", "{corpus}", "{out}", "--seed", "-1"],
+        ["train", "{corpus}", "{out}", "--beta2", "1.5"],
+        ["train", "{corpus}", "{out}", "--lr", "nan"],
         ["split", "{corpus}", "--seed", "-1"],
         ["build-vocab", "{corpus}", "--seed", "-1"],
         ["evaluate", "{model}", "{corpus}", "--seed", "-1"],

@@ -79,6 +79,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tiny_config(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("adam_eps", math.nan), ("adam_eps", -1e-8),
+        ("beta1", math.nan), ("beta1", 1.0), ("beta1", 0.0), ("beta2", 1.5), ("beta2", -math.inf),
+    ])
+    def test_adam_settings_outside_their_open_interval_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must lie in the open interval"):
+            tiny_config(**{name: value})
+
 
 class TestEarlyStopper:
     def test_peak_at_three_with_patience_two(self):
@@ -369,12 +377,13 @@ class TestTrain:
     # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
     # Adam still stepped every row: stepping only live rows changes no bit.
     # The minitransformer digest was re-recorded when it became CLS-query
-    # attention over the whole document, and the meanpool digest when its
-    # sentence means became matmuls over the count matrix; both sum in
+    # attention over the whole document, and again when its attention pooled
+    # through weighted count matrices, and the meanpool digest when its
+    # sentence means became matmuls over the count matrix; each sums in
     # another order.
     PINNED = {
         MEANPOOL: "fae5ff3338520e0382c032d438a9e15980e1ebc058d29c41352d4ff136f5c795",
-        MINITRANSFORMER: "7e6cc77e3a1cd5c320a16716ee84b174e4a957f7ed4ddd1626a79dbfed3b4a61",
+        MINITRANSFORMER: "3245eef75ae01d5321127c1de5bb3d476a56fae60f715f47e222163fd4b532a2",
     }
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
@@ -386,10 +395,10 @@ class TestTrain:
 
     # The same runs with uniform attention, over every tensor but S, recorded
     # when uniform attention was a separate head path that froze alpha at 1/k;
-    # the meanpool digest re-recorded with the count-matrix means.
+    # both re-recorded with the count-matrix pooling of their kind.
     PINNED_UNIFORM = {
         MEANPOOL: "61c0db6fee06fe5b726e04434f5957e4e9a270b528794781837175cb0767576b",
-        MINITRANSFORMER: "d42c780dfda9b4acd8cc49eb0610ab3f0897fa74a3ee910f68cf12ec0f3baa0d",
+        MINITRANSFORMER: "2e75bb33668de2c1b5aa0f46b816882e677f5a71268b8998d9f7d32ded0423f5",
     }
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
@@ -747,7 +756,7 @@ class TestGradCheck:
 
     def test_sees_a_dropped_query_path_term(self, monkeypatch):
         # Q enters the minitransformer's backward only through dq0 @ Q.T in
-        # dX, so a zero Q there is exactly the backward without that term
+        # dX0, so a zero Q there is exactly the backward without that term
         forward, backward = encoder._PASSES[MINITRANSFORMER]
 
         def without_query_term(params, cache, dD):
