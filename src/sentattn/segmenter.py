@@ -8,11 +8,19 @@ never splits. Nor does one between two digits, such as the point of
 "3.14": the boundary pattern needs whitespace right after the terminator
 and its closing marks, so a digit there never matches.
 
-Preprocessing is linear in the text it keeps: `segment` reads the text only
-up to the end of the k_max-th sentence, and tokenization splits a sentence
-on whitespace into at most t_max - 2 words and keeps the first t_max - 2
-tokens of them. A word that is all alphanumeric is one token; only the
-other words are split further, and only as far as the tokens still needed.
+Preprocessing is linear in the text it keeps. One scanner,
+`sentence_spans`, yields each sentence's [start, end) span and reads the
+text only up to the end of the k_max-th sentence; `segment` wraps the spans
+in `Sentence` objects, and `prepare_documents` slices them itself. The
+abbreviation check runs only where the char before the terminator is the
+last letter of a listed abbreviation, in either case. Only the first
+sentence and the tail are trimmed: every other sentence starts at the
+uppercase letter or digit after a boundary and ends at its terminator or
+closing mark. Tokenization splits a sentence on whitespace into at most
+t_max - 2 words and keeps the first t_max - 2 tokens of them. A word that
+is all alphanumeric is one token, and one that is alphanumeric but for a
+single trailing mark is two; only the other words are split further, and
+only as far as the tokens still needed.
 
 Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
 learned vocabulary; each distinct token is hashed once and then served from
@@ -44,6 +52,8 @@ _ABBREVIATIONS_LOWER = tuple(a.lower() for a in ABBREVIATIONS)
 # source chars; a final-sigma change near the window's start stays non-ASCII
 # and alphanumeric.
 _ABBREVIATION_WINDOW = max(len(a) for a in ABBREVIATIONS) + 1
+# the chars whose lowercase ends in a listed abbreviation's last letter
+_ABBREVIATION_ENDS = frozenset("".join(a[-2] + a[-2].swapcase() for a in ABBREVIATIONS))
 
 # terminator, optional closing quotes/brackets, whitespace, then upper/digit
 _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
@@ -78,20 +88,19 @@ def _is_abbreviation(text: str, term_pos: int) -> bool:
     return False
 
 
-def _trimmed(text: str, start: int, end: int) -> Sentence | None:
+def _trimmed(text: str, start: int, end: int) -> tuple[int, int]:
+    """[start, end) without leading and trailing whitespace."""
     while start < end and text[start].isspace():
         start += 1
     while end > start and text[end - 1].isspace():
         end -= 1
-    if start == end:
-        return None
-    return Sentence(text=text[start:end], start=start, end=end)
+    return start, end
 
 
-def segment(text: str, k_max: int) -> list[Sentence]:
-    """Split text into at most k_max sentences under the pinned rule set.
+def sentence_spans(text: str, k_max: int) -> list[tuple[int, int]]:
+    """The [start, end) spans of at most k_max sentences under the pinned rule set.
 
-    Nonempty text that yields no boundary comes back as a single sentence;
+    Nonempty text that yields no boundary comes back as a single span;
     whitespace-only input raises EmptyText. Stops reading at the end of the
     k_max-th sentence.
     """
@@ -99,22 +108,24 @@ def segment(text: str, k_max: int) -> list[Sentence]:
         raise ValueError("k_max must be positive")
     if not text or text.isspace():
         raise EmptyText("text has no non-whitespace character")
-    sentences: list[Sentence] = []
+    spans: list[tuple[int, int]] = []
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
         term_pos = match.start(1)
-        if _is_abbreviation(text, term_pos):
+        if text[term_pos - 1] in _ABBREVIATION_ENDS and _is_abbreviation(text, term_pos):
             continue
-        sentence = _trimmed(text, start, match.end(2))
-        if sentence is not None:
-            sentences.append(sentence)
-            if len(sentences) == k_max:
-                return sentences
+        # a sentence holds its terminator, and after a boundary it starts at [A-Z0-9]
+        spans.append((start, match.end(2)) if spans else _trimmed(text, start, match.end(2)))
+        if len(spans) == k_max:
+            return spans
         start = match.end()
-    tail = _trimmed(text, start, len(text))
-    if tail is not None:
-        sentences.append(tail)
-    return sentences
+    spans.append(_trimmed(text, start, len(text)))
+    return spans
+
+
+def segment(text: str, k_max: int) -> list[Sentence]:
+    """Split text into at most k_max sentences: `sentence_spans` as Sentence objects."""
+    return [Sentence(text[start:end], start, end) for start, end in sentence_spans(text, k_max)]
 
 
 def _word_tokens(word: str, need: int) -> list[str]:
@@ -154,6 +165,9 @@ def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndar
         for word in text.lower().split(None, n)[:n]:
             if word.isalnum():
                 tokens.append(word)
+            # one trailing mark, as in "said."; word[-2] first, so "a))...)" is never copied
+            elif word[0].isalnum() and word[-2].isalnum() and word[:-1].isalnum():
+                tokens += (word[:-1], word[-1])
             else:
                 tokens += _word_tokens(word, start + n - len(tokens))
         del tokens[start + n :]

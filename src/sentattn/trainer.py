@@ -46,7 +46,7 @@ from .encoder import (
 from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 from .metrics import ConfusionCounts, macro_scores, micro_scores
 from .metrics import report as metrics_report
-from .segmenter import segment, token_ids
+from .segmenter import sentence_spans, token_ids
 
 LEARNED = "learned"
 UNIFORM = "uniform"
@@ -245,7 +245,7 @@ def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_
     parts = [record.title, record.abstract]
     if use_description:
         parts.append(record.description)
-    return ". ".join(p.strip() for p in parts if p.strip())
+    return ". ".join(filter(None, (p.strip() for p in parts)))
 
 
 def prepare_documents(
@@ -271,8 +271,9 @@ def prepare_documents(
             if target is None and require_labels:
                 dropped += 1
                 continue
-        sentences = segment(document_text(record, use_description), k_max)
-        layout = DocLayout(*token_ids((s.text for s in sentences), t_max, v_buckets))
+        text = document_text(record, use_description)
+        sentences = (text[start:end] for start, end in sentence_spans(text, k_max))
+        layout = DocLayout(*token_ids(sentences, t_max, v_buckets))
         docs.append(PreparedDoc(id=record.id, layout=layout, target=target))
     return docs, dropped
 

@@ -6,26 +6,35 @@ every boundary for a decimal point between two digits (which the boundary
 pattern already rules out), and scans the whole text before it keeps the
 first k_max sentences; `tokenize` strips punctuation one character at a time
 and splits every word. They are moved unchanged; only their imports differ.
-Token ids come from the unmemoized hash, so the oracle shares no cache with
-the code under test.
+The boundary pattern and the sentence trimmer are verbatim copies too, so the
+oracle does not change when the segmenter's private helpers do. Token ids
+come from the unmemoized hash, so the oracle shares no cache with the code
+under test.
 """
+
+import re
 
 import numpy as np
 
 from sentattn.hashing import token_bucket as _memoized_token_bucket
-from sentattn.segmenter import (
-    _BOUNDARY_RE,
-    ABBREVIATIONS,
-    CLS_ID,
-    SEP_ID,
-    EmptyText,
-    Sentence,
-    _trimmed,
-)
+from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, Sentence
 
 token_bucket = _memoized_token_bucket.__wrapped__
 
+# terminator, optional closing quotes/brackets, whitespace, then upper/digit
+_BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
+
 _DIGITS = "0123456789"
+
+
+def _trimmed(text: str, start: int, end: int) -> Sentence | None:
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if start == end:
+        return None
+    return Sentence(text=text[start:end], start=start, end=end)
 
 
 def _is_decimal(text: str, term_pos: int) -> bool:

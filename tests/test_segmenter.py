@@ -158,6 +158,11 @@ class TestAgainstReference:
     @example("xİ.e. Then A. B", 2)
     @example("ΑΣ etc. Next one. And more", 1)
     @example("See xet al. Next", 4)
+    @example("FIG. 2 shows. X", 3)
+    @example("e.G. X", 2)
+    @example("İfig. X", 2)
+    @example("Fig.) X", 2)
+    @example(" \n\t First one. Second one. \n", 5)
     def test_segment_spans_and_errors_match(self, text, k_max):
         assert outcome(segment, text, k_max) == outcome(reference.segment, text, k_max)
 
@@ -178,6 +183,12 @@ class TestAgainstReference:
     @example("((((a))))", 4, 64)
     @example("(" * 500, 10, 64)
     @example("_a_ a_b Σ. ΑΣ.", 16, 512)
+    @example("a.", 8, 64)
+    @example("ab)", 8, 64)
+    @example("(a.", 8, 64)
+    @example("a-b.", 8, 64)
+    @example("x" * 40 + ".", 8, 64)
+    @example("said. said.", 4, 64)
     def test_tokenize_ids_and_errors_match(self, text, t_max, v_buckets):
         assert outcome(tokenize, text, t_max, v_buckets) == outcome(reference.tokenize, text, t_max, v_buckets)
 
@@ -213,6 +224,7 @@ class TestPreparedLayout:
     @example("", 4, 8, 64)
     @example("(cap). A cat!  Σ_x. 3.14 is İ. ((((", 3, 4, 64)
     @example("w " * 50 + ". Next one.", 2, 6, 512)
+    @example(" \n said. (a. e.G. X b) Fig.) Y", 3, 5, 64)
     def test_layout_and_errors_match(self, text, k_max, t_max, v_buckets):
         assert layout_outcome(prepared_layout, text, k_max, t_max, v_buckets) \
             == layout_outcome(reference_layout, text, k_max, t_max, v_buckets)
@@ -221,6 +233,18 @@ class TestPreparedLayout:
     def test_refused_dims_raise_as_tokenize_does(self, t_max, v_buckets):
         with pytest.raises(ValueError):
             prepared_layout("A cat.", 4, t_max, v_buckets)
+
+    def test_builds_no_sentence_objects(self, monkeypatch):
+        # prepare_documents slices sentence texts from the scanner's spans
+        built = []
+        real = segmenter.Sentence
+        monkeypatch.setattr(segmenter, "Sentence", lambda *args: built.append(args) or real(*args))
+        text = " One said. Fig. 2 shows it. Three (a). Four"
+        assert prepared_layout(text, 8, 16, 64).lens.tolist() == [5, 8, 7, 3]
+        assert built == []
+        out = segmenter.segment(text, 8)
+        assert len(built) == 4
+        assert [(s.start, s.end) for s in out] == segmenter.sentence_spans(text, 8)
 
 
 class TestBoundedWork:
@@ -247,6 +271,15 @@ class TestBoundedWork:
         out = segmenter.segment(text, 3)
         assert [s.text for s in out] == [f"Sentence number {i} ends here." for i in range(3)]
         assert len(calls) <= 3
+
+    def test_scanner_stops_at_k_max(self, monkeypatch):
+        # every terminator here follows an "e", so each boundary is checked
+        calls = []
+        real = segmenter._is_abbreviation
+        monkeypatch.setattr(segmenter, "_is_abbreviation", lambda *args: calls.append(args) or real(*args))
+        text = " ".join(f"Sentence number {i} ends here." for i in range(10_000))
+        assert len(segmenter.sentence_spans(text, 3)) == 3
+        assert len(calls) == 3
 
     def test_tokenize_hashes_at_most_t_max_minus_two_tokens(self, monkeypatch):
         calls = []
@@ -280,6 +313,15 @@ class TestBoundedWork:
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))
         assert "".join(re.findall(r"[^\W_]", every_char)) == "".join(filter(str.isalnum, every_char))
         assert "".join(re.findall(r"\s", every_char)) == "".join(filter(str.isspace, every_char))
+
+    def test_abbreviation_prefilter_is_exact(self):
+        # the scanner checks for an abbreviation only after a char in the prefilter
+        # set, so that set must hold every char whose lowercase ends in a listed
+        # abbreviation's last letter before its closing point
+        assert all(a.endswith(".") for a in ABBREVIATIONS)
+        last_letters = {a.lower()[-2] for a in ABBREVIATIONS}
+        ends = {c for c in map(chr, range(sys.maxunicode + 1)) if c.lower()[-1:] in last_letters}
+        assert ends == segmenter._ABBREVIATION_ENDS == set("cCeEgGlLoOsS")
 
 
 class TestTokenBucketMemo:
