@@ -112,6 +112,7 @@ def sentence_spans(text: str, k_max: int) -> list[tuple[int, int]]:
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
         term_pos = match.start(1)
+        # at term_pos 0 this reads text[-1], and _is_abbreviation finds no letter before the point
         if text[term_pos - 1] in _ABBREVIATION_ENDS and _is_abbreviation(text, term_pos):
             continue
         # a sentence holds its terminator, and after a boundary it starts at [A-Z0-9]
