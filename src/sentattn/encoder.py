@@ -76,11 +76,25 @@ class TensorSet:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
+# Rows of a matrix drawn per uniform call: the rows come from the stream in
+# order, so the bits match one call over the whole matrix, and no float64
+# copy of a large table (16.8 MB at the default dims) is ever held.
+_INIT_CHUNK_ROWS = 4096
+
+
+def _uniform(rng: np.random.Generator, shape: tuple[int, int], dtype: np.dtype | type) -> np.ndarray:
+    """rng.uniform(-0.05, 0.05, size=shape).astype(dtype), drawn in chunks of rows."""
+    out = np.empty(shape, dtype=dtype)
+    for start in range(0, shape[0], _INIT_CHUNK_ROWS):
+        chunk = out[start : start + _INIT_CHUNK_ROWS]
+        chunk[...] = rng.uniform(-0.05, 0.05, size=chunk.shape)
+    return out
+
+
 def init_tensors(cls, spec: TensorSpec, rng: np.random.Generator, dtype: np.dtype | type):
     """Seeded init in spec order: matrices uniform in [-0.05, 0.05], vectors zero."""
     return cls(**{
-        name: rng.uniform(-0.05, 0.05, size=shape).astype(dtype) if len(shape) == 2
-        else np.zeros(shape, dtype=dtype)
+        name: _uniform(rng, shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype=dtype)
         for name, shape in spec
     })
 

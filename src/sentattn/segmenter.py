@@ -79,6 +79,8 @@ class Sentence:
 def _is_abbreviation(text: str, term_pos: int) -> bool:
     """True when the terminator at term_pos ends a listed abbreviation."""
     window = text[max(0, term_pos + 1 - _ABBREVIATION_WINDOW) : term_pos + 1].lower()
+    if not window.endswith(_ABBREVIATIONS_LOWER):  # the common miss, in one call
+        return False
     for abbr in _ABBREVIATIONS_LOWER:
         if not window.endswith(abbr):
             continue

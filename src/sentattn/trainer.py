@@ -11,11 +11,14 @@ tokenized into one id array, and laid out as the DocLayout that every
 training and validation pass over it reads.
 
 Adam steps only the embedding table's live rows, those that have ever had
-a gradient, which is exact; once gathering them costs more, it steps the
-whole table in place.
+a gradient, which is exact. It holds their state in the order they went
+live, so its memory follows the live rows, not the table; once gathering
+them costs more, it moves the state into table order and steps the whole
+table in place.
 
 Model selection is validation micro-F1; the best-epoch parameters are
-snapshotted and training stops after `patience` epochs without
+snapshotted, into one copy made at the first best and overwritten at each
+later one, and training stops after `patience` epochs without
 improvement. grad_check rebuilds a small random instance in float64 and
 compares every analytic gradient against central finite differences.
 """
@@ -154,25 +157,52 @@ class EarlyStopper:
         return self.since_improved >= self.patience
 
 
-# Gathering a row, stepping it and scattering it back costs about 3.6 times
-# as much as stepping it in place inside the whole table (a 32,772 x 64
-# float32 table on one x86-64 Xeon core: 39-44 ms gathered over every row,
-# 11-12 ms in place). So gathering pays only while fewer than 1/3.6 of a
-# table's rows are live.
-_GATHER_COST_RATIO = 3.6
+# Adam holds a row-sparse tensor's state in slot order while at most this
+# share of its rows is live, and in table order from then on. Gathering n
+# live rows, stepping the contiguous slot prefix in place and scattering the
+# rows back costs about as much as stepping the whole table in place once n
+# reaches three quarters of it (a 32,772 x 64 float32 table on one x86-64
+# Xeon core, scripts/adam_bench.py).
+_SLOT_ORDER_MAX_LIVE = 0.75
+
+
+class _Slots:
+    """The slot order of one table's live rows: slot i holds row `rows[i]`."""
+
+    def __init__(self, n_rows: int):
+        self.slot = np.full(n_rows, -1, dtype=np.intp)  # row -> slot; -1 until the row goes live
+        self.rows = np.empty(n_rows, dtype=np.intp)     # slot -> row, the first n in use
+        self.n = 0
+
+    def of(self, ids: np.ndarray) -> np.ndarray:
+        """The slots of distinct rows `ids`, each new row taking the next free slot."""
+        slots = self.slot[ids]
+        new = slots < 0
+        if new.any():
+            fresh = ids[new]
+            end = self.n + len(fresh)
+            slots[new] = self.slot[fresh] = np.arange(self.n, end)
+            self.rows[self.n : end] = fresh
+            self.n = end
+        return slots
 
 
 class Adam:
     """Mini-batch adaptive moment estimation with bias correction, stepping only live rows.
 
     `add` sums each document's gradients into buffers allocated once per
-    run: dense ones whole, row-sparse ones (RowGrad, the embedding table
-    E's) scatter-added, their rows marked live in one mask per tensor that
-    only grows. Gradients of tensors it does not hold, such as the frozen S
-    of a uniform-attention run, are dropped. `step` takes one selection per
-    tensor: its live rows, or the whole tensor if it is dense or gathering
-    costs more. It scales the selection to the batch mean, applies the
-    textbook update one in-place operation at a time, and clears it back to
+    run. Gradients of tensors it does not hold, such as the frozen S of a
+    uniform-attention run, are dropped. A tensor's `grad`, `m` and `v` start
+    in slot order: the first time a row-sparse gradient (RowGrad, the
+    embedding table E's) reaches a row, the row takes the next free slot,
+    and its state lives in that row of the buffers. So the state of n live
+    rows is the buffers' first n rows, and pages past them are never
+    written. A dense gradient moves its tensor's state into table order, as
+    does `step` once more than _SLOT_ORDER_MAX_LIVE of a table's rows are
+    live, and there it stays. `step` takes, per tensor, the live rows
+    gathered from the table in slot order, or the whole table in place. It
+    scales them to the batch mean, applies the textbook update one in-place
+    operation at a time, scatters gathered rows back and clears the sums to
     +0.0. That is exact: a live row outside the batch sums +0.0, and a row
     never live has m = v = +0.0, which the update leaves unchanged bit for
     bit.
@@ -185,24 +215,35 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.grad = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
-        self._live: dict[str, np.ndarray] = {}
+        # np.zeros, not zeros_like: no page is written before a row is
+        self.grad = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
+        self.m = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
+        self.v = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
+        self._slots = {name: _Slots(len(p)) for name, p in tensors.items()}
+
+    def _to_table_order(self, name: str) -> None:
+        """Move one tensor's state from slot order into table order, if it is not there yet."""
+        slots = self._slots.pop(name, None)
+        if slots is None:
+            return
+        for state in (self.grad[name], self.m[name], self.v[name]):
+            live = state[: slots.n].copy()
+            state[: slots.n] = 0.0
+            state[slots.rows[: slots.n]] = live
 
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
         """Add one document's gradients to the batch sums."""
         for name, g in grads.items():
             if name not in self.grad:
                 continue
-            if isinstance(g, RowGrad):
-                g.add_to(self.grad[name])
-                live = self._live.get(name)
-                if live is None:
-                    live = self._live[name] = np.zeros(len(self.grad[name]), dtype=bool)
-                live[g.ids] = True
-            else:
+            if not isinstance(g, RowGrad):
+                self._to_table_order(name)
                 self.grad[name] += g
+            elif name in self._slots:
+                # a RowGrad's ids are distinct, so are their slots, and += is exact
+                self.grad[name][self._slots[name].of(g.ids)] += g.rows
+            else:
+                g.add_to(self.grad[name])
 
     def step(self, n_docs: int) -> None:
         """One update with the mean of the `n_docs` documents added since the last."""
@@ -210,14 +251,16 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, table in self.tensors.items():
-            live = self._live.get(name)
-            sel = slice(None)
-            if live is not None and np.count_nonzero(live) * _GATHER_COST_RATIO < len(table):
-                sel = np.flatnonzero(live)
-            # views for slice(None), so the update runs in place; copies for live rows
-            p, g, m, v = table[sel], self.grad[name][sel], self.m[name][sel], self.v[name][sel]
+            slots = self._slots.get(name)
+            if slots is not None and slots.n > _SLOT_ORDER_MAX_LIVE * len(table):
+                self._to_table_order(name)
+                slots = None
+            # the whole table in place, or a copy of the live rows in slot order
+            live = None if slots is None else slots.rows[: slots.n]
+            p = table if live is None else table[live]
+            g, m, v = self.grad[name][: len(p)], self.m[name][: len(p)], self.v[name][: len(p)]
             g *= 1.0 / n_docs
-            a, b = np.empty_like(p), np.empty_like(p)
+            a = np.empty_like(p)
             # m = beta1*m + (1-beta1)*g
             np.multiply(m, self.beta1, out=m)
             np.multiply(g, 1.0 - self.beta1, out=a)
@@ -227,17 +270,17 @@ class Adam:
             np.multiply(g, 1.0 - self.beta2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
-            # p -= (lr*m_hat) / (sqrt(v_hat) + eps)
+            # p -= (lr*m_hat) / (sqrt(v_hat) + eps); g is spent, so it holds the denominator
             np.divide(m, bc1, out=a)
             np.multiply(a, self.lr, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
-            np.divide(a, b, out=a)
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            np.add(g, self.eps, out=g)
+            np.divide(a, g, out=a)
             np.subtract(p, a, out=p)
-            if not isinstance(sel, slice):
-                table[sel], self.m[name][sel], self.v[name][sel] = p, m, v
-            self.grad[name][sel] = 0.0
+            if live is not None:
+                table[live] = p
+            g[...] = 0.0
 
 
 def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_description) -> str:
@@ -366,7 +409,12 @@ def train(
         if on_epoch is not None:
             on_epoch(entry)
         if stopper.update(epoch, val_micro):
-            best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
+            if best_snapshot is None:
+                best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
+            else:  # later bests overwrite the first one's buffers
+                for (_, kept), (_, now) in zip(model_tensors(*best_snapshot),
+                                               model_tensors(enc_params, head_params)):
+                    np.copyto(kept, now)
         if config.stop_at_train_f1 is not None and entry.train_micro_f1 is not None:
             if entry.train_micro_f1 >= config.stop_at_train_f1:
                 break

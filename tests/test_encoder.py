@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import meanpool_reference
 import minitransformer_reference
+from sentattn import encoder
 from sentattn.encoder import (
     ENCODER_KINDS,
     ENCODER_PARAMS,
@@ -22,6 +23,7 @@ from sentattn.encoder import (
     encode_document,
     encoder_backward,
     init_encoder,
+    init_tensors,
 )
 from sentattn.head import HeadParams, init_head
 from sentattn.trainer import grad_check
@@ -394,6 +396,27 @@ class TestTensorSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown encoder kind"):
             init_encoder("lstm", self.DIMS, np.random.default_rng(0))
+
+    CHUNK = encoder._INIT_CHUNK_ROWS
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.integers(1, 2 * CHUNK + 3), min_size=1, max_size=3),
+           width=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    @example(rows=[CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK], width=2, dtype=np.float32, seed=0)
+    @example(rows=[CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK], width=2, dtype=np.float64, seed=0)
+    def test_chunked_init_is_one_uniform_draw_per_matrix(self, rows, width, dtype, seed):
+        # Matrices are drawn a chunk of rows at a time, straight into the
+        # table; the bits, and the stream left for later draws, must be one
+        # float64 draw per matrix cast to the dtype.
+        spec = [(f"T{i}", (n, width)) for i, n in enumerate(rows)] + [("b", (width,))]
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = init_tensors(dict, spec, rng, dtype)
+        for name, shape in spec[:-1]:
+            expected = reference.uniform(-0.05, 0.05, size=shape).astype(dtype)
+            assert params[name].dtype == dtype
+            assert params[name].tobytes() == expected.tobytes(), name
+        assert rng.random() == reference.random()
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -74,3 +74,20 @@ def test_prepare_bench_times_every_stage_at_both_shapes(capsys, tmp_path):
         assert shape["first_document"]["tokens"] > shape["first_document"]["sentences"] > 0
         for stage in ("segment_us", "tokenize_us", "prepare_us"):
             assert 0 < shape[stage]["q1"] <= shape[stage]["median"] <= shape[stage]["q3"]
+
+
+def test_adam_bench_times_every_live_share_and_a_train_run(capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"before": {"kept": True}}))
+    code = load_script("adam_bench").main(["--tiny", "--repeats", "2", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
+    assert list(report["steps"]) == ["0.3%", "10.0%", "30.0%", "50.0%", "75.0%", "100.0%"]
+    assert report["steps"]["100.0%"]["live_rows"] == report["train"]["table_rows"]
+    for share in report["steps"].values():
+        assert 0 < share["step_ms"]["q1"] <= share["step_ms"]["median"] <= share["step_ms"]["q3"]
+    train = report["train"]
+    assert train["epochs"] == 2 and train["adam_steps"] > 0
+    assert 0 <= train["adam_step_s"] <= train["train_s"]
+    assert 0 < train["live_rows"] < train["table_rows"]

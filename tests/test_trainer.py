@@ -2,10 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,20 @@ class TestEarlyStopper:
         assert stopper.should_stop
 
 
+def table_order(opt: Adam, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam's grad, m and v of one tensor in table order, whichever order it holds them in."""
+    states = (opt.grad[name], opt.m[name], opt.v[name])
+    slots = opt._slots.get(name)
+    if slots is None:
+        return states
+    out = []
+    for state in states:
+        full = np.zeros_like(state)
+        full[slots.rows[: slots.n]] = state[: slots.n]
+        out.append(full)
+    return tuple(out)
+
+
 class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         p = np.array([1.0], dtype=np.float32)
@@ -195,9 +213,10 @@ class TestAdam:
                 expected[n] = self.textbook(*expected[n], g, t, lr, beta1, beta2, eps)
             for n in params:
                 p, m, v = expected[n]
+                _, opt_m, opt_v = table_order(opt, n)
                 assert params[n].tobytes() == p.tobytes(), (t, n)
-                assert opt.m[n].tobytes() == m.tobytes(), (t, n)
-                assert opt.v[n].tobytes() == v.tobytes(), (t, n)
+                assert opt_m.tobytes() == m.tobytes(), (t, n)
+                assert opt_v.tobytes() == v.tobytes(), (t, n)
 
     def test_a_fully_live_table_falls_back_to_the_whole_table(self):
         rng = np.random.default_rng(4)
@@ -210,16 +229,36 @@ class TestAdam:
             opt.add({"E": RowGrad(ids=ids, rows=g[ids])})
             opt.step(1)
             expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
-        assert opt._live["E"].all()  # every row is live: the step ran on the whole table
+        assert "E" not in opt._slots  # every row is live: the state moved into table order
+        _, m, v = table_order(opt, "E")
+        assert params["E"].tobytes() == expected[0].tobytes()
+        assert m.tobytes() == expected[1].tobytes()
+        assert v.tobytes() == expected[2].tobytes()
+
+    def test_a_dense_gradient_after_row_sparse_ones_moves_the_state_into_table_order(self):
+        rng = np.random.default_rng(5)
+        params = {"E": rng.normal(size=(6, 2)).astype(np.float32)}
+        expected = (params["E"].copy(), np.zeros_like(params["E"]), np.zeros_like(params["E"]))
+        opt = Adam(params, 1e-2, 0.9, 0.999, 1e-8)
+        for t, ids in enumerate([np.array([4]), np.array([1, 4]), None], start=1):
+            g = rng.normal(size=(6, 2)).astype(np.float32)
+            if ids is None:
+                opt.add({"E": g})
+            else:
+                g[np.setdiff1d(np.arange(6), ids)] = 0.0
+                opt.add({"E": RowGrad(ids=ids, rows=g[ids])})
+            opt.step(1)
+            expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
+        assert "E" not in opt._slots
         assert params["E"].tobytes() == expected[0].tobytes()
         assert opt.m["E"].tobytes() == expected[1].tobytes()
         assert opt.v["E"].tobytes() == expected[2].tobytes()
 
     def test_memory_of_a_sparse_step_stays_far_below_the_table(self):
-        # Beyond the gradient sums, m and v, whose never-written rows the OS
-        # never maps (but tracemalloc counts in full), building the optimizer
-        # and stepping 200 live E rows must not allocate anything near a
-        # full-size table.
+        # Beyond the gradient sums, m and v, which tracemalloc counts in full
+        # (how much of them the OS maps is bounded by the next test), building
+        # the optimizer and stepping 200 live E rows must not allocate
+        # anything near a full-size table.
         rng = np.random.default_rng(0)
         dims = ModelDims()
         tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
@@ -237,6 +276,42 @@ class TestAdam:
             tracemalloc.stop()
         full_size = sum(t.nbytes for state in (opt.grad, opt.m, opt.v) for t in state.values())
         assert peak - full_size < tensors["E"].nbytes / 8, peak - full_size
+
+    # Run in a fresh interpreter, where no memory freed by earlier tests can
+    # be reused unseen; prints the growth of the resident set in MB.
+    SPARSE_STEP_RSS = """
+import numpy as np
+from sentattn.encoder import MEANPOOL, ModelDims, RowGrad, init_encoder
+from sentattn.head import init_head
+from sentattn.trainer import Adam
+
+def resident_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+
+rng = np.random.default_rng(0)
+dims = ModelDims()
+tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
+               + init_head(dims.c, dims.h, rng).named_tensors())
+grads = {n: np.zeros_like(p) for n, p in tensors.items()}
+ids = np.sort(rng.choice(dims.v_buckets, size=200, replace=False)) + 4
+grads["E"] = RowGrad(ids=ids, rows=rng.normal(size=(200, dims.h)).astype(np.float32))
+before = resident_kb()
+opt = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
+opt.add(grads)
+opt.step(1)
+print((resident_kb() - before) / 1024)
+"""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc/self/status")
+    def test_resident_memory_of_a_sparse_step_stays_far_below_the_table(self):
+        # E's grad, m and v take 8.4 MB each at the default dims. Held in
+        # slot order, 200 live rows write only their first 50 KB, though
+        # numpy's huge-page advice may map 2 MB around each.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", self.SPARSE_STEP_RSS], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 10, out.stdout
 
 
 def _document_grads(seed: int, dims: ModelDims, n_docs: int):
@@ -281,13 +356,14 @@ class TestAdamBatch:
         for grads in docs:
             opt.add(grads)
         expected = self.dense_sum(tensors, docs)
+        grad = {n: table_order(opt, n)[0] for n in tensors}
         for n in tensors:
-            assert opt.grad[n].tobytes() == expected[n].tobytes(), n
+            assert grad[n].tobytes() == expected[n].tobytes(), n
         used = np.unique(np.concatenate([g["E"].ids for g in docs]))
         untouched = np.setdiff1d(np.arange(tensors["E"].shape[0]), used)
         assert len(untouched) > 0
-        assert not opt.grad["E"][untouched].any()
-        assert not np.signbit(opt.grad["E"][untouched]).any()  # +0.0, never -0.0
+        assert not grad["E"][untouched].any()
+        assert not np.signbit(grad["E"][untouched]).any()  # +0.0, never -0.0
 
     def test_step_clears_to_positive_zero_and_the_buffers_are_reused(self):
         # Each step applies the textbook update to the batch mean, then leaves
@@ -323,7 +399,8 @@ class TestAdamBatch:
         assert not calls
         # after the first step the live rows are this batch's distinct rows
         ids = np.concatenate([g["E"].ids for g in docs])
-        assert np.flatnonzero(opt._live["E"]).tolist() == sorted(set(ids.tolist()))
+        slots = opt._slots["E"]
+        assert sorted(slots.rows[: slots.n].tolist()) == sorted(set(ids.tolist()))
         assert not opt.grad["E"].any()
 
     def test_memory_of_one_document_stays_far_below_the_table(self):
@@ -434,6 +511,21 @@ class TestTrain:
         rerun = evaluate(result.checkpoint, tiny_corpus, split_name="validation",
                          seed=3, k_max=8)
         assert rerun["micro"]["f1"] == best_logged
+
+    def test_a_later_best_epoch_is_kept_apart_from_the_live_parameters(self, tiny_corpus):
+        # Validation F1 here improves at epochs 1, 3 and 8 of 12: each later
+        # best is copied into the first one's buffers, and training goes on. Its checkpoint must be the parameters at the best epoch b,
+        # which a run that stops at b returns.
+        config = tiny_config(lr=0.2, max_epochs=12, patience=12)
+        result = train(config, tiny_corpus)
+        f1 = [e.val_micro_f1 for e in result.epochs]
+        best = f1.index(max(f1)) + 1
+        assert 1 < best < len(f1)
+        stopped = train(replace(config, max_epochs=best, patience=best), tiny_corpus)
+        for (name, kept), (_, expected) in zip(result.checkpoint.tensors(), stopped.checkpoint.tensors()):
+            assert kept.tobytes() == expected.tobytes(), name
+        rerun = evaluate(result.checkpoint, tiny_corpus, split_name="validation", seed=3, k_max=8)
+        assert rerun["micro"]["f1"] == max(f1)
 
     def test_vocabulary_from_training_split_only(self, tiny_corpus):
         result = train(tiny_config(), tiny_corpus)
