@@ -5,12 +5,15 @@ Each shape is a seeded synthetic corpus built like a benchmark workload's
 documents. Per document it times three calls, in microseconds:
 
 * segment_us: `segment` of the document's text;
-* tokenize_us: `tokenize` of each of those sentences, summed;
+* tokenize_us: one `token_ids` call per document, over all of those
+  sentences, as `prepare_documents` makes it (the committed
+  BENCH_prepare.json comes from an earlier form of this script, which
+  summed one call per sentence);
 * prepare_us: `prepare_documents` of the one record, then reading its
   `layout`: the whole path from text to the layout that every encoder pass
   reads.
 
-Only `segment`, `tokenize`, `prepare_documents` and `document_text` are
+Only `segment`, `token_ids`, `prepare_documents` and `document_text` are
 called, so the script times any version of the package whose signatures
 match. Each round times every document of every shape once; round 0 warms
 the token memo and is not counted. Prints one JSON object (median and
@@ -37,7 +40,7 @@ from time import perf_counter
 import numpy as np
 
 from sentattn.corpus import PatentRecord
-from sentattn.segmenter import segment, tokenize
+from sentattn.segmenter import segment, token_ids
 from sentattn.trainer import document_text, prepare_documents
 
 VOCAB = (
@@ -103,7 +106,7 @@ def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: i
             t0 = perf_counter()
             kept = segment(document_text(record, use_description), k_max)
             t1 = perf_counter()
-            ids = [tokenize(s.text, t_max, v_buckets) for s in kept]
+            ids, _ = token_ids((s.text for s in kept), t_max, v_buckets)
             t2 = perf_counter()
             docs, _ = prepare_documents([record], None, k_max, t_max, v_buckets, use_description,
                                         require_labels=False)
@@ -114,7 +117,7 @@ def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: i
                 times["tokenize_us"].append(t2 - t1)
                 times["prepare_us"].append(t3 - t2)
             elif record is records[0]:
-                sentences, tokens = len(kept), sum(map(len, ids))
+                sentences, tokens = len(kept), len(ids)
     return {"first_document": {"sentences": sentences, "tokens": tokens},
             **{name: _stats(seconds) for name, seconds in times.items()}}
 

@@ -26,20 +26,10 @@ from .encoder import (
     encoder_backward,
     init_encoder,
 )
-from .head import (
-    HeadParams,
-    attention_forward,
-    bce_loss,
-    head_backward,
-    head_forward,
-    init_head,
-    pool_labels,
-    predict,
-    score,
-)
+from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 from .metrics import ConfusionCounts, macro_scores, micro_scores
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .segmenter import Sentence, segment, tokenize
+from .segmenter import Sentence, segment
 from .trainer import TrainConfig, evaluate, grad_check, train
 
 __version__ = "0.1.0"
@@ -48,11 +38,10 @@ __all__ = [
     "Checkpoint", "ConfusionCounts", "DocLayout", "HeadParams",
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
     "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
-    "attention_forward", "bce_loss", "build_vocabulary", "encode_document",
-    "encode_labels", "encoder_backward", "evaluate", "grad_check",
-    "head_backward", "head_forward", "init_encoder", "init_head",
-    "label_stats", "load_checkpoint", "load_corpus", "macro_scores",
-    "micro_scores", "parse_ipc", "pool_labels", "predict",
-    "save_checkpoint", "score", "segment", "split_of", "tokenize",
+    "bce_loss", "build_vocabulary", "encode_document", "encode_labels",
+    "encoder_backward", "evaluate", "grad_check", "head_backward",
+    "head_forward", "init_encoder", "init_head", "label_stats",
+    "load_checkpoint", "load_corpus", "macro_scores", "micro_scores",
+    "parse_ipc", "predict", "save_checkpoint", "segment", "split_of",
     "train",
 ]

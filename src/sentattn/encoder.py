@@ -211,12 +211,6 @@ class DocLayout:
         sent = np.repeat(np.arange(k), self.lens)
         self.cell = (np.searchsorted(distinct, ids) * k + sent).astype(np.int32)
 
-    @classmethod
-    def of_sentences(cls, sentences: Sequence[np.ndarray]) -> "DocLayout":
-        """The layout of a list of per-sentence id arrays."""
-        ids = np.concatenate(sentences) if len(sentences) else np.empty(0, dtype=np.int64)
-        return cls(ids, [len(s) for s in sentences])
-
     def __len__(self) -> int:
         return len(self.lens)
 
@@ -334,17 +328,13 @@ _PASSES = {
 }
 
 
-def encode_document(
-    sentences: Sequence[np.ndarray] | DocLayout, params: EncoderParams
-) -> tuple[np.ndarray, EncoderCache]:
+def encode_document(doc: DocLayout, params: EncoderParams) -> tuple[np.ndarray, EncoderCache]:
     """Encode a document's sentences as the columns of D (h x k), plus the backward cache.
 
-    Both kinds run on the whole document at once, over its DocLayout. Pass
-    the layout itself to reuse it across passes; a sentence list gets a
-    layout built for this call alone. Token counts and ids are checked
-    against the params on every call.
+    Both kinds run on the whole document at once, over the layout built
+    when it was prepared. Token counts and ids are checked against the
+    params on every call.
     """
-    doc = sentences if isinstance(sentences, DocLayout) else DocLayout.of_sentences(sentences)
     _check_tokens(doc, params)
     D, saved = _PASSES[params.kind][0](params, doc)
     return D, EncoderCache(kind=params.kind, layout=doc, saved=saved)

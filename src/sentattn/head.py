@@ -12,6 +12,9 @@ sentence axis with max-subtraction; the BCE loss works on logits, never on
 stored sigmoid outputs. With S = 0 every logit is tanh(0) = 0 and alpha
 is exactly 1/k: the uniform-pooling ablation is this head with S held at
 zero, not a separate path.
+
+`head_forward` runs the whole chain in one pass and keeps alpha, L, the
+logits and the scores in its cache, which `head_backward` reads.
 """
 
 from __future__ import annotations
@@ -59,25 +62,6 @@ def _attention(D: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zt, e / e.sum(axis=1, keepdims=True)
 
 
-def attention_forward(D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Row-stochastic attention weights alpha (c x k) over sentence columns."""
-    return _attention(D, S)[1]
-
-
-def pool_labels(alpha: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Label representations L (c x h): l_i = sum_j alpha[i][j] d_j."""
-    if alpha.shape[1] != D.shape[1]:
-        raise ShapeMismatch(f"alpha {alpha.shape} against D {D.shape}")
-    return alpha @ D.T
-
-
-def score(L: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-label sigmoid scores from the per-label linear maps."""
-    if L.shape != W.shape or b.shape != (W.shape[0],):
-        raise ShapeMismatch(f"L {L.shape}, W {W.shape}, b {b.shape}")
-    return _sigmoid(_logits(L, W, b))
-
-
 def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Multi-label decision: bit i = 1 iff score[i] > threshold, strictly."""
     return (scores > threshold).astype(np.int8)
@@ -97,10 +81,6 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_label.mean())
 
 
-def _logits(L, W, b):
-    return (W * L).sum(axis=1) + b
-
-
 def _sigmoid(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -111,10 +91,13 @@ def _sigmoid(t):
 
 
 def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:
-    """Full attention -> pooling -> scoring chain with backward cache."""
+    """The whole chain over D (h x k): alpha (c x k), L = alpha @ D.T (c x h), logits, scores.
+
+    All of them stay in the returned cache, which head_backward reads.
+    """
     zt, alpha = _attention(D, params.S)
-    L = pool_labels(alpha, D)
-    logits = _logits(L, params.W, params.b)
+    L = alpha @ D.T
+    logits = (params.W * L).sum(axis=1) + params.b
     return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits, scores=_sigmoid(logits))
 
 

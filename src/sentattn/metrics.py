@@ -82,18 +82,17 @@ def micro_scores(counts: ConfusionCounts) -> tuple[float, float, float]:
     return micro_p, micro_r, _f1(micro_p, micro_r)
 
 
-def report(counts: ConfusionCounts, labels: list[str] | None = None) -> dict:
-    """Full JSON-ready metrics report: per-class block plus macro and micro."""
+def report(counts: ConfusionCounts, labels: list[str]) -> dict:
+    """Full JSON-ready metrics report: per-class block, keyed by label, plus macro and micro."""
     p, r, f1 = per_class_scores(counts)
     macro_p, macro_r, macro_f1 = macro_scores(counts)
     micro_p, micro_r, micro_f1 = micro_scores(counts)
-    names = labels if labels is not None else [str(i) for i in range(counts.c)]
     per_class = {
         name: {
             "tp": int(counts.tp[i]), "fp": int(counts.fp[i]), "fn": int(counts.fn[i]),
             "precision": float(p[i]), "recall": float(r[i]), "f1": float(f1[i]),
         }
-        for i, name in enumerate(names)
+        for i, name in enumerate(labels)
     }
     return {
         "per_class": per_class,

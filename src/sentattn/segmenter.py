@@ -10,13 +10,13 @@ and its closing marks, so a digit there never matches.
 
 Preprocessing is linear in the text it keeps. One scanner,
 `sentence_spans`, yields each sentence's [start, end) span and reads the
-text only up to the end of the k_max-th sentence; `segment` wraps the spans
-in `Sentence` objects, and `prepare_documents` slices them itself. The
-abbreviation check runs only where the char before the terminator is the
-last letter of a listed abbreviation, in either case. Only the first
-sentence and the tail are trimmed: every other sentence starts at the
-uppercase letter or digit after a boundary and ends at its terminator or
-closing mark. Tokenization splits a sentence on whitespace into at most
+text only up to the end of the k_max-th sentence; `prepare_documents`
+slices the spans itself, and `segment` wraps them in `Sentence` objects
+for the CLI `segment` command. The abbreviation check runs only where the
+char before the terminator is the last letter of a listed abbreviation, in
+either case. Only the first sentence and the tail are trimmed: every other
+sentence starts at the uppercase letter or digit after a boundary and ends
+at its terminator or closing mark. Tokenization splits a sentence on whitespace into at most
 t_max - 2 words and keeps the first t_max - 2 tokens of them. A word that
 is all alphanumeric is one token, and one that is alphanumeric but for a
 single trailing mark is two; only the other words are split further, and
@@ -26,7 +26,7 @@ Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
 learned vocabulary; each distinct token is hashed once and then served from
 a bounded memo. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
 unreachable under hashing. `token_ids` tokenizes a whole document's
-sentences into one id array; `tokenize` is its one-sentence case.
+sentences into one id array and each sentence's id count.
 """
 
 from __future__ import annotations
@@ -184,8 +184,3 @@ def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndar
         ids += (CLS_ID, *hashed[start : start + m - 2], SEP_ID)
         start += m - 2
     return np.array(ids, dtype=np.int64), lens
-
-
-def tokenize(text: str, t_max: int, v_buckets: int) -> np.ndarray:
-    """Hash one sentence into a CLS ... SEP id sequence of length <= t_max (see token_ids)."""
-    return token_ids([text], t_max, v_buckets)[0]

@@ -49,7 +49,7 @@ from .encoder import (
 from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 from .metrics import ConfusionCounts, macro_scores, micro_scores
 from .metrics import report as metrics_report
-from .segmenter import sentence_spans, token_ids
+from .segmenter import CLS_ID, SEP_ID, sentence_spans, token_ids
 
 LEARNED = "learned"
 UNIFORM = "uniform"
@@ -446,6 +446,8 @@ def evaluate(
     use_description: bool = TrainConfig.use_description,
 ) -> dict:
     """Forward + threshold-0.5 predict over one split, with the checkpoint's vocabulary."""
+    if k_max <= 0:  # refused before any record is read, so an empty corpus gets the same answer
+        raise ValueError("k_max must be positive")
     records, load_report = load_corpus(corpus_path)
     if not records:
         raise EmptySplit("corpus holds no usable records")
@@ -473,6 +475,8 @@ def predict_records(
     """Score records against the checkpoint; labels in the input are ignored."""
     if not 0.0 <= threshold <= 1.0:  # NaN too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if k_max <= 0:
+        raise ValueError("k_max must be positive")
     docs, _ = prepare_documents(
         records, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
         require_labels=False)
@@ -521,13 +525,15 @@ def grad_check(
     rng = np.random.default_rng(seed)
     enc_params = init_encoder(kind, dims, rng, dtype=np.float64)
     head_params = init_head(dims.c, dims.h, rng, dtype=np.float64)
-    sentences = []
+    ids: list[int] = []
+    lens = []
     for _ in range(k):
         m = int(rng.integers(3, dims.t_max + 1))
-        interior = rng.integers(4, 4 + dims.v_buckets, size=m - 2)
-        sentences.append(np.array([1, *interior, 2], dtype=np.int64))
+        ids += (CLS_ID, *rng.integers(4, 4 + dims.v_buckets, size=m - 2), SEP_ID)
+        lens.append(m)
     targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
-    doc = PreparedDoc(id="gradcheck", layout=DocLayout.of_sentences(sentences), target=targets)
+    layout = DocLayout(np.array(ids, dtype=np.int64), lens)
+    doc = PreparedDoc(id="gradcheck", layout=layout, target=targets)
 
     tensors = dict(model_tensors(enc_params, head_params))
     for tensor in tensors.values():

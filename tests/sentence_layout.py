@@ -1,0 +1,11 @@
+"""Test support: the DocLayout of a document given as per-sentence id arrays."""
+
+import numpy as np
+
+from sentattn.encoder import DocLayout
+
+
+def layout_of(sentences: list[np.ndarray]) -> DocLayout:
+    """The layout of the sentences' ids laid end to end, as prepare_documents builds it."""
+    ids = np.concatenate(sentences) if len(sentences) else np.empty(0, dtype=np.int64)
+    return DocLayout(ids, [len(s) for s in sentences])

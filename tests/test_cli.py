@@ -128,12 +128,17 @@ class TestExitCodes:
         ["build-vocab", "{corpus}", "--seed", "-1"],
         ["evaluate", "{model}", "{corpus}", "--seed", "-1"],
         ["predict", "{model}", "{corpus}", "--seed", "-1"],
+        # refused before any record is read, so a corpus with no records gets the same answer
+        pytest.param(["evaluate", "{model}", "{empty}", "--k-max", "0"], id="evaluate empty --k-max 0"),
+        pytest.param(["predict", "{model}", "{empty}", "--k-max", "0"], id="predict empty --k-max 0"),
     ], ids=lambda argv: " ".join(arg for arg in argv if "{" not in arg))
     def test_out_of_range_value_is_usage_error(self, capsys, monkeypatch, trained, corpus, tmp_path, argv):
         import io
 
         monkeypatch.setattr("sys.stdin", io.StringIO("One thing. Another thing."))
-        names = {"model": trained[0], "corpus": corpus, "out": tmp_path / "m.satn"}
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        names = {"model": trained[0], "corpus": corpus, "out": tmp_path / "m.satn", "empty": empty}
         code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
         assert code == EXIT_USAGE
         assert out == ""

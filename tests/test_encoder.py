@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import meanpool_reference
 import minitransformer_reference
+from sentence_layout import layout_of
 from sentattn import encoder
 from sentattn.encoder import (
     ENCODER_KINDS,
@@ -52,7 +53,7 @@ REFERENCES = {MEANPOOL: meanpool_reference, MINITRANSFORMER: minitransformer_ref
 
 def sentence_cls(ids, params):
     """One sentence through the document encoder, as a one-sentence document."""
-    D, _ = encode_document([ids], params)
+    D, _ = encode_document(layout_of([ids]), params)
     return D[:, 0]
 
 
@@ -89,7 +90,7 @@ class TestMeanPool:
 
     def test_scalar_backward_oracle(self):
         params = scalar_meanpool()
-        _, cache = encode_document([seq(1, 4, 5, 2)], params)
+        _, cache = encode_document(layout_of([seq(1, 4, 5, 2)]), params)
         grads = encoder_backward(params, cache, np.ones((1, 1)))
         assert math.isclose(grads["M"][0, 0], DM_SCALAR, rel_tol=1e-12)
 
@@ -136,7 +137,7 @@ class TestMiniTransformer:
         dims = ModelDims(h=6, c=2, v_buckets=8, t_max=8, f=5)
         params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(3))
         sentences = [seq(1, 4, 4, 5, 2), seq(1, 5, 6, 6, 4, 4, 2), seq(1, 7, 2)]
-        _, cache = encode_document(sentences, params)
+        _, cache = encode_document(layout_of(sentences), params)
         n = sum(map(len, sentences))
         assert n not in (len(sentences), len(cache.layout.distinct), dims.t_max, dims.h, dims.f)
         for saved in cache.saved:
@@ -152,7 +153,7 @@ class TestEncodeDocument:
         dims = ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(kind, dims, np.random.default_rng(1), dtype=np.float64)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 2), seq(1, 7, 2)]
-        D, cache = encode_document(sentences, params)
+        D, cache = encode_document(layout_of(sentences), params)
         assert D.shape == (5, 3)
         assert len(cache.layout) == 3
         for j, ids in enumerate(sentences):
@@ -165,35 +166,35 @@ class TestEncodeDocument:
         params = normal_params(kind, ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4), seed=6)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 7, 8, 9, 10, 2), seq(1, 7, 2), seq(1, 4, 4, 9, 2)]
         order = [2, 0, 3, 1]
-        D, _ = encode_document(sentences, params)
-        D_permuted, _ = encode_document([sentences[j] for j in order], params)
+        D, _ = encode_document(layout_of(sentences), params)
+        D_permuted, _ = encode_document(layout_of([sentences[j] for j in order]), params)
         np.testing.assert_allclose(D_permuted, D[:, order], rtol=0, atol=1e-12)
 
     def test_single_sentence(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
-        D, _ = encode_document([seq(1, 4, 2)], params)
+        D, _ = encode_document(layout_of([seq(1, 4, 2)]), params)
         assert D.shape == (3, 1)
 
     def test_identical_sentences_identical_columns(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
-        D, _ = encode_document([seq(1, 4, 2), seq(1, 4, 2)], params)
+        D, _ = encode_document(layout_of([seq(1, 4, 2), seq(1, 4, 2)]), params)
         np.testing.assert_array_equal(D[:, 0], D[:, 1])
 
     def test_forward_reruns_bit_for_bit(self):
         dims = ModelDims(h=6, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(9))
         sentences = [seq(1, 4, 11, 2), seq(1, 8, 2)]
-        D1, _ = encode_document(sentences, params)
-        D2, _ = encode_document(sentences, params)
+        D1, _ = encode_document(layout_of(sentences), params)
+        D2, _ = encode_document(layout_of(sentences), params)
         assert np.array_equal(D1, D2)
 
     def test_empty_document_rejected(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
         with pytest.raises(ShapeMismatch):
-            encode_document([], params)
+            encode_document(layout_of([]), params)
 
 
 class TestBackward:
@@ -201,7 +202,7 @@ class TestBackward:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         for kind in (MINITRANSFORMER, MEANPOOL):
             params = init_encoder(kind, dims, np.random.default_rng(4))
-            _, cache = encode_document([seq(1, 5, 2), seq(1, 6, 2)], params)
+            _, cache = encode_document(layout_of([seq(1, 5, 2), seq(1, 6, 2)]), params)
             grads = encoder_backward(params, cache, np.zeros((4, 2)))
             assert grads["E"].ids.tolist() == [1, 2, 5, 6]
             for name, g in grads.items():
@@ -211,7 +212,7 @@ class TestBackward:
     def test_untouched_embedding_rows_stay_zero(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, cache = encode_document([seq(1, 5, 2)], params)
+        _, cache = encode_document(layout_of([seq(1, 5, 2)]), params)
         grads = encoder_backward(params, cache, np.ones((4, 1)))
         touched = {1, 5, 2}
         assert grads["E"].ids.tolist() == sorted(touched)
@@ -225,7 +226,7 @@ class TestBackward:
     def test_cache_mismatch(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, cache = encode_document([seq(1, 5, 2)], params)
+        _, cache = encode_document(layout_of([seq(1, 5, 2)]), params)
         with pytest.raises(CacheMismatch):
             encoder_backward(params, cache, np.ones((4, 3)))
 
@@ -234,7 +235,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         meanpool = init_encoder(MEANPOOL, dims, rng)
         transformer = init_encoder(MINITRANSFORMER, dims, rng)
-        _, cache = encode_document([seq(1, 5, 2)], transformer)
+        _, cache = encode_document(layout_of([seq(1, 5, 2)]), transformer)
         with pytest.raises(CacheMismatch):
             encoder_backward(meanpool, cache, np.ones((4, 1)))
 
@@ -242,7 +243,7 @@ class TestBackward:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         for kind in (MEANPOOL, MINITRANSFORMER):
             params = init_encoder(kind, dims, np.random.default_rng(4))
-            _, cache = encode_document([seq(1, 5, 2), seq(1, 6, 7, 2)], params)
+            _, cache = encode_document(layout_of([seq(1, 5, 2), seq(1, 6, 7, 2)]), params)
             grads = encoder_backward(params, cache, np.ones((4, 2), dtype=np.float32))
             assert list(grads) == [name for name, _ in params.named_tensors()], kind
             assert isinstance(grads["E"], RowGrad)
@@ -315,7 +316,7 @@ def _scores_far_apart():
 def assert_matches_reference(params, sentences, dD, tol):
     """D and every gradient equal the per-sentence reference loop's within tol."""
     reference = REFERENCES[params.kind]
-    D, cache = encode_document(sentences, params)
+    D, cache = encode_document(layout_of(sentences), params)
     D_ref, caches_ref = reference.encode_document(sentences, params)
     assert np.isfinite(D).all()
     np.testing.assert_allclose(D, D_ref, rtol=0, atol=tol)
@@ -436,32 +437,32 @@ class TestShapeValidation:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document([seq(1, 500, 2)], params)
+            encode_document(layout_of([seq(1, 500, 2)]), params)
 
     def test_too_many_tokens(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=4, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document([seq(1, 4, 5, 6, 2)], params)
+            encode_document(layout_of([seq(1, 4, 5, 6, 2)]), params)
 
     def test_too_few_tokens_in_a_later_sentence(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document([seq(1, 4, 2), seq(1, 2)], params)
+            encode_document(layout_of([seq(1, 4, 2), seq(1, 2)]), params)
 
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     def test_negative_token_id(self, kind):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(kind, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document([seq(1, 4, 2), seq(1, -3, 2)], params)
+            encode_document(layout_of([seq(1, 4, 2), seq(1, -3, 2)]), params)
 
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     def test_a_layout_is_checked_against_the_params_of_every_encode(self, kind):
         # the layout is built once and kept, so the checks run per call, not per build
         rng = np.random.default_rng(0)
-        layout = DocLayout.of_sentences([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
+        layout = layout_of([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
         encode_document(layout, init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=64, f=4), rng))
         short = init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=12, f=4), rng)
         with pytest.raises(ShapeMismatch, match=r"token count 32 outside \[3, 12\]"):
@@ -482,7 +483,7 @@ class TestDocLayout:
         assert layout.distinct[slot].tolist() == ids.tolist()
         assert sent.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
         sentences = [seq(1, 9, 5, 2), seq(1, 5, 5, 7, 2), seq(1, 9, 2)]
-        of_list = DocLayout.of_sentences(sentences)
+        of_list = layout_of(sentences)
         for name in ("lens", "distinct", "cell"):
             assert np.array_equal(getattr(of_list, name), getattr(layout, name)), name
 

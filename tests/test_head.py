@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from sentattn.encoder import ShapeMismatch
-from sentattn.head import (
-    HeadParams,
-    attention_forward,
-    bce_loss,
-    head_backward,
-    head_forward,
-    init_head,
-    pool_labels,
-    predict,
-    score,
-)
+from sentattn.head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 
 E_SQUARED = math.e**2
 
@@ -27,6 +17,18 @@ def random_instance(rng, h, k, c, scale=1.0):
         b=rng.normal(size=c),
     )
     return D, params
+
+
+def forward(D, S, b=None):
+    """head_forward over D with W = 0, and b = 0 unless given; L must be alpha @ D.T."""
+    b = np.zeros(len(S), dtype=S.dtype) if b is None else b
+    cache = head_forward(D, HeadParams(S=S, W=np.zeros_like(S), b=b))
+    np.testing.assert_array_equal(cache.L, cache.alpha @ D.T)
+    return cache
+
+
+def sigmoid(t):
+    return 1.0 / (1.0 + np.exp(-t))
 
 
 def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5):
@@ -50,60 +52,64 @@ def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5):
 
 class TestAttentionForward:
     def test_single_sentence_gets_all_weight(self):
-        alpha = attention_forward(np.random.default_rng(0).normal(size=(3, 1)), np.zeros((4, 3)))
+        alpha = forward(np.random.default_rng(0).normal(size=(3, 1)), np.zeros((4, 3))).alpha
         np.testing.assert_array_equal(alpha, np.ones((4, 1)))
 
     def test_zero_attention_matrix_is_uniform(self):
         D = np.random.default_rng(0).normal(size=(3, 5))
-        alpha = attention_forward(D, np.zeros((2, 3)))
+        alpha = forward(D, np.zeros((2, 3))).alpha
         np.testing.assert_allclose(alpha, 1.0 / 5.0, atol=1e-12)
 
     def test_scalar_softmax_oracle(self):
-        alpha = attention_forward(np.array([[0.0, 10.0]]), np.array([[1.0]]))
+        alpha = forward(np.array([[0.0, 10.0]]), np.array([[1.0]])).alpha
         np.testing.assert_allclose(
             alpha, [[0.26894142218048994, 0.7310585778195101]], rtol=1e-10)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         D, params = random_instance(rng, h=6, k=9, c=4, scale=3.0)
-        alpha = attention_forward(D, params.S)
+        alpha = forward(D, params.S).alpha
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
     def test_tanh_caps_sharpness(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             D, params = random_instance(rng, h=5, k=7, c=3, scale=50.0)
-            alpha = attention_forward(D, params.S)
+            alpha = forward(D, params.S).alpha
             ratio = alpha.max(axis=1) / alpha.min(axis=1)
             assert np.all(ratio <= E_SQUARED + 1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            attention_forward(np.zeros((3, 2)), np.zeros((2, 4)))
+            forward(np.zeros((3, 2)), np.zeros((2, 4)))
 
 
 class TestPoolLabels:
     def test_single_column(self):
         D = np.array([[1.0], [2.0]])
-        L = pool_labels(np.ones((3, 1)), D)
-        np.testing.assert_array_equal(L, [[1, 2], [1, 2], [1, 2]])
+        cache = forward(D, np.random.default_rng(0).normal(size=(3, 2)))
+        np.testing.assert_array_equal(cache.alpha, np.ones((3, 1)))
+        np.testing.assert_array_equal(cache.L, [[1, 2], [1, 2], [1, 2]])
 
     def test_uniform_is_column_mean(self):
         rng = np.random.default_rng(3)
         D = rng.normal(size=(4, 6))
-        L = pool_labels(np.full((2, 6), 1 / 6), D)
-        np.testing.assert_allclose(L[0], D.mean(axis=1), rtol=1e-12)
+        cache = forward(D, np.zeros((2, 4)))
+        np.testing.assert_array_equal(cache.alpha, np.full((2, 6), 1 / 6))
+        np.testing.assert_allclose(cache.L[0], D.mean(axis=1), rtol=1e-12)
 
     def test_arithmetic_oracle(self):
+        # tanh(s_1 . d_1) - tanh(s_0 . d_0) = ln 3 weighs the columns 1:3
         D = np.array([[1.0, 0.0], [0.0, 1.0]])
-        L = pool_labels(np.array([[0.25, 0.75]]), D)
-        np.testing.assert_allclose(L, [[0.25, 0.75]], rtol=1e-15)
+        s = math.atanh(math.log(3.0) / 2)
+        cache = forward(D, np.array([[-s, s]]))
+        np.testing.assert_allclose(cache.alpha, [[0.25, 0.75]], rtol=1e-15)
+        np.testing.assert_allclose(cache.L, [[0.25, 0.75]], rtol=1e-15)
 
     def test_convex_hull_componentwise(self):
         rng = np.random.default_rng(4)
         D, params = random_instance(rng, h=5, k=8, c=3)
-        alpha = attention_forward(D, params.S)
-        L = pool_labels(alpha, D)
+        L = forward(D, params.S).L
         lo, hi = D.min(axis=1), D.max(axis=1)
         for i in range(3):
             assert np.all(L[i] >= lo - 1e-12) and np.all(L[i] <= hi + 1e-12)
@@ -111,15 +117,15 @@ class TestPoolLabels:
 
 class TestScoreAndPredict:
     def test_zero_params_score_half(self):
-        s = score(np.ones((3, 4)), np.zeros((3, 4)), np.zeros(3))
+        s = forward(np.ones((4, 2)), np.zeros((3, 4))).scores
         np.testing.assert_array_equal(s, 0.5)
 
     def test_bias_ten(self):
-        s = score(np.ones((1, 2)), np.zeros((1, 2)), np.array([10.0]))
+        s = forward(np.ones((2, 3)), np.ones((1, 2)), b=np.array([10.0])).scores
         assert math.isclose(s[0], 0.9999546021312976, rel_tol=1e-12)
 
     def test_quarter_from_logit_minus_ln3(self):
-        s = score(np.ones((1, 1)), np.zeros((1, 1)), np.array([-math.log(3.0)]))
+        s = forward(np.ones((1, 1)), np.ones((1, 1)), b=np.array([-math.log(3.0)])).scores
         assert math.isclose(s[0], 0.25, rel_tol=1e-15)
 
     def test_predict_strict_at_threshold(self):
@@ -189,7 +195,8 @@ class TestHeadInvariants:
         rng = np.random.default_rng(7)
         D, params = random_instance(rng, h=4, k=1, c=3)
         cache = head_forward(D, params)
-        collapsed = score(np.tile(D[:, 0], (3, 1)), params.W, params.b)
+        np.testing.assert_array_equal(cache.L, np.tile(D[:, 0], (3, 1)))
+        collapsed = sigmoid((params.W * D[:, 0]).sum(axis=1) + params.b)
         np.testing.assert_allclose(cache.scores, collapsed, rtol=1e-12)
 
     def test_positive_scaling_of_classifier_preserves_predictions(self):
@@ -210,7 +217,7 @@ class TestUniformMode:
         for dtype in (np.float32, np.float64):
             for k in (*range(1, 65), 100, 127, 1000, 4095, 4096):
                 D = rng.normal(size=(4, k)).astype(dtype)
-                alpha = attention_forward(D, np.zeros((3, 4), dtype=dtype))
+                alpha = forward(D, np.zeros((3, 4), dtype=dtype)).alpha
                 assert alpha.dtype == dtype
                 np.testing.assert_array_equal(alpha, np.full((3, k), 1 / k, dtype=dtype))
         D, params = random_instance(rng, h=4, k=8, c=2)

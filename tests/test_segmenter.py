@@ -14,7 +14,7 @@ from sentattn import segmenter
 from sentattn.corpus import PatentRecord
 from sentattn.encoder import DocLayout
 from sentattn.hashing import fnv1a64, token_bucket
-from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, segment, tokenize
+from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, segment, token_ids
 from sentattn.trainer import document_text, prepare_documents
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "segmenter_golden.json").read_text())
@@ -89,24 +89,24 @@ class TestSegment:
 
 class TestTokenize:
     def test_punctuation_detached(self):
-        ids = tokenize("A cat.", t_max=16, v_buckets=32768)
+        ids = token_ids(["A cat."], t_max=16, v_buckets=32768)[0]
         assert ids.tolist() == [CLS_ID, TOKEN_ID_PINS["a"], TOKEN_ID_PINS["cat"], TOKEN_ID_PINS["."], SEP_ID]
 
     def test_repeated_token_same_id(self):
-        ids = tokenize("spin spin", t_max=8, v_buckets=64)
+        ids = token_ids(["spin spin"], t_max=8, v_buckets=64)[0]
         assert ids[1] == ids[2]
 
     def test_truncation(self):
         text = " ".join(f"w{i}" for i in range(100))
-        ids = tokenize(text, t_max=10, v_buckets=64)
+        ids = token_ids([text], t_max=10, v_buckets=64)[0]
         assert len(ids) == 10
         assert ids[0] == CLS_ID and ids[-1] == SEP_ID
-        full = tokenize(text, t_max=256, v_buckets=64)
+        full = token_ids([text], t_max=256, v_buckets=64)[0]
         assert ids[1:-1].tolist() == full[1 : 1 + 8].tolist()
 
     def test_wrapping_punctuation(self):
-        ids = tokenize("(cap).", t_max=16, v_buckets=512)
-        bare = tokenize("( cap ) .", t_max=16, v_buckets=512)
+        ids = token_ids(["(cap)."], t_max=16, v_buckets=512)[0]
+        bare = token_ids(["( cap ) ."], t_max=16, v_buckets=512)[0]
         assert ids.tolist() == bare.tolist()
 
     @settings(max_examples=80)
@@ -114,14 +114,14 @@ class TestTokenize:
     def test_length_and_reserved_id_invariants(self, text, t_max, v_buckets):
         if not text.split():
             return
-        ids = tokenize(text, t_max, v_buckets)
+        ids = token_ids([text], t_max, v_buckets)[0]
         assert 3 <= len(ids) <= t_max
         assert ids[0] == CLS_ID and ids[-1] == SEP_ID
         assert all(4 <= t < 4 + v_buckets for t in ids[1:-1])
 
     def test_t_max_floor(self):
         with pytest.raises(ValueError):
-            tokenize("word", t_max=2, v_buckets=8)
+            token_ids(["word"], t_max=2, v_buckets=8)
 
 
 def outcome(fn, *args):
@@ -190,7 +190,8 @@ class TestAgainstReference:
     @example("x" * 40 + ".", 8, 64)
     @example("said. said.", 4, 64)
     def test_tokenize_ids_and_errors_match(self, text, t_max, v_buckets):
-        assert outcome(tokenize, text, t_max, v_buckets) == outcome(reference.tokenize, text, t_max, v_buckets)
+        ours = outcome(lambda: token_ids([text], t_max, v_buckets)[0])
+        assert ours == outcome(reference.tokenize, text, t_max, v_buckets)
 
 
 def prepared_layout(text, k_max, t_max, v_buckets):
@@ -284,7 +285,7 @@ class TestBoundedWork:
     def test_tokenize_hashes_at_most_t_max_minus_two_tokens(self, monkeypatch):
         calls = []
         monkeypatch.setattr(segmenter, "token_bucket", lambda t, v: calls.append(t) or token_bucket(t, v))
-        ids = segmenter.tokenize("(" * 80_000 + " word" * 10_000, t_max=8, v_buckets=64)
+        ids = segmenter.token_ids(["(" * 80_000 + " word" * 10_000], t_max=8, v_buckets=64)[0]
         assert len(ids) == 8
         assert calls == ["("] * 6
 
@@ -298,7 +299,7 @@ class TestBoundedWork:
         tracemalloc.start()
         try:
             if through == "tokenize":
-                lens = [len(segmenter.tokenize(text, t_max=64, v_buckets=64))]
+                lens = segmenter.token_ids([text], t_max=64, v_buckets=64)[1]
             else:
                 lens = prepared_layout(text, 8, 64, 64).lens.tolist()
             peak = tracemalloc.get_traced_memory()[1]
@@ -309,7 +310,7 @@ class TestBoundedWork:
         assert peak < 1_000_000, peak
 
     def test_token_regex_classes_are_the_str_methods(self):
-        # tokenize's regex stands in for str.isalnum and str.isspace
+        # token_ids's regex stands in for str.isalnum and str.isspace
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))
         assert "".join(re.findall(r"[^\W_]", every_char)) == "".join(filter(str.isalnum, every_char))
         assert "".join(re.findall(r"\s", every_char)) == "".join(filter(str.isspace, every_char))
