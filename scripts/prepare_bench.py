@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
-"""Time preprocessing per document, from record text to encoder layout, at two document shapes.
+"""Time preprocessing per document, from record text to encoder layout, at three document shapes.
 
 Each shape is a seeded synthetic corpus built like a benchmark workload's
 documents. Per document it times three calls, in microseconds:
 
 * segment_us: `segment` of the document's text;
 * tokenize_us: one `token_ids` call per document, over all of those
-  sentences, as `prepare_documents` makes it (the committed
-  BENCH_prepare.json comes from an earlier form of this script, which
-  summed one call per sentence);
+  sentences, as `prepare_documents` makes it;
 * prepare_us: `prepare_documents` of the one record, then reading its
   `layout`: the whole path from text to the layout that every encoder pass
   reads.
 
 Only `segment`, `token_ids`, `prepare_documents` and `document_text` are
 called, so the script times any version of the package whose signatures
-match. Each round times every document of every shape once; round 0 warms
-the token memo and is not counted. Prints one JSON object (median and
-quartiles over documents and rounds), and writes it to --out when given.
+match. Each round times every document of a shape once. Round 0 meets the
+shape's words with a cold token memo: each shape's dims or words differ
+from those of the shapes before it. It is reported apart, under "cold";
+its prepare_us follows a token_ids call over the same document, so only
+its tokenize_us is cold throughout. The warm rounds 1..N are the stages'
+own entries. Prints one JSON object (median and quartiles over documents
+and rounds), and writes it to --out when given.
 
 * abstract: the train-meanpool benchmark's documents, a 4-word title and
   32 abstract sentences of 4-8 words over a 60-word vocabulary, at the
@@ -25,6 +27,10 @@ quartiles over documents and rounds), and writes it to --out when given.
 * description: the longdoc benchmark's, with a description of 6-13-word
   sentences long enough that every document keeps k_max = 128 sentences,
   at its small dims (t_max=32, 4096 buckets).
+* zipf: a vocabulary-rich corpus built like `adam_bench.make_zipf_corpus`,
+  a 6-word title and 8 abstract sentences of 8-15 words drawn Zipf(1.1)
+  over 30,000 word types, at the default dims. Its round 0 meets far more
+  new words per document than the other shapes' do.
 
 Usage: python scripts/prepare_bench.py [--repeats N] [--docs N] [--tiny] [--out PATH]
 """
@@ -55,27 +61,37 @@ VOCAB = (
     "outer", "wherein", "said",
 )
 
-# name -> (t_max, v_buckets, k_max, abstract sentences, description sentences, words per sentence)
+# name -> (t_max, v_buckets, k_max, abstract sentences, description sentences, words per sentence,
+#          title words, Zipf word types or None for VOCAB)
 SHAPES = {
-    "abstract": (64, 32768, 128, 32, 0, (4, 8)),
-    "description": (32, 4096, 128, 12, 150, (6, 13)),
+    "abstract": (64, 32768, 128, 32, 0, (4, 8), 4, None),
+    "description": (32, 4096, 128, 12, 150, (6, 13), 4, None),
+    "zipf": (64, 32768, 128, 8, 0, (8, 15), 6, 30_000),
 }
-TINY = {"abstract": (16, 64, 8, 4, 0, (2, 4)), "description": (8, 64, 8, 2, 10, (3, 6))}
+TINY = {
+    "abstract": (16, 64, 8, 4, 0, (2, 4), 4, None),
+    "description": (8, 64, 8, 2, 10, (3, 6), 4, None),
+    "zipf": (16, 64, 8, 2, 0, (3, 6), 6, 300),
+}
 
 
-def _sentence(rng: np.random.Generator, words: tuple[int, int]) -> str:
-    picked = [str(w) for w in rng.choice(VOCAB, size=int(rng.integers(words[0], words[1] + 1)))]
+def _sentence(rng: np.random.Generator, words: tuple[int, int], n_types: int | None) -> str:
+    n_words = int(rng.integers(words[0], words[1] + 1))
+    if n_types is None:
+        picked = [str(w) for w in rng.choice(VOCAB, size=n_words)]
+    else:
+        picked = [f"w{r}" for r in (rng.zipf(1.1, size=n_words) - 1) % n_types]
     return " ".join([picked[0].capitalize(), *picked[1:]]) + "."
 
 
 def make_records(n_docs: int, n_abstract: int, n_description: int, words: tuple[int, int],
-                 rng: np.random.Generator) -> list[PatentRecord]:
+                 title_words: int, n_types: int | None, rng: np.random.Generator) -> list[PatentRecord]:
     return [
         PatentRecord(
             id=f"doc{i}",
-            title=_sentence(rng, (4, 4))[:-1],
-            abstract=" ".join(_sentence(rng, words) for _ in range(n_abstract)),
-            description=" ".join(_sentence(rng, words) for _ in range(n_description)),
+            title=_sentence(rng, (title_words, title_words), n_types)[:-1],
+            abstract=" ".join(_sentence(rng, words, n_types) for _ in range(n_abstract)),
+            description=" ".join(_sentence(rng, words, n_types) for _ in range(n_description)),
             ipc_codes=["G06N"],
         )
         for i in range(n_docs)
@@ -100,8 +116,9 @@ def _stats(seconds: list[float]) -> dict[str, float]:
 def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: int,
                use_description: bool, rounds: int) -> dict:
     times = {"segment_us": [], "tokenize_us": [], "prepare_us": []}
+    cold = {name: [] for name in times}
     sentences = tokens = 0
-    for i in range(rounds + 1):  # round 0 warms up
+    for i in range(rounds + 1):
         for record in records:
             t0 = perf_counter()
             kept = segment(document_text(record, use_description), k_max)
@@ -112,13 +129,12 @@ def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: i
                                         require_labels=False)
             docs[0].layout  # a version that builds layouts on first read builds it here
             t3 = perf_counter()
-            if i:
-                times["segment_us"].append(t1 - t0)
-                times["tokenize_us"].append(t2 - t1)
-                times["prepare_us"].append(t3 - t2)
-            elif record is records[0]:
+            for name, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+                (times if i else cold)[name].append(seconds)
+            if not i and record is records[0]:
                 sentences, tokens = len(kept), len(ids)
     return {"first_document": {"sentences": sentences, "tokens": tokens},
+            "cold": {name: _stats(seconds) for name, seconds in cold.items()},
             **{name: _stats(seconds) for name, seconds in times.items()}}
 
 
@@ -134,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = np.random.default_rng(0)
     results = {}
-    for name, (t_max, v_buckets, k_max, n_abstract, n_description, words) in \
+    for name, (t_max, v_buckets, k_max, n_abstract, n_description, words, title_words, n_types) in \
             (TINY if args.tiny else SHAPES).items():
-        records = make_records(args.docs, n_abstract, n_description, words, rng)
+        records = make_records(args.docs, n_abstract, n_description, words, title_words, n_types, rng)
         results[name] = {
             "t_max": t_max, "v_buckets": v_buckets, "k_max": k_max,
             "use_description": bool(n_description),

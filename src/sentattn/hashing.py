@@ -1,11 +1,10 @@
 """Pinned 64-bit FNV-1a hashing.
 
 Every deterministic id-to-bucket decision in the pipeline (dataset split
-membership, token hashing) routes through these two functions so results
-are identical across runs and platforms.
+membership, token hashing) routes through these functions so results
+are identical across runs and platforms. Nothing here is cached: the
+tokenizer memoizes whole words' ids (`segmenter._WordIds`).
 """
-
-from functools import lru_cache
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -26,11 +25,6 @@ def stable_hash64(seed: int, ident: str) -> int:
     return fnv1a64((seed & _MASK).to_bytes(8, "little") + ident.encode("utf-8"))
 
 
-@lru_cache(maxsize=1 << 16)
 def token_bucket(token: str, v_buckets: int) -> int:
-    """Map a token into the id space [4, 4 + v_buckets); 0-3 are reserved ids.
-
-    Memoized: patent text is Zipfian, so most calls repeat a token already
-    hashed. The bound keeps a large vocabulary from growing memory without limit.
-    """
+    """Map a token into the id space [4, 4 + v_buckets); 0-3 are reserved ids."""
     return 4 + fnv1a64(token.encode("utf-8")) % v_buckets

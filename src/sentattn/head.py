@@ -95,6 +95,8 @@ def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:
 
     All of them stay in the returned cache, which head_backward reads.
     """
+    if params.W.shape != params.S.shape or params.b.shape != params.S.shape[:1]:
+        raise ShapeMismatch(f"W {params.W.shape} and b {params.b.shape} against S {params.S.shape}")
     zt, alpha = _attention(D, params.S)
     L = alpha @ D.T
     logits = (params.W * L).sum(axis=1) + params.b

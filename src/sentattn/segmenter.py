@@ -16,17 +16,22 @@ for the CLI `segment` command. The abbreviation check runs only where the
 char before the terminator is the last letter of a listed abbreviation, in
 either case. Only the first sentence and the tail are trimmed: every other
 sentence starts at the uppercase letter or digit after a boundary and ends
-at its terminator or closing mark. Tokenization splits a sentence on whitespace into at most
+at its terminator or closing mark.
+
+Tokenization splits a lowercased sentence on whitespace into at most
 t_max - 2 words and keeps the first t_max - 2 tokens of them. A word that
 is all alphanumeric is one token, and one that is alphanumeric but for a
 single trailing mark is two; only the other words are split further, and
-only as far as the tokens still needed.
+only as far as t_max - 2 tokens.
 
 Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
-learned vocabulary; each distinct token is hashed once and then served from
-a bounded memo. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
+learned vocabulary. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
 unreachable under hashing. `token_ids` tokenizes a whole document's
-sentences into one id array and each sentence's id count.
+sentences into one id array and each sentence's id count. A word is split
+and hashed once per process: one module-level memo maps it to the ids of
+its tokens, for the current (t_max, v_buckets), and is rebuilt when they
+change. It keeps only words of at most 64 chars, and is cleared when it
+holds 65,536 words or 262,144 ids, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +66,13 @@ _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
 # any other single non-space char; [^\W_] is exactly str.isalnum and \s is
 # exactly str.isspace
 _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
+# the word memo keeps words of at most this many chars, and at most this many
+# words and ids. 65,536 short words take about 10 MB; the ids bound holds the
+# memo near that when every word is 64 chars of punctuation, whose ids take
+# about 2.4 kB a word at t_max = 64
+_MEMO_WORD_CHARS = 64
+_MEMO_WORDS = 1 << 16
+_MEMO_IDS = 1 << 18
 
 
 class EmptyText(Exception):
@@ -147,40 +159,68 @@ def _word_tokens(word: str, need: int) -> list[str]:
     return [*word[:lead], word[lead:core], *word[core : core + need - lead - 1]]
 
 
+class _WordIds(dict):
+    """Lowercased whitespace word -> the ids of its first t_max - 2 tokens, at one dims pair.
+
+    A miss splits and hashes the word. Only words of at most `_MEMO_WORD_CHARS`
+    chars are kept, and the memo is cleared when it holds `_MEMO_WORDS` words
+    or `_MEMO_IDS` ids.
+    """
+
+    def __init__(self, t_max: int, v_buckets: int):
+        super().__init__()
+        self.dims = (t_max, v_buckets)
+        self.held = 0  # ids in the kept tuples
+
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        t_max, v_buckets = self.dims
+        if word.isalnum():
+            ids = (token_bucket(word, v_buckets),)
+        # one trailing mark, as in "said."; word[-2] first, so "a))...)" is never copied
+        elif word[0].isalnum() and word[-2].isalnum() and word[:-1].isalnum():
+            ids = (token_bucket(word[:-1], v_buckets), token_bucket(word[-1], v_buckets))
+        else:
+            ids = tuple([token_bucket(token, v_buckets) for token in _word_tokens(word, t_max - 2)])
+        if len(word) <= _MEMO_WORD_CHARS:
+            if len(self) >= _MEMO_WORDS or self.held + len(ids) > _MEMO_IDS:
+                self.clear()
+                self.held = 0
+            self.held += len(ids)
+            self[word] = ids
+        return ids
+
+
+_word_ids = _WordIds(0, 0)
+
+
 def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndarray, list[int]]:
     """Hash sentences into one array of CLS ... SEP id runs, plus each run's length.
 
     Each sentence is lowercased and split on whitespace; leading and
     trailing punctuation detaches from a word as separate tokens, and the
-    first t_max - 2 tokens are kept. A document's tokens are hashed in one
-    pass. Never pads; padding is a batch concern.
+    first t_max - 2 tokens are kept. Each word's ids come from the word
+    memo. Never pads; padding is a batch concern.
     """
+    global _word_ids
     if t_max < 3:
         raise ValueError("t_max must be >= 3")
     if v_buckets < 1:
         raise ValueError("v_buckets must be >= 1")
+    if _word_ids.dims != (t_max, v_buckets):
+        _word_ids = _WordIds(t_max, v_buckets)
+    word_ids = _word_ids.__getitem__
     n = t_max - 2
-    tokens: list[str] = []
+    ids: list[int] = []
     lens: list[int] = []
     for text in texts:
-        start = len(tokens)
         # every word yields a token, so the first n words hold the first n tokens
-        for word in text.lower().split(None, n)[:n]:
-            if word.isalnum():
-                tokens.append(word)
-            # one trailing mark, as in "said."; word[-2] first, so "a))...)" is never copied
-            elif word[0].isalnum() and word[-2].isalnum() and word[:-1].isalnum():
-                tokens += (word[:-1], word[-1])
-            else:
-                tokens += _word_tokens(word, start + n - len(tokens))
-        del tokens[start + n :]
-        if len(tokens) == start:
+        words = text.lower().split(None, n)
+        if not words:
             raise ValueError("cannot tokenize an empty sentence")
-        lens.append(len(tokens) - start + 2)
-    hashed = list(map(token_bucket, tokens, repeat(v_buckets)))
-    ids: list[int] = []
-    start = 0
-    for m in lens:
-        ids += (CLS_ID, *hashed[start : start + m - 2], SEP_ID)
-        start += m - 2
+        start = len(ids)
+        ids.append(CLS_ID)
+        ids += chain.from_iterable(map(word_ids, words[:n]))
+        del ids[start + 1 + n :]
+        ids.append(SEP_ID)
+        lens.append(len(ids) - start)
     return np.array(ids, dtype=np.int64), lens

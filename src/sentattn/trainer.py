@@ -302,8 +302,9 @@ def prepare_documents(
 ) -> tuple[list[PreparedDoc], int]:
     """Segment, tokenize and lay out records; returns (docs, dropped-for-no-label count).
 
-    Each document's sentences are tokenized into one id array, hashed in one
-    pass, and its DocLayout is built from that array here, once.
+    Each document's sentences are tokenized into one id array, each word's
+    ids served from the segmenter's word memo, and its DocLayout is built
+    from that array here, once.
     """
     docs: list[PreparedDoc] = []
     dropped = 0

@@ -8,18 +8,16 @@ first k_max sentences; `tokenize` strips punctuation one character at a time
 and splits every word. They are moved unchanged; only their imports differ.
 The boundary pattern and the sentence trimmer are verbatim copies too, so the
 oracle does not change when the segmenter's private helpers do. Token ids
-come from the unmemoized hash, so the oracle shares no cache with the code
-under test.
+come from `token_bucket` per token, so the oracle shares no word memo with
+the code under test.
 """
 
 import re
 
 import numpy as np
 
-from sentattn.hashing import token_bucket as _memoized_token_bucket
+from sentattn.hashing import token_bucket
 from sentattn.segmenter import ABBREVIATIONS, CLS_ID, SEP_ID, EmptyText, Sentence
-
-token_bucket = _memoized_token_bucket.__wrapped__
 
 # terminator, optional closing quotes/brackets, whitespace, then upper/digit
 _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')

@@ -83,6 +83,13 @@ class TestAttentionForward:
         with pytest.raises(ShapeMismatch):
             forward(np.zeros((3, 2)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("W, b", [(np.ones((1, 4)), np.zeros(3)), (np.ones((3, 4)), np.zeros(1))],
+                             ids=["W-of-one-row", "b-of-one-label"])
+    def test_classifier_shapes_are_checked_against_S(self, W, b):
+        # either one would broadcast into three scores
+        with pytest.raises(ShapeMismatch):
+            head_forward(np.ones((4, 2)), HeadParams(S=np.zeros((3, 4)), W=W, b=b))
+
 
 class TestPoolLabels:
     def test_single_column(self):

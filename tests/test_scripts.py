@@ -61,19 +61,20 @@ def test_encoder_bench_times_both_kinds_at_every_shape(capsys, tmp_path):
             assert 0 < shape[kind]["forward_us"]["median"] <= shape[kind]["total_us"]["q3"]
 
 
-def test_prepare_bench_times_every_stage_at_both_shapes(capsys, tmp_path):
+def test_prepare_bench_times_every_stage_at_every_shape(capsys, tmp_path):
     out = tmp_path / "bench.json"
     code = load_script("prepare_bench").main(["--tiny", "--repeats", "2", "--docs", "3", "--out", str(out)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert json.loads(out.read_text()) == report
-    assert list(report["shapes"]) == ["abstract", "description"]
+    assert list(report["shapes"]) == ["abstract", "description", "zipf"]
     assert report["shapes"]["description"]["first_document"]["sentences"] == \
         report["shapes"]["description"]["k_max"]
     for shape in report["shapes"].values():
         assert shape["first_document"]["tokens"] > shape["first_document"]["sentences"] > 0
         for stage in ("segment_us", "tokenize_us", "prepare_us"):
-            assert 0 < shape[stage]["q1"] <= shape[stage]["median"] <= shape[stage]["q3"]
+            for stats in (shape[stage], shape["cold"][stage]):
+                assert 0 < stats["q1"] <= stats["median"] <= stats["q3"]
 
 
 def test_adam_bench_times_every_live_share_and_a_train_run(capsys, tmp_path):

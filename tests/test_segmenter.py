@@ -124,6 +124,12 @@ class TestTokenize:
             token_ids(["word"], t_max=2, v_buckets=8)
 
 
+@pytest.fixture
+def empty_word_memo(monkeypatch):
+    """An empty word memo, so a test sees every miss its own calls make."""
+    monkeypatch.setattr(segmenter, "_word_ids", segmenter._WordIds(0, 0))
+
+
 def outcome(fn, *args):
     """What a call returns, as plain values, or the type of what it raises."""
     try:
@@ -282,18 +288,23 @@ class TestBoundedWork:
         assert len(segmenter.sentence_spans(text, 3)) == 3
         assert len(calls) == 3
 
-    def test_tokenize_hashes_at_most_t_max_minus_two_tokens(self, monkeypatch):
+    def test_tokenize_hashes_at_most_t_max_minus_two_tokens(self, monkeypatch, empty_word_memo):
         calls = []
         monkeypatch.setattr(segmenter, "token_bucket", lambda t, v: calls.append(t) or token_bucket(t, v))
         ids = segmenter.token_ids(["(" * 80_000 + " word" * 10_000], t_max=8, v_buckets=64)[0]
         assert len(ids) == 8
-        assert calls == ["("] * 6
+        # the long word is split only as far as 6 tokens; the 5 kept "word"s are
+        # looked up, and the first of them hashed
+        assert calls == ["("] * 6 + ["word"]
 
     # the unbounded per-word regex scan took 8.7 MB on the first of these
-    @pytest.mark.parametrize("text", ["(" * 500_000, "-" * 100_000 + " word" * 10, "a" + ")" * 500_000],
-                             ids=["open-parens", "dashes-then-words", "word-then-parens"])
+    @pytest.mark.parametrize("text, hashed", [
+        ("(" * 500_000, ["("] * 62),
+        ("-" * 100_000 + " word" * 10, ["-"] * 62 + ["word"]),
+        ("a" + ")" * 500_000, ["a"] + [")"] * 61),
+    ], ids=["open-parens", "dashes-then-words", "word-then-parens"])
     @pytest.mark.parametrize("through", ["tokenize", "prepare_documents"])
-    def test_work_inside_one_word_stays_bounded(self, monkeypatch, text, through):
+    def test_work_inside_one_word_stays_bounded(self, monkeypatch, empty_word_memo, text, hashed, through):
         calls = []
         monkeypatch.setattr(segmenter, "token_bucket", lambda t, v: calls.append(t) or token_bucket(t, v))
         tracemalloc.start()
@@ -306,7 +317,7 @@ class TestBoundedWork:
         finally:
             tracemalloc.stop()
         assert lens == [64]
-        assert len(calls) == 62
+        assert calls == hashed
         assert peak < 1_000_000, peak
 
     def test_token_regex_classes_are_the_str_methods(self):
@@ -326,12 +337,51 @@ class TestBoundedWork:
 
 
 class TestTokenBucketMemo:
-    def test_bounded_memo(self):
-        assert token_bucket.cache_info().maxsize == 1 << 16
+    """token_bucket, and the bounded word memo that token_ids serves ids from."""
 
     def test_memo_returns_the_hash(self):
         for token in ("the", "a", "ß", "σ", "ς", "日本", "x" * 300):
             for v_buckets in (1, 64, 32768):
                 expected = 4 + fnv1a64(token.encode("utf-8")) % v_buckets
                 assert token_bucket(token, v_buckets) == expected
-                assert token_bucket(token, v_buckets) == expected  # served from the memo
+                assert token_bucket(token, v_buckets) == expected  # the same on a second call
+
+    def test_memo_holds_at_most_65536_words(self, empty_word_memo):
+        words = [f"w{i}" for i in range(70_000)]
+        ids, lens = token_ids(words, t_max=8, v_buckets=64)
+        assert lens == [3] * len(words)
+        assert ids[1::3].tolist() == [token_bucket(w, 64) for w in words]
+        assert 0 < len(segmenter._word_ids) <= 65_536
+
+    def test_memo_holds_at_most_262144_ids(self, empty_word_memo):
+        # 5,000 words of 57 tokens each, 285,000 ids in all
+        words = ["(" * 56 + f"{i:08d}" for i in range(5_000)]
+        lens = token_ids(words, t_max=64, v_buckets=64)[1]
+        assert lens == [59] * len(words)
+        held = sum(map(len, segmenter._word_ids.values()))
+        assert 0 < held == segmenter._word_ids.held <= 262_144
+
+    def test_only_words_of_at_most_64_chars_are_kept(self, empty_word_memo):
+        token_ids(["x" * 64 + " " + "y" * 65 + " (" + "z" * 63], t_max=16, v_buckets=64)
+        assert set(segmenter._word_ids) == {"x" * 64, "(" + "z" * 63}
+
+    def test_a_500k_char_word_is_not_kept(self, empty_word_memo):
+        text = "(" * 500_000 + "A"
+        tracemalloc.start()
+        try:
+            ids = token_ids([text], t_max=16, v_buckets=64)[0]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ids.tolist() == reference.tokenize(text, 16, 64).tolist()
+        assert len(segmenter._word_ids) == 0
+        assert kept < 100_000, kept
+
+    def test_alternating_dims_never_serve_another_dims_ids(self, empty_word_memo):
+        # the first word splits into 13 tokens, so t_max decides how many it keeps
+        text = "((((((cap)))))) said. Σ_x ((a)). w"
+        for _ in range(3):
+            for t_max, v_buckets in ((4, 64), (16, 64), (16, 512), (4, 512), (40, 5000), (16, 64)):
+                got = token_ids([text, "Said cap."], t_max, v_buckets)[0].tolist()
+                expected = [t for s in (text, "Said cap.") for t in reference.tokenize(s, t_max, v_buckets)]
+                assert got == expected, (t_max, v_buckets)
