@@ -21,6 +21,13 @@ package too. BLAS runs on one thread. Prints one JSON object, and with
 --out writes it under the key --side ("before" or "after") of that file,
 keeping the other key.
 
+A committed `before` and `after` come from separate processes, run one
+after the other, and on a shared VM such a pair cannot resolve a
+difference under about 2x: the `segment_us` of prepare_bench.py, whose
+code did not change, read 61 -> 120 us between two such runs. To compare
+two versions, time both interleaved in one process, importing each from
+its own checkout.
+
 Usage: python scripts/adam_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
 """
 

@@ -19,6 +19,13 @@ it to --out when given.
 * worst: 128 sentences of t_max = 64 tokens, ids uniform over the 32,768
   buckets (about 7,000 distinct ids).
 
+A committed `before` and `after` come from separate processes, run one
+after the other, and on a shared VM such a pair cannot resolve a
+difference under about 2x: the `segment_us` of prepare_bench.py, whose
+code did not change, read 61 -> 120 us between two such runs. To compare
+two versions, time both interleaved in one process, importing each from
+its own checkout.
+
 Usage: python scripts/encoder_bench.py [--repeats N] [--tiny] [--out PATH]
 """
 

@@ -21,6 +21,12 @@ its tokenize_us is cold throughout. The warm rounds 1..N are the stages'
 own entries. Prints one JSON object (median and quartiles over documents
 and rounds), and writes it to --out when given.
 
+A committed `before` and `after` come from separate processes, run one
+after the other, and on a shared VM such a pair cannot resolve a
+difference under about 2x: `segment_us`, whose code did not change,
+read 61 -> 120 us between two such runs. To compare two versions, time
+both interleaved in one process, importing each from its own checkout.
+
 * abstract: the train-meanpool benchmark's documents, a 4-word title and
   32 abstract sentences of 4-8 words over a 60-word vocabulary, at the
   default dims (t_max=64, 32768 buckets, k_max=128).

@@ -7,9 +7,12 @@ segment, gradcheck. Machine-readable JSON goes to standard output (or
 written, 3 numeric failure.
 
 The optional config file is line-oriented `key = value` with `#`
-comments; explicit flags override config-file values. A key that neither
-sets is left to the default of the function it is passed to, so the
-training defaults live only on TrainConfig and ModelDims.
+comments; explicit flags override config-file values. `main` reads it once,
+before the command opens any model or corpus, and hands the command the
+keys that a flag or the file set. A key that neither sets is left to the
+default of the function it is passed to, or, where that function has none,
+to TrainConfig's (the vocabulary size to ModelDims.c), so the training
+defaults live only on TrainConfig and ModelDims.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     """The keys set by an explicit flag or, failing that, by the config file."""
     config = load_config(args.config) if getattr(args, "config", None) else {}
     out = {key: config[key] for key in keys if key in config}
-    out.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
+    out.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     return out
 
 
@@ -149,6 +152,7 @@ def _add_keys(p: _Parser, *keys: str) -> None:
             p.add_argument(flag, dest=key, action="store_true", default=None)
         else:
             p.add_argument(flag, dest=key, type=_KEY_TYPES[key], choices=_KEY_CHOICES.get(key))
+    p.set_defaults(keys=keys)  # main resolves them once
 
 
 def build_parser() -> _Parser:
@@ -213,45 +217,35 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _seed(args) -> int:
-    return _resolve(args, ["seed"]).get("seed", TrainConfig.seed)
-
-
-def _top_c(args) -> int:
-    """The vocabulary size defaults to the model's label count."""
-    return _resolve(args, ["top_c"]).get("top_c", ModelDims.c)
-
-
-def _cmd_build_vocab(args):
+def _cmd_build_vocab(args, settings):
     records, report = load_corpus(args.corpus)
-    records = split_records(records, _seed(args), args.split)
-    vocab = build_vocabulary(records, _top_c(args))
+    records = split_records(records, settings.get("seed", TrainConfig.seed), args.split)
+    vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
     _progress(f"read {report.read} lines, retained {report.retained} records")
     return {"codes": vocab.codes, "counts": vocab.counts}
 
 
-def _cmd_split(args):
+def _cmd_split(args, settings):
     records, _ = load_corpus(args.corpus)
     if not records:
         raise EmptyInput("corpus holds no usable records")
-    seed = _seed(args)
+    seed = settings.get("seed", TrainConfig.seed)
     payload = {name: sorted(r.id for r in split_records(records, seed, name)) for name in SPLIT_NAMES}
     payload["counts"] = {name: len(payload[name]) for name in SPLIT_NAMES}
     return payload
 
 
-def _cmd_stats(args):
+def _cmd_stats(args, settings):
     records, report = load_corpus(args.corpus)
-    vocab = build_vocabulary(records, _top_c(args))
+    vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
     counts = label_stats(records, vocab)
     dropped = sum(1 for r in records if corpus_mod.encode_labels(r, vocab) is None)
     return {"counts": counts, "dropped": dropped, "skipped": report.total_skipped}
 
 
-def _cmd_train(args):
-    r = _resolve(args, _TRAIN_KEYS + _DIMS_KEYS)
-    dims = ModelDims(**{key: r.pop(key) for key in _DIMS_KEYS if key in r})
-    config = TrainConfig(dims=dims, **r)
+def _cmd_train(args, settings):
+    dims = ModelDims(**{key: settings.pop(key) for key in _DIMS_KEYS if key in settings})
+    config = TrainConfig(dims=dims, **settings)
     # an unusable MODEL_OUT fails now, not after training: the temp file that
     # save_checkpoint writes must be creatable, and the rename over MODEL_OUT
     # fails on a directory (a symlink is replaced, not followed)
@@ -286,32 +280,28 @@ def _cmd_train(args):
     }
 
 
-def _cmd_evaluate(args):
+def _cmd_evaluate(args, settings):
     ckpt = load_checkpoint(args.model)
-    r = _resolve(args, ["seed", "k_max", "use_description"])
     if args.split:
-        r["split_name"] = args.split
-    return evaluate(ckpt, args.corpus, **r)
+        settings["split_name"] = args.split
+    return evaluate(ckpt, args.corpus, **settings)
 
 
-def _cmd_predict(args):
+def _cmd_predict(args, settings):
     ckpt = load_checkpoint(args.model)
     records, _ = load_corpus(args.corpus)
-    records = split_records(records, _seed(args), args.split)
-    return predict_records(ckpt, records, with_attention=args.attention,
-                           **_resolve(args, ["k_max", "threshold", "use_description"]))
+    records = split_records(records, settings.pop("seed", TrainConfig.seed), args.split)
+    return predict_records(ckpt, records, with_attention=args.attention, **settings)
 
 
-def _cmd_segment(args):
-    k_max = _resolve(args, ["k_max"]).get("k_max", TrainConfig.k_max)
-    return [s.text for s in segment(sys.stdin.read(), k_max)]
+def _cmd_segment(args, settings):
+    return [s.text for s in segment(sys.stdin.read(), settings.get("k_max", TrainConfig.k_max))]
 
 
-def _cmd_gradcheck(args):
-    r = _resolve(args, ["seed", "eps", "encoder"])
-    if "encoder" in r:
-        r["kind"] = r.pop("encoder")
-    report = grad_check(**r)
+def _cmd_gradcheck(args, settings):
+    if "encoder" in settings:
+        settings["kind"] = settings.pop("encoder")
+    report = grad_check(**settings)
     return {"encoder": report.kind, "max_rel_error": report.max_rel_error,
             "worst_param": report.worst_param, "n_checked": report.n_checked}
 
@@ -327,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help lands here
         return int(exc.code or 0)
     try:
-        _emit(args.func(args), getattr(args, "out", None))
+        _emit(args.func(args, _resolve(args, args.keys)), getattr(args, "out", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,16 +52,6 @@ class HeadCache:
     scores: np.ndarray  # (c,)
 
 
-def _attention(D: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh scores and their row softmax (max-subtracted for stability)."""
-    if D.ndim != 2 or S.ndim != 2 or S.shape[1] != D.shape[0]:
-        raise ShapeMismatch(f"S {S.shape} against D {D.shape}")
-    zt = np.tanh(S @ D)
-    shifted = zt - zt.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return zt, e / e.sum(axis=1, keepdims=True)
-
-
 def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Multi-label decision: bit i = 1 iff score[i] > threshold, strictly."""
     return (scores > threshold).astype(np.int8)
@@ -95,9 +85,14 @@ def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:
 
     All of them stay in the returned cache, which head_backward reads.
     """
-    if params.W.shape != params.S.shape or params.b.shape != params.S.shape[:1]:
-        raise ShapeMismatch(f"W {params.W.shape} and b {params.b.shape} against S {params.S.shape}")
-    zt, alpha = _attention(D, params.S)
+    S = params.S
+    if params.W.shape != S.shape or params.b.shape != S.shape[:1]:
+        raise ShapeMismatch(f"W {params.W.shape} and b {params.b.shape} against S {S.shape}")
+    if D.ndim != 2 or S.ndim != 2 or S.shape[1] != D.shape[0]:
+        raise ShapeMismatch(f"S {S.shape} against D {D.shape}")
+    zt = np.tanh(S @ D)
+    e = np.exp(zt - zt.max(axis=1, keepdims=True))  # row softmax, max-subtracted for stability
+    alpha = e / e.sum(axis=1, keepdims=True)
     L = alpha @ D.T
     logits = (params.W * L).sum(axis=1) + params.b
     return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits, scores=_sigmoid(logits))

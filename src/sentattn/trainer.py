@@ -16,11 +16,13 @@ live, so its memory follows the live rows, not the table; once gathering
 them costs more, it moves the state into table order and steps the whole
 table in place.
 
-Model selection is validation micro-F1; the best-epoch parameters are
-snapshotted, into one copy made at the first best and overwritten at each
-later one, and training stops after `patience` epochs without
-improvement. grad_check rebuilds a small random instance in float64 and
-compares every analytic gradient against central finite differences.
+Model selection is validation micro-F1, and `train` holds the whole
+stopping rule: the best-epoch parameters are snapshotted, into one copy
+made at the first best and overwritten at each later one, and training
+stops after `patience` epochs without a strict improvement (a tie is
+none), or once train micro-F1 reaches `stop_at_train_f1`. grad_check
+rebuilds a small random instance in float64 and compares every analytic
+gradient against central finite differences.
 """
 
 from __future__ import annotations
@@ -131,30 +133,6 @@ class PreparedDoc:
     id: str
     layout: DocLayout
     target: np.ndarray | None
-
-
-class EarlyStopper:
-    """Best-value tracking with strict-improvement patience counting."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -math.inf
-        self.best_epoch = 0
-        self.since_improved = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one epoch; True when the value strictly improved."""
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.since_improved = 0
-            return True
-        self.since_improved += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.since_improved >= self.patience
 
 
 # Adam holds a row-sparse tensor's state in slot order while at most this
@@ -360,8 +338,6 @@ def train(
         train_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
     val_docs, dropped_val = prepare_documents(
         val_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
-    if not train_docs:
-        raise EmptySplit("training split is empty after label filtering")
     if not val_docs:
         raise EmptySplit("validation split is empty")
 
@@ -375,8 +351,7 @@ def train(
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
 
-    stopper = EarlyStopper(config.patience)
-    best_snapshot = None
+    best_f1, since_best, best_snapshot = -math.inf, 0, None
     epochs: list[EpochLog] = []
 
     for epoch in range(1, config.max_epochs + 1):
@@ -409,24 +384,24 @@ def train(
         epochs.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
-        if stopper.update(epoch, val_micro):
+        since_best += 1
+        if val_micro > best_f1:  # strictly: a tie is no improvement
+            best_f1, since_best = val_micro, 0
             if best_snapshot is None:
                 best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
             else:  # later bests overwrite the first one's buffers
                 for (_, kept), (_, now) in zip(model_tensors(*best_snapshot),
                                                model_tensors(enc_params, head_params)):
                     np.copyto(kept, now)
-        if config.stop_at_train_f1 is not None and entry.train_micro_f1 is not None:
-            if entry.train_micro_f1 >= config.stop_at_train_f1:
-                break
-        if stopper.should_stop:
+        if since_best >= config.patience or (
+                config.stop_at_train_f1 is not None and entry.train_micro_f1 >= config.stop_at_train_f1):
             break
 
     enc_best, head_best = best_snapshot
     ckpt = Checkpoint(
         dims=dims, vocab=vocab,
         encoder_params=enc_best, head_params=head_best,
-        meta=TrainMeta(epochs_run=len(epochs), best_val_micro_f1=stopper.best, seed=config.seed),
+        meta=TrainMeta(epochs_run=len(epochs), best_val_micro_f1=best_f1, seed=config.seed),
     )
     return TrainResult(
         checkpoint=ckpt,

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sentattn.cli import EXIT_USAGE, BadValue, UnknownKey, load_config, main
-from sentattn.encoder import ModelDims
+import sentattn.cli as cli_mod
+from sentattn.cli import EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main
+from sentattn.encoder import MINITRANSFORMER, ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
 
@@ -60,6 +64,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line, error", [
         ("dims = 1", UnknownKey), ("stop_at_train_f1 = 1.0", UnknownKey),
         ("seed = 1.5", BadValue), ("lr = fast", BadValue), ("log_train_f1 = 1", BadValue),
+        ("seed 3", BadValue),
     ])
     def test_rejected_lines(self, tmp_path, line, error):
         path = tmp_path / "t.cfg"
@@ -73,6 +78,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "evaluate", "--no-such-flag")
         assert code == 1
         assert "usage" in err.lower()
+
+    def test_help_is_zero(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: sentattn")
+
+    def test_help_through_python_dash_m(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "sentattn", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: sentattn")
 
     def test_data_error_is_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", str(tmp_path / "missing.jsonl"))
@@ -111,6 +128,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
         assert code == 1
         assert "line 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{missing}/m.satn", "{missing}/c.jsonl"],
+        ["predict", "{missing}/m.satn", "{missing}/c.jsonl"],
+        ["build-vocab", "{missing}/c.jsonl"],
+        ["stats", "{missing}/c.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_config_is_read_before_any_model_or_corpus(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mystery = 1\n")
+        code, out, err = run(capsys, *(arg.format(missing=tmp_path / "missing") for arg in argv),
+                             "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: line 1: unknown key 'mystery'")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_three_and_writes_no_model(self, capsys, corpus, tmp_path):
+        model = tmp_path / "m.satn"
+        code, out, err = run(capsys, "train", str(corpus), str(model), *TINY_TRAIN_FLAGS,
+                             "--encoder", "minitransformer", "--lr", "1e30",
+                             "--max-epochs", "50", "--patience", "50")
+        assert code == EXIT_NUMERIC == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: NonFiniteLoss: epoch ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],
@@ -304,6 +347,37 @@ class TestPipelineCommands:
         payload = json.loads(out)
         assert payload["max_rel_error"] < 1e-4
         assert payload["worst_param"]
+
+    def test_gradcheck_encoder_flag_picks_the_kind(self, capsys):
+        code, out, _ = run(capsys, "gradcheck", "--encoder", "minitransformer")
+        assert code == 0
+        report = grad_check(kind=MINITRANSFORMER)
+        assert json.loads(out) == {"encoder": MINITRANSFORMER, "max_rel_error": report.max_rel_error,
+                                   "worst_param": report.worst_param, "n_checked": report.n_checked}
+
+    @pytest.mark.parametrize("argv", [
+        ["build-vocab", "{corpus}"],
+        ["stats", "{corpus}"],
+        ["train", "{corpus}", "{out}", *TINY_TRAIN_FLAGS, "--max-epochs", "1", "--patience", "1"],
+        ["evaluate", "{model}", "{corpus}", "--k-max", "8"],
+        ["predict", "{model}", "{corpus}", "--k-max", "8"],
+        ["gradcheck"],
+    ], ids=lambda argv: argv[0])
+    def test_config_file_is_read_once_per_command(self, capsys, monkeypatch, trained, corpus, tmp_path,
+                                                  argv):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("seed = 3\n")
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(cli_mod, "load_config", counting)
+        names = {"corpus": corpus, "model": trained[0], "out": tmp_path / "m.satn"}
+        code, _, err = run(capsys, *(arg.format(**names) for arg in argv), "--config", str(cfg))
+        assert code == 0, err
+        assert reads == [str(cfg)]
 
     @pytest.mark.parametrize("argv", [
         ["split", "{corpus}", "--out", "{missing}/s.json"],

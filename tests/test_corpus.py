@@ -83,6 +83,13 @@ class TestLoadCorpus:
         assert len(records) == 4
         assert report.skipped == {"corrupt_line": 1}
 
+    def test_json_that_is_not_an_object_is_a_corrupt_line(self, tmp_path):
+        lines = [record_line("p0", ["G06N"]), "[1, 2]", '"text"', "3", record_line("p1", ["G06N"])]
+        records, report = load_corpus(write_corpus(tmp_path / "c.jsonl", lines))
+        assert [r.id for r in records] == ["p0", "p1"]
+        assert (report.read, report.retained) == (5, 2)
+        assert report.skipped == {"corrupt_line": 3}
+
     def test_invalid_utf8_byte_is_one_corrupt_line(self, tmp_path):
         lines = [record_line(f"p{i}", ["G06N"]) for i in range(5)]
         blob = "\n".join(lines).encode("utf-8").replace(b"p2", b"p\xff2")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sentattn.encoder import ShapeMismatch
+from sentattn.encoder import CacheMismatch, ShapeMismatch
 from sentattn.head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 
 E_SQUARED = math.e**2
@@ -162,6 +162,10 @@ class TestBceLoss:
         loss = bce_loss(np.array([800.0, -800.0]), np.array([0, 1]))
         assert math.isfinite(loss) and loss > 100
 
+    def test_targets_of_another_shape_are_refused(self):
+        with pytest.raises(ShapeMismatch, match=r"logits \(2,\) against targets \(3,\)"):
+            bce_loss(np.zeros(2), np.array([1, 0, 1]))
+
 
 class TestHeadBackward:
     def test_bias_gradient_closed_form_at_zero_weights(self):
@@ -181,6 +185,18 @@ class TestHeadBackward:
         grads, dD = head_backward(params, cache, np.array([1, 0]))
         for g in (*grads.values(), dD):
             assert np.max(np.abs(g)) < 1e-12
+
+    def test_targets_of_another_label_count_are_refused(self):
+        D, params = random_instance(np.random.default_rng(13), h=3, k=4, c=2)
+        with pytest.raises(CacheMismatch, match="targets"):
+            head_backward(params, head_forward(D, params), np.array([1, 0, 1]))
+
+    def test_inconsistent_cache_is_refused(self):
+        D, params = random_instance(np.random.default_rng(14), h=3, k=4, c=2)
+        cache = head_forward(D, params)
+        cache.D = D[:, :3]  # one sentence fewer than alpha has columns
+        with pytest.raises(CacheMismatch, match="internally inconsistent"):
+            head_backward(params, cache, np.array([1, 0]))
 
     def test_seed11_finite_difference_check(self):
         rng = np.random.default_rng(11)

@@ -28,7 +28,7 @@ from sentattn.checkpoint import (
     save_checkpoint,
 )
 from sentattn import encoder, trainer
-from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus
+from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus, split_of
 from sentattn.encoder import (
     MEANPOOL,
     MINITRANSFORMER,
@@ -44,7 +44,6 @@ from sentattn.trainer import (
     UNIFORM,
     Adam,
     DimsMismatch,
-    EarlyStopper,
     EmptySplit,
     NonFiniteLoss,
     PreparedDoc,
@@ -84,6 +83,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tiny_config(seed=-1)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"encoder": "lstm"}, "unknown encoder kind: 'lstm'"),
+        ({"attention_mode": "hard"}, "unknown attention mode: 'hard'"),
+        ({"k_max": 0}, "k_max must be positive"),
+        ({"batch_size": -1}, "batch_size must be positive"),
+        ({"max_epochs": 0, "patience": 0}, "max_epochs must be positive"),
+        ({"patience": 0}, "patience must be positive"),
+        ({"max_epochs": 3, "patience": 4}, "patience must not exceed max_epochs"),
+    ])
+    def test_refused_settings(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
     @pytest.mark.parametrize("name, value", [
         ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("adam_eps", math.nan), ("adam_eps", -1e-8),
         ("beta1", math.nan), ("beta1", 1.0), ("beta1", 0.0), ("beta2", 1.5), ("beta2", -math.inf),
@@ -93,24 +105,42 @@ class TestTrainConfig:
             tiny_config(**{name: value})
 
 
-class TestEarlyStopper:
-    def test_peak_at_three_with_patience_two(self):
-        # validation curve peaks at epoch 3; patience 2 stops at epoch 5
-        stopper = EarlyStopper(patience=2)
-        for epoch, value in enumerate([0.2, 0.5, 0.9, 0.8, 0.7, 0.95], start=1):
-            stopper.update(epoch, value)
-            if stopper.should_stop:
-                break
-        assert epoch == 5
-        assert stopper.best_epoch == 3
-        assert stopper.best == 0.9
+class TestStopping:
+    """train() against a scripted validation curve: one micro-F1 per epoch, in order."""
 
-    def test_ties_do_not_count_as_improvement(self):
-        stopper = EarlyStopper(patience=3)
-        for epoch, value in enumerate([0.5, 0.5, 0.5, 0.5], start=1):
-            stopper.update(epoch, value)
-        assert stopper.best_epoch == 1
-        assert stopper.should_stop
+    @staticmethod
+    def scripted(monkeypatch, curve):
+        curve = list(curve)  # an epoch past the curve ends in IndexError
+
+        def micro_scores(counts):
+            return 0.0, 0.0, curve.pop(0)
+
+        monkeypatch.setattr(trainer, "micro_scores", micro_scores)
+
+    def run(self, monkeypatch, tiny_corpus, curve, **overrides):
+        self.scripted(monkeypatch, curve)
+        return train(tiny_config(**overrides), tiny_corpus)
+
+    def assert_same_tensors(self, result, expected):
+        for (name, kept), (_, want) in zip(result.checkpoint.tensors(), expected.checkpoint.tensors()):
+            assert kept.tobytes() == want.tobytes(), name
+
+    def test_peak_at_three_with_patience_two(self, monkeypatch, tiny_corpus):
+        # the curve peaks at epoch 3; epochs 4 and 5 do not improve, so it stops after 5
+        result = self.run(monkeypatch, tiny_corpus, [0.2, 0.5, 0.9, 0.8, 0.7, 0.95],
+                          max_epochs=6, patience=2)
+        assert [e.epoch for e in result.epochs] == [1, 2, 3, 4, 5]
+        assert result.checkpoint.meta.epochs_run == 5
+        assert result.checkpoint.meta.best_val_micro_f1 == 0.9
+        epoch3 = self.run(monkeypatch, tiny_corpus, [0.2, 0.5, 0.9], max_epochs=3, patience=3)
+        self.assert_same_tensors(result, epoch3)
+
+    def test_ties_do_not_count_as_improvement(self, monkeypatch, tiny_corpus):
+        result = self.run(monkeypatch, tiny_corpus, [0.5] * 4, max_epochs=6, patience=3)
+        assert result.checkpoint.meta.epochs_run == 4
+        assert result.checkpoint.meta.best_val_micro_f1 == 0.5
+        epoch1 = self.run(monkeypatch, tiny_corpus, [0.5], max_epochs=1, patience=1)
+        self.assert_same_tensors(result, epoch1)
 
 
 def table_order(opt: Adam, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -538,7 +568,21 @@ class TestTrain:
     def test_empty_validation_split(self, tmp_path):
         path = tmp_path / "one.jsonl"
         path.write_text(json.dumps({"id": "r0", "title": "Text here.", "ipc_codes": ["G06N"]}))
-        with pytest.raises(EmptySplit):
+        with pytest.raises(EmptySplit, match="validation split is empty"):
+            train(tiny_config(), path)
+
+    def test_empty_corpus(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(EmptySplit, match="corpus holds no usable records"):
+            train(tiny_config(), path)
+
+    def test_no_training_record(self, tmp_path):
+        ids = [rid for rid in (f"r{i}" for i in range(100)) if split_of(3, rid) != "train"]
+        path = tmp_path / "held_out.jsonl"
+        path.write_text("\n".join(json.dumps({"id": rid, "title": "Text here.", "ipc_codes": ["G06N"]})
+                                  for rid in ids))
+        with pytest.raises(EmptySplit, match="training split is empty"):
             train(tiny_config(), path)
 
     def test_one_layout_per_document_for_the_whole_run(self, tiny_corpus, monkeypatch):
@@ -623,7 +667,10 @@ class TestEvaluate:
         lonely.write_text(json.dumps({"id": "synth000", "title": "Post. Script.",
                                       "ipc_codes": ["A01B"]}))
         # synth000 hashes to train under seed 3, so the test split is empty
-        with pytest.raises(EmptySplit):
+        with pytest.raises(EmptySplit, match="split 'test' is empty"):
+            evaluate(result.checkpoint, lonely, split_name="test", seed=3, k_max=8)
+        lonely.write_text("")
+        with pytest.raises(EmptySplit, match="corpus holds no usable records"):
             evaluate(result.checkpoint, lonely, split_name="test", seed=3, k_max=8)
 
     def test_dims_mismatch_when_no_vocab_label_in_split(self, tiny_corpus, tmp_path):
@@ -791,6 +838,14 @@ class TestCheckpointFile:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(CheckpointError, match="3 label codes for c = 2"):
             load_checkpoint(path)
+
+    def test_tensor_of_the_wrong_shape_is_refused(self, tmp_path):
+        ckpt = fresh_checkpoint()
+        ckpt.head_params.W = np.zeros((3, 5), dtype=np.float32)
+        path = tmp_path / "m.satn"
+        with pytest.raises(CheckpointError, match=r"tensor W has shape \(3, 5\), expected \(3, 4\)"):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
 
     def test_truncated_mid_tensor(self, tmp_path):
         path = tmp_path / "m.satn"
