@@ -13,7 +13,11 @@
   60% of E goes live, so the run goes from stepping a few rows to
   stepping most of the table. Reports the run's wall time, the summed time
   and count of its `Adam.step` calls, how many E rows ended live (rows that
-  differ from the seeded init), and the SHA-256 of the checkpoint tensors.
+  differ from the seeded init), the SHA-256 of the checkpoint tensors, and
+  how far the peak resident set rose over the run (VmHWM at its end less
+  VmRSS at its start, in MB; null where /proc/self/status is missing). The
+  run is made in a fresh interpreter, so that no buffer of the steps
+  section is counted or reused.
 
 Only `Adam(tensors, lr, beta1, beta2, eps)`, `add`, `step`, `train` and the
 init functions are called, so the script times older versions of the
@@ -29,6 +33,7 @@ two versions, time both interleaved in one process, importing each from
 its own checkout.
 
 Usage: python scripts/adam_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
+       python scripts/adam_bench.py [--tiny] --train-corpus PATH   (the train section alone)
 """
 
 import os
@@ -40,6 +45,7 @@ import argparse
 import hashlib
 import json
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -127,8 +133,17 @@ def make_zipf_corpus(n_records: int, n_types: int, rng: np.random.Generator) -> 
     return records
 
 
-def time_train(dims: ModelDims, n_records: int, n_types: int, rng: np.random.Generator) -> dict:
-    """One train() on a generated Zipf corpus, with its Adam.step calls timed."""
+def _status_mb(field: str) -> float | None:
+    """One memory field of /proc/self/status in MB, or None where it cannot be read."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith(field + ":")) / 1024
+    except (OSError, StopIteration):
+        return None
+
+
+def time_train(dims: ModelDims, path: Path) -> dict:
+    """One train() on the corpus at `path`, with its Adam.step calls timed."""
     config = trainer.TrainConfig(dims=dims, max_epochs=2, patience=2, seed=0)
     step = trainer.Adam.step
     step_times = []
@@ -138,26 +153,36 @@ def time_train(dims: ModelDims, n_records: int, n_types: int, rng: np.random.Gen
         step(self, n_docs)
         step_times.append(perf_counter() - t0)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "zipf.jsonl"
-        write_jsonl(make_zipf_corpus(n_records, n_types, rng), path)
-        trainer.Adam.step = timed_step
-        try:
-            t0 = perf_counter()
-            result = trainer.train(config, path)
-            train_s = perf_counter() - t0
-        finally:
-            trainer.Adam.step = step
+    trainer.Adam.step = timed_step
+    try:
+        rss_before = _status_mb("VmRSS")
+        t0 = perf_counter()
+        result = trainer.train(config, path)
+        train_s = perf_counter() - t0
+        peak = _status_mb("VmHWM")
+    finally:
+        trainer.Adam.step = step
     ckpt = result.checkpoint
     initial = init_encoder(MEANPOOL, dims, np.random.default_rng(config.seed)).E  # E is drawn first
     live_rows = int(np.count_nonzero((ckpt.encoder_params.E != initial).any(axis=1)))
     digest = hashlib.sha256(b"".join(t.tobytes() for _, t in ckpt.tensors())).hexdigest()
     return {
-        "records": n_records, "word_types": n_types, "epochs": len(result.epochs),
-        "train_s": round(train_s, 3), "adam_step_s": round(sum(step_times), 3),
-        "adam_steps": len(step_times), "live_rows": live_rows, "table_rows": len(initial),
-        "checkpoint_sha256": digest,
+        "epochs": len(result.epochs), "train_s": round(train_s, 3),
+        "adam_step_s": round(sum(step_times), 3), "adam_steps": len(step_times),
+        "live_rows": live_rows, "table_rows": len(initial), "checkpoint_sha256": digest,
+        "peak_rss_growth_mb": None if peak is None else round(peak - rss_before, 2),
     }
+
+
+def time_train_fresh(tiny: bool, n_records: int, n_types: int, rng: np.random.Generator) -> dict:
+    """time_train on a generated Zipf corpus, in a fresh interpreter running this script."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "zipf.jsonl"
+        write_jsonl(make_zipf_corpus(n_records, n_types, rng), path)
+        argv = [sys.executable, __file__, "--train-corpus", str(path)] + (["--tiny"] if tiny else [])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return {"records": n_records, "word_types": n_types, **json.loads(out.stdout)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,19 +191,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tiny", action="store_true", help="toy-size tables and corpus, for tests")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--side", choices=("before", "after"), default="after")
+    parser.add_argument("--train-corpus", type=Path, help="only time one train() on this corpus")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    rng = np.random.default_rng(0)
     dims = TINY_DIMS if args.tiny else DEFAULT_DIMS
+    rng = np.random.default_rng(0)  # loads numpy.random, so a train run does not count it
+    if args.train_corpus:
+        print(json.dumps(time_train(dims, args.train_corpus)))
+        return 0
     report = {
         "machine": {"cpu": _cpu(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "repeats": args.repeats,
         "steps": time_steps(dims, args.repeats, rng),
-        "train": time_train(dims, *((80, 300) if args.tiny else (3000, 30000)), rng),
+        "train": time_train_fresh(args.tiny, *((80, 300) if args.tiny else (3000, 30000)), rng),
     }
     text = json.dumps(report, indent=2)
     print(text)

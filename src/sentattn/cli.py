@@ -26,6 +26,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, checkpoint_temp_path, load_checkpoint, save_checkpoint
 from .corpus import (
@@ -266,7 +268,10 @@ def _cmd_train(args, settings):
                 log.write(json.dumps(row) + "\n")
                 log.flush()
 
-        result = train(config, args.corpus, on_epoch=on_epoch)
+        # a run that overflows ends in NonFiniteLoss, its one report: numpy's
+        # warnings on the way there would only be noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(config, args.corpus, on_epoch=on_epoch)
     save_checkpoint(result.checkpoint, args.model_out)
     meta = result.checkpoint.meta
     return {

@@ -20,14 +20,17 @@ Model selection is validation micro-F1, and `train` holds the whole
 stopping rule: the best-epoch parameters are snapshotted, into one copy
 made at the first best and overwritten at each later one, and training
 stops after `patience` epochs without a strict improvement (a tie is
-none), or once train micro-F1 reaches `stop_at_train_f1`. grad_check
-rebuilds a small random instance in float64 and compares every analytic
-gradient against central finite differences.
+none), or once train micro-F1 reaches `stop_at_train_f1`. The snapshot
+holds only what training can move: of the embedding table, the rows that
+some training document reads, since no other row ever has a gradient, and
+every other stepped tensor whole. At the end it is written back into the
+live parameters, which the checkpoint then holds, so a run keeps one
+embedding table. grad_check rebuilds a small random instance in float64
+and compares every analytic gradient against central finite differences.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -350,8 +353,16 @@ def train(
         head_params.S.fill(0.0)
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
+    # E's gradient reaches only the distinct ids of a training document, so
+    # no other row of E ever moves; the snapshot keeps each tensor's `rows`.
+    # A row mask, not np.unique, which imports numpy.ma (about 1 MB resident).
+    read = np.zeros(len(enc_params.E), dtype=bool)
+    for doc in train_docs:
+        read[doc.layout.distinct] = True
+    rows = {name: np.arange(len(p)) for name, p in tensors.items()}
+    rows["E"] = np.flatnonzero(read)
 
-    best_f1, since_best, best_snapshot = -math.inf, 0, None
+    best_f1, since_best, best = -math.inf, 0, None
     epochs: list[EpochLog] = []
 
     for epoch in range(1, config.max_epochs + 1):
@@ -387,20 +398,20 @@ def train(
         since_best += 1
         if val_micro > best_f1:  # strictly: a tie is no improvement
             best_f1, since_best = val_micro, 0
-            if best_snapshot is None:
-                best_snapshot = (copy.deepcopy(enc_params), copy.deepcopy(head_params))
-            else:  # later bests overwrite the first one's buffers
-                for (_, kept), (_, now) in zip(model_tensors(*best_snapshot),
-                                               model_tensors(enc_params, head_params)):
-                    np.copyto(kept, now)
+            if best is None:
+                best = {name: p[rows[name]] for name, p in tensors.items()}
+            else:  # later bests overwrite the first one's buffers; mode "raise" would buffer `out`
+                for name, p in tensors.items():
+                    np.take(p, rows[name], axis=0, out=best[name], mode="clip")
         if since_best >= config.patience or (
                 config.stop_at_train_f1 is not None and entry.train_micro_f1 >= config.stop_at_train_f1):
             break
 
-    enc_best, head_best = best_snapshot
+    for name, p in tensors.items():
+        p[rows[name]] = best[name]
     ckpt = Checkpoint(
         dims=dims, vocab=vocab,
-        encoder_params=enc_best, head_params=head_best,
+        encoder_params=enc_params, head_params=head_params,
         meta=TrainMeta(epochs_run=len(epochs), best_val_micro_f1=best_f1, seed=config.seed),
     )
     return TrainResult(

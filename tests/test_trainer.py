@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentence_layout import layout_of
+from test_scripts import load_script
 from sentattn.checkpoint import (
     BadMagic,
     Checkpoint,
@@ -28,7 +29,7 @@ from sentattn.checkpoint import (
     save_checkpoint,
 )
 from sentattn import encoder, trainer
-from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus, split_of
+from sentattn.corpus import LabelVocabulary, NoLabels, load_corpus, split_of, split_records
 from sentattn.encoder import (
     MEANPOOL,
     MINITRANSFORMER,
@@ -551,6 +552,83 @@ class TestTrain:
             assert kept.tobytes() == expected.tobytes(), name
         rerun = evaluate(result.checkpoint, tiny_corpus, split_name="validation", seed=3, k_max=8)
         assert rerun["micro"]["f1"] == max(f1)
+
+    @staticmethod
+    def assert_unread_rows_keep_their_init(config, path):
+        """Train, and check E's rows that no training document reads against a fresh draw.
+
+        The best-epoch snapshot leaves those rows out, so it is exact only
+        if training never moves them. Returns the rows that are read.
+        """
+        result = train(config, path)
+        records = split_records(load_corpus(path)[0], config.seed, "train")
+        vocab = result.checkpoint.vocab
+        docs, _ = prepare_documents(records, vocab, config.k_max, config.dims.t_max, config.dims.v_buckets)
+        read = np.unique(np.concatenate([doc.layout.distinct for doc in docs]))
+        E = result.checkpoint.encoder_params.E
+        initial = init_encoder(config.encoder, config.dims, np.random.default_rng(config.seed),
+                               dtype=np.float32).E
+        unread = np.setdiff1d(np.arange(len(E)), read)
+        assert len(unread) > 0
+        assert E[unread].tobytes() == initial[unread].tobytes()
+        assert (E[read] != initial[read]).any()
+        return read
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_rows_no_training_document_reads_keep_their_initial_bits(self, kind, tiny_corpus):
+        dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
+        config = tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3)
+        self.assert_unread_rows_keep_their_init(config, tiny_corpus)
+
+    def test_unread_rows_keep_their_bits_once_adam_steps_the_whole_table(self, tmp_path, monkeypatch):
+        # A vocabulary-rich corpus on a 260-row table: more than
+        # _SLOT_ORDER_MAX_LIVE of E goes live in the first epoch, and Adam
+        # moves E into table order, where a step covers every row.
+        path = tmp_path / "zipf.jsonl"
+        write_jsonl(load_script("adam_bench").make_zipf_corpus(80, 3000, np.random.default_rng(0)), path)
+        moved = []
+        to_table_order = Adam._to_table_order
+
+        def spy(opt, name):
+            moved.append(name)
+            to_table_order(opt, name)
+
+        monkeypatch.setattr(Adam, "_to_table_order", spy)
+        config = tiny_config(dims=replace(TINY_DIMS, c=50), max_epochs=3, patience=3)
+        read = self.assert_unread_rows_keep_their_init(config, path)
+        assert len(read) > trainer._SLOT_ORDER_MAX_LIVE * (4 + TINY_DIMS.v_buckets)
+        assert "E" in moved
+
+    # Run in a fresh interpreter, so that no memory freed by earlier tests is
+    # reused unseen; prints the growth of the peak resident set over one
+    # train() at the default dims, in units of the embedding table's size.
+    TRAIN_PEAK_RSS = """
+import sys
+from sentattn.encoder import ModelDims
+from sentattn.synth import make_needle_corpus, write_jsonl
+from sentattn.trainer import TrainConfig, train
+
+def status_kb(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
+
+write_jsonl(make_needle_corpus(n_docs=48, n_labels=4, k=8, seed=1), sys.argv[1])
+before = status_kb("VmRSS")
+result = train(TrainConfig(dims=ModelDims(), k_max=8, max_epochs=3, patience=3, seed=3), sys.argv[1])
+print((status_kb("VmHWM") - before) * 1024 / result.checkpoint.encoder_params.E.nbytes)
+"""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+    def test_a_training_run_holds_one_embedding_table(self, tmp_path):
+        # E is 8.4 MB at the default dims; the best-epoch snapshot holds
+        # only the rows the training documents read, so no second table.
+        # numpy's huge-page advice is off: with it, the first write to each
+        # of Adam's three E-sized state buffers may map 2 MB, or 4 KB,
+        # depending on where the buffer starts.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NUMPY_MADVISE_HUGEPAGE": "0"}
+        out = subprocess.run([sys.executable, "-c", self.TRAIN_PEAK_RSS, str(tmp_path / "needle.jsonl")],
+                             env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 1.5, out.stdout
 
     def test_vocabulary_from_training_split_only(self, tiny_corpus):
         result = train(tiny_config(), tiny_corpus)
