@@ -2,24 +2,25 @@
 """Time preprocessing per document, from record text to encoder layout, at three document shapes.
 
 Each shape is a seeded synthetic corpus built like a benchmark workload's
-documents. Per document it times three calls, in microseconds:
+documents. Per document it times four calls, in microseconds:
 
 * segment_us: `segment` of the document's text;
 * tokenize_us: one `token_ids` call per document, over all of those
   sentences, as `prepare_documents` makes it;
+* layout_us: the `DocLayout` build alone, from that `token_ids` output;
 * prepare_us: `prepare_documents` of the one record, then reading its
   `layout`: the whole path from text to the layout that every encoder pass
   reads.
 
-Only `segment`, `token_ids`, `prepare_documents` and `document_text` are
-called, so the script times any version of the package whose signatures
-match. Each round times every document of a shape once. Round 0 meets the
-shape's words with a cold token memo: each shape's dims or words differ
-from those of the shapes before it. It is reported apart, under "cold";
-its prepare_us follows a token_ids call over the same document, so only
-its tokenize_us is cold throughout. The warm rounds 1..N are the stages'
-own entries. Prints one JSON object (median and quartiles over documents
-and rounds), and writes it to --out when given.
+Only `segment`, `token_ids`, `DocLayout`, `prepare_documents` and
+`document_text` are called, so the script times any version of the package
+whose signatures match. Each round times every document of a shape once.
+Round 0 meets the shape's words with a cold token memo: each shape's dims
+or words differ from those of the shapes before it. It is reported apart,
+under "cold"; its prepare_us follows a token_ids call over the same
+document, so only its tokenize_us is cold throughout. The warm rounds 1..N
+are the stages' own entries. Prints one JSON object (median and quartiles
+over documents and rounds), and writes it to --out when given.
 
 A committed `before` and `after` come from separate processes, run one
 after the other, and on a shared VM such a pair cannot resolve a
@@ -52,6 +53,7 @@ from time import perf_counter
 import numpy as np
 
 from sentattn.corpus import PatentRecord
+from sentattn.encoder import DocLayout
 from sentattn.segmenter import segment, token_ids
 from sentattn.trainer import document_text, prepare_documents
 
@@ -121,7 +123,7 @@ def _stats(seconds: list[float]) -> dict[str, float]:
 
 def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: int,
                use_description: bool, rounds: int) -> dict:
-    times = {"segment_us": [], "tokenize_us": [], "prepare_us": []}
+    times = {"segment_us": [], "tokenize_us": [], "layout_us": [], "prepare_us": []}
     cold = {name: [] for name in times}
     sentences = tokens = 0
     for i in range(rounds + 1):
@@ -129,13 +131,15 @@ def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: i
             t0 = perf_counter()
             kept = segment(document_text(record, use_description), k_max)
             t1 = perf_counter()
-            ids, _ = token_ids((s.text for s in kept), t_max, v_buckets)
+            ids, lens = token_ids((s.text for s in kept), t_max, v_buckets)
             t2 = perf_counter()
+            DocLayout(ids, lens)
+            t3 = perf_counter()
             docs, _ = prepare_documents([record], None, k_max, t_max, v_buckets, use_description,
                                         require_labels=False)
             docs[0].layout  # a version that builds layouts on first read builds it here
-            t3 = perf_counter()
-            for name, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+            t4 = perf_counter()
+            for name, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 (times if i else cold)[name].append(seconds)
             if not i and record is records[0]:
                 sentences, tokens = len(kept), len(ids)

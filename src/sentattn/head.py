@@ -72,12 +72,9 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # z = exp(t) below zero and exp(-t) above it, and never overflows
+    z = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1, z) / (1 + z)
 
 
 def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:

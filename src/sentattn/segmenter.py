@@ -28,18 +28,19 @@ Tokens are mapped into a fixed id space by FNV-1a hashing instead of a
 learned vocabulary. Ids 0-3 are reserved (PAD, CLS, SEP, UNK) and UNK is
 unreachable under hashing. `token_ids` tokenizes a whole document's
 sentences into one id array and each sentence's id count. A word is split
-and hashed once per process: one module-level memo maps it to the ids of
-its tokens, for the current (t_max, v_buckets), and is rebuilt when they
-change. It keeps only words of at most 64 chars, and is cleared when it
+and hashed once per process: one module-level memo maps it to its tokens'
+ids packed as native int64 bytes, for the current (t_max, v_buckets), and
+is rebuilt when they change, so a sentence's ids are one join of its words'
+bytes. It keeps only words of at most 64 chars, and is cleared when it
 holds 65,536 words or 262,144 ids, so its memory stays bounded.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,6 +50,10 @@ PAD_ID = 0
 CLS_ID = 1
 SEP_ID = 2
 UNK_ID = 3
+_pack_id = struct.Struct("=q").pack  # one id as native int64 bytes
+_CLS = _pack_id(CLS_ID)
+_SEP = _pack_id(SEP_ID)
+_SEP_CLS = _SEP + _CLS
 
 ABBREVIATIONS = ("Fig.", "No.", "U.S.", "e.g.", "i.e.", "et al.", "vs.", "etc.")
 _ABBREVIATIONS_LOWER = tuple(a.lower() for a in ABBREVIATIONS)
@@ -67,9 +72,9 @@ _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
 # exactly str.isspace
 _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 # the word memo keeps words of at most this many chars, and at most this many
-# words and ids. 65,536 short words take about 10 MB; the ids bound holds the
-# memo near that when every word is 64 chars of punctuation, whose ids take
-# about 2.4 kB a word at t_max = 64
+# words and ids. 65,536 short words take about 8 MB; the ids bound holds the
+# memo below that when every word is 64 chars of punctuation, whose ids take
+# about 630 B a word at t_max = 64
 _MEMO_WORD_CHARS = 64
 _MEMO_WORDS = 1 << 16
 _MEMO_IDS = 1 << 18
@@ -165,32 +170,32 @@ def _word_tokens(word: str, need: int) -> list[str]:
 
 
 class _WordIds(dict):
-    """Lowercased whitespace word -> the ids of its first t_max - 2 tokens, at one dims pair.
+    """Lowercased whitespace word -> its first t_max - 2 tokens' ids as native int64 bytes.
 
     A miss splits and hashes the word. Only words of at most `_MEMO_WORD_CHARS`
     chars are kept, and the memo is cleared when it holds `_MEMO_WORDS` words
-    or `_MEMO_IDS` ids.
+    or `_MEMO_IDS` ids. One dims pair's memo never serves another's ids.
     """
 
     def __init__(self, t_max: int, v_buckets: int):
         super().__init__()
         self.dims = (t_max, v_buckets)
-        self.held = 0  # ids in the kept tuples
+        self.held = 0  # ids in the kept values
 
-    def __missing__(self, word: str) -> tuple[int, ...]:
+    def __missing__(self, word: str) -> bytes:
         t_max, v_buckets = self.dims
         if word.isalnum():
-            ids = (token_bucket(word, v_buckets),)
+            ids = _pack_id(token_bucket(word, v_buckets))
         # one trailing mark, as in "said."; word[-2] first, so "a))...)" is never copied
         elif word[0].isalnum() and word[-2].isalnum() and word[:-1].isalnum():
-            ids = (token_bucket(word[:-1], v_buckets), token_bucket(word[-1], v_buckets))
+            ids = b"".join([_pack_id(token_bucket(t, v_buckets)) for t in (word[:-1], word[-1])])
         else:
-            ids = tuple([token_bucket(token, v_buckets) for token in _word_tokens(word, t_max - 2)])
+            ids = b"".join([_pack_id(token_bucket(t, v_buckets)) for t in _word_tokens(word, t_max - 2)])
         if len(word) <= _MEMO_WORD_CHARS:
-            if len(self) >= _MEMO_WORDS or self.held + len(ids) > _MEMO_IDS:
+            if len(self) >= _MEMO_WORDS or self.held + len(ids) // 8 > _MEMO_IDS:
                 self.clear()
                 self.held = 0
-            self.held += len(ids)
+            self.held += len(ids) // 8
             self[word] = ids
         return ids
 
@@ -199,12 +204,13 @@ _word_ids = _WordIds(0, 0)
 
 
 def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndarray, list[int]]:
-    """Hash sentences into one array of CLS ... SEP id runs, plus each run's length.
+    """Hash sentences into one writable int64 array of CLS ... SEP id runs, plus each run's length.
 
     Each sentence is lowercased and split on whitespace; leading and
     trailing punctuation detaches from a word as separate tokens, and the
-    first t_max - 2 tokens are kept. Each word's ids come from the word
-    memo. Never pads; padding is a batch concern.
+    first t_max - 2 tokens are kept: one join of its words' bytes from the
+    word memo, cut to 8 * (t_max - 2) bytes. The document's ids are one join
+    of the sentences' between CLS and SEP. Never pads; that is a batch concern.
     """
     global _word_ids
     if t_max < 3:
@@ -215,17 +221,13 @@ def token_ids(texts: Iterable[str], t_max: int, v_buckets: int) -> tuple[np.ndar
         _word_ids = _WordIds(t_max, v_buckets)
     word_ids = _word_ids.__getitem__
     n = t_max - 2
-    ids: list[int] = []
-    lens: list[int] = []
+    runs: list[bytes] = []
     for text in texts:
         # every word yields a token, so the first n words hold the first n tokens
-        words = text.lower().split(None, n)
-        if not words:
+        run = b"".join(map(word_ids, text.lower().split(None, n)[:n]))[: 8 * n]
+        if not run:
             raise ValueError("cannot tokenize an empty sentence")
-        start = len(ids)
-        ids.append(CLS_ID)
-        ids += chain.from_iterable(map(word_ids, words[:n]))
-        del ids[start + 1 + n :]
-        ids.append(SEP_ID)
-        lens.append(len(ids) - start)
-    return np.array(ids, dtype=np.int64), lens
+        runs.append(run)
+    # joined into a bytearray, so the array over it is writable
+    ids = bytearray().join((_CLS, _SEP_CLS.join(runs), _SEP)) if runs else bytearray()
+    return np.frombuffer(ids, dtype=np.int64), [len(run) // 8 + 2 for run in runs]

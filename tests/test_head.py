@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sentattn.encoder import CacheMismatch, ShapeMismatch
-from sentattn.head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
+from sentattn.head import HeadParams, _sigmoid, bce_loss, head_backward, head_forward, init_head, predict
 
 E_SQUARED = math.e**2
 
@@ -134,6 +134,25 @@ class TestScoreAndPredict:
     def test_quarter_from_logit_minus_ln3(self):
         s = forward(np.ones((1, 1)), np.ones((1, 1)), b=np.array([-math.log(3.0)])).scores
         assert math.isclose(s[0], 0.25, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_is_the_two_branch_formula_bit_for_bit(self, dtype):
+        info = np.finfo(dtype)
+        edges = [0.0, info.smallest_subnormal, info.tiny, info.eps, 1.0, 17.0, 36.0, 88.7, 103.9,
+                 709.7, 745.2, float(info.max), np.inf]
+        t = np.array(edges + [-e for e in edges] + [np.nan], dtype=dtype)
+        t = np.concatenate([t, np.random.default_rng(0).normal(scale=20, size=6000).astype(dtype)])
+        pos = t >= 0
+        expected = np.empty_like(t)
+        expected[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        et = np.exp(t[~pos])
+        expected[~pos] = et / (1.0 + et)
+        got = _sigmoid(t)
+        assert got.dtype == dtype
+        nan = np.isnan(t)
+        assert np.isnan(got[nan]).all()  # a NaN stays NaN, though its sign bit may differ
+        bits = f"u{info.bits // 8}"
+        np.testing.assert_array_equal(got[~nan].view(bits), expected[~nan].view(bits))
 
     def test_predict_strict_at_threshold(self):
         np.testing.assert_array_equal(predict(np.array([0.5])), [0])

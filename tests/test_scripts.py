@@ -72,7 +72,7 @@ def test_prepare_bench_times_every_stage_at_every_shape(capsys, tmp_path):
         report["shapes"]["description"]["k_max"]
     for shape in report["shapes"].values():
         assert shape["first_document"]["tokens"] > shape["first_document"]["sentences"] > 0
-        for stage in ("segment_us", "tokenize_us", "prepare_us"):
+        for stage in ("segment_us", "tokenize_us", "layout_us", "prepare_us"):
             for stats in (shape[stage], shape["cold"][stage]):
                 assert 0 < stats["q1"] <= stats["median"] <= stats["q3"]
 

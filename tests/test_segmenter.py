@@ -199,6 +199,25 @@ class TestAgainstReference:
         ours = outcome(lambda: token_ids([text], t_max, v_buckets)[0])
         assert ours == outcome(reference.tokenize, text, t_max, v_buckets)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(any_text, st.text(" \t\n\u00a0\u2003", max_size=3)), min_size=1,
+                    max_size=40), st.integers(3, 40), st.integers(1, 5000))
+    @example(["((((a))))", "said. ((((a))))", "a ((((a))))"], 4, 64)
+    @example(["(((((((((a", "x))))))))))"], 5, 64)
+    @example(["first one.", " \t ", "third"], 8, 64)
+    def test_sentence_lists_match_the_reference(self, texts, t_max, v_buckets):
+        # a document's ids are its sentences' reference ids one after another,
+        # with the same errors; a cap of t_max - 2 may fall inside a word's tokens
+        def expected():
+            return np.concatenate([reference.tokenize(t, t_max, v_buckets) for t in texts])
+
+        ours = outcome(lambda: token_ids(texts, t_max, v_buckets)[0])
+        assert ours == outcome(expected)
+        if not isinstance(ours, type):
+            ids, lens = token_ids(texts, t_max, v_buckets)
+            assert ids.dtype == np.int64 and ids.flags.writeable
+            assert lens == [len(reference.tokenize(t, t_max, v_buckets)) for t in texts]
+
 
 def prepared_layout(text, k_max, t_max, v_buckets):
     """The layout that prepare_documents builds for a record whose text is `text`."""
@@ -358,7 +377,7 @@ class TestTokenBucketMemo:
         words = ["(" * 56 + f"{i:08d}" for i in range(5_000)]
         lens = token_ids(words, t_max=64, v_buckets=64)[1]
         assert lens == [59] * len(words)
-        held = sum(map(len, segmenter._word_ids.values()))
+        held = sum(len(v) // 8 for v in segmenter._word_ids.values())  # 8 bytes an id
         assert 0 < held == segmenter._word_ids.held <= 262_144
 
     def test_only_words_of_at_most_64_chars_are_kept(self, empty_word_memo):
