@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Time `Adam.step` by the share of the embedding table that is live, and in one scale-shaped run.
+"""Time `Adam.step` by the size of the compact embedding table, and in one scale-shaped run.
 
 * steps: at the default dims (a 32,772 x 64 float32 E and the meanpool and
-  head tensors beside it), one optimizer per live share of E's rows:
-  0.3% (about train-meanpool's 111 rows), 10%, 30%, 50%, 75% and 100%.
-  Each first gets one gradient on every one of its live rows and one
-  untimed step. Then each round adds, to every optimizer in turn, a batch
-  gradient on 1,600 of its live rows (about 16 documents) and times one
+  head tensors beside it), one optimizer per compact table, the first
+  0.3% (98 rows, about train-meanpool's), 10%, 30%, 50%, 75% and 100%
+  (32,772) of E's rows, as `train()` hands Adam only the rows its prepared
+  documents read. Each first gets one gradient on every one of its rows
+  and one untimed step. Then each round adds, to every optimizer in turn,
+  a batch gradient on 1,600 of its rows (about 16 documents) and times one
   `step`. Milliseconds, median and quartiles over --repeats rounds.
 * train: one `train()` at the default dims on a Zipf corpus generated
-  here: 3,000 records over 30,000 word types, 2 epochs, batch 16. About
-  60% of E goes live, so the run goes from stepping a few rows to
-  stepping most of the table. Reports the run's wall time, the summed time
-  and count of its `Adam.step` calls, how many E rows ended live (rows that
-  differ from the seeded init), the SHA-256 of the checkpoint tensors, and
-  how far the peak resident set rose over the run (VmHWM at its end less
-  VmRSS at its start, in MB; null where /proc/self/status is missing). The
-  run is made in a fresh interpreter, so that no buffer of the steps
-  section is counted or reused.
+  here: 3,000 records over 30,000 word types, 2 epochs, batch 16. Its
+  documents read about 60% of E, so Adam steps a table of that size from
+  the first step. Reports the run's wall time, the summed time and count
+  of its `Adam.step` calls, the rows of the E that Adam steps, how many E
+  rows ended live (rows that differ from the seeded init), the SHA-256 of
+  the checkpoint tensors, and how far the peak resident set rose over the
+  run (VmHWM at its end less VmRSS at its start, in MB; null where
+  /proc/self/status is missing). The run is made in a fresh interpreter,
+  so that no buffer of the steps section is counted or reused.
 
 Only `Adam(tensors, lr, beta1, beta2, eps)`, `add`, `step`, `train` and the
 init functions are called, so the script times older versions of the
@@ -61,7 +62,7 @@ from sentattn.synth import write_jsonl
 
 DEFAULT_DIMS = ModelDims()
 TINY_DIMS = ModelDims(h=4, c=4, v_buckets=400, t_max=8, f=4)
-LIVE_SHARES = (0.003, 0.1, 0.3, 0.5, 0.75, 1.0)
+TABLE_SHARES = (0.003, 0.1, 0.3, 0.5, 0.75, 1.0)  # of E's rows
 BATCH_ROWS = 1600  # distinct E rows of about 16 documents
 CODES = [f"{'ABCDEFGH'[i % 8]}{10 + i:02d}{'ABCDEFGHJK'[i % 10]}" for i in range(50)]
 
@@ -94,25 +95,25 @@ def _gradients(tensors: dict[str, np.ndarray], ids: np.ndarray, rng: np.random.G
 
 
 def time_steps(dims: ModelDims, repeats: int, rng: np.random.Generator) -> dict[str, dict]:
-    """Per live share of E's rows: `Adam.step` in milliseconds, after a batch's gradients."""
+    """Per compact table of E's rows: `Adam.step` in milliseconds, after a batch's gradients."""
     cases = {}
-    for share in LIVE_SHARES:
+    for share in TABLE_SHARES:
         tensors = _tensors(dims, rng)
-        n_rows = len(tensors["E"])
-        live = np.sort(rng.choice(n_rows, size=max(1, round(share * n_rows)), replace=False))
+        n_rows = max(1, round(share * len(tensors["E"])))
+        tensors["E"] = tensors["E"][:n_rows].copy()
         opt = trainer.Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
-        opt.add(_gradients(tensors, live, rng))
+        opt.add(_gradients(tensors, np.arange(n_rows), rng))
         opt.step(1)
-        cases[f"{share:.1%}"] = (opt, tensors, live, [])
+        cases[f"{share:.1%}"] = (opt, tensors, n_rows, [])
     for _ in range(repeats):
-        for opt, tensors, live, times in cases.values():
-            batch = np.sort(rng.choice(live, size=min(BATCH_ROWS, len(live)), replace=False))
+        for opt, tensors, n_rows, times in cases.values():
+            batch = np.sort(rng.choice(n_rows, size=min(BATCH_ROWS, n_rows), replace=False))
             opt.add(_gradients(tensors, batch, rng))
             t0 = perf_counter()
             opt.step(16)
             times.append(perf_counter() - t0)
-    return {name: {"live_rows": len(live), "step_ms": _stats(times)}
-            for name, (_, _, live, times) in cases.items()}
+    return {name: {"live_rows": n_rows, "step_ms": _stats(times)}
+            for name, (_, _, n_rows, times) in cases.items()}
 
 
 def make_zipf_corpus(n_records: int, n_types: int, rng: np.random.Generator) -> list[PatentRecord]:
@@ -147,11 +148,14 @@ def time_train(dims: ModelDims, path: Path) -> dict:
     config = trainer.TrainConfig(dims=dims, max_epochs=2, patience=2, seed=0)
     step = trainer.Adam.step
     step_times = []
+    e_rows = None
 
     def timed_step(self, n_docs):
+        nonlocal e_rows
         t0 = perf_counter()
         step(self, n_docs)
         step_times.append(perf_counter() - t0)
+        e_rows = len(self.tensors["E"])
 
     trainer.Adam.step = timed_step
     try:
@@ -168,7 +172,7 @@ def time_train(dims: ModelDims, path: Path) -> dict:
     digest = hashlib.sha256(b"".join(t.tobytes() for _, t in ckpt.tensors())).hexdigest()
     return {
         "epochs": len(result.epochs), "train_s": round(train_s, 3),
-        "adam_step_s": round(sum(step_times), 3), "adam_steps": len(step_times),
+        "adam_step_s": round(sum(step_times), 3), "adam_steps": len(step_times), "adam_e_rows": e_rows,
         "live_rows": live_rows, "table_rows": len(initial), "checkpoint_sha256": digest,
         "peak_rss_growth_mb": None if peak is None else round(peak - rss_before, 2),
     }

@@ -187,7 +187,8 @@ class DocLayout:
     E gradient is one row per distinct id with no per-pass np.unique.
     Indices are int32, so the layout of a tokenized document of two or more
     sentences is no larger than its int64 id array. len() is the sentence
-    count k.
+    count k. `train` renumbers `distinct` into its compact embedding table,
+    in the same order, so `cell` holds.
     """
 
     def __init__(self, ids: np.ndarray, lens: Sequence[int] | np.ndarray):

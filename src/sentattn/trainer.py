@@ -10,21 +10,21 @@ Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
 training and validation pass over it reads.
 
-Adam steps only the embedding table's live rows, those that have ever had
-a gradient, which is exact. It holds their state in the order they went
-live, so its memory follows the live rows, not the table; once gathering
-them costs more, it moves the state into table order and steps the whole
-table in place.
+Training runs on a compact embedding table: the rows of E that some
+prepared training or validation document reads, in table order, with each
+document's layout renumbered into it once. No other row can have a
+gradient or be read, so every other row keeps its initial bits, and Adam
+and the best-epoch snapshot hold only the compact rows. Adam steps each
+tensor whole and in place; a compact row that has had no gradient yet is
+left unchanged bit for bit.
 
 Model selection is validation micro-F1, and `train` holds the whole
 stopping rule: the best-epoch parameters are snapshotted, into one copy
 made at the first best and overwritten at each later one, and training
 stops after `patience` epochs without a strict improvement (a tie is
-none), or once train micro-F1 reaches `stop_at_train_f1`. The snapshot
-holds only what training can move: of the embedding table, the rows that
-some training document reads, since no other row ever has a gradient, and
-every other stepped tensor whole. At the end it is written back into the
-live parameters, which the checkpoint then holds, so a run keeps one
+none), or once train micro-F1 reaches `stop_at_train_f1`. At the end the
+snapshot is written back into the live parameters and its compact rows
+into the full table, which the checkpoint holds, so a run keeps one
 embedding table. grad_check rebuilds a small random instance in float64
 and compares every analytic gradient against central finite differences.
 """
@@ -138,55 +138,17 @@ class PreparedDoc:
     target: np.ndarray | None
 
 
-# Adam holds a row-sparse tensor's state in slot order while at most this
-# share of its rows is live, and in table order from then on. Gathering n
-# live rows, stepping the contiguous slot prefix in place and scattering the
-# rows back costs about as much as stepping the whole table in place once n
-# reaches three quarters of it (a 32,772 x 64 float32 table on one x86-64
-# Xeon core, scripts/adam_bench.py).
-_SLOT_ORDER_MAX_LIVE = 0.75
-
-
-class _Slots:
-    """The slot order of one table's live rows: slot i holds row `rows[i]`."""
-
-    def __init__(self, n_rows: int):
-        self.slot = np.full(n_rows, -1, dtype=np.intp)  # row -> slot; -1 until the row goes live
-        self.rows = np.empty(n_rows, dtype=np.intp)     # slot -> row, the first n in use
-        self.n = 0
-
-    def of(self, ids: np.ndarray) -> np.ndarray:
-        """The slots of distinct rows `ids`, each new row taking the next free slot."""
-        slots = self.slot[ids]
-        new = slots < 0
-        if new.any():
-            fresh = ids[new]
-            end = self.n + len(fresh)
-            slots[new] = self.slot[fresh] = np.arange(self.n, end)
-            self.rows[self.n : end] = fresh
-            self.n = end
-        return slots
-
-
 class Adam:
-    """Mini-batch adaptive moment estimation with bias correction, stepping only live rows.
+    """Mini-batch adaptive moment estimation with bias correction, one dense step per tensor.
 
     `add` sums each document's gradients into buffers allocated once per
-    run. Gradients of tensors it does not hold, such as the frozen S of a
-    uniform-attention run, are dropped. A tensor's `grad`, `m` and `v` start
-    in slot order: the first time a row-sparse gradient (RowGrad, the
-    embedding table E's) reaches a row, the row takes the next free slot,
-    and its state lives in that row of the buffers. So the state of n live
-    rows is the buffers' first n rows, and pages past them are never
-    written. A dense gradient moves its tensor's state into table order, as
-    does `step` once more than _SLOT_ORDER_MAX_LIVE of a table's rows are
-    live, and there it stays. `step` takes, per tensor, the live rows
-    gathered from the table in slot order, or the whole table in place. It
-    scales them to the batch mean, applies the textbook update one in-place
-    operation at a time, scatters gathered rows back and clears the sums to
-    +0.0. That is exact: a live row outside the batch sums +0.0, and a row
-    never live has m = v = +0.0, which the update leaves unchanged bit for
-    bit.
+    run, scatter-adding a row-sparse gradient (RowGrad, the embedding table
+    E's) into its rows. Gradients of tensors it does not hold, such as the
+    frozen S of a uniform-attention run, are dropped. `step` scales each sum
+    to the batch mean, applies the textbook update to the whole tensor one
+    in-place operation at a time, and clears the sums to +0.0. A row that
+    has had no gradient yet has m = v = +0.0, which the update leaves
+    unchanged bit for bit.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
@@ -196,50 +158,27 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        # np.zeros, not zeros_like: no page is written before a row is
-        self.grad = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
-        self.m = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
-        self.v = {name: np.zeros(p.shape, p.dtype) for name, p in tensors.items()}
-        self._slots = {name: _Slots(len(p)) for name, p in tensors.items()}
-
-    def _to_table_order(self, name: str) -> None:
-        """Move one tensor's state from slot order into table order, if it is not there yet."""
-        slots = self._slots.pop(name, None)
-        if slots is None:
-            return
-        for state in (self.grad[name], self.m[name], self.v[name]):
-            live = state[: slots.n].copy()
-            state[: slots.n] = 0.0
-            state[slots.rows[: slots.n]] = live
+        self.grad = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
+        self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
 
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
         """Add one document's gradients to the batch sums."""
         for name, g in grads.items():
             if name not in self.grad:
                 continue
-            if not isinstance(g, RowGrad):
-                self._to_table_order(name)
-                self.grad[name] += g
-            elif name in self._slots:
-                # a RowGrad's ids are distinct, so are their slots, and += is exact
-                self.grad[name][self._slots[name].of(g.ids)] += g.rows
-            else:
+            if isinstance(g, RowGrad):
                 g.add_to(self.grad[name])
+            else:
+                self.grad[name] += g
 
     def step(self, n_docs: int) -> None:
         """One update with the mean of the `n_docs` documents added since the last."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, table in self.tensors.items():
-            slots = self._slots.get(name)
-            if slots is not None and slots.n > _SLOT_ORDER_MAX_LIVE * len(table):
-                self._to_table_order(name)
-                slots = None
-            # the whole table in place, or a copy of the live rows in slot order
-            live = None if slots is None else slots.rows[: slots.n]
-            p = table if live is None else table[live]
-            g, m, v = self.grad[name][: len(p)], self.m[name][: len(p)], self.v[name][: len(p)]
+        for name, p in self.tensors.items():
+            g, m, v = self.grad[name], self.m[name], self.v[name]
             g *= 1.0 / n_docs
             a = np.empty_like(p)
             # m = beta1*m + (1-beta1)*g
@@ -259,8 +198,6 @@ class Adam:
             np.add(g, self.eps, out=g)
             np.divide(a, g, out=a)
             np.subtract(p, a, out=p)
-            if live is not None:
-                table[live] = p
             g[...] = 0.0
 
 
@@ -347,20 +284,27 @@ def train(
     rng = np.random.default_rng(config.seed)
     enc_params = init_encoder(config.encoder, dims, rng, dtype=np.float32)
     head_params = init_head(dims.c, dims.h, rng, dtype=np.float32)
+    # No pass reads, and no gradient reaches, a row of E that no prepared
+    # document reads, so training runs on a compact table of the rows they
+    # read, renumbered in order; every other row keeps its initial bits.
+    # A row mask, not np.unique, which imports numpy.ma (about 1 MB resident).
+    docs = train_docs + val_docs
+    table = enc_params.E
+    read = np.zeros(len(table), dtype=bool)
+    for doc in docs:
+        read[doc.layout.distinct] = True
+    rows = np.flatnonzero(read)
+    compact = np.zeros(len(table), dtype=np.int32)
+    compact[rows] = np.arange(len(rows))
+    for doc in docs:  # monotonic, so each `distinct` stays sorted and `cell` holds
+        doc.layout.distinct = compact[doc.layout.distinct]
+    enc_params.E = table[rows]
     tensors = dict(model_tensors(enc_params, head_params))
     if config.attention_mode == UNIFORM:
         # S = +0.0 makes every attention row exactly 1/k; S is never stepped
         head_params.S.fill(0.0)
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
-    # E's gradient reaches only the distinct ids of a training document, so
-    # no other row of E ever moves; the snapshot keeps each tensor's `rows`.
-    # A row mask, not np.unique, which imports numpy.ma (about 1 MB resident).
-    read = np.zeros(len(enc_params.E), dtype=bool)
-    for doc in train_docs:
-        read[doc.layout.distinct] = True
-    rows = {name: np.arange(len(p)) for name, p in tensors.items()}
-    rows["E"] = np.flatnonzero(read)
 
     best_f1, since_best, best = -math.inf, 0, None
     epochs: list[EpochLog] = []
@@ -399,16 +343,18 @@ def train(
         if val_micro > best_f1:  # strictly: a tie is no improvement
             best_f1, since_best = val_micro, 0
             if best is None:
-                best = {name: p[rows[name]] for name, p in tensors.items()}
-            else:  # later bests overwrite the first one's buffers; mode "raise" would buffer `out`
+                best = {name: p.copy() for name, p in tensors.items()}
+            else:  # later bests overwrite the first one's buffers
                 for name, p in tensors.items():
-                    np.take(p, rows[name], axis=0, out=best[name], mode="clip")
+                    np.copyto(best[name], p)
         if since_best >= config.patience or (
                 config.stop_at_train_f1 is not None and entry.train_micro_f1 >= config.stop_at_train_f1):
             break
 
     for name, p in tensors.items():
-        p[rows[name]] = best[name]
+        np.copyto(p, best[name])
+    table[rows] = enc_params.E
+    enc_params.E = table
     ckpt = Checkpoint(
         dims=dims, vocab=vocab,
         encoder_params=enc_params, head_params=head_params,

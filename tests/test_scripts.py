@@ -92,5 +92,6 @@ def test_adam_bench_times_every_live_share_and_a_train_run(capsys, tmp_path):
     assert train["epochs"] == 2 and train["adam_steps"] > 0
     assert 0 <= train["adam_step_s"] <= train["train_s"]
     assert 0 < train["live_rows"] < train["table_rows"]
+    assert train["live_rows"] <= train["adam_e_rows"] <= train["table_rows"]
     if Path("/proc/self/status").exists():
         assert train["peak_rss_growth_mb"] > 0

@@ -144,20 +144,6 @@ class TestStopping:
         self.assert_same_tensors(result, epoch1)
 
 
-def table_order(opt: Adam, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adam's grad, m and v of one tensor in table order, whichever order it holds them in."""
-    states = (opt.grad[name], opt.m[name], opt.v[name])
-    slots = opt._slots.get(name)
-    if slots is None:
-        return states
-    out = []
-    for state in states:
-        full = np.zeros_like(state)
-        full[slots.rows[: slots.n]] = state[: slots.n]
-        out.append(full)
-    return tuple(out)
-
-
 class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         p = np.array([1.0], dtype=np.float32)
@@ -219,12 +205,12 @@ class TestAdam:
     @given(n_rows=st.integers(2, 60), width=st.integers(1, 4),
            touched=st.lists(st.sets(st.integers(0, 58), max_size=5), min_size=2, max_size=6),
            seed=st.integers(0, 2**16))
-    @example(n_rows=60, width=3, touched=[{1, 2}, {5}, set(), {1}], seed=0)  # stays gathered
+    @example(n_rows=60, width=3, touched=[{1, 2}, {5}, set(), {1}], seed=0)  # most rows never live
     @example(n_rows=3, width=2, touched=[{0}, {1}], seed=1)  # ends with every row live
     def test_live_row_steps_equal_the_textbook_whole_table(self, n_rows, width, touched, seed):
         # Rows go live at random steps and most go silent again; the last row
-        # is touched only at the last step. Whether a step gathers the live
-        # rows or falls back to the whole table, the bits must match.
+        # is touched only at the last step. Stepping rows that have had no
+        # gradient yet must leave them as the textbook update does.
         rng = np.random.default_rng(seed)
         lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
         params = {"E": rng.normal(size=(n_rows, width)).astype(np.float32),
@@ -245,105 +231,9 @@ class TestAdam:
                 expected[n] = self.textbook(*expected[n], g, t, lr, beta1, beta2, eps)
             for n in params:
                 p, m, v = expected[n]
-                _, opt_m, opt_v = table_order(opt, n)
                 assert params[n].tobytes() == p.tobytes(), (t, n)
-                assert opt_m.tobytes() == m.tobytes(), (t, n)
-                assert opt_v.tobytes() == v.tobytes(), (t, n)
-
-    def test_a_fully_live_table_falls_back_to_the_whole_table(self):
-        rng = np.random.default_rng(4)
-        params = {"E": rng.normal(size=(4, 3)).astype(np.float32)}
-        expected = (params["E"].copy(), np.zeros_like(params["E"]), np.zeros_like(params["E"]))
-        opt = Adam(params, 1e-2, 0.9, 0.999, 1e-8)
-        for t, ids in enumerate([np.array([2]), np.array([0, 3]), np.array([1])], start=1):
-            g = np.zeros_like(params["E"])
-            g[ids] = rng.normal(size=(len(ids), 3)).astype(np.float32)
-            opt.add({"E": RowGrad(ids=ids, rows=g[ids])})
-            opt.step(1)
-            expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
-        assert "E" not in opt._slots  # every row is live: the state moved into table order
-        _, m, v = table_order(opt, "E")
-        assert params["E"].tobytes() == expected[0].tobytes()
-        assert m.tobytes() == expected[1].tobytes()
-        assert v.tobytes() == expected[2].tobytes()
-
-    def test_a_dense_gradient_after_row_sparse_ones_moves_the_state_into_table_order(self):
-        rng = np.random.default_rng(5)
-        params = {"E": rng.normal(size=(6, 2)).astype(np.float32)}
-        expected = (params["E"].copy(), np.zeros_like(params["E"]), np.zeros_like(params["E"]))
-        opt = Adam(params, 1e-2, 0.9, 0.999, 1e-8)
-        for t, ids in enumerate([np.array([4]), np.array([1, 4]), None], start=1):
-            g = rng.normal(size=(6, 2)).astype(np.float32)
-            if ids is None:
-                opt.add({"E": g})
-            else:
-                g[np.setdiff1d(np.arange(6), ids)] = 0.0
-                opt.add({"E": RowGrad(ids=ids, rows=g[ids])})
-            opt.step(1)
-            expected = self.textbook(*expected, g, t, 1e-2, 0.9, 0.999, 1e-8)
-        assert "E" not in opt._slots
-        assert params["E"].tobytes() == expected[0].tobytes()
-        assert opt.m["E"].tobytes() == expected[1].tobytes()
-        assert opt.v["E"].tobytes() == expected[2].tobytes()
-
-    def test_memory_of_a_sparse_step_stays_far_below_the_table(self):
-        # Beyond the gradient sums, m and v, which tracemalloc counts in full
-        # (how much of them the OS maps is bounded by the next test), building
-        # the optimizer and stepping 200 live E rows must not allocate
-        # anything near a full-size table.
-        rng = np.random.default_rng(0)
-        dims = ModelDims()
-        tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
-                       + init_head(dims.c, dims.h, rng).named_tensors())
-        grads = {n: np.zeros_like(p) for n, p in tensors.items()}
-        ids = np.sort(rng.choice(dims.v_buckets, size=200, replace=False)) + 4
-        grads["E"] = RowGrad(ids=ids, rows=rng.normal(size=(200, dims.h)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            opt = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
-            opt.add(grads)
-            opt.step(1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        full_size = sum(t.nbytes for state in (opt.grad, opt.m, opt.v) for t in state.values())
-        assert peak - full_size < tensors["E"].nbytes / 8, peak - full_size
-
-    # Run in a fresh interpreter, where no memory freed by earlier tests can
-    # be reused unseen; prints the growth of the resident set in MB.
-    SPARSE_STEP_RSS = """
-import numpy as np
-from sentattn.encoder import MEANPOOL, ModelDims, RowGrad, init_encoder
-from sentattn.head import init_head
-from sentattn.trainer import Adam
-
-def resident_kb():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
-
-rng = np.random.default_rng(0)
-dims = ModelDims()
-tensors = dict(init_encoder(MEANPOOL, dims, rng).named_tensors()
-               + init_head(dims.c, dims.h, rng).named_tensors())
-grads = {n: np.zeros_like(p) for n, p in tensors.items()}
-ids = np.sort(rng.choice(dims.v_buckets, size=200, replace=False)) + 4
-grads["E"] = RowGrad(ids=ids, rows=rng.normal(size=(200, dims.h)).astype(np.float32))
-before = resident_kb()
-opt = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
-opt.add(grads)
-opt.step(1)
-print((resident_kb() - before) / 1024)
-"""
-
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc/self/status")
-    def test_resident_memory_of_a_sparse_step_stays_far_below_the_table(self):
-        # E's grad, m and v take 8.4 MB each at the default dims. Held in
-        # slot order, 200 live rows write only their first 50 KB, though
-        # numpy's huge-page advice may map 2 MB around each.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", self.SPARSE_STEP_RSS], env=env,
-                             capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 10, out.stdout
+                assert opt.m[n].tobytes() == m.tobytes(), (t, n)
+                assert opt.v[n].tobytes() == v.tobytes(), (t, n)
 
 
 def _document_grads(seed: int, dims: ModelDims, n_docs: int):
@@ -388,14 +278,13 @@ class TestAdamBatch:
         for grads in docs:
             opt.add(grads)
         expected = self.dense_sum(tensors, docs)
-        grad = {n: table_order(opt, n)[0] for n in tensors}
         for n in tensors:
-            assert grad[n].tobytes() == expected[n].tobytes(), n
+            assert opt.grad[n].tobytes() == expected[n].tobytes(), n
         used = np.unique(np.concatenate([g["E"].ids for g in docs]))
         untouched = np.setdiff1d(np.arange(tensors["E"].shape[0]), used)
         assert len(untouched) > 0
-        assert not grad["E"][untouched].any()
-        assert not np.signbit(grad["E"][untouched]).any()  # +0.0, never -0.0
+        assert not opt.grad["E"][untouched].any()
+        assert not np.signbit(opt.grad["E"][untouched]).any()  # +0.0, never -0.0
 
     def test_step_clears_to_positive_zero_and_the_buffers_are_reused(self):
         # Each step applies the textbook update to the batch mean, then leaves
@@ -429,10 +318,6 @@ class TestAdamBatch:
             monkeypatch.setattr(np, name, lambda *a, _f=func, _n=name, **k: calls.append(_n) or _f(*a, **k))
         opt.step(len(docs))
         assert not calls
-        # after the first step the live rows are this batch's distinct rows
-        ids = np.concatenate([g["E"].ids for g in docs])
-        slots = opt._slots["E"]
-        assert sorted(slots.rows[: slots.n].tolist()) == sorted(set(ids.tolist()))
         assert not opt.grad["E"].any()
 
     def test_memory_of_one_document_stays_far_below_the_table(self):
@@ -484,7 +369,8 @@ class TestTrain:
         assert logs[0] == logs[1]
 
     # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
-    # Adam still stepped every row: stepping only live rows changes no bit.
+    # Adam still stepped every row: neither stepping only live rows nor
+    # training on the compact table changed a bit.
     # The minitransformer digest was re-recorded when it became CLS-query
     # attention over the whole document, and again when its attention pooled
     # through weighted count matrices, and the meanpool digest when its
@@ -554,17 +440,21 @@ class TestTrain:
         assert rerun["micro"]["f1"] == max(f1)
 
     @staticmethod
-    def assert_unread_rows_keep_their_init(config, path):
+    def read_rows(config, path, vocab, split_name):
+        """The sorted distinct E rows that the prepared documents of one split read."""
+        records = split_records(load_corpus(path)[0], config.seed, split_name)
+        docs, _ = prepare_documents(records, vocab, config.k_max, config.dims.t_max, config.dims.v_buckets)
+        return np.unique(np.concatenate([doc.layout.distinct for doc in docs]))
+
+    def assert_unread_rows_keep_their_init(self, config, path):
         """Train, and check E's rows that no training document reads against a fresh draw.
 
-        The best-epoch snapshot leaves those rows out, so it is exact only
-        if training never moves them. Returns the rows that are read.
+        No such row ever has a gradient, so training must leave it as drawn.
+        Returns the run's vocabulary and the rows that are read.
         """
         result = train(config, path)
-        records = split_records(load_corpus(path)[0], config.seed, "train")
         vocab = result.checkpoint.vocab
-        docs, _ = prepare_documents(records, vocab, config.k_max, config.dims.t_max, config.dims.v_buckets)
-        read = np.unique(np.concatenate([doc.layout.distinct for doc in docs]))
+        read = self.read_rows(config, path, vocab, "train")
         E = result.checkpoint.encoder_params.E
         initial = init_encoder(config.encoder, config.dims, np.random.default_rng(config.seed),
                                dtype=np.float32).E
@@ -572,7 +462,7 @@ class TestTrain:
         assert len(unread) > 0
         assert E[unread].tobytes() == initial[unread].tobytes()
         assert (E[read] != initial[read]).any()
-        return read
+        return vocab, read
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
     def test_rows_no_training_document_reads_keep_their_initial_bits(self, kind, tiny_corpus):
@@ -580,24 +470,34 @@ class TestTrain:
         config = tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3)
         self.assert_unread_rows_keep_their_init(config, tiny_corpus)
 
-    def test_unread_rows_keep_their_bits_once_adam_steps_the_whole_table(self, tmp_path, monkeypatch):
-        # A vocabulary-rich corpus on a 260-row table: more than
-        # _SLOT_ORDER_MAX_LIVE of E goes live in the first epoch, and Adam
-        # moves E into table order, where a step covers every row.
+    def test_unread_rows_keep_their_bits_once_adam_steps_the_whole_table(self, tmp_path):
+        # Adam steps the whole compact table, which holds the rows that only
+        # validation documents read. A vocabulary-rich corpus has such rows;
+        # with no gradient and m = v = +0.0, each step must leave them as drawn.
         path = tmp_path / "zipf.jsonl"
         write_jsonl(load_script("adam_bench").make_zipf_corpus(80, 3000, np.random.default_rng(0)), path)
-        moved = []
-        to_table_order = Adam._to_table_order
+        config = tiny_config(dims=replace(TINY_DIMS, c=50, v_buckets=32768), max_epochs=3, patience=3)
+        vocab, read = self.assert_unread_rows_keep_their_init(config, path)
+        validation_only = np.setdiff1d(self.read_rows(config, path, vocab, "validation"), read)
+        assert len(validation_only) > 0
 
-        def spy(opt, name):
-            moved.append(name)
-            to_table_order(opt, name)
+    def test_adam_holds_only_the_rows_a_prepared_document_reads(self, tiny_corpus, monkeypatch):
+        tables = []
+        init = Adam.__init__
 
-        monkeypatch.setattr(Adam, "_to_table_order", spy)
-        config = tiny_config(dims=replace(TINY_DIMS, c=50), max_epochs=3, patience=3)
-        read = self.assert_unread_rows_keep_their_init(config, path)
-        assert len(read) > trainer._SLOT_ORDER_MAX_LIVE * (4 + TINY_DIMS.v_buckets)
-        assert "E" in moved
+        def spy(opt, tensors, *args):
+            tables.append(tensors["E"].shape)
+            init(opt, tensors, *args)
+
+        monkeypatch.setattr(Adam, "__init__", spy)
+        dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
+        config = tiny_config(dims=dims, max_epochs=1, patience=1)
+        result = train(config, tiny_corpus)
+        vocab = result.checkpoint.vocab
+        read = np.union1d(self.read_rows(config, tiny_corpus, vocab, "train"),
+                          self.read_rows(config, tiny_corpus, vocab, "validation"))
+        assert tables == [(len(read), dims.h)]
+        assert result.checkpoint.encoder_params.E.shape == (4 + dims.v_buckets, dims.h)
 
     # Run in a fresh interpreter, so that no memory freed by earlier tests is
     # reused unseen; prints the growth of the peak resident set over one
@@ -620,12 +520,12 @@ print((status_kb("VmHWM") - before) * 1024 / result.checkpoint.encoder_params.E.
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
     def test_a_training_run_holds_one_embedding_table(self, tmp_path):
-        # E is 8.4 MB at the default dims; the best-epoch snapshot holds
-        # only the rows the training documents read, so no second table.
-        # numpy's huge-page advice is off: with it, the first write to each
-        # of Adam's three E-sized state buffers may map 2 MB, or 4 KB,
-        # depending on where the buffer starts.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NUMPY_MADVISE_HUGEPAGE": "0"}
+        # E is 8.4 MB at the default dims. Adam's state and the best-epoch
+        # snapshot hold only the compact table of rows the documents read,
+        # a few hundred here, so no second table. Their buffers stay under
+        # numpy's 4 MB huge-page threshold, so the bound holds with numpy's
+        # huge-page advice at its default.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", self.TRAIN_PEAK_RSS, str(tmp_path / "needle.jsonl")],
                              env=env, capture_output=True, text=True, check=True)
         assert float(out.stdout) < 1.5, out.stdout
