@@ -274,6 +274,9 @@ def _cmd_train(args, settings):
             result = train(config, args.corpus, on_epoch=on_epoch)
     save_checkpoint(result.checkpoint, args.model_out)
     meta = result.checkpoint.meta
+    if meta.best_val_micro_f1 == 0.0:
+        _progress("warning: best validation micro-F1 is 0; "
+                  "the saved model predicts no validation label correctly")
     return {
         "model": args.model_out,
         "epochs_run": meta.epochs_run,

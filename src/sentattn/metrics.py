@@ -1,7 +1,7 @@
 """Multi-label confusion counting and macro/micro precision, recall, F1.
 
-The zero-division convention is pinned: 0/0 counts as 0 for per-class
-precision and recall, which lets never-predicted rare classes depress
+The zero-division convention is pinned: 0/0 counts as 0 for every
+precision, recall and F1, which lets never-predicted rare classes depress
 macro scores. Macro F1 is the harmonic mean of macro precision and macro
 recall; the per-class-F1-mean variant is reported alongside for comparison.
 """
@@ -42,44 +42,33 @@ class ConfusionCounts:
         self.fn += ~p & t
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def _safe_div(num: np.ndarray | float, den: np.ndarray | float) -> np.ndarray:
+    """num / den in float64, elementwise, and 0 where den is 0: the one zero-division rule."""
     out = np.zeros_like(num, dtype=np.float64)
     np.divide(num, den, out=out, where=den > 0)
     return out
-
-
-def _f1(p: float, r: float) -> float:
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
 
 
 def per_class_scores(counts: ConfusionCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class (precision, recall, F1) arrays with the 0/0 -> 0 rule."""
     p = _safe_div(counts.tp, counts.tp + counts.fp)
     r = _safe_div(counts.tp, counts.tp + counts.fn)
-    denom = p + r
-    f1 = np.zeros_like(p)
-    np.divide(2.0 * p * r, denom, out=f1, where=denom > 0)
-    return p, r, f1
+    return p, r, _safe_div(2.0 * p * r, p + r)
 
 
 def macro_scores(counts: ConfusionCounts) -> tuple[float, float, float]:
     """Unweighted class means of P and R; F1 is their harmonic mean."""
     p, r, _ = per_class_scores(counts)
-    macro_p = float(p.mean())
-    macro_r = float(r.mean())
-    return macro_p, macro_r, _f1(macro_p, macro_r)
+    macro_p, macro_r = float(p.mean()), float(r.mean())
+    return macro_p, macro_r, float(_safe_div(2.0 * macro_p * macro_r, macro_p + macro_r))
 
 
 def micro_scores(counts: ConfusionCounts) -> tuple[float, float, float]:
     """Class-pooled precision and recall; F1 is their harmonic mean."""
-    tp = int(counts.tp.sum())
-    denom_p = tp + int(counts.fp.sum())
-    denom_r = tp + int(counts.fn.sum())
-    micro_p = tp / denom_p if denom_p else 0.0
-    micro_r = tp / denom_r if denom_r else 0.0
-    return micro_p, micro_r, _f1(micro_p, micro_r)
+    tp = counts.tp.sum()
+    micro_p = float(_safe_div(tp, tp + counts.fp.sum()))
+    micro_r = float(_safe_div(tp, tp + counts.fn.sum()))
+    return micro_p, micro_r, float(_safe_div(2.0 * micro_p * micro_r, micro_p + micro_r))
 
 
 def report(counts: ConfusionCounts, labels: list[str]) -> dict:

@@ -287,17 +287,12 @@ def train(
     # No pass reads, and no gradient reaches, a row of E that no prepared
     # document reads, so training runs on a compact table of the rows they
     # read, renumbered in order; every other row keeps its initial bits.
-    # A row mask, not np.unique, which imports numpy.ma (about 1 MB resident).
     docs = train_docs + val_docs
+    rows, slot = np.unique(np.concatenate([doc.layout.distinct for doc in docs]), return_inverse=True)
+    ends = np.cumsum([len(doc.layout.distinct) for doc in docs])
+    for doc, distinct in zip(docs, np.split(slot.astype(np.int32), ends[:-1])):
+        doc.layout.distinct = distinct  # monotonic, so it stays sorted and `cell` holds
     table = enc_params.E
-    read = np.zeros(len(table), dtype=bool)
-    for doc in docs:
-        read[doc.layout.distinct] = True
-    rows = np.flatnonzero(read)
-    compact = np.zeros(len(table), dtype=np.int32)
-    compact[rows] = np.arange(len(rows))
-    for doc in docs:  # monotonic, so each `distinct` stays sorted and `cell` holds
-        doc.layout.distinct = compact[doc.layout.distinct]
     enc_params.E = table[rows]
     tensors = dict(model_tensors(enc_params, head_params))
     if config.attention_mode == UNIFORM:

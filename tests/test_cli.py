@@ -449,6 +449,20 @@ class TestPipelineCommands:
             assert stderr.startswith(f"epoch {epoch - 1}: loss ")
         assert err.startswith("epoch 3: loss ")
 
+    @pytest.mark.parametrize("curve, warned", [([0.0, 0.0], True), ([0.0, 0.5], False)])
+    def test_train_warns_when_the_kept_model_never_scored(self, capsys, corpus, tmp_path, monkeypatch,
+                                                          curve, warned):
+        scripted = iter(curve)  # one validation micro-F1 per epoch
+        monkeypatch.setattr("sentattn.trainer.micro_scores", lambda counts: (0.0, 0.0, next(scripted)))
+        code, out, err = run(capsys, "train", str(corpus), str(tmp_path / "m.satn"),
+                             *TINY_TRAIN_FLAGS, "--max-epochs", "2", "--patience", "2")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["epochs_run"] == 2 and summary["best_val_micro_f1"] == max(curve)
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == (["warning: best validation micro-F1 is 0; "
+                             "the saved model predicts no validation label correctly"] if warned else [])
+
     def test_train_skips_records_with_lone_surrogates(self, capsys, corpus, tmp_path):
         bad = [json.dumps({"id": "bad\udc00", "title": "T.", "ipc_codes": ["A01B"]}),
                json.dumps({"id": "t1", "title": "A \ud800 title.", "ipc_codes": ["A01B"]}),

@@ -472,6 +472,28 @@ class TestShapeValidation:
             encode_document(layout, narrow)
 
 
+INT32 = np.iinfo(np.int32)
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def id_documents(draw):
+    """(ids, lens): one to six sentences of ids drawn from a few values, the int32 edges among them."""
+    edges = st.sampled_from([INT32.min, INT32.min + 1, -1, 0, 1, INT32.max - 1, INT32.max])
+    pool = draw(st.lists(st.one_of(edges, st.integers(INT32.min, INT32.max)), min_size=1, max_size=6))
+    lens = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    ids = draw(st.lists(st.sampled_from(pool), min_size=sum(lens), max_size=sum(lens)))
+    return ids, lens
+
+
+def layout_oracle(ids: list[int], lens: list[int]) -> tuple[list[int], list[int]]:
+    """(distinct, cell) by sorted(set(ids)) and a dict from each id to its slot."""
+    distinct = sorted(set(ids))
+    slot = {x: i for i, x in enumerate(distinct)}
+    sentence = [j for j, n in enumerate(lens) for _ in range(n)]
+    return distinct, [slot[x] * len(lens) + j for x, j in zip(ids, sentence)]
+
+
 class TestDocLayout:
     def test_cells_are_slot_in_the_sorted_distinct_ids_times_k_plus_sentence(self):
         ids = seq(1, 9, 5, 2, 1, 5, 5, 7, 2, 1, 9, 2)
@@ -498,6 +520,28 @@ class TestDocLayout:
         layout = DocLayout(ids, [len(s) for s in sentences])
         cached = layout.lens.nbytes + layout.distinct.nbytes + layout.cell.nbytes
         assert cached <= ids.nbytes
+
+    @given(id_documents())
+    @settings(max_examples=200, deadline=None)
+    @example(([INT32.max, INT32.min, INT32.max, 0, INT32.min], [5]))
+    @example(([7, 7, 7, 7, 7, 7], [3, 3]))
+    def test_matches_the_sorted_set_oracle(self, document):
+        ids, lens = document
+        layout = DocLayout(np.array(ids, dtype=np.int64), lens)
+        distinct, cell = layout_oracle(ids, lens)
+        assert layout.distinct.dtype == np.int32 and layout.cell.dtype == np.int32
+        assert layout.distinct.tolist() == distinct
+        assert layout.cell.tolist() == cell
+
+    @given(id_documents(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_id_past_int32_is_refused(self, document, data):
+        ids, lens = document
+        wide = data.draw(st.one_of(st.integers(INT64.min, INT32.min - 1), st.integers(INT32.max + 1, INT64.max)))
+        ids.insert(data.draw(st.integers(0, len(ids))), wide)
+        lens[-1] += 1
+        with pytest.raises(ShapeMismatch, match="token id outside embedding table"):
+            DocLayout(np.array(ids, dtype=np.int64), lens)
 
     def test_ids_beyond_the_index_type_are_refused(self):
         with pytest.raises(ShapeMismatch, match="token id outside embedding table"):

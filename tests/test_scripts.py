@@ -95,3 +95,12 @@ def test_adam_bench_times_every_live_share_and_a_train_run(capsys, tmp_path):
     assert train["live_rows"] <= train["adam_e_rows"] <= train["table_rows"]
     if Path("/proc/self/status").exists():
         assert train["peak_rss_growth_mb"] > 0
+
+
+def test_adam_bench_train_corpus_does_not_move_with_the_steps_section(capsys):
+    runs = []
+    for repeats in ("1", "3"):
+        assert load_script("adam_bench").main(["--tiny", "--repeats", repeats]) == 0
+        runs.append(json.loads(capsys.readouterr().out)["train"])
+    assert runs[0]["checkpoint_sha256"] == runs[1]["checkpoint_sha256"]
+    assert runs[0]["live_rows"] == runs[1]["live_rows"]
