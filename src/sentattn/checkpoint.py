@@ -18,6 +18,12 @@ or not c of them (saving refuses such a checkpoint too). It reproduces
 every tensor bit-exactly. Training metadata (epochs run, best validation
 micro-F1, seed) lives only on the in-memory object; the byte layout above
 is the whole on-disk contract.
+
+Saving streams the header and then each tensor's own buffer into the temp
+file, folding each part into a running CRC, so it builds no file-sized
+copy. Loading reads the file into one bytes object and walks one
+`memoryview` of it, so the only other copy is each tensor's aligned,
+writable float32 array.
 """
 
 from __future__ import annotations
@@ -114,15 +120,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         t = tensors[name]
         if t.shape != shape:
             raise CheckpointError(f"tensor {name} has shape {t.shape}, expected {shape}")
-        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    blob = b"".join(parts)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+        parts.append(np.ascontiguousarray(t, dtype="<f4"))
     # Write a temp file beside the target and rename it over the target, so a
     # failed or interrupted write never truncates the previous checkpoint.
     tmp = checkpoint_temp_path(path)
     try:
         with tmp.open("wb") as fh:
-            fh.write(blob)
+            crc = 0
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -133,10 +141,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise TruncatedFile(f"needed {n} bytes at offset {self.pos}, file ends at {len(self.blob)}")
         out = self.blob[self.pos : self.pos + n]
@@ -178,7 +186,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (stored,) = r.unpack("<I")
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} unexpected trailing bytes")
-    if stored != zlib.crc32(blob[: r.pos - 4]) & 0xFFFFFFFF:
+    if stored != zlib.crc32(r.blob[: r.pos - 4]) & 0xFFFFFFFF:
         raise ChecksumMismatch("stored CRC-32 does not match file contents")
     if len(raw_codes) != c:
         raise CheckpointError(f"{len(raw_codes)} label codes for c = {c}")
@@ -188,7 +196,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 for name, shape in spec}
 
     try:
-        vocab = LabelVocabulary(codes=[code.decode("utf-8") for code in raw_codes])
+        vocab = LabelVocabulary(codes=[str(code, "utf-8") for code in raw_codes])
     except ValueError as exc:  # not UTF-8, or a repeated code
         raise CheckpointError(f"bad label vocabulary: {exc}") from exc
     return Checkpoint(dims=dims, vocab=vocab, encoder_params=cls(**arrays(enc_spec)),

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from sentattn.corpus import (
     SPLIT_NAMES,
     FileUnreadable,
     LabelVocabulary,
+    LoadReport,
     MalformedIpc,
     NoLabels,
     PatentRecord,
@@ -23,6 +25,7 @@ from sentattn.corpus import (
     split_of,
     split_records,
 )
+from sentattn import corpus as corpus_mod
 from sentattn.hashing import fnv1a64, stable_hash64
 
 from conftest import record_line, write_corpus
@@ -68,7 +71,60 @@ class TestParseIpc:
         assert parse_ipc(parsed) == parsed
 
 
+def load_corpus_oracle(data: bytes) -> tuple[list[PatentRecord], LoadReport]:
+    """load_corpus over the whole file split at LF, each piece judged as one line."""
+    report = LoadReport()
+    records, seen_ids = [], set()
+    for line in data.split(b"\n"):
+        if not line.strip():
+            continue
+        report.read += 1
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError:
+            report.skip("corrupt_line")
+            continue
+        record = corpus_mod._record_from_obj(obj, seen_ids, report)
+        if record is not None:
+            report.malformed_codes += record.malformed_codes
+            records.append(record)
+            report.retained += 1
+    return records, report
+
+
+def _record_bytes(i: int, title: str, codes: list[str]) -> bytes:
+    return json.dumps({"id": f"p{i}", "title": title, "abstract": "It works.", "ipc_codes": codes},
+                      ensure_ascii=False).encode("utf-8")
+
+
+corpus_lines = st.one_of(
+    st.builds(_record_bytes, st.integers(0, 3), st.text(max_size=80),
+              st.lists(st.sampled_from(["G06N 3/00", "H04L", "ZZZZ"]), max_size=3)),
+    st.sampled_from([
+        b"", b" ", b"\t \x0b\x0c", b"\r",  # blank lines, CR left by a CRLF
+        b"{not json",
+        b'{"id": "p\xff7", "title": "t", "ipc_codes": ["G06N"]}',  # invalid UTF-8
+        b'{"id": "p8", "title": "\\ud800 lone.", "ipc_codes": ["G06N"]}',  # lone-surrogate escape
+        _record_bytes(9, "Long. " * 200, ["B82Y"]),
+    ]),
+)
+
+
 class TestLoadCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(corpus_lines, st.sampled_from([b"\n", b"\r\n"])), max_size=8),
+           st.booleans(), st.sampled_from([2, 3, 7, 64]))
+    def test_lines_that_straddle_the_read_buffer(self, lines, last_lf, buffer):
+        data = b"".join(line + eol for line, eol in lines)
+        if lines and not last_lf:
+            data = data[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "c.jsonl"
+            path.write_bytes(data)
+            mp.setattr(corpus_mod, "_READ_BUFFER", buffer)
+            records, report = load_corpus(path)
+        assert (records, report) == load_corpus_oracle(data)
+
     def test_valid_file(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record_line(f"p{i}", ["G06N"]) for i in range(3)])
         records, report = load_corpus(path)

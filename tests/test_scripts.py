@@ -104,3 +104,20 @@ def test_adam_bench_train_corpus_does_not_move_with_the_steps_section(capsys):
         runs.append(json.loads(capsys.readouterr().out)["train"])
     assert runs[0]["checkpoint_sha256"] == runs[1]["checkpoint_sha256"]
     assert runs[0]["live_rows"] == runs[1]["live_rows"]
+
+
+def test_io_bench_times_every_stage(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"before": {"kept": True}}))
+    code = load_script("io_bench").main(["--tiny", "--repeats", "2", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
+    checkpoints = [f"checkpoint/{dims}/{kind}/{op}" for dims in ("default", "longdoc")
+                   for kind in ("meanpool", "minitransformer") for op in ("save", "load")]
+    assert list(report["stages"]) == ["corpus/long_description", "corpus/short_lines", *checkpoints]
+    for name, stage in report["stages"].items():
+        assert stage["file_bytes"] > 0 and stage["peak_x_file"] > 0, name
+        assert 0 < stage["ms"]["q1"] <= stage["ms"]["median"] <= stage["ms"]["q3"], name
+    assert list(tmp_path.iterdir()) == [out]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from sentence_layout import layout_of
 from test_scripts import load_script
 from sentattn.checkpoint import (
@@ -685,15 +686,21 @@ class TestEvaluate:
             np.testing.assert_array_equal(alpha, np.full(alpha.shape, 1 / alpha.shape[1], np.float32))
 
 
-def fresh_checkpoint(kind=MEANPOOL, seed=0):
-    dims = ModelDims(h=4, c=3, v_buckets=16, t_max=6, f=5)
+def fresh_checkpoint(kind=MEANPOOL, seed=0, dims=ModelDims(h=4, c=3, v_buckets=16, t_max=6, f=5)):
     rng = np.random.default_rng(seed)
+    codes = ["A01B", "G06N", "H04L"][: dims.c] if dims.c <= 3 else [f"A{i:02d}B" for i in range(dims.c)]
     return Checkpoint(
         dims=dims,
-        vocab=LabelVocabulary(codes=["A01B", "G06N", "H04L"]),
+        vocab=LabelVocabulary(codes=codes),
         encoder_params=init_encoder(kind, dims, rng),
         head_params=init_head(dims.c, dims.h, rng),
     )
+
+
+# The committed version-1 files hold fresh_checkpoint(kind, dims=V1_DIMS),
+# written by the save_checkpoint that built the whole file in memory first.
+V1_DIMS = ModelDims(h=2, c=2, v_buckets=4, t_max=3, f=2)
+V1_HEADER = 45  # magic, 6 u32 header fields, kind byte, code count, two 4-byte codes with their u16 lengths
 
 
 class TestCheckpointFile:
@@ -708,6 +715,38 @@ class TestCheckpointFile:
         assert loaded.vocab.codes == ckpt.vocab.codes
         for (name, a), (_, b) in zip(ckpt.tensors(), loaded.tensors()):
             assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_saves_the_committed_v1_file_byte_for_byte(self, kind, tmp_path):
+        path = tmp_path / "m.satn"
+        save_checkpoint(fresh_checkpoint(kind, dims=V1_DIMS), path)
+        assert path.read_bytes() == (DATA_DIR / f"checkpoint_v1_{kind}.satn").read_bytes()
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_loads_the_committed_v1_file_bit_for_bit(self, kind):
+        blob = (DATA_DIR / f"checkpoint_v1_{kind}.satn").read_bytes()
+        loaded = load_checkpoint(DATA_DIR / f"checkpoint_v1_{kind}.satn")
+        assert (loaded.kind, loaded.dims, loaded.vocab.codes) == (kind, V1_DIMS, ["A01B", "G06N"])
+        tensors = [t for _, t in loaded.tensors()]
+        assert all(t.dtype == np.float32 and t.flags.aligned and t.flags.writeable for t in tensors)
+        assert b"".join(t.tobytes() for t in tensors) == blob[V1_HEADER:-4]
+
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_save_and_load_hold_no_whole_file_copy(self, kind, tmp_path):
+        # at the default dims: saving streams the tensors' own buffers, and
+        # loading holds the file's bytes and the arrays, no slice of either
+        ckpt = fresh_checkpoint(kind, dims=ModelDims())
+        path = tmp_path / "m.satn"
+        peaks = {}
+        for name, call in (("save", lambda: save_checkpoint(ckpt, path)), ("load", lambda: load_checkpoint(path))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / path.stat().st_size
+            finally:
+                tracemalloc.stop()
+        assert peaks["save"] < 0.25, peaks
+        assert peaks["load"] < 2.25, peaks
 
     def test_round_trip_reproduces_forward_scores(self, tmp_path):
         ckpt = fresh_checkpoint()
