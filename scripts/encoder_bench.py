@@ -1,19 +1,32 @@
 #!/usr/bin/env python3
-"""Time each encoder's forward + backward pass per document at four document shapes.
+"""Time each encoder's passes at four document shapes, and a 16-document training step at two.
 
 Each shape is one seeded synthetic document: one token-id array and its
 sentence lengths, as tokenization hands them over. Both encoder kinds run on
 it with seeded float32 parameters and the document's layout built
 beforehand, as preparing a document builds it once for every epoch; the
-layout build is timed on its own. Each round times every shape and kind in turn, ten
-calls in a row. BLAS runs on one thread. Prints one JSON object (times in
-microseconds: median and quartiles over about --repeats calls), and writes
-it to --out when given.
+layout build is timed on its own. Per shape and kind it times the encoder's
+forward and backward pass over the document alone (a one-document batch,
+its BatchLayout built inside the timed call, as `predict_records` builds
+it), and that forward followed by the head's (`document_forward_us`), which
+is what scoring one request costs once it is prepared. At the `bench` and
+`longdoc` shapes it also times one training step over a batch of 16 such
+documents: the forward passes, the BCE loss, the backward passes and the
+gradient sums (`Adam.add`), reported per document (`batch16_step_us`).
+Each round times every shape and kind in turn, ten calls in a row. BLAS
+runs on one thread. Prints one JSON object (times in microseconds: median
+and quartiles over about --repeats calls); --out writes it under the key
+--side ("before" or "after") of that file, keeping the other key.
+
+The script also runs on the versions before the batch pass, whose
+`encode_document` took one document's DocLayout: there every document
+runs its own forward and backward passes, and the step adds each
+document's gradients to the sums, as `train()` did.
 
 * bench: the train-meanpool benchmark's documents: 32 sentences of 5-13
   tokens over a 60-word vocabulary, at the default dims.
 * longdoc: the longdoc benchmark's: 128 sentences of 5-20 tokens over the
-  same vocabulary, at its small dims (h=32, 4096 buckets, t_max=32).
+  same vocabulary, at its small dims (h=32, 4096 buckets, t_max=32, c=8).
 * zipf-k128: 128 sentences of 30 tokens, ids Zipf-distributed over the
   32,768 buckets of the default dims.
 * worst: 128 sentences of t_max = 64 tokens, ids uniform over the 32,768
@@ -26,7 +39,7 @@ code did not change, read 61 -> 120 us between two such runs. To compare
 two versions, time both interleaved in one process, importing each from
 its own checkout.
 
-Usage: python scripts/encoder_bench.py [--repeats N] [--tiny] [--out PATH]
+Usage: python scripts/encoder_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
 """
 
 import os
@@ -43,20 +56,20 @@ from time import perf_counter
 
 import numpy as np
 
-from sentattn.encoder import (
-    ENCODER_KINDS,
-    DocLayout,
-    ModelDims,
-    encode_document,
-    encoder_backward,
-    init_encoder,
-)
+from sentattn import encoder
+from sentattn.encoder import ENCODER_KINDS, DocLayout, ModelDims, encode_document, encoder_backward, init_encoder
+from sentattn.head import bce_loss, head_backward, head_forward, init_head
+from sentattn.trainer import Adam
+
+BatchLayout = getattr(encoder, "BatchLayout", None)  # None: the per-document passes
 
 DEFAULT_DIMS = ModelDims(h=64, c=50, v_buckets=32768, t_max=64, f=128)
 LONGDOC_DIMS = ModelDims(h=32, c=8, v_buckets=4096, t_max=32, f=32)
 TINY_DIMS = ModelDims(h=4, c=2, v_buckets=64, t_max=8, f=4)
 VOCAB = 60  # distinct filler words in the benchmark corpora
 BLOCK = 10  # calls in a row per shape and kind
+BATCH = 16  # documents per training step, TrainConfig.batch_size's default
+BATCH_SHAPES = ("bench", "longdoc")
 
 
 def _shapes(tiny: bool) -> dict[str, tuple[ModelDims, int, tuple[int, int], str]]:
@@ -103,64 +116,123 @@ def _stats(seconds: list[float]) -> dict[str, float]:
     return {"median": round(float(median), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2)}
 
 
-def time_shapes(documents: dict[str, tuple[ModelDims, np.ndarray, np.ndarray]], repeats: int,
+def _encode(layout, params):
+    return encode_document(layout if BatchLayout is None else BatchLayout([layout]), params)
+
+
+def _document_forward(layout, params, head):
+    """One document's encoder and head forward, as scoring one prepared request runs them."""
+    if BatchLayout is None:
+        return head_forward(encode_document(layout, params)[0], head)
+    batch = BatchLayout([layout])
+    return head_forward(encode_document(batch, params)[0], head, batch.bounds)
+
+
+def _training_step(layouts, targets, params, head, optimizer) -> float:
+    """Forward, BCE, backward and gradient sums over one batch of documents."""
+    if BatchLayout is None:
+        loss = 0.0
+        for layout, target in zip(layouts, targets):
+            D, cache = encode_document(layout, params)
+            head_cache = head_forward(D, head)
+            loss += bce_loss(head_cache.logits, target)
+            head_grads, dD = head_backward(head, head_cache, target)
+            optimizer.add(encoder_backward(params, cache, dD))
+            optimizer.add(head_grads)
+        return loss
+    batch = BatchLayout(layouts)
+    D, cache = encode_document(batch, params)
+    head_cache = head_forward(D, head, batch.bounds)
+    loss = bce_loss(head_cache.logits, targets)
+    head_grads, dD = head_backward(head, head_cache, targets)
+    optimizer.add(encoder_backward(params, cache, dD))
+    optimizer.add(head_grads)
+    return loss
+
+
+def time_shapes(documents: dict[str, tuple[ModelDims, list[tuple[np.ndarray, np.ndarray]]]], repeats: int,
                 rng: np.random.Generator) -> dict[str, dict]:
-    """Per shape: the layout build and each kind's forward and backward, in microseconds.
+    """Per shape: the layout build, each kind's passes over its first document, and a training step.
 
     Each round times every shape and kind in turn, BLOCK calls in a row, so
     calls run warm, as in an epoch over like documents, while a stretch in
     which the machine runs slower spreads over every shape and kind.
     """
-    cases = {}
-    for name, (dims, ids, lens) in documents.items():
-        layout = DocLayout(ids, lens)
-        dD = rng.normal(size=(dims.h, len(lens))).astype(np.float32)
+    cases, steps = {}, {}
+    for name, (dims, docs) in documents.items():
+        layouts = [DocLayout(ids, lens) for ids, lens in docs]
+        dD = rng.normal(size=(dims.h, len(docs[0][1]))).astype(np.float32)
+        targets = rng.integers(0, 2, size=(len(docs), dims.c)).astype(np.int8)
         for kind in ENCODER_KINDS:
-            cases[name, kind] = (init_encoder(kind, dims, rng), layout, dD)
-    times = {key: ([], []) for key in cases}
+            params, head = init_encoder(kind, dims, rng), init_head(dims.c, dims.h, rng)
+            cases[name, kind] = (params, head, layouts[0], dD)
+            if len(docs) > 1:
+                tensors = {**dict(params.named_tensors()), **dict(head.named_tensors())}
+                optimizer = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
+                steps[name, kind] = (layouts, targets, params, head, optimizer)
+    times = {key: ([], [], []) for key in cases}
+    step_times = {key: [] for key in steps}
     layout_times = {name: [] for name in documents}
     for i in range(-(-repeats // BLOCK) + 1):  # round 0 warms up
-        for name, (_, ids, lens) in documents.items():
+        for name, (_, docs) in documents.items():
+            ids, lens = docs[0]
             for _ in range(BLOCK):
                 t0 = perf_counter()
                 DocLayout(ids, lens)
                 if i:
                     layout_times[name].append(perf_counter() - t0)
-        for key, (params, layout, dD) in cases.items():
+        for key, (params, head, layout, dD) in cases.items():
             for _ in range(BLOCK):
                 t0 = perf_counter()
-                _, cache = encode_document(layout, params)
+                _, cache = _encode(layout, params)
                 t1 = perf_counter()
                 encoder_backward(params, cache, dD)
                 t2 = perf_counter()
+                _document_forward(layout, params, head)
+                t3 = perf_counter()
                 if i:
                     times[key][0].append(t1 - t0)
                     times[key][1].append(t2 - t1)
+                    times[key][2].append(t3 - t2)
+        for key, (layouts, targets, params, head, optimizer) in steps.items():
+            for _ in range(BLOCK):
+                t0 = perf_counter()
+                _training_step(layouts, targets, params, head, optimizer)
+                if i:
+                    step_times[key].append((perf_counter() - t0) / len(layouts))
+                for total in optimizer.grad.values():  # the sums restart, as a step clears them
+                    total[...] = 0.0
     results = {name: {"layout_us": _stats(layout_times[name])} for name in documents}
-    for (name, kind), (forward, backward) in times.items():
+    for (name, kind), (forward, backward, document) in times.items():
         results[name][kind] = {"forward_us": _stats(forward), "backward_us": _stats(backward),
-                               "total_us": _stats([f + b for f, b in zip(forward, backward)])}
+                               "total_us": _stats([f + b for f, b in zip(forward, backward)]),
+                               "document_forward_us": _stats(document)}
+    for (name, kind), step in step_times.items():
+        results[name][kind]["batch16_step_us"] = _stats(step)
     return results
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--repeats", type=int, default=200)
     parser.add_argument("--tiny", action="store_true", help="toy-size documents, for tests")
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--side", choices=("before", "after"), default="after")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     rng = np.random.default_rng(0)
-    documents = {name: (dims, *make_document(dims, k, lens, ids, rng))
+    documents = {name: (dims, [make_document(dims, k, lens, ids, rng)
+                               for _ in range(BATCH if name in BATCH_SHAPES else 1)])
                  for name, (dims, k, lens, ids) in _shapes(args.tiny).items()}
     timed = time_shapes(documents, args.repeats, rng)
     results = {}
-    for name, (dims, ids, lens) in documents.items():
+    for name, (dims, docs) in documents.items():
+        ids, lens = docs[0]
         results[name] = {
-            "dims": {"h": dims.h, "v_buckets": dims.v_buckets, "t_max": dims.t_max, "f": dims.f},
-            "k": len(lens), "tokens": len(ids), "distinct_ids": len(np.unique(ids)),
+            "dims": {"h": dims.h, "c": dims.c, "v_buckets": dims.v_buckets, "t_max": dims.t_max, "f": dims.f},
+            "k": len(lens), "tokens": len(ids), "distinct_ids": len(np.unique(ids)), "batch": len(docs),
             **timed[name],
         }
     report = {
@@ -170,10 +242,11 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "shapes": results,
     }
-    text = json.dumps(report, indent=2)
-    print(text)
+    print(json.dumps(report, indent=2))
     if args.out:
-        args.out.write_text(text + "\n")
+        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
+        sides[args.side] = report
+        args.out.write_text(json.dumps(sides, indent=2) + "\n")
     return 0
 
 

@@ -52,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_MEMORY = 4
 
 # Config-file keys and flags, typed by their annotations: the ModelDims and
 # TrainConfig fields, except the nested dims and stop_at_train_f1, which the
@@ -335,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: NonFiniteLoss: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # such as a --v-buckets whose table does not fit
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except ValueError as exc:  # an argument out of its range, such as --k-max 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

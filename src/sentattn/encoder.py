@@ -1,12 +1,14 @@
-"""Sentence encoders producing the h x k document matrix.
+"""Sentence encoders producing the h x K sentence matrix of a batch of documents.
 
 Each sentence's token-id sequence maps to one h-dimensional CLS vector;
-stacking the k sentence vectors as columns gives the document matrix D.
-Both encoders run on a whole document at once, over its DocLayout: the
-document's sorted distinct ids, and each token, in document order, as its
-cell in the distinct-id x sentence count matrix. The layout is built once
-per document, from its one token-id array and its sentence lengths, when
-the document is prepared, and reused by every pass. The inputs are
+stacking a document's k sentence vectors as columns gives its matrix D, and
+a batch's documents stand side by side, their columns concatenated into one
+h x K matrix (K the batch's sentence count). Each document keeps its own
+DocLayout: its sorted distinct ids, and each token, in document order, as
+its cell in the distinct-id x sentence count matrix. The layout is built
+once per document, from its one token-id array and its sentence lengths,
+when the document is prepared, and reused by every pass; a BatchLayout
+lines a batch's layouts up column by column. The inputs are
 x = E[id] + P[position in sentence]. Two compact trainable encoders are
 provided. MeanPool is cls = tanh(M @ mean_p(x_p) + q). MiniTransformer is
 one block of single-head scaled dot-product attention, then a tanh FFN,
@@ -21,15 +23,23 @@ position p. The scores are E[distinct] @ r.T and P @ r.T read at each
 token's two cells. No array has one row per token: each gradient that
 reaches E or P is the transposed product, C @ g for E's rows, B @ g for P.
 
+One pass runs over the whole batch. Only what reads a document's own rows
+of E runs per document: its count matrices, C.T @ E[distinct], the
+minitransformer's scores and E's gradient rows. B, P, every dense matrix
+product and both kinds' nonlinearities run once over the K columns, so the
+dense gradients come back summed over the batch.
+
 Backward passes are exact analytic gradients. The E gradient is row-sparse
-(RowGrad): one row per distinct token id of the document; every other
-gradient is a dense array. Storage is float32; gradient checking re-runs
-everything in float64 by building float64 parameters.
+(RowGrad): one block per document, of one row per distinct token id of that
+document; every other gradient is a dense array. Storage is float32;
+gradient checking re-runs everything in float64 by building float64
+parameters.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -164,13 +174,23 @@ def init_encoder(
 
 @dataclass
 class RowGrad:
-    """Gradient of a table that is zero outside a few rows."""
+    """Gradient of a table that is zero outside a few rows, as one block of rows per document.
 
-    ids: np.ndarray   # sorted distinct row indices
+    Each block's ids are one document's sorted distinct rows, and `ends`
+    holds where each block ends (None: one block). Two documents of a batch
+    can read the same row, so the blocks are added one at a time: one fancy
+    `+=` over all of them would keep only one block's share of a shared row.
+    """
+
+    ids: np.ndarray   # each block's sorted distinct row indices, block after block
     rows: np.ndarray  # (len(ids), width): the gradient at those rows
+    ends: Sequence[int] | None = None
 
     def add_to(self, table: np.ndarray) -> None:
-        table[self.ids] += self.rows
+        start = 0
+        for end in (len(self.ids),) if self.ends is None else self.ends:
+            table[self.ids[start:end]] += self.rows[start:end]
+            start = end
 
 
 _INDEX = np.iinfo(np.int32)
@@ -211,26 +231,52 @@ class DocLayout:
         return len(self.lens)
 
 
+class BatchLayout:
+    """A batch of documents side by side: the columns of one h x K matrix, K its sentence count.
+
+    `docs` keeps each document's own DocLayout, in batch order; document i
+    owns the columns `bounds[i]:bounds[i + 1]`, and `lens` holds every
+    sentence's length in column order. len() is K.
+    """
+
+    __slots__ = ("docs", "bounds", "lens")
+
+    def __init__(self, docs: Sequence[DocLayout]):
+        if not docs:
+            raise ShapeMismatch("a batch needs at least one document")
+        self.docs = docs
+        self.bounds = [0, *accumulate(len(doc.lens) for doc in docs)]
+        self.lens = _stack([doc.lens for doc in docs])
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def columns(self):
+        """(document, its first column, one past its last), in batch order."""
+        return zip(self.docs, self.bounds, self.bounds[1:])
+
+
 @dataclass
 class EncoderCache:
-    """One document's encoder forward, as its backward pass needs it.
+    """One batch's encoder forward, as its backward pass needs it.
 
     `saved` holds what the kind's own backward pass reads of its forward
-    pass, in that order.
+    pass, in that order; a list in it holds one item per document.
     """
 
     kind: str
-    layout: DocLayout
+    layout: BatchLayout
     saved: tuple = ()
 
 
-def _check_tokens(doc: DocLayout, params: EncoderParams) -> None:
+def _check_tokens(batch: BatchLayout, params: EncoderParams) -> None:
     t_max = params.P.shape[0]
-    if doc.shortest < 3 or doc.longest > t_max:
-        bad = doc.shortest if doc.shortest < 3 else doc.longest
-        raise ShapeMismatch(f"token count {bad} outside [3, {t_max}]")
-    if doc.distinct[0] < 0 or doc.distinct[-1] >= params.E.shape[0]:
-        raise ShapeMismatch("token id outside embedding table")
+    for doc in batch.docs:
+        if doc.shortest < 3 or doc.longest > t_max:
+            bad = doc.shortest if doc.shortest < 3 else doc.longest
+            raise ShapeMismatch(f"token count {bad} outside [3, {t_max}]")
+        if doc.distinct[0] < 0 or doc.distinct[-1] >= params.E.shape[0]:
+            raise ShapeMismatch("token id outside embedding table")
 
 
 def _counts(cells: np.ndarray, rows: int, k: int, dtype, weights: np.ndarray | None = None):
@@ -238,74 +284,112 @@ def _counts(cells: np.ndarray, rows: int, k: int, dtype, weights: np.ndarray | N
     return np.bincount(cells, weights, minlength=rows * k).reshape(rows, k).astype(dtype)
 
 
-def _meanpool_forward(params: MeanPoolParams, doc: DocLayout):
+def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The documents' blocks one after another; one document's block as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _row_grad(batch: BatchLayout, width: int, dtype) -> tuple[RowGrad, list[np.ndarray]]:
+    """E's gradient, unfilled: one block per document, of a row per distinct id; and each block's rows."""
+    ends = [*accumulate(len(doc.distinct) for doc in batch.docs)]
+    ids = _stack([doc.distinct for doc in batch.docs])
+    grad = RowGrad(ids=ids, rows=np.empty((len(ids), width), dtype), ends=ends)
+    return grad, [grad.rows[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _positions(lens: np.ndarray, t_max: int, dtype) -> np.ndarray:
+    """B: the t_max x K matrix with B[p, j] = 1 for the positions p < len_j of sentence j."""
+    return (np.arange(t_max, dtype=lens.dtype)[:, None] < lens).astype(dtype)
+
+
+def _meanpool_forward(params: MeanPoolParams, batch: BatchLayout):
     # U = (C.T @ E[distinct] + B.T @ P) / len: C[i, j] counts distinct id i in
-    # sentence j and B[p, j] = [p < len_j]; dividing the k x h sums, not C and B, is cheaper
-    k, nd, dtype = len(doc), len(doc.distinct), params.E.dtype
-    C = _counts(doc.cell, nd, k, dtype)
-    B = (np.arange(params.P.shape[0], dtype=doc.lens.dtype)[:, None] < doc.lens).astype(dtype)
-    lens = doc.lens.astype(dtype)[:, None]
-    U = (C.T @ params.E[doc.distinct] + B.T @ params.P) / lens
-    D = np.tanh(params.M @ U.T + params.q[:, None])
-    return D, (C, B, lens, U, D)
+    # sentence j of one document and B[p, j] = [p < len_j] over the whole
+    # batch; dividing the K x h sums, not C and B, is cheaper. The backward
+    # pass rebuilds C and B rather than hold a batch's worth of them.
+    dtype = params.E.dtype
+    U = _stack([_counts(doc.cell, len(doc.distinct), len(doc), dtype).T @ params.E[doc.distinct]
+                for doc in batch.docs])
+    lens = batch.lens.astype(dtype)[:, None]
+    U = (U + _positions(batch.lens, params.P.shape[0], dtype).T @ params.P) / lens
+    cls = np.tanh(U @ params.M.T + params.q)
+    return cls.T, (lens, U, cls)
 
 
 def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarray):
-    C, B, lens, U, D = cache.saved
-    dZ = dD * (1.0 - D**2)
-    dX = (params.M.T @ dZ).T / lens  # every input row of sentence j gets dX[j]
-    return {
-        "E": RowGrad(ids=cache.layout.distinct, rows=C @ dX),
-        "P": B @ dX,
-        "M": dZ @ U,
-        "q": dZ.sum(axis=1),
-    }
+    lens, U, cls = cache.saved
+    batch, dtype = cache.layout, cls.dtype
+    dZ = np.square(cls)
+    np.subtract(1.0, dZ, out=dZ)
+    dZ *= dD.T
+    dM, dq = dZ.T @ U, dZ.sum(axis=0)
+    dX = dZ @ params.M
+    dX /= lens  # every input row of sentence j gets dX[j]
+    del dZ  # each K x h buffer is freed once read, so fewer are held at once
+    dP = _positions(batch.lens, params.P.shape[0], dtype) @ dX
+    E, blocks = _row_grad(batch, dX.shape[1], dtype)
+    for rows, (doc, a, b) in zip(blocks, batch.columns()):
+        np.matmul(_counts(doc.cell, len(doc.distinct), b - a, dtype), dX[a:b], out=rows)
+    return {"E": E, "P": dP, "M": dM, "q": dq}
 
 
-def _minitransformer_forward(params: MiniTransformerParams, doc: DocLayout):
-    k, nd, t_max, dtype = len(doc), len(doc.distinct), params.P.shape[0], params.E.dtype
-    sent = np.repeat(np.arange(k), doc.lens)
-    starts = np.cumsum(doc.lens) - doc.lens
-    pcell = (np.arange(len(sent)) - starts[sent]) * k + sent  # position * k + sentence
-    Ed = params.E[doc.distinct]
-    first = doc.cell[starts] // k  # slot of each sentence's first id
-    X0 = Ed[first] + params.P[0]  # (k, h) CLS input rows
+def _minitransformer_forward(params: MiniTransformerParams, batch: BatchLayout):
+    K, t_max, dtype = len(batch), params.P.shape[0], params.E.dtype
+    sent = np.repeat(np.arange(K), batch.lens)
+    starts = np.cumsum(batch.lens) - batch.lens
+    pcell = (np.arange(len(sent)) - starts[sent]) * K + sent  # position * K + column
+    # per document: its layout, its rows of E, its columns and its tokens
+    parts = [(doc, params.E[doc.distinct], slice(lo, hi), slice(starts[lo], starts[lo] + len(doc.cell)))
+             for doc, lo, hi in batch.columns()]
+    # the row in its document's Ed of each sentence's first id
+    firsts = [doc.cell[starts[cols] - starts[cols.start]] // len(doc) for doc, _, cols, _ in parts]
+    X0 = np.concatenate([Ed[first] for (_, Ed, _, _), first in zip(parts, firsts)]) + params.P[0]  # CLS rows
     q0 = X0 @ params.Q
-    r = q0 @ params.K.T / np.sqrt(dtype.type(Ed.shape[1]))
-    scores = (Ed @ r.T).ravel()[doc.cell] + (params.P @ r.T).ravel()[pcell]
+    r = q0 @ params.K.T / np.sqrt(dtype.type(params.E.shape[1]))
+    scores = _stack([(Ed @ r[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
+    scores += (params.P @ r.T).ravel()[pcell]
     # softmax over each sentence's own tokens, shifted by that sentence's max
     e = np.exp(scores - np.maximum.reduceat(scores, starts)[sent])
     a = e / np.add.reduceat(e, starts)[sent]
-    Ca, Ba = _counts(doc.cell, nd, k, dtype, a), _counts(pcell, t_max, k, dtype, a)
-    Abar = Ca.T @ Ed + Ba.T @ params.P  # sum_t a_t x_t per sentence
+    Cas = [_counts(doc.cell, len(Ed), len(doc), dtype, a[tokens]) for doc, Ed, _, tokens in parts]
+    Ba = _counts(pcell, t_max, K, dtype, a)
+    Abar = _stack([Ca.T @ Ed for Ca, (_, Ed, _, _) in zip(Cas, parts)])
+    Abar += Ba.T @ params.P  # sum_t a_t x_t per sentence
     Z0 = X0 + Abar @ params.Vp
     T1 = np.tanh(Z0 @ params.F1 + params.g1)
     cls = Z0 + T1 @ params.F2 + params.g2
-    return cls.T, (sent, starts, pcell, first, Ed, X0, q0, r, a, Ca, Ba, Abar, Z0, T1)
+    return cls.T, (sent, starts, pcell, parts, firsts, X0, q0, r, a, Cas, Ba, Abar, Z0, T1)
 
 
 def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache, dD: np.ndarray):
-    sent, starts, pcell, first, Ed, X0, q0, r, a, Ca, Ba, Abar, Z0, T1 = cache.saved
-    doc, dcls = cache.layout, dD.T
+    sent, starts, pcell, parts, firsts, X0, q0, r, a, Cas, Ba, Abar, Z0, T1 = cache.saved
+    dcls = dD.T
     # FFN with residual: cls = Z0 + tanh(Z0@F1 + g1)@F2 + g2
     dH1 = (dcls @ params.F2.T) * (1.0 - T1**2)
     dZ0 = dcls + dH1 @ params.F1.T
     # attention with residual: Z0 = X0 + Abar @ Vp, Abar = sum_t a_t x_t, a = softmax_t(x_t . r)
     G = dZ0 @ params.Vp.T  # gradient at Abar
-    da = (Ed @ G.T).ravel()[doc.cell] + (params.P @ G.T).ravel()[pcell]
+    da = _stack([(Ed @ G[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
+    da += (params.P @ G.T).ravel()[pcell]
     ds = a * (da - np.add.reduceat(a * da, starts)[sent])
-    Cs, Bs = _counts(doc.cell, *Ca.shape, Ed.dtype, ds), _counts(pcell, *Ba.shape, Ed.dtype, ds)
-    dr = Cs.T @ Ed + Bs.T @ params.P
-    scale = np.sqrt(Ed.dtype.type(Ed.shape[1]))
+    Css = [_counts(doc.cell, len(Ed), len(doc), X0.dtype, ds[tokens]) for doc, Ed, _, tokens in parts]
+    Bs = _counts(pcell, *Ba.shape, X0.dtype, ds)
+    dr = _stack([Cs.T @ Ed for Cs, (_, Ed, _, _) in zip(Css, parts)])
+    dr += Bs.T @ params.P
+    scale = np.sqrt(X0.dtype.type(X0.shape[1]))
     dq0 = dr @ params.K / scale
     dX0 = dZ0 + dq0 @ params.Q.T
+
     # each token's dx_t = a_t G_j + ds_t r_j, summed by cell; sentences may share a first id
-    E_rows = Ca @ G + Cs @ r
-    np.add.at(E_rows, first, dX0)
+    E, blocks = _row_grad(cache.layout, G.shape[1], G.dtype)
+    for Ca, Cs, first, rows, (_, _, cols, _) in zip(Cas, Css, firsts, blocks, parts):
+        np.matmul(Ca, G[cols], out=rows)
+        rows += Cs @ r[cols]
+        np.add.at(rows, first, dX0[cols])
     dP = Ba @ G + Bs @ r
     dP[0] += dX0.sum(axis=0)
     return {
-        "E": RowGrad(ids=doc.distinct, rows=E_rows),
+        "E": E,
         "P": dP,
         "Q": X0.T @ dq0,
         "K": dr.T @ q0 / scale,
@@ -317,33 +401,33 @@ def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache
     }
 
 
-# each kind's (forward, backward) pair over the shared document layout
+# each kind's (forward, backward) pair over a batch's layout
 _PASSES = {
     MEANPOOL: (_meanpool_forward, _meanpool_backward),
     MINITRANSFORMER: (_minitransformer_forward, _minitransformer_backward),
 }
 
 
-def encode_document(doc: DocLayout, params: EncoderParams) -> tuple[np.ndarray, EncoderCache]:
-    """Encode a document's sentences as the columns of D (h x k), plus the backward cache.
+def encode_document(batch: BatchLayout, params: EncoderParams) -> tuple[np.ndarray, EncoderCache]:
+    """Encode a batch's sentences as the columns of D (h x K), plus the backward cache.
 
-    Both kinds run on the whole document at once, over the layout built
-    when it was prepared. Token counts and ids are checked against the
-    params on every call.
+    Both kinds run on the whole batch at once, over the layouts built when
+    its documents were prepared. Token counts and ids are checked against
+    the params on every call.
     """
-    _check_tokens(doc, params)
-    D, saved = _PASSES[params.kind][0](params, doc)
-    return D, EncoderCache(kind=params.kind, layout=doc, saved=saved)
+    _check_tokens(batch, params)
+    D, saved = _PASSES[params.kind][0](params, batch)
+    return D, EncoderCache(kind=params.kind, layout=batch, saved=saved)
 
 
 def encoder_backward(
     params: EncoderParams, cache: EncoderCache, dD: np.ndarray
 ) -> dict[str, np.ndarray | RowGrad]:
-    """Exact gradients of the loss w.r.t. every encoder tensor.
+    """Exact gradients of the loss w.r.t. every encoder tensor, summed over the batch.
 
     dD holds the loss gradient for each column of D. The E gradient comes
-    back row-sparse: one row per distinct token id of the document. Every
-    other gradient is dense.
+    back row-sparse: one block per document, of a row per distinct token id
+    of that document. Every other gradient is dense.
     """
     k = len(cache.layout)
     if dD.ndim != 2 or dD.shape[1] != k:

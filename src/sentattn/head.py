@@ -1,24 +1,30 @@
 """Label-wise sentence attention head: attention pooling, scoring, BCE.
 
-For each label i the head computes attention weights over the document's
+For each label i the head computes attention weights over a document's
 sentence columns, alpha[i] = softmax_j(tanh(s_i . d_j)), pools them into a
 label representation l_i = sum_j alpha[i][j] d_j, and scores the label with
 its own linear map, score_i = sigmoid(w_i . l_i + b_i). A label is
 predicted when its score strictly exceeds the threshold.
 
 The tanh squashing caps attention logits to [-1, 1], so no sentence can
-outweigh another by more than a factor of e^2. Softmax runs over the
-sentence axis with max-subtraction; the BCE loss works on logits, never on
-stored sigmoid outputs. With S = 0 every logit is tanh(0) = 0 and alpha
-is exactly 1/k: the uniform-pooling ablation is this head with S held at
-zero, not a separate path.
+outweigh another by more than a factor of e^2. Softmax runs over each
+document's sentences with max-subtraction; the BCE loss works on logits,
+never on stored sigmoid outputs. With S = 0 every logit is tanh(0) = 0 and
+alpha is exactly 1/k: the uniform-pooling ablation is this head with S held
+at zero, not a separate path.
 
-`head_forward` runs the whole chain in one pass and keeps alpha, L, the
-logits and the scores in its cache, which `head_backward` reads.
+`head_forward` runs the whole chain over a batch in one pass: the
+documents' columns side by side, each document's softmax a segment of
+columns, reduced by np.maximum.reduceat and np.add.reduceat from its first
+column (one document takes plain reductions). Since w_i is linear,
+w_i . l_i is the alpha-weighted sum of w_i . d_j, so each logit is a
+segment sum too and no l_i is built. The cache keeps what `head_backward`
+reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +50,14 @@ def init_head(c: int, h: int, rng: np.random.Generator, dtype: np.dtype | type =
 
 @dataclass
 class HeadCache:
-    D: np.ndarray       # (h, k)
-    zt: np.ndarray      # (c, k) tanh(S @ D)
-    alpha: np.ndarray   # (c, k)
-    L: np.ndarray       # (c, h)
-    logits: np.ndarray  # (c,)
-    scores: np.ndarray  # (c,)
+    D: np.ndarray       # (h, K): the batch's sentence columns
+    bounds: Sequence[int]  # n + 1 offsets: document d owns the columns bounds[d]:bounds[d + 1]
+    zt: np.ndarray      # (c, K) tanh(S @ D)
+    alpha: np.ndarray   # (c, K): each document's own softmax over its columns
+    Y: np.ndarray       # (c, K) W @ D: each label's map applied to each sentence
+    pooled: np.ndarray  # (n, c) w_i . l_i: each document's alpha-weighted sum of Y
+    logits: np.ndarray  # (n, c) pooled + b
+    scores: np.ndarray  # (n, c)
 
 
 def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -58,17 +66,18 @@ def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean-over-labels binary cross-entropy, computed stably from logits.
+    """Mean-over-labels binary cross-entropy, computed stably from logits, summed over documents.
 
     Uses max(t,0) - t*y + log(1 + exp(-|t|)) per label; no log of a stored
-    sigmoid output ever happens.
+    sigmoid output ever happens. The last axis holds the labels; each
+    document's mean is taken over it.
     """
     if logits.shape != targets.shape:
         raise ShapeMismatch(f"logits {logits.shape} against targets {targets.shape}")
     t = logits.astype(np.float64)
     y = targets.astype(np.float64)
     per_label = np.maximum(t, 0.0) - t * y + np.log1p(np.exp(-np.abs(t)))
-    return float(per_label.mean())
+    return float(per_label.mean(axis=-1).sum())
 
 
 def _sigmoid(t):
@@ -77,44 +86,71 @@ def _sigmoid(t):
     return np.where(t >= 0, 1, z) / (1 + z)
 
 
-def head_forward(D: np.ndarray, params: HeadParams) -> HeadCache:
-    """The whole chain over D (h x k): alpha (c x k), L = alpha @ D.T (c x h), logits, scores.
+def _per_document(ufunc: np.ufunc, x: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """(c, K) -> (c, n): ufunc reduced over each document's columns; one document is one plain reduction."""
+    if len(bounds) == 2:
+        return ufunc.reduce(x, axis=1, keepdims=True)
+    return ufunc.reduceat(x, bounds[:-1], axis=1)
 
-    All of them stay in the returned cache, which head_backward reads.
+
+def _attention(zt: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """Each row of zt (c x K) softmaxed over each document's own columns, shifted by their max."""
+    if len(bounds) == 2:  # one document: plain reductions, which broadcast over its columns
+        e = np.exp(zt - np.maximum.reduce(zt, axis=1, keepdims=True))
+        return e / np.add.reduce(e, axis=1, keepdims=True)
+    counts = np.diff(bounds)
+    e = np.exp(zt - np.repeat(np.maximum.reduceat(zt, bounds[:-1], axis=1), counts, axis=1))
+    return e / np.repeat(np.add.reduceat(e, bounds[:-1], axis=1), counts, axis=1)
+
+
+def head_forward(D: np.ndarray, params: HeadParams, bounds: Sequence[int] | None = None) -> HeadCache:
+    """The whole chain over a batch's D (h x K): attention, logits (n x c) and scores.
+
+    `bounds` holds the documents' column offsets, from 0 to K (None: D is
+    one document). Attention is a softmax over each document's own
+    columns. Since w_i is linear, w_i . l_i = sum_j alpha[i][j] (w_i . d_j):
+    each document's logits are segment sums of alpha * Y, Y = W @ D, so no
+    product runs per document and no label representation is built.
     """
     S = params.S
     if params.W.shape != S.shape or params.b.shape != S.shape[:1]:
         raise ShapeMismatch(f"W {params.W.shape} and b {params.b.shape} against S {S.shape}")
     if D.ndim != 2 or S.ndim != 2 or S.shape[1] != D.shape[0]:
         raise ShapeMismatch(f"S {S.shape} against D {D.shape}")
+    bounds = [0, D.shape[1]] if bounds is None else bounds
     zt = np.tanh(S @ D)
-    e = np.exp(zt - zt.max(axis=1, keepdims=True))  # row softmax, max-subtracted for stability
-    alpha = e / e.sum(axis=1, keepdims=True)
-    L = alpha @ D.T
-    logits = (params.W * L).sum(axis=1) + params.b
-    return HeadCache(D=D, zt=zt, alpha=alpha, L=L, logits=logits, scores=_sigmoid(logits))
+    alpha = _attention(zt, bounds)
+    Y = params.W @ D
+    pooled = _per_document(np.add, alpha * Y, bounds).T
+    logits = pooled + params.b
+    return HeadCache(D=D, bounds=bounds, zt=zt, alpha=alpha, Y=Y, pooled=pooled, logits=logits,
+                     scores=_sigmoid(logits))
 
 
 def head_backward(
     params: HeadParams, cache: HeadCache, targets: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact BCE gradients w.r.t. S, W, b plus dD for the encoder.
+    """Exact BCE gradients w.r.t. S, W, b, summed over the batch, plus dD for the encoder.
 
     Chains through the sigmoid (dlogit_i = (score_i - y_i)/c), the
-    per-label linear maps, the convex pooling, the row-softmax Jacobian
-    and the tanh.
+    per-label linear maps, the convex pooling, each document's softmax
+    Jacobian and the tanh. targets is (n, c), one row per document.
     """
     c = params.S.shape[0]
-    if targets.shape != (c,):
-        raise CacheMismatch(f"targets {targets.shape} against c={c}")
-    if cache.D.shape[1] != cache.alpha.shape[1]:
+    if targets.shape != cache.scores.shape or targets.shape[-1] != c:
+        raise CacheMismatch(f"targets {targets.shape} against {cache.scores.shape[0]} documents and c={c}")
+    K = cache.alpha.shape[1]
+    if cache.D.shape[1] != K or cache.bounds[-1] != K:
         raise CacheMismatch("cache is internally inconsistent")
-    y = targets.astype(cache.scores.dtype)
-    dlogits = (cache.scores - y) / c
-    dL = dlogits[:, None] * params.W
-    dalpha = dL @ cache.D
-    dz = cache.alpha * (dalpha - (dalpha * cache.alpha).sum(axis=1, keepdims=True))
-    dpre = dz * (1.0 - cache.zt**2)
-    grads = {"S": dpre @ cache.D.T, "W": dlogits[:, None] * cache.L, "b": dlogits.copy()}
-    dD = dL.T @ cache.alpha + params.S.T @ dpre
+    dlogits = (cache.scores - targets.astype(cache.scores.dtype)) / c
+    counts = np.diff(cache.bounds)
+    dY = cache.alpha * np.repeat(dlogits.T, counts, axis=1)  # also the weight of each d_j in dL
+    # dalpha = g * Y, g each sentence's dlogits, so sum_j alpha_j dalpha_j = g * pooled, and
+    # dpre = alpha * (dalpha - g * pooled) * (1 - zt^2) = dY * (Y - pooled) * (1 - zt^2)
+    dpre = cache.Y - np.repeat(cache.pooled.T, counts, axis=1)
+    dpre *= dY
+    dpre *= 1.0 - np.square(cache.zt)
+    grads = {"S": dpre @ cache.D.T, "W": dY @ cache.D.T, "b": dlogits.sum(axis=0)}
+    dD = params.S.T @ dpre
+    dD += params.W.T @ dY
     return grads, dD

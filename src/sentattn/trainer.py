@@ -1,22 +1,26 @@
 """Mini-batch training, evaluation, and gradient verification.
 
-The training loop is fully deterministic for a fixed seed: id-hash split,
-vocabulary built from the training split only, seeded parameter init,
-seeded epoch shuffles, sequential gradient accumulation in document order
-and 32-bit parameter arithmetic. Two runs with the same config produce
-byte-identical checkpoints and logs.
+The training loop is fully deterministic for a fixed seed and BLAS
+kernel: id-hash split, vocabulary built from the training split only,
+seeded parameter init, seeded epoch shuffles, a fixed order of summation
+within each batch and 32-bit parameter arithmetic. Two runs with the same
+config on the same kernel produce byte-identical checkpoints and logs.
 
 Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
-training and validation pass over it reads.
+training and validation pass over it reads. Each mini-batch runs as one
+forward and one backward pass over its documents' concatenated sentence
+columns (BatchLayout), whose gradients come back summed over the batch.
+Validation, evaluate and predict run the same pass, in batches of
+TrainConfig.batch_size's default.
 
 Training runs on a compact embedding table: the rows of E that some
-prepared training or validation document reads, in table order, with each
-document's layout renumbered into it once. No other row can have a
-gradient or be read, so every other row keeps its initial bits, and Adam
-and the best-epoch snapshot hold only the compact rows. Adam steps each
-tensor whole and in place; a compact row that has had no gradient yet is
-left unchanged bit for bit.
+prepared training or validation document reads, in table order, found by a
+mask over the table, with each document's layout renumbered into it in
+place, once. No other row can have a gradient or be read, so every other
+row keeps its initial bits, and Adam and the best-epoch snapshot hold only
+the compact rows. Adam steps each tensor whole and in place; a compact row
+that has had no gradient yet is left unchanged bit for bit.
 
 Model selection is validation micro-F1, and `train` holds the whole
 stopping rule: the best-epoch parameters are snapshotted, into one copy
@@ -25,8 +29,9 @@ stops after `patience` epochs without a strict improvement (a tie is
 none), or once train micro-F1 reaches `stop_at_train_f1`. At the end the
 snapshot is written back into the live parameters and its compact rows
 into the full table, which the checkpoint holds, so a run keeps one
-embedding table. grad_check rebuilds a small random instance in float64
-and compares every analytic gradient against central finite differences.
+embedding table. grad_check rebuilds a small random batch of two
+documents in float64 and compares every analytic gradient against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_records
 from .encoder import (
     ENCODER_KINDS,
     MEANPOOL,
+    BatchLayout,
     DocLayout,
     EncoderParams,
     ModelDims,
@@ -141,14 +147,14 @@ class PreparedDoc:
 class Adam:
     """Mini-batch adaptive moment estimation with bias correction, one dense step per tensor.
 
-    `add` sums each document's gradients into buffers allocated once per
-    run, scatter-adding a row-sparse gradient (RowGrad, the embedding table
-    E's) into its rows. Gradients of tensors it does not hold, such as the
-    frozen S of a uniform-attention run, are dropped. `step` scales each sum
-    to the batch mean, applies the textbook update to the whole tensor one
-    in-place operation at a time, and clears the sums to +0.0. A row that
-    has had no gradient yet has m = v = +0.0, which the update leaves
-    unchanged bit for bit.
+    `add` sums a batch's gradients into buffers allocated once per run,
+    scatter-adding a row-sparse gradient (RowGrad, the embedding table E's)
+    into its rows, one document's block at a time. Gradients of tensors it
+    does not hold, such as the frozen S of a uniform-attention run, are
+    dropped. `step` scales each sum to the batch mean, applies the textbook
+    update to the whole tensor one in-place operation at a time, and clears
+    the sums to +0.0. A row that has had no gradient yet has m = v = +0.0,
+    which the update leaves unchanged bit for bit.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
@@ -163,7 +169,7 @@ class Adam:
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
 
     def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
-        """Add one document's gradients to the batch sums."""
+        """Add gradients to the batch sums."""
         for name, g in grads.items():
             if name not in self.grad:
                 continue
@@ -173,7 +179,7 @@ class Adam:
                 self.grad[name] += g
 
     def step(self, n_docs: int) -> None:
-        """One update with the mean of the `n_docs` documents added since the last."""
+        """One update with the mean of the `n_docs` documents' gradients added since the last."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -240,18 +246,58 @@ def prepare_documents(
     return docs, dropped
 
 
-def _forward(enc_params: EncoderParams, head_params: HeadParams, doc: PreparedDoc):
-    D, enc_cache = encode_document(doc.layout, enc_params)
-    return head_forward(D, head_params), enc_cache
+def _forward(enc_params: EncoderParams, head_params: HeadParams, batch: BatchLayout):
+    D, enc_cache = encode_document(batch, enc_params)
+    return head_forward(D, head_params, batch.bounds), enc_cache
+
+
+def _batches(docs: list[PreparedDoc], size: int = TrainConfig.batch_size):
+    """(documents, their BatchLayout), `size` documents at a time, in order."""
+    for start in range(0, len(docs), size):
+        chunk = docs[start : start + size]
+        yield chunk, BatchLayout([doc.layout for doc in chunk])
 
 
 def _confusion(enc_params, head_params, docs, c: int) -> ConfusionCounts:
     """Threshold-0.5 predictions of every document, counted against its target."""
     counts = ConfusionCounts(c)
-    for doc in docs:
-        cache, _ = _forward(enc_params, head_params, doc)
-        counts.accumulate(predict(cache.scores), doc.target)
+    for chunk, batch in _batches(docs):
+        for doc, bits in zip(chunk, predict(_forward(enc_params, head_params, batch)[0].scores)):
+            counts.accumulate(bits, doc.target)
     return counts
+
+
+def _step(enc_params, head_params, optimizer: Adam, batch: BatchLayout, targets: np.ndarray) -> float:
+    """One mini-batch's forward, BCE and backward pass, its gradients added to the optimizer's sums.
+
+    Returns the batch's loss. Each cache is freed once its backward pass
+    has run, so the batch's largest arrays are not all held at once.
+    """
+    cache, enc_cache = _forward(enc_params, head_params, batch)
+    loss = bce_loss(cache.logits, targets)
+    head_grads, dD = head_backward(head_params, cache, targets)
+    del cache
+    optimizer.add(encoder_backward(enc_params, enc_cache, dD))
+    optimizer.add(head_grads)
+    return loss
+
+
+def _compact_rows(docs: list[PreparedDoc], n_rows: int) -> np.ndarray:
+    """The sorted rows of an n_rows table that some document reads; renumbers each layout into them.
+
+    Built from a mask over the table, and each layout renumbered in place,
+    so it takes memory in the table's size, not the corpus's. The
+    renumbering is monotonic, so each document's `distinct` stays sorted
+    and its `cell` holds.
+    """
+    read = np.zeros(n_rows, dtype=bool)
+    for doc in docs:
+        read[doc.layout.distinct] = True
+    renumbered = np.cumsum(read, dtype=np.int32)  # a read row's index among them, plus one
+    renumbered -= 1
+    for doc in docs:
+        renumbered.take(doc.layout.distinct, out=doc.layout.distinct)
+    return np.flatnonzero(read)
 
 
 def train(
@@ -287,12 +333,8 @@ def train(
     # No pass reads, and no gradient reaches, a row of E that no prepared
     # document reads, so training runs on a compact table of the rows they
     # read, renumbered in order; every other row keeps its initial bits.
-    docs = train_docs + val_docs
-    rows, slot = np.unique(np.concatenate([doc.layout.distinct for doc in docs]), return_inverse=True)
-    ends = np.cumsum([len(doc.layout.distinct) for doc in docs])
-    for doc, distinct in zip(docs, np.split(slot.astype(np.int32), ends[:-1])):
-        doc.layout.distinct = distinct  # monotonic, so it stays sorted and `cell` holds
     table = enc_params.E
+    rows = _compact_rows(train_docs + val_docs, len(table))
     enc_params.E = table[rows]
     tensors = dict(model_tensors(enc_params, head_params))
     if config.attention_mode == UNIFORM:
@@ -301,6 +343,7 @@ def train(
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
 
+    targets = np.stack([doc.target for doc in train_docs])
     best_f1, since_best, best = -math.inf, 0, None
     epochs: list[EpochLog] = []
 
@@ -308,17 +351,12 @@ def train(
         order = rng.permutation(len(train_docs))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_docs[i] for i in order[start : start + config.batch_size]]
-            batch_loss = 0.0
-            for doc in batch:
-                cache, enc_cache = _forward(enc_params, head_params, doc)
-                batch_loss += bce_loss(cache.logits, doc.target)
-                head_grads, dD = head_backward(head_params, cache, doc.target)
-                optimizer.add(encoder_backward(enc_params, enc_cache, dD))
-                optimizer.add(head_grads)
+            chunk = order[start : start + config.batch_size]
+            batch = BatchLayout([train_docs[i].layout for i in chunk])
+            batch_loss = _step(enc_params, head_params, optimizer, batch, targets[chunk])
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
-            optimizer.step(len(batch))
+            optimizer.step(len(chunk))
             loss_sum += batch_loss
         val_counts = _confusion(enc_params, head_params, val_docs, dims.c)
         val_micro = micro_scores(val_counts)[2]
@@ -409,17 +447,18 @@ def predict_records(
         records, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
         require_labels=False)
     results = []
-    for doc in docs:
-        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, doc)
-        bits = predict(cache.scores, threshold)
-        entry = {
-            "id": doc.id,
-            "scores": {code: float(cache.scores[i]) for i, code in enumerate(ckpt.vocab.codes)},
-            "predicted": [code for i, code in enumerate(ckpt.vocab.codes) if bits[i]],
-        }
-        if with_attention:
-            entry["attention"] = cache.alpha.tolist()
-        results.append(entry)
+    for chunk, batch in _batches(docs):
+        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, batch)
+        bits = predict(cache.scores, threshold).tolist()
+        for d, (doc, scores) in enumerate(zip(chunk, cache.scores.tolist())):
+            entry = {
+                "id": doc.id,
+                "scores": dict(zip(ckpt.vocab.codes, scores)),
+                "predicted": [code for code, bit in zip(ckpt.vocab.codes, bits[d]) if bit],
+            }
+            if with_attention:
+                entry["attention"] = cache.alpha[:, batch.bounds[d] : batch.bounds[d + 1]].tolist()
+            results.append(entry)
     return results
 
 
@@ -440,10 +479,11 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare every analytic gradient to central finite differences (float64).
 
-    Builds one random small instance; relative error per element is
-    |analytic - fd| / max(1, |fd|). The matrices are scaled from the init's
-    +-0.05 to +-0.5: at the init, the minitransformer's query-path term of
-    dX is too small for the check to see.
+    Builds one random small instance, a batch of two documents of k and
+    k + 1 sentences whose loss is the sum of theirs; relative error per
+    element is |analytic - fd| / max(1, |fd|). The matrices are scaled from
+    the init's +-0.05 to +-0.5: at the init, the minitransformer's
+    query-path term of dX is too small for the check to see.
     """
     if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
@@ -453,20 +493,22 @@ def grad_check(
     rng = np.random.default_rng(seed)
     enc_params = init_encoder(kind, dims, rng, dtype=np.float64)
     head_params = init_head(dims.c, dims.h, rng, dtype=np.float64)
-    ids: list[int] = []
-    lens = []
-    for _ in range(k):
-        m = int(rng.integers(3, dims.t_max + 1))
-        ids += (CLS_ID, *rng.integers(4, 4 + dims.v_buckets, size=m - 2), SEP_ID)
-        lens.append(m)
-    targets = rng.integers(0, 2, size=dims.c).astype(np.int8)
-    layout = DocLayout(np.array(ids, dtype=np.int64), lens)
-    doc = PreparedDoc(id="gradcheck", layout=layout, target=targets)
+    layouts = []
+    for doc_k in (k, k + 1):  # two documents, of k and k + 1 sentences; CLS and SEP are rows of both
+        ids: list[int] = []
+        lens = []
+        for _ in range(doc_k):
+            m = int(rng.integers(3, dims.t_max + 1))
+            ids += (CLS_ID, *rng.integers(4, 4 + dims.v_buckets, size=m - 2), SEP_ID)
+            lens.append(m)
+        layouts.append(DocLayout(np.array(ids, dtype=np.int64), lens))
+    targets = rng.integers(0, 2, size=(len(layouts), dims.c)).astype(np.int8)
+    batch = BatchLayout(layouts)
 
     tensors = dict(model_tensors(enc_params, head_params))
     for tensor in tensors.values():
         tensor *= 10.0
-    cache, enc_cache = _forward(enc_params, head_params, doc)
+    cache, enc_cache = _forward(enc_params, head_params, batch)
     head_grads, dD = head_backward(head_params, cache, targets)
     analytic = {**encoder_backward(enc_params, enc_cache, dD), **head_grads}
     for name, g in analytic.items():
@@ -475,7 +517,7 @@ def grad_check(
             g.add_to(analytic[name])
 
     def loss() -> float:
-        c, _ = _forward(enc_params, head_params, doc)
+        c, _ = _forward(enc_params, head_params, batch)
         return bce_loss(c.logits, targets)
 
     worst = ("", -1.0)

@@ -26,7 +26,7 @@ from sentattn.synth import (
 from sentattn.trainer import grad_check
 from sentattn.checkpoint import load_checkpoint, save_checkpoint
 from sentattn.trainer import train
-from sentence_layout import layout_of
+from sentence_layout import batch_of
 from test_metrics import naive_macro, naive_micro, naive_recount, two_class_fixture
 
 DATA = Path(__file__).parent / "data"
@@ -142,7 +142,7 @@ def test_pipeline_determinism(tmp_path):
     ckpt = load_checkpoint(tmp_path / "run0.satn")
     sentences = [np.array([1, 9, 17, 2]), np.array([1, 30, 2])]
     loaded_again = load_checkpoint(tmp_path / "run0.satn")
-    layout = layout_of(sentences)
+    layout = batch_of(sentences)
     before, _ = encode_document(layout, ckpt.encoder_params)
     after, _ = encode_document(layout, loaded_again.encoder_params)
     ok &= bool(np.array_equal(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sentattn.cli as cli_mod
-from sentattn.cli import EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main
+from sentattn.cli import EXIT_MEMORY, EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main
 from sentattn.encoder import MINITRANSFORMER, ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
@@ -155,6 +155,28 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: NonFiniteLoss: epoch "), err
         assert list(tmp_path.iterdir()) == []
+
+    # Run in a child process whose address space is capped at 2 GB, so the
+    # 23.8 GiB embedding table that --v-buckets 100000000 asks for at h = 64
+    # cannot be allocated, whatever the machine's overcommit policy.
+    OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from sentattn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform != "linux", reason="caps RLIMIT_AS, as on Linux")
+    def test_out_of_memory_is_four_without_a_traceback(self, corpus, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        model = tmp_path / "m.satn"
+        done = subprocess.run([sys.executable, "-c", self.OUT_OF_MEMORY, "train", str(corpus), str(model),
+                               "--v-buckets", "100000000"], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_MEMORY == 4, done.stderr
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: MemoryError: "), done.stderr
+        assert "Traceback" not in done.stderr
+        assert not model.exists()
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import meanpool_reference
 import minitransformer_reference
-from sentence_layout import layout_of
+from sentence_layout import batch_of, layout_of
 from sentattn import encoder
 from sentattn.encoder import (
     ENCODER_KINDS,
     ENCODER_PARAMS,
     MEANPOOL,
     MINITRANSFORMER,
+    BatchLayout,
     CacheMismatch,
     DocLayout,
     MeanPoolParams,
@@ -53,7 +54,7 @@ REFERENCES = {MEANPOOL: meanpool_reference, MINITRANSFORMER: minitransformer_ref
 
 def sentence_cls(ids, params):
     """One sentence through the document encoder, as a one-sentence document."""
-    D, _ = encode_document(layout_of([ids]), params)
+    D, _ = encode_document(batch_of([ids]), params)
     return D[:, 0]
 
 
@@ -63,6 +64,15 @@ def dense(grad: RowGrad | np.ndarray, like: np.ndarray) -> np.ndarray:
     table = np.zeros_like(like)
     grad.add_to(table)
     return table
+
+
+def arrays(saved):
+    """Every array in a cache's saved items, lists and tuples walked through."""
+    if isinstance(saved, np.ndarray):
+        yield saved
+    elif isinstance(saved, (list, tuple)):
+        for item in saved:
+            yield from arrays(item)
 
 
 def normal_params(kind, dims, seed):
@@ -90,7 +100,7 @@ class TestMeanPool:
 
     def test_scalar_backward_oracle(self):
         params = scalar_meanpool()
-        _, cache = encode_document(layout_of([seq(1, 4, 5, 2)]), params)
+        _, cache = encode_document(batch_of([seq(1, 4, 5, 2)]), params)
         grads = encoder_backward(params, cache, np.ones((1, 1)))
         assert math.isclose(grads["M"][0, 0], DM_SCALAR, rel_tol=1e-12)
 
@@ -137,11 +147,11 @@ class TestMiniTransformer:
         dims = ModelDims(h=6, c=2, v_buckets=8, t_max=8, f=5)
         params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(3))
         sentences = [seq(1, 4, 4, 5, 2), seq(1, 5, 6, 6, 4, 4, 2), seq(1, 7, 2)]
-        _, cache = encode_document(layout_of(sentences), params)
+        _, cache = encode_document(batch_of(sentences), params)
         n = sum(map(len, sentences))
-        assert n not in (len(sentences), len(cache.layout.distinct), dims.t_max, dims.h, dims.f)
-        for saved in cache.saved:
-            assert saved.ndim < 2 or n not in saved.shape, saved.shape
+        assert n not in (len(sentences), len(cache.layout.docs[0].distinct), dims.t_max, dims.h, dims.f)
+        for array in arrays(cache.saved):  # lists hold one item per document
+            assert array.ndim < 2 or n not in array.shape, array.shape
 
 
 class TestEncodeDocument:
@@ -153,7 +163,7 @@ class TestEncodeDocument:
         dims = ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(kind, dims, np.random.default_rng(1), dtype=np.float64)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 2), seq(1, 7, 2)]
-        D, cache = encode_document(layout_of(sentences), params)
+        D, cache = encode_document(batch_of(sentences), params)
         assert D.shape == (5, 3)
         assert len(cache.layout) == 3
         for j, ids in enumerate(sentences):
@@ -166,35 +176,35 @@ class TestEncodeDocument:
         params = normal_params(kind, ModelDims(h=5, c=2, v_buckets=16, t_max=8, f=4), seed=6)
         sentences = [seq(1, 4, 2), seq(1, 5, 6, 7, 8, 9, 10, 2), seq(1, 7, 2), seq(1, 4, 4, 9, 2)]
         order = [2, 0, 3, 1]
-        D, _ = encode_document(layout_of(sentences), params)
-        D_permuted, _ = encode_document(layout_of([sentences[j] for j in order]), params)
+        D, _ = encode_document(batch_of(sentences), params)
+        D_permuted, _ = encode_document(batch_of([sentences[j] for j in order]), params)
         np.testing.assert_allclose(D_permuted, D[:, order], rtol=0, atol=1e-12)
 
     def test_single_sentence(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
-        D, _ = encode_document(layout_of([seq(1, 4, 2)]), params)
+        D, _ = encode_document(batch_of([seq(1, 4, 2)]), params)
         assert D.shape == (3, 1)
 
     def test_identical_sentences_identical_columns(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
-        D, _ = encode_document(layout_of([seq(1, 4, 2), seq(1, 4, 2)]), params)
+        D, _ = encode_document(batch_of([seq(1, 4, 2), seq(1, 4, 2)]), params)
         np.testing.assert_array_equal(D[:, 0], D[:, 1])
 
     def test_forward_reruns_bit_for_bit(self):
         dims = ModelDims(h=6, c=2, v_buckets=16, t_max=8, f=4)
         params = init_encoder(MINITRANSFORMER, dims, np.random.default_rng(9))
         sentences = [seq(1, 4, 11, 2), seq(1, 8, 2)]
-        D1, _ = encode_document(layout_of(sentences), params)
-        D2, _ = encode_document(layout_of(sentences), params)
+        D1, _ = encode_document(batch_of(sentences), params)
+        D2, _ = encode_document(batch_of(sentences), params)
         assert np.array_equal(D1, D2)
 
     def test_empty_document_rejected(self):
         dims = ModelDims(h=3, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(1))
         with pytest.raises(ShapeMismatch):
-            encode_document(layout_of([]), params)
+            encode_document(batch_of([]), params)
 
 
 class TestBackward:
@@ -202,7 +212,7 @@ class TestBackward:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         for kind in (MINITRANSFORMER, MEANPOOL):
             params = init_encoder(kind, dims, np.random.default_rng(4))
-            _, cache = encode_document(layout_of([seq(1, 5, 2), seq(1, 6, 2)]), params)
+            _, cache = encode_document(batch_of([seq(1, 5, 2), seq(1, 6, 2)]), params)
             grads = encoder_backward(params, cache, np.zeros((4, 2)))
             assert grads["E"].ids.tolist() == [1, 2, 5, 6]
             for name, g in grads.items():
@@ -212,7 +222,7 @@ class TestBackward:
     def test_untouched_embedding_rows_stay_zero(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, cache = encode_document(layout_of([seq(1, 5, 2)]), params)
+        _, cache = encode_document(batch_of([seq(1, 5, 2)]), params)
         grads = encoder_backward(params, cache, np.ones((4, 1)))
         touched = {1, 5, 2}
         assert grads["E"].ids.tolist() == sorted(touched)
@@ -226,7 +236,7 @@ class TestBackward:
     def test_cache_mismatch(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
-        _, cache = encode_document(layout_of([seq(1, 5, 2)]), params)
+        _, cache = encode_document(batch_of([seq(1, 5, 2)]), params)
         with pytest.raises(CacheMismatch):
             encoder_backward(params, cache, np.ones((4, 3)))
 
@@ -235,7 +245,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         meanpool = init_encoder(MEANPOOL, dims, rng)
         transformer = init_encoder(MINITRANSFORMER, dims, rng)
-        _, cache = encode_document(layout_of([seq(1, 5, 2)]), transformer)
+        _, cache = encode_document(batch_of([seq(1, 5, 2)]), transformer)
         with pytest.raises(CacheMismatch):
             encoder_backward(meanpool, cache, np.ones((4, 1)))
 
@@ -243,7 +253,7 @@ class TestBackward:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         for kind in (MEANPOOL, MINITRANSFORMER):
             params = init_encoder(kind, dims, np.random.default_rng(4))
-            _, cache = encode_document(layout_of([seq(1, 5, 2), seq(1, 6, 7, 2)]), params)
+            _, cache = encode_document(batch_of([seq(1, 5, 2), seq(1, 6, 7, 2)]), params)
             grads = encoder_backward(params, cache, np.ones((4, 2), dtype=np.float32))
             assert list(grads) == [name for name, _ in params.named_tensors()], kind
             assert isinstance(grads["E"], RowGrad)
@@ -258,21 +268,40 @@ class TestRowGrad:
         RowGrad(ids=np.array([1, 3]), rows=np.array([[1.0, 2.0], [3.0, 4.0]])).add_to(table)
         assert table.tolist() == [[1, 1], [2, 3], [1, 1], [4, 5], [1, 1]]
 
+    def test_blocks_that_share_a_row_both_reach_it(self):
+        # two documents of a batch both read row 3: one fancy += would keep only one share
+        table = np.zeros((5, 1))
+        RowGrad(ids=np.array([1, 3, 0, 3, 4]), rows=np.array([[1.0], [2.0], [4.0], [8.0], [16.0]]),
+                ends=[2, 5]).add_to(table)
+        assert table.ravel().tolist() == [4, 1, 0, 10, 16]
+
 
 @st.composite
 def documents(draw, kind):
-    """Float64 params of one kind and a document whose ids repeat within and across sentences."""
+    """Float64 params of one kind and a batch of one to three documents whose ids repeat
+    within sentences, across sentences and across documents."""
     h = draw(st.integers(1, 6))
     t_max = draw(st.integers(3, 9))
     n_ids = draw(st.integers(4, 7))  # few distinct ids, so repeats are common
-    lens = draw(st.lists(st.integers(3, t_max), min_size=1, max_size=6))
-    sentences = [np.array(draw(st.lists(st.integers(0, n_ids - 1), min_size=m, max_size=m)), dtype=np.int64)
-                 for m in lens]
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        lens = draw(st.lists(st.integers(3, t_max), min_size=1, max_size=5))
+        batch.append([np.array(draw(st.lists(st.integers(0, n_ids - 1), min_size=m, max_size=m)), dtype=np.int64)
+                      for m in lens])
     f = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     params = normal_params(kind, ModelDims(h=h, c=2, v_buckets=n_ids, t_max=t_max, f=f), seed)
-    dD = np.random.default_rng(seed).normal(size=(h, len(sentences)))
-    return params, sentences, dD
+    dD = np.random.default_rng(seed).normal(size=(h, sum(map(len, batch))))
+    return params, batch, dD
+
+
+def _batch_sharing_ids(kind):
+    """Three documents of 3, 5 and 1 sentences over ids 1-8, so each id sits in more than one."""
+    params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=5, t_max=8, f=2), seed=9)
+    rng = np.random.default_rng(9)
+    batch = [[np.array([1, *rng.integers(4, 9, size=m - 2), 2], dtype=np.int64) for m in lens]
+             for lens in ([3, 8, 5], [4, 4, 8, 3, 6], [7])]
+    return params, batch, rng.normal(size=(3, 9))
 
 
 def _fixed_document(kind, lens, repeat):
@@ -280,21 +309,21 @@ def _fixed_document(kind, lens, repeat):
     seed = sum(lens) + repeat
     params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), seed)
     sentences = [np.array([4] * m if repeat else [1, *range(4, 4 + m - 2), 2], dtype=np.int64) for m in lens]
-    return params, sentences, np.random.default_rng(seed).normal(size=(3, len(lens)))
+    return params, [sentences], np.random.default_rng(seed).normal(size=(3, len(lens)))
 
 
 def _distinct_document(kind, k=128):
     """k sentences of t_max = 8 tokens whose interior ids are all distinct across the document."""
     params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=6 * k, t_max=8, f=2), seed=k)
     sentences = [np.array([1, *interior, 2], dtype=np.int64) for interior in np.arange(4, 4 + 6 * k).reshape(k, 6)]
-    return params, sentences, np.random.default_rng(k).normal(size=(3, k))
+    return params, [sentences], np.random.default_rng(k).normal(size=(3, k))
 
 
 def _one_interior_id(kind, lens=(3, 8, 5, 8, 4)):
     """Every interior token of the document is id 4, between CLS and SEP."""
     params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=8, t_max=8, f=2), seed=len(lens))
     sentences = [np.array([1, *[4] * (m - 2), 2], dtype=np.int64) for m in lens]
-    return params, sentences, np.random.default_rng(len(lens)).normal(size=(3, len(lens)))
+    return params, [sentences], np.random.default_rng(len(lens)).normal(size=(3, len(lens)))
 
 
 def _scores_far_apart():
@@ -310,13 +339,14 @@ def _scores_far_apart():
     params.Q[...] = params.K[...] = np.eye(2)
     params.E[4] = (38.0, 0.0)
     sentences = [seq(4, 4, 4, 4), seq(5, 6, 7, 5, 3)]
-    return params, sentences, np.random.default_rng(8).normal(size=(2, 2))
+    return params, [sentences], np.random.default_rng(8).normal(size=(2, 2))
 
 
-def assert_matches_reference(params, sentences, dD, tol):
-    """D and every gradient equal the per-sentence reference loop's within tol."""
+def assert_matches_reference(params, batch, dD, tol):
+    """D and every gradient of a batch equal the per-sentence reference loop's over all its sentences, within tol."""
     reference = REFERENCES[params.kind]
-    D, cache = encode_document(layout_of(sentences), params)
+    sentences = [s for document in batch for s in document]
+    D, cache = encode_document(batch_of(*batch), params)
     D_ref, caches_ref = reference.encode_document(sentences, params)
     assert np.isfinite(D).all()
     np.testing.assert_allclose(D, D_ref, rtol=0, atol=tol)
@@ -324,7 +354,9 @@ def assert_matches_reference(params, sentences, dD, tol):
     expected = reference.encoder_backward(params, caches_ref, dD)
     assert list(grads) == [name for name, _ in params.named_tensors()]
     assert sorted(expected) == sorted(grads)
-    assert grads["E"].ids.tolist() == sorted(set(np.concatenate(sentences).tolist()))
+    # one block per document: its sorted distinct ids
+    blocks = [sorted(set(np.concatenate(document).tolist())) for document in batch]
+    assert grads["E"].ids.tolist() == [i for block in blocks for i in block]
     for name, tensor in params.named_tensors():
         got, want = dense(grads[name], tensor), dense(expected[name], tensor)
         assert np.isfinite(got).all(), name
@@ -332,7 +364,7 @@ def assert_matches_reference(params, sentences, dD, tol):
 
 
 class TestMeanPoolMatchesReference:
-    """The document-level meanpool equals the per-sentence loop in float64."""
+    """The batch-level meanpool equals the per-sentence loop in float64."""
 
     TOL = 1e-10
 
@@ -344,12 +376,13 @@ class TestMeanPoolMatchesReference:
     @example(_fixed_document(MEANPOOL, [3, 8, 5], repeat=True))
     @example(_distinct_document(MEANPOOL))  # k = 128 at t_max, every interior id distinct
     @example(_one_interior_id(MEANPOOL))
+    @example(_batch_sharing_ids(MEANPOOL))
     def test_forward_and_every_gradient(self, case):
         assert_matches_reference(*case, tol=self.TOL)
 
 
 class TestMiniTransformerMatchesReference:
-    """CLS-query attention over the whole document equals the per-sentence
+    """CLS-query attention over a whole batch equals the per-sentence
     m x m block in float64."""
 
     TOL = 1e-10
@@ -362,6 +395,7 @@ class TestMiniTransformerMatchesReference:
     @example(_fixed_document(MINITRANSFORMER, [3, 8, 5], repeat=True))
     @example(_distinct_document(MINITRANSFORMER))  # k = 128 at t_max, every interior id distinct
     @example(_one_interior_id(MINITRANSFORMER))
+    @example(_batch_sharing_ids(MINITRANSFORMER))
     @example(_scores_far_apart())
     def test_forward_and_every_gradient(self, case):
         assert_matches_reference(*case, tol=self.TOL)
@@ -437,32 +471,32 @@ class TestShapeValidation:
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document(layout_of([seq(1, 500, 2)]), params)
+            encode_document(batch_of([seq(1, 500, 2)]), params)
 
     def test_too_many_tokens(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=4, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document(layout_of([seq(1, 4, 5, 6, 2)]), params)
+            encode_document(batch_of([seq(1, 4, 5, 6, 2)]), params)
 
     def test_too_few_tokens_in_a_later_sentence(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document(layout_of([seq(1, 4, 2), seq(1, 2)]), params)
+            encode_document(batch_of([seq(1, 4, 2), seq(1, 2)]), params)
 
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     def test_negative_token_id(self, kind):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(kind, dims, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            encode_document(layout_of([seq(1, 4, 2), seq(1, -3, 2)]), params)
+            encode_document(batch_of([seq(1, 4, 2), seq(1, -3, 2)]), params)
 
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     def test_a_layout_is_checked_against_the_params_of_every_encode(self, kind):
         # the layout is built once and kept, so the checks run per call, not per build
         rng = np.random.default_rng(0)
-        layout = layout_of([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
+        layout = batch_of([seq(1, *range(4, 34), 2), seq(1, 40, 2)])  # 32 tokens; ids up to 40
         encode_document(layout, init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=64, f=4), rng))
         short = init_encoder(kind, ModelDims(h=4, c=2, v_buckets=64, t_max=12, f=4), rng)
         with pytest.raises(ShapeMismatch, match=r"token count 32 outside \[3, 12\]"):

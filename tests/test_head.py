@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,20 +21,30 @@ def random_instance(rng, h, k, c, scale=1.0):
 
 
 def forward(D, S, b=None):
-    """head_forward over D with W = 0, and b = 0 unless given; L must be alpha @ D.T."""
+    """head_forward over one document D with W = 0, and b = 0 unless given.
+
+    Adds L = alpha @ D.T, the label representations, and keeps the
+    document's own scores and logits.
+    """
     b = np.zeros(len(S), dtype=S.dtype) if b is None else b
     cache = head_forward(D, HeadParams(S=S, W=np.zeros_like(S), b=b))
-    np.testing.assert_array_equal(cache.L, cache.alpha @ D.T)
-    return cache
+    return SimpleNamespace(alpha=cache.alpha, L=cache.alpha @ D.T, scores=cache.scores[0], logits=cache.logits[0])
 
 
 def sigmoid(t):
     return 1.0 / (1.0 + np.exp(-t))
 
 
-def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5):
-    """Every head_backward gradient (S, W, b and dD) against central differences."""
-    grads, dD = head_backward(params, head_forward(D, params), targets)
+def batch_loss(D, params, targets, bounds):
+    return bce_loss(head_forward(D, params, bounds).logits, targets)
+
+
+def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5, bounds=None):
+    """Every head_backward gradient (S, W, b and dD) against central differences.
+
+    targets holds one row per document; bounds the documents' column offsets.
+    """
+    grads, dD = head_backward(params, head_forward(D, params, bounds), targets)
     analytic = {**grads, "D": dD}
     tensors = {"S": params.S, "W": params.W, "b": params.b, "D": D}
     for name, tensor in tensors.items():
@@ -41,9 +52,9 @@ def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = bce_loss(head_forward(D, params).logits, targets)
+            lp = batch_loss(D, params, targets, bounds)
             flat[i] = orig - eps
-            lm = bce_loss(head_forward(D, params).logits, targets)
+            lm = batch_loss(D, params, targets, bounds)
             flat[i] = orig
             fd = (lp - lm) / (2 * eps)
             rel = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
@@ -192,35 +203,35 @@ class TestHeadBackward:
         D = rng.normal(size=(4, 3))
         params = HeadParams(S=rng.normal(size=(2, 4)), W=np.zeros((2, 4)), b=np.array([0.3, -0.7]))
         cache = head_forward(D, params)
-        targets = np.array([1, 0])
+        targets = np.array([[1, 0]])
         grads, _ = head_backward(params, cache, targets)
-        expected = (1.0 / (1.0 + np.exp(-params.b)) - targets) / 2
+        expected = (1.0 / (1.0 + np.exp(-params.b)) - targets[0]) / 2
         np.testing.assert_allclose(grads["b"], expected, rtol=1e-12)
 
     def test_gradients_vanish_at_perfect_fit(self):
         D = np.ones((2, 2))
         params = HeadParams(S=np.zeros((2, 2)), W=np.array([[50.0, 50.0], [-50.0, -50.0]]), b=np.zeros(2))
         cache = head_forward(D, params)
-        grads, dD = head_backward(params, cache, np.array([1, 0]))
+        grads, dD = head_backward(params, cache, np.array([[1, 0]]))
         for g in (*grads.values(), dD):
             assert np.max(np.abs(g)) < 1e-12
 
     def test_targets_of_another_label_count_are_refused(self):
         D, params = random_instance(np.random.default_rng(13), h=3, k=4, c=2)
         with pytest.raises(CacheMismatch, match="targets"):
-            head_backward(params, head_forward(D, params), np.array([1, 0, 1]))
+            head_backward(params, head_forward(D, params), np.array([[1, 0, 1]]))
 
     def test_inconsistent_cache_is_refused(self):
         D, params = random_instance(np.random.default_rng(14), h=3, k=4, c=2)
         cache = head_forward(D, params)
         cache.D = D[:, :3]  # one sentence fewer than alpha has columns
         with pytest.raises(CacheMismatch, match="internally inconsistent"):
-            head_backward(params, cache, np.array([1, 0]))
+            head_backward(params, cache, np.array([[1, 0]]))
 
     def test_seed11_finite_difference_check(self):
         rng = np.random.default_rng(11)
         D, params = random_instance(rng, h=3, k=4, c=2)
-        assert_gradients_match_finite_differences(D, params, np.array([1, 0]))
+        assert_gradients_match_finite_differences(D, params, np.array([[1, 0]]))
 
 
 class TestHeadInvariants:
@@ -237,9 +248,9 @@ class TestHeadInvariants:
         rng = np.random.default_rng(7)
         D, params = random_instance(rng, h=4, k=1, c=3)
         cache = head_forward(D, params)
-        np.testing.assert_array_equal(cache.L, np.tile(D[:, 0], (3, 1)))
+        np.testing.assert_array_equal(cache.alpha @ D.T, np.tile(D[:, 0], (3, 1)))
         collapsed = sigmoid((params.W * D[:, 0]).sum(axis=1) + params.b)
-        np.testing.assert_allclose(cache.scores, collapsed, rtol=1e-12)
+        np.testing.assert_allclose(cache.scores[0], collapsed, rtol=1e-12)
 
     def test_positive_scaling_of_classifier_preserves_predictions(self):
         rng = np.random.default_rng(8)
@@ -270,4 +281,39 @@ class TestUniformMode:
         rng = np.random.default_rng(12)
         D, params = random_instance(rng, h=3, k=4, c=2)
         params.S[...] = 0.0
-        assert_gradients_match_finite_differences(D, params, np.array([0, 1]), eps=1e-6)
+        assert_gradients_match_finite_differences(D, params, np.array([[0, 1]]), eps=1e-6)
+
+
+class TestBatch:
+    """A batch is its documents' columns side by side; each document keeps its own softmax."""
+
+    BOUNDS = [0, 1, 5, 12]  # documents of 1, 4 and 7 sentences
+
+    def instance(self, seed):
+        D, params = random_instance(np.random.default_rng(seed), h=5, k=self.BOUNDS[-1], c=3, scale=2.0)
+        return D, params
+
+    def test_each_document_scores_as_it_does_alone(self):
+        D, params = self.instance(15)
+        cache = head_forward(D, params, self.BOUNDS)
+        assert cache.alpha.shape == (3, 12) and cache.logits.shape == cache.scores.shape == (3, 3)
+        for d, (a, b) in enumerate(zip(self.BOUNDS, self.BOUNDS[1:])):
+            alone = head_forward(D[:, a:b], params)
+            np.testing.assert_allclose(cache.alpha[:, a:b], alone.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache.alpha[:, a:b].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache.scores[d], alone.scores[0], rtol=0, atol=1e-12)
+            # the score is each label's own map at its pooled representation l_i = sum_j alpha[i][j] d_j
+            L = cache.alpha[:, a:b] @ D[:, a:b].T
+            np.testing.assert_allclose(cache.logits[d], (params.W * L).sum(axis=1) + params.b, rtol=0, atol=1e-12)
+
+    def test_bce_loss_sums_each_documents_mean(self):
+        D, params = self.instance(16)
+        targets = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]])
+        logits = head_forward(D, params, self.BOUNDS).logits
+        expected = sum(bce_loss(row, target) for row, target in zip(logits, targets))
+        assert math.isclose(bce_loss(logits, targets), expected, rel_tol=1e-14)
+
+    def test_batch_finite_difference_check(self):
+        D, params = self.instance(17)
+        targets = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert_gradients_match_finite_differences(D, params, targets, bounds=self.BOUNDS)

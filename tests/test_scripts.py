@@ -53,12 +53,15 @@ def test_encoder_bench_times_both_kinds_at_every_shape(capsys, tmp_path):
     code = load_script("encoder_bench").main(["--tiny", "--repeats", "2", "--out", str(out)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert json.loads(out.read_text()) == report
+    assert json.loads(out.read_text()) == {"after": report}
     assert list(report["shapes"]) == ["bench", "longdoc", "zipf-k128", "worst"]
-    for shape in report["shapes"].values():
+    for name, shape in report["shapes"].items():
         assert shape["k"] == 3 and shape["layout_us"]["median"] > 0
+        assert shape["batch"] == (16 if name in ("bench", "longdoc") else 1)
         for kind in ("meanpool", "minitransformer"):
             assert 0 < shape[kind]["forward_us"]["median"] <= shape[kind]["total_us"]["q3"]
+            assert shape[kind]["document_forward_us"]["median"] > 0
+            assert ("batch16_step_us" in shape[kind]) == (shape["batch"] == 16)
 
 
 def test_prepare_bench_times_every_stage_at_every_shape(capsys, tmp_path):

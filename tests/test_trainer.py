@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import blas_core
 from conftest import DATA_DIR
-from sentence_layout import layout_of
+from sentence_layout import batch_of
 from test_scripts import load_script
 from sentattn.checkpoint import (
     BadMagic,
@@ -245,7 +247,7 @@ def _document_grads(seed: int, dims: ModelDims, n_docs: int):
     for _ in range(n_docs):
         lens = rng.integers(3, dims.t_max + 1, size=int(rng.integers(1, 5)))
         sentences = [rng.integers(4, 12, size=m) for m in lens]  # ids shared across documents
-        D, cache = encode_document(layout_of(sentences), params)
+        D, cache = encode_document(batch_of(sentences), params)
         dD = rng.normal(size=D.shape).astype(np.float32)
         grads = encoder_backward(params, cache, dD)
         grads["b"] = rng.normal(size=3).astype(np.float32)
@@ -330,7 +332,7 @@ class TestAdamBatch:
         opt = self.adam(dict(params.named_tensors()))
         sentences = [np.concatenate([[1], rng.integers(4, 4 + dims.v_buckets, size=m - 2), [2]])
                      for m in rng.integers(3, dims.t_max + 1, size=32)]
-        D, cache = encode_document(layout_of(sentences), params)
+        D, cache = encode_document(batch_of(sentences), params)
         dD = rng.normal(size=D.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -339,6 +341,39 @@ class TestAdamBatch:
         finally:
             tracemalloc.stop()
         assert peak < params.E.nbytes / 4, peak
+
+
+class TestCompactRows:
+    N_ROWS = 4 + 32768
+
+    def prepared(self, n_docs, seed=0):
+        rng = np.random.default_rng(seed)
+        return [PreparedDoc(id=str(i), target=None,
+                            layout=encoder.DocLayout(rng.integers(4, self.N_ROWS, size=90), [30, 30, 30]))
+                for i in range(n_docs)]
+
+    def test_rows_and_renumbering_match_the_sorted_union(self):
+        docs = self.prepared(50)
+        before = [doc.layout.distinct.copy() for doc in docs]
+        rows, inverse = np.unique(np.concatenate(before), return_inverse=True)
+        assert trainer._compact_rows(docs, self.N_ROWS).tolist() == rows.tolist()
+        for doc, distinct in zip(docs, np.split(inverse, np.cumsum([len(d) for d in before])[:-1])):
+            assert doc.layout.distinct.dtype == np.int32
+            assert doc.layout.distinct.tolist() == distinct.tolist()
+
+    def test_memory_is_bounded_by_the_table_not_the_corpus(self):
+        # 2,000 documents read about 180,000 (document, id) pairs; a map built
+        # from every pair, as np.unique over their concatenation, peaks near
+        # 37 B a pair (6.8 MB here). The mask, the renumbering and the row
+        # list take 13 B a table row (0.43 MB), whatever the corpus.
+        docs = self.prepared(2000)
+        tracemalloc.start()
+        try:
+            trainer._compact_rows(docs, self.N_ROWS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * self.N_ROWS, peak
 
 
 class TestDocumentText:
@@ -369,32 +404,59 @@ class TestTrain:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert logs[0] == logs[1]
 
-    # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, recorded when
-    # Adam still stepped every row: neither stepping only live rows nor
-    # training on the compact table changed a bit.
-    # The minitransformer digest was re-recorded when it became CLS-query
+    # Tensor SHA-256 after 3 epochs with a 32,768-bucket table, one digest per
+    # OpenBLAS kernel family, since each family sums float32 products in its
+    # own order (tests/blas_core.py; recorded under OPENBLAS_CORETYPE). A core
+    # outside the table skips these two tests, with its name in the reason;
+    # test_kernel_families_agree_within_float32_rounding and the rerun test
+    # above still run there.
+    # Recorded when Adam still stepped every row: neither stepping only live
+    # rows nor training on the compact table changed a bit. The
+    # minitransformer digest was re-recorded when it became CLS-query
     # attention over the whole document, and again when its attention pooled
     # through weighted count matrices, and the meanpool digest when its
-    # sentence means became matmuls over the count matrix; each sums in
-    # another order.
+    # sentence means became matmuls over the count matrix. Both moved again
+    # when each mini-batch became one pass over its documents' concatenated
+    # sentence columns, whose gradients are summed by the batch's matmuls
+    # rather than document by document; each change sums in another order.
     PINNED = {
-        MEANPOOL: "fae5ff3338520e0382c032d438a9e15980e1ebc058d29c41352d4ff136f5c795",
-        MINITRANSFORMER: "3245eef75ae01d5321127c1de5bb3d476a56fae60f715f47e222163fd4b532a2",
+        "SkylakeX": {MEANPOOL: "e9f8ea3a4610e413f13ff1dea83470cd4f9a34f51e56b52d59e1099e62e349fa",
+                     MINITRANSFORMER: "79318236b0c04ea0672d015e7bdc2dc7a873f820682d83e4345d696f4c9f08fc"},
+        "Haswell": {MEANPOOL: "2933c739721937922e8f4cc04c25a23ca19e1234ea9fa2437d2c1b5a73c7f03a",
+                    MINITRANSFORMER: "927bb424de72cc6b0fdc68a05074f348f07b08e5bfc64f43efbbc6ced74a650f"},
+        "Sandybridge": {MEANPOOL: "f76bf7fc2f7f1e53035131a7e2922b5b2866354b29b203f5b18465143a6f5934",
+                        MINITRANSFORMER: "c7e7490b3d974be1e71af8c49f1077647659dce8c06ef1bf954c5c1fc151f826"},
+        "Katmai": {MEANPOOL: "5b42b93e69ab3ebb3fdd5319841b0f2ca8c21b523a4ecdb6be8517e0933f21bb",
+                   MINITRANSFORMER: "36c64d94599285e5d315ff74d18fbee40c009b59702fc483b415452f93b65e24"},
     }
+
+    @staticmethod
+    def pinned(table, kind):
+        family = blas_core.family()
+        if family is None:
+            pytest.skip(f"no digests recorded for the BLAS core {blas_core.core_name()!r}")
+        return table[family][kind]
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
     def test_tensors_are_pinned_with_a_full_size_table(self, kind, tiny_corpus):
         dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
         result = train(tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3), tiny_corpus)
         blob = b"".join(t.tobytes() for _, t in result.checkpoint.tensors())
-        assert hashlib.sha256(blob).hexdigest() == self.PINNED[kind]
+        assert hashlib.sha256(blob).hexdigest() == self.pinned(self.PINNED, kind)
 
     # The same runs with uniform attention, over every tensor but S, recorded
     # when uniform attention was a separate head path that froze alpha at 1/k;
-    # both re-recorded with the count-matrix pooling of their kind.
+    # re-recorded with the count-matrix pooling of each kind, and with the
+    # batch pass.
     PINNED_UNIFORM = {
-        MEANPOOL: "61c0db6fee06fe5b726e04434f5957e4e9a270b528794781837175cb0767576b",
-        MINITRANSFORMER: "2e75bb33668de2c1b5aa0f46b816882e677f5a71268b8998d9f7d32ded0423f5",
+        "SkylakeX": {MEANPOOL: "ed0b4524cec662f75a2d8dfaa7d2eb2897018a5b23852c33bac3ace3e3841f93",
+                     MINITRANSFORMER: "171776f7889628a7ec44731ed244ba4fcb87ec00b1d04b541178831498bc103f"},
+        "Haswell": {MEANPOOL: "baed6b65bc150521814ad64dcaf4e62fb569d9445f5b11671f25103a618e6e7f",
+                    MINITRANSFORMER: "93a3b654a986eea18d74f1ce844b59df89bcac19d2c5f47ce1880596ecde4a4d"},
+        "Sandybridge": {MEANPOOL: "39c4854a4f74f2d02b019c93c0d6e500c57e4e4d1be938561663e51e8068017c",
+                        MINITRANSFORMER: "19dff24461bf50d20784ebfe4f836e1d8bad997688d0ae3b87b894ec25ec106b"},
+        "Katmai": {MEANPOOL: "2a6038a1ebe2064eb7b96ed48d373cdc779e853e51629dd6216ea16a5281eb76",
+                   MINITRANSFORMER: "b3c2389714c04e02e976afaba1314594bdaccd71914f0845ec9f5c629383742b"},
     }
 
     @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
@@ -403,7 +465,50 @@ class TestTrain:
         config = tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3, attention_mode=UNIFORM)
         tensors = train(config, tiny_corpus).checkpoint.tensors()
         blob = b"".join(t.tobytes() for name, t in tensors if name != "S")
-        assert hashlib.sha256(blob).hexdigest() == self.PINNED_UNIFORM[kind]
+        assert hashlib.sha256(blob).hexdigest() == self.pinned(self.PINNED_UNIFORM, kind)
+
+    # Trains the pinned runs of both kinds in a fresh interpreter, under the
+    # OPENBLAS_CORETYPE it was started with, and saves their tensors.
+    PINNED_RUNS = """
+import sys
+import numpy as np
+import blas_core
+from test_trainer import tiny_config
+from sentattn.encoder import ModelDims
+from sentattn.trainer import train
+
+dims = ModelDims(h=16, c=4, v_buckets=32768, t_max=12, f=16)
+tensors = {}
+for kind in ("meanpool", "minitransformer"):
+    result = train(tiny_config(dims=dims, encoder=kind, max_epochs=3, patience=3), sys.argv[1])
+    tensors.update({f"{kind}/{name}": t for name, t in result.checkpoint.tensors()})
+np.savez(sys.argv[2], **tensors)
+print(blas_core.core_name())
+"""
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or blas_core.core_name() is None,
+                        reason="selects x86-64 OpenBLAS kernels by OPENBLAS_CORETYPE")
+    def test_kernel_families_agree_within_float32_rounding(self, tiny_corpus, tmp_path):
+        # The pinned runs on this machine's kernels and on Prescott's, which
+        # every x86-64 CPU can run (OpenBLAS reports them as Katmai), must
+        # differ only by float32 rounding: every tensor within 1e-4, where
+        # the weights reach about 0.1. SkylakeX against the other three
+        # families differed by at most 1.8e-5 (minitransformer, Haswell), and
+        # by at most 1.5e-6 for meanpool.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs, cores = [], []
+        for i, coretype in enumerate((None, "Prescott")):
+            run_env = dict(env, OPENBLAS_CORETYPE=coretype) if coretype else {
+                k: v for k, v in env.items() if k != "OPENBLAS_CORETYPE"}
+            argv = [sys.executable, "-c", self.PINNED_RUNS, str(tiny_corpus), str(tmp_path / f"{i}.npz")]
+            out = subprocess.run(argv, env=run_env, capture_output=True, text=True, check=True)
+            cores.append(out.stdout.strip())
+            runs.append(np.load(tmp_path / f"{i}.npz"))
+        if cores[0] == cores[1]:
+            pytest.skip(f"OPENBLAS_CORETYPE=Prescott ran the same kernels as the default, {cores[0]}")
+        assert runs[0].files == runs[1].files
+        for name in runs[0].files:
+            np.testing.assert_allclose(runs[0][name], runs[1][name], rtol=0, atol=1e-4, err_msg=name)
 
     def test_uniform_run_saves_s_at_positive_zero(self, tiny_corpus, tmp_path):
         result = train(tiny_config(attention_mode=UNIFORM), tiny_corpus)
@@ -580,23 +685,23 @@ print((status_kb("VmHWM") - before) * 1024 / result.checkpoint.encoder_params.E.
         assert len(built) == docs
 
     def test_forward_hands_encode_document_one_item_per_sentence(self, monkeypatch):
-        # the benchmark's tracer counts sentences as len() of this argument
+        # the benchmark's tracer counts sentences as len() of this argument: a batch's sentence count
         seen = []
         encode = trainer.encode_document
 
-        def spy(doc, params):
-            seen.append(len(doc))
-            return encode(doc, params)
+        def spy(batch, params):
+            seen.append(len(batch))
+            return encode(batch, params)
 
         monkeypatch.setattr(trainer, "encode_document", spy)
         rng = np.random.default_rng(0)
         enc_params = init_encoder(MEANPOOL, TINY_DIMS, rng)
         head_params = init_head(TINY_DIMS.c, TINY_DIMS.h, rng)
         sentences = [np.array([1, 5, 6, 2]), np.array([1, 7, 2]), np.array([1, 8, 9, 9, 2])]
-        doc = PreparedDoc(id="d", layout=layout_of(sentences), target=None)
+        batch = batch_of(sentences, sentences[:2])
         for _ in range(2):
-            trainer._forward(enc_params, head_params, doc)
-        assert seen == [3, 3]
+            trainer._forward(enc_params, head_params, batch)
+        assert seen == [5, 5]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_the_batch(self, tiny_corpus):
@@ -756,7 +861,7 @@ class TestCheckpointFile:
         from sentattn.encoder import encode_document
 
         sentences = [np.array([1, 5, 9, 2]), np.array([1, 7, 2])]
-        layout = layout_of(sentences)
+        layout = batch_of(sentences)
         before, _ = encode_document(layout, ckpt.encoder_params)
         after, _ = encode_document(layout, loaded.encoder_params)
         s_before = head_forward(before, ckpt.head_params).scores
