@@ -245,11 +245,11 @@ class BatchLayout:
         if not docs:
             raise ShapeMismatch("a batch needs at least one document")
         self.docs = docs
-        self.bounds = [0, *accumulate(len(doc.lens) for doc in docs)]
+        self.bounds = np.array([0, *accumulate(map(len, docs))])
         self.lens = _stack([doc.lens for doc in docs])
 
     def __len__(self) -> int:
-        return self.bounds[-1]
+        return int(self.bounds[-1])
 
     def columns(self):
         """(document, its first column, one past its last), in batch order."""
@@ -305,19 +305,22 @@ def _positions(lens: np.ndarray, t_max: int, dtype) -> np.ndarray:
 def _meanpool_forward(params: MeanPoolParams, batch: BatchLayout):
     # U = (C.T @ E[distinct] + B.T @ P) / len: C[i, j] counts distinct id i in
     # sentence j of one document and B[p, j] = [p < len_j] over the whole
-    # batch; dividing the K x h sums, not C and B, is cheaper. The backward
-    # pass rebuilds C and B rather than hold a batch's worth of them.
+    # batch; dividing the K x h sums, not C and B, is cheaper. Each C is kept
+    # for the backward pass in the smallest unsigned type that holds its
+    # longest sentence's length (uint8 at t_max < 256), a quarter of its
+    # float32 size; B is cheap to rebuild there.
     dtype = params.E.dtype
-    U = _stack([_counts(doc.cell, len(doc.distinct), len(doc), dtype).T @ params.E[doc.distinct]
-                for doc in batch.docs])
+    Cs = [_counts(doc.cell, len(doc.distinct), len(doc), np.min_scalar_type(doc.longest))
+          for doc in batch.docs]
+    U = _stack([C.astype(dtype).T @ params.E[doc.distinct] for C, doc in zip(Cs, batch.docs)])
     lens = batch.lens.astype(dtype)[:, None]
     U = (U + _positions(batch.lens, params.P.shape[0], dtype).T @ params.P) / lens
     cls = np.tanh(U @ params.M.T + params.q)
-    return cls.T, (lens, U, cls)
+    return cls.T, (Cs, lens, U, cls)
 
 
 def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarray):
-    lens, U, cls = cache.saved
+    Cs, lens, U, cls = cache.saved
     batch, dtype = cache.layout, cls.dtype
     dZ = np.square(cls)
     np.subtract(1.0, dZ, out=dZ)
@@ -328,8 +331,8 @@ def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarr
     del dZ  # each K x h buffer is freed once read, so fewer are held at once
     dP = _positions(batch.lens, params.P.shape[0], dtype) @ dX
     E, blocks = _row_grad(batch, dX.shape[1], dtype)
-    for rows, (doc, a, b) in zip(blocks, batch.columns()):
-        np.matmul(_counts(doc.cell, len(doc.distinct), b - a, dtype), dX[a:b], out=rows)
+    for C, rows, (_, a, b) in zip(Cs, blocks, batch.columns()):
+        np.matmul(C.astype(dtype), dX[a:b], out=rows)
     return {"E": E, "P": dP, "M": dM, "q": dq}
 
 

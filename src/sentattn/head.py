@@ -16,10 +16,9 @@ at zero, not a separate path.
 `head_forward` runs the whole chain over a batch in one pass: the
 documents' columns side by side, each document's softmax a segment of
 columns, reduced by np.maximum.reduceat and np.add.reduceat from its first
-column (one document takes plain reductions). Since w_i is linear,
-w_i . l_i is the alpha-weighted sum of w_i . d_j, so each logit is a
-segment sum too and no l_i is built. The cache keeps what `head_backward`
-reads.
+column, whatever the number of documents. Since w_i is linear, w_i . l_i
+is the alpha-weighted sum of w_i . d_j, so each logit is a segment sum too
+and no l_i is built. The cache keeps what `head_backward` reads.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def init_head(c: int, h: int, rng: np.random.Generator, dtype: np.dtype | type =
 @dataclass
 class HeadCache:
     D: np.ndarray       # (h, K): the batch's sentence columns
-    bounds: Sequence[int]  # n + 1 offsets: document d owns the columns bounds[d]:bounds[d + 1]
+    bounds: np.ndarray  # n + 1 offsets: document d owns the columns bounds[d]:bounds[d + 1]
     zt: np.ndarray      # (c, K) tanh(S @ D)
     alpha: np.ndarray   # (c, K): each document's own softmax over its columns
     Y: np.ndarray       # (c, K) W @ D: each label's map applied to each sentence
@@ -86,21 +85,18 @@ def _sigmoid(t):
     return np.where(t >= 0, 1, z) / (1 + z)
 
 
-def _per_document(ufunc: np.ufunc, x: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-    """(c, K) -> (c, n): ufunc reduced over each document's columns; one document is one plain reduction."""
-    if len(bounds) == 2:
-        return ufunc.reduce(x, axis=1, keepdims=True)
-    return ufunc.reduceat(x, bounds[:-1], axis=1)
+def _segments(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's first column and its column count."""
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _attention(zt: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+def _attention(zt: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Each row of zt (c x K) softmaxed over each document's own columns, shifted by their max."""
-    if len(bounds) == 2:  # one document: plain reductions, which broadcast over its columns
-        e = np.exp(zt - np.maximum.reduce(zt, axis=1, keepdims=True))
-        return e / np.add.reduce(e, axis=1, keepdims=True)
-    counts = np.diff(bounds)
-    e = np.exp(zt - np.repeat(np.maximum.reduceat(zt, bounds[:-1], axis=1), counts, axis=1))
-    return e / np.repeat(np.add.reduceat(e, bounds[:-1], axis=1), counts, axis=1)
+    starts, counts = _segments(bounds)
+    e = np.repeat(np.maximum.reduceat(zt, starts, axis=1), counts, axis=1)
+    np.subtract(zt, e, out=e)
+    np.exp(e, out=e)
+    return np.divide(e, np.repeat(np.add.reduceat(e, starts, axis=1), counts, axis=1), out=e)
 
 
 def head_forward(D: np.ndarray, params: HeadParams, bounds: Sequence[int] | None = None) -> HeadCache:
@@ -117,11 +113,11 @@ def head_forward(D: np.ndarray, params: HeadParams, bounds: Sequence[int] | None
         raise ShapeMismatch(f"W {params.W.shape} and b {params.b.shape} against S {S.shape}")
     if D.ndim != 2 or S.ndim != 2 or S.shape[1] != D.shape[0]:
         raise ShapeMismatch(f"S {S.shape} against D {D.shape}")
-    bounds = [0, D.shape[1]] if bounds is None else bounds
+    bounds = np.array([0, D.shape[1]]) if bounds is None else np.asarray(bounds)
     zt = np.tanh(S @ D)
     alpha = _attention(zt, bounds)
     Y = params.W @ D
-    pooled = _per_document(np.add, alpha * Y, bounds).T
+    pooled = np.add.reduceat(alpha * Y, bounds[:-1], axis=1).T
     logits = pooled + params.b
     return HeadCache(D=D, bounds=bounds, zt=zt, alpha=alpha, Y=Y, pooled=pooled, logits=logits,
                      scores=_sigmoid(logits))
@@ -143,14 +139,20 @@ def head_backward(
     if cache.D.shape[1] != K or cache.bounds[-1] != K:
         raise CacheMismatch("cache is internally inconsistent")
     dlogits = (cache.scores - targets.astype(cache.scores.dtype)) / c
-    counts = np.diff(cache.bounds)
-    dY = cache.alpha * np.repeat(dlogits.T, counts, axis=1)  # also the weight of each d_j in dL
+    counts = _segments(cache.bounds)[1]
+    # each c x K product is built in place, so few are held at once
+    dY = np.repeat(dlogits.T, counts, axis=1)
+    dY *= cache.alpha  # also the weight of each d_j in dL
     # dalpha = g * Y, g each sentence's dlogits, so sum_j alpha_j dalpha_j = g * pooled, and
     # dpre = alpha * (dalpha - g * pooled) * (1 - zt^2) = dY * (Y - pooled) * (1 - zt^2)
-    dpre = cache.Y - np.repeat(cache.pooled.T, counts, axis=1)
+    dpre = np.repeat(cache.pooled.T, counts, axis=1)
+    np.subtract(cache.Y, dpre, out=dpre)
     dpre *= dY
-    dpre *= 1.0 - np.square(cache.zt)
+    slope = np.square(cache.zt)
+    dpre *= np.subtract(1.0, slope, out=slope)
+    del slope
     grads = {"S": dpre @ cache.D.T, "W": dY @ cache.D.T, "b": dlogits.sum(axis=0)}
     dD = params.S.T @ dpre
+    del dpre
     dD += params.W.T @ dY
     return grads, dD

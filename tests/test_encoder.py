@@ -326,6 +326,13 @@ def _one_interior_id(kind, lens=(3, 8, 5, 8, 4)):
     return params, [sentences], np.random.default_rng(len(lens)).normal(size=(3, len(lens)))
 
 
+def _id_repeated_past_255(kind):
+    """One sentence holds id 4 300 times, a count a byte cannot hold, at t_max = 300."""
+    params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=4, t_max=300, f=2), seed=300)
+    sentences = [seq(*[4] * 298), seq(4, 5, 4)]
+    return params, [sentences], np.random.default_rng(300).normal(size=(3, 2))
+
+
 def _scores_far_apart():
     """Sentence 0's attention scores sit about 1000 above sentence 1's.
 
@@ -377,6 +384,7 @@ class TestMeanPoolMatchesReference:
     @example(_distinct_document(MEANPOOL))  # k = 128 at t_max, every interior id distinct
     @example(_one_interior_id(MEANPOOL))
     @example(_batch_sharing_ids(MEANPOOL))
+    @example(_id_repeated_past_255(MEANPOOL))
     def test_forward_and_every_gradient(self, case):
         assert_matches_reference(*case, tol=self.TOL)
 
