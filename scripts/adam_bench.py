@@ -22,11 +22,12 @@
   in a fresh interpreter, so that no buffer of the steps section is
   counted or reused.
 
-Only `Adam(tensors, lr, beta1, beta2, eps)`, `add`, `step`, `train` and the
-init functions are called, so the script times older versions of the
-package too. BLAS runs on one thread. Prints one JSON object, and with
---out writes it under the key --side ("before" or "after") of that file,
-keeping the other key.
+Only `Adam(tensors, lr, beta1, beta2, eps)`, `step`, `train` and the init
+functions are called, and the untimed gradients are added straight into
+the optimizer's `grad` sums, so the script times every older version of
+the package whose `Adam` has a `grad` dict. BLAS runs on one thread.
+Prints one JSON object, and with --out writes it under the key --side
+("before" or "after") of that file, keeping the other key.
 
 A committed `before` and `after` come from separate processes, run one
 after the other, and on a shared VM such a pair cannot resolve a
@@ -58,7 +59,7 @@ import numpy as np
 
 from sentattn import trainer
 from sentattn.corpus import PatentRecord
-from sentattn.encoder import MEANPOOL, ModelDims, RowGrad, init_encoder
+from sentattn.encoder import MEANPOOL, ModelDims, init_encoder
 from sentattn.head import init_head
 from sentattn.synth import write_jsonl
 
@@ -90,11 +91,13 @@ def _tensors(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]
                 + init_head(dims.c, dims.h, rng).named_tensors())
 
 
-def _gradients(tensors: dict[str, np.ndarray], ids: np.ndarray, rng: np.random.Generator) -> dict:
-    grads = {n: rng.normal(size=p.shape).astype(np.float32) for n, p in tensors.items() if n != "E"}
-    width = tensors["E"].shape[1]
-    grads["E"] = RowGrad(ids=ids, rows=rng.normal(size=(len(ids), width)).astype(np.float32))
-    return grads
+def _add_gradients(opt: trainer.Adam, ids: np.ndarray, rng: np.random.Generator) -> None:
+    """Add one batch's gradients into the optimizer's sums: every tensor but E whole, then E's rows `ids`."""
+    for name, total in opt.grad.items():
+        if name != "E":
+            total += rng.normal(size=total.shape).astype(np.float32)
+    E = opt.grad["E"]
+    E[ids] += rng.normal(size=(len(ids), E.shape[1])).astype(np.float32)
 
 
 def time_steps(dims: ModelDims, repeats: int, rng: np.random.Generator) -> dict[str, dict]:
@@ -105,13 +108,13 @@ def time_steps(dims: ModelDims, repeats: int, rng: np.random.Generator) -> dict[
         n_rows = max(1, round(share * len(tensors["E"])))
         tensors["E"] = tensors["E"][:n_rows].copy()
         opt = trainer.Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
-        opt.add(_gradients(tensors, np.arange(n_rows), rng))
+        _add_gradients(opt, np.arange(n_rows), rng)
         opt.step(1)
         cases[f"{share:.1%}"] = (opt, tensors, n_rows, [])
     for _ in range(repeats):
         for opt, tensors, n_rows, times in cases.values():
             batch = np.sort(rng.choice(n_rows, size=min(BATCH_ROWS, n_rows), replace=False))
-            opt.add(_gradients(tensors, batch, rng))
+            _add_gradients(opt, batch, rng)
             t0 = perf_counter()
             opt.step(16)
             times.append(perf_counter() - t0)

@@ -11,8 +11,9 @@ its BatchLayout built inside the timed call, as `predict_records` builds
 it), and that forward followed by the head's (`document_forward_us`), which
 is what scoring one request costs once it is prepared. At the `bench` and
 `longdoc` shapes it also times one training step over a batch of 16 such
-documents: the forward passes, the BCE loss, the backward passes and the
-gradient sums (`Adam.add`), reported per document (`batch16_step_us`).
+documents: the forward passes, the BCE loss and the backward passes, which
+add the gradients into the optimizer's sums, reported per document
+(`batch16_step_us`).
 Each round times every shape and kind in turn, ten calls in a row. BLAS
 runs on one thread. Prints one JSON object (times in microseconds: median
 and quartiles over about --repeats calls); --out writes it under the key
@@ -20,8 +21,10 @@ and quartiles over about --repeats calls); --out writes it under the key
 
 The script also runs on the versions before the batch pass, whose
 `encode_document` took one document's DocLayout: there every document
-runs its own forward and backward passes, and the step adds each
-document's gradients to the sums, as `train()` did.
+runs its own forward and backward passes, which return their gradients,
+and the step adds each document's gradients to the sums (`Adam.add`), as
+`train()` did. Batch-pass versions whose backward passes still returned
+their gradients are not covered.
 
 * bench: the train-meanpool benchmark's documents: 32 sentences of 5-13
   tokens over a 60-word vocabulary, at the default dims.
@@ -128,6 +131,13 @@ def _document_forward(layout, params, head):
     return head_forward(encode_document(batch, params)[0], head, batch.bounds)
 
 
+def _backward(params, cache, dD, sums):
+    """The encoder's backward pass into `sums`; before the batch pass it returned the gradients instead."""
+    if BatchLayout is None:
+        return encoder_backward(params, cache, dD)
+    encoder_backward(params, cache, dD, sums)
+
+
 def _training_step(layouts, targets, params, head, optimizer) -> float:
     """Forward, BCE, backward and gradient sums over one batch of documents."""
     if BatchLayout is None:
@@ -144,9 +154,8 @@ def _training_step(layouts, targets, params, head, optimizer) -> float:
     D, cache = encode_document(batch, params)
     head_cache = head_forward(D, head, batch.bounds)
     loss = bce_loss(head_cache.logits, targets)
-    head_grads, dD = head_backward(head, head_cache, targets)
-    optimizer.add(encoder_backward(params, cache, dD))
-    optimizer.add(head_grads)
+    dD = head_backward(head, head_cache, targets, optimizer.grad)
+    encoder_backward(params, cache, dD, optimizer.grad)
     return loss
 
 
@@ -165,7 +174,8 @@ def time_shapes(documents: dict[str, tuple[ModelDims, list[tuple[np.ndarray, np.
         targets = rng.integers(0, 2, size=(len(docs), dims.c)).astype(np.int8)
         for kind in ENCODER_KINDS:
             params, head = init_encoder(kind, dims, rng), init_head(dims.c, dims.h, rng)
-            cases[name, kind] = (params, head, layouts[0], dD)
+            sums = {n: np.zeros_like(tensor) for n, tensor in params.named_tensors()}
+            cases[name, kind] = (params, head, layouts[0], dD, sums)
             if len(docs) > 1:
                 tensors = {**dict(params.named_tensors()), **dict(head.named_tensors())}
                 optimizer = Adam(tensors, 1e-3, 0.9, 0.999, 1e-8)
@@ -181,12 +191,12 @@ def time_shapes(documents: dict[str, tuple[ModelDims, list[tuple[np.ndarray, np.
                 DocLayout(ids, lens)
                 if i:
                     layout_times[name].append(perf_counter() - t0)
-        for key, (params, head, layout, dD) in cases.items():
+        for key, (params, head, layout, dD, sums) in cases.items():
             for _ in range(BLOCK):
                 t0 = perf_counter()
                 _, cache = _encode(layout, params)
                 t1 = perf_counter()
-                encoder_backward(params, cache, dD)
+                _backward(params, cache, dD, sums)
                 t2 = perf_counter()
                 _document_forward(layout, params, head)
                 t3 = perf_counter()

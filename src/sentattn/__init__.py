@@ -21,7 +21,6 @@ from .encoder import (
     MINITRANSFORMER,
     DocLayout,
     ModelDims,
-    RowGrad,
     encode_document,
     encoder_backward,
     init_encoder,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Checkpoint", "ConfusionCounts", "DocLayout", "HeadParams",
     "LabelVocabulary", "MalformedIpc", "MEANPOOL", "MINITRANSFORMER",
-    "ModelDims", "PatentRecord", "RowGrad", "Sentence", "TrainConfig",
+    "ModelDims", "PatentRecord", "Sentence", "TrainConfig",
     "bce_loss", "build_vocabulary", "encode_document", "encode_labels",
     "encoder_backward", "evaluate", "grad_check", "head_backward",
     "head_forward", "init_encoder", "init_head", "label_stats",

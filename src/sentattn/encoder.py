@@ -26,14 +26,14 @@ reaches E or P is the transposed product, C @ g for E's rows, B @ g for P.
 One pass runs over the whole batch. Only what reads a document's own rows
 of E runs per document: its count matrices, C.T @ E[distinct], the
 minitransformer's scores and E's gradient rows. B, P, every dense matrix
-product and both kinds' nonlinearities run once over the K columns, so the
-dense gradients come back summed over the batch.
+product and both kinds' nonlinearities run once over the K columns, so
+every other gradient is computed once, summed over the batch.
 
-Backward passes are exact analytic gradients. The E gradient is row-sparse
-(RowGrad): one block per document, of one row per distinct token id of that
-document; every other gradient is a dense array. Storage is float32;
-gradient checking re-runs everything in float64 by building float64
-parameters.
+Backward passes are exact analytic gradients, each added into the caller's
+array of the tensor's own shape. E's rows are added one document at a time,
+at that document's distinct ids, so two documents that read the same row
+both reach it. Storage is float32; gradient checking re-runs everything in
+float64 by building float64 parameters.
 """
 
 from __future__ import annotations
@@ -172,27 +172,6 @@ def init_encoder(
     return init_tensors(cls, cls.spec(dims), rng, dtype)
 
 
-@dataclass
-class RowGrad:
-    """Gradient of a table that is zero outside a few rows, as one block of rows per document.
-
-    Each block's ids are one document's sorted distinct rows, and `ends`
-    holds where each block ends (None: one block). Two documents of a batch
-    can read the same row, so the blocks are added one at a time: one fancy
-    `+=` over all of them would keep only one block's share of a shared row.
-    """
-
-    ids: np.ndarray   # each block's sorted distinct row indices, block after block
-    rows: np.ndarray  # (len(ids), width): the gradient at those rows
-    ends: Sequence[int] | None = None
-
-    def add_to(self, table: np.ndarray) -> None:
-        start = 0
-        for end in (len(self.ids),) if self.ends is None else self.ends:
-            table[self.ids[start:end]] += self.rows[start:end]
-            start = end
-
-
 _INDEX = np.iinfo(np.int32)
 
 
@@ -246,7 +225,7 @@ class BatchLayout:
             raise ShapeMismatch("a batch needs at least one document")
         self.docs = docs
         self.bounds = np.array([0, *accumulate(map(len, docs))])
-        self.lens = _stack([doc.lens for doc in docs])
+        self.lens = np.concatenate([doc.lens for doc in docs])
 
     def __len__(self) -> int:
         return int(self.bounds[-1])
@@ -284,19 +263,6 @@ def _counts(cells: np.ndarray, rows: int, k: int, dtype, weights: np.ndarray | N
     return np.bincount(cells, weights, minlength=rows * k).reshape(rows, k).astype(dtype)
 
 
-def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The documents' blocks one after another; one document's block as it is."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def _row_grad(batch: BatchLayout, width: int, dtype) -> tuple[RowGrad, list[np.ndarray]]:
-    """E's gradient, unfilled: one block per document, of a row per distinct id; and each block's rows."""
-    ends = [*accumulate(len(doc.distinct) for doc in batch.docs)]
-    ids = _stack([doc.distinct for doc in batch.docs])
-    grad = RowGrad(ids=ids, rows=np.empty((len(ids), width), dtype), ends=ends)
-    return grad, [grad.rows[a:b] for a, b in zip([0, *ends], ends)]
-
-
 def _positions(lens: np.ndarray, t_max: int, dtype) -> np.ndarray:
     """B: the t_max x K matrix with B[p, j] = 1 for the positions p < len_j of sentence j."""
     return (np.arange(t_max, dtype=lens.dtype)[:, None] < lens).astype(dtype)
@@ -312,28 +278,27 @@ def _meanpool_forward(params: MeanPoolParams, batch: BatchLayout):
     dtype = params.E.dtype
     Cs = [_counts(doc.cell, len(doc.distinct), len(doc), np.min_scalar_type(doc.longest))
           for doc in batch.docs]
-    U = _stack([C.astype(dtype).T @ params.E[doc.distinct] for C, doc in zip(Cs, batch.docs)])
+    U = np.concatenate([C.astype(dtype).T @ params.E[doc.distinct] for C, doc in zip(Cs, batch.docs)])
     lens = batch.lens.astype(dtype)[:, None]
     U = (U + _positions(batch.lens, params.P.shape[0], dtype).T @ params.P) / lens
     cls = np.tanh(U @ params.M.T + params.q)
     return cls.T, (Cs, lens, U, cls)
 
 
-def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarray):
+def _meanpool_backward(params: MeanPoolParams, cache: EncoderCache, dD: np.ndarray, sums) -> None:
     Cs, lens, U, cls = cache.saved
     batch, dtype = cache.layout, cls.dtype
     dZ = np.square(cls)
     np.subtract(1.0, dZ, out=dZ)
     dZ *= dD.T
-    dM, dq = dZ.T @ U, dZ.sum(axis=0)
+    sums["M"] += dZ.T @ U
+    sums["q"] += dZ.sum(axis=0)
     dX = dZ @ params.M
     dX /= lens  # every input row of sentence j gets dX[j]
     del dZ  # each K x h buffer is freed once read, so fewer are held at once
-    dP = _positions(batch.lens, params.P.shape[0], dtype) @ dX
-    E, blocks = _row_grad(batch, dX.shape[1], dtype)
-    for C, rows, (_, a, b) in zip(Cs, blocks, batch.columns()):
-        np.matmul(C.astype(dtype), dX[a:b], out=rows)
-    return {"E": E, "P": dP, "M": dM, "q": dq}
+    sums["P"] += _positions(batch.lens, params.P.shape[0], dtype) @ dX
+    for C, (doc, a, b) in zip(Cs, batch.columns()):
+        sums["E"][doc.distinct] += C.astype(dtype) @ dX[a:b]
 
 
 def _minitransformer_forward(params: MiniTransformerParams, batch: BatchLayout):
@@ -349,14 +314,14 @@ def _minitransformer_forward(params: MiniTransformerParams, batch: BatchLayout):
     X0 = np.concatenate([Ed[first] for (_, Ed, _, _), first in zip(parts, firsts)]) + params.P[0]  # CLS rows
     q0 = X0 @ params.Q
     r = q0 @ params.K.T / np.sqrt(dtype.type(params.E.shape[1]))
-    scores = _stack([(Ed @ r[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
+    scores = np.concatenate([(Ed @ r[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
     scores += (params.P @ r.T).ravel()[pcell]
     # softmax over each sentence's own tokens, shifted by that sentence's max
     e = np.exp(scores - np.maximum.reduceat(scores, starts)[sent])
     a = e / np.add.reduceat(e, starts)[sent]
     Cas = [_counts(doc.cell, len(Ed), len(doc), dtype, a[tokens]) for doc, Ed, _, tokens in parts]
     Ba = _counts(pcell, t_max, K, dtype, a)
-    Abar = _stack([Ca.T @ Ed for Ca, (_, Ed, _, _) in zip(Cas, parts)])
+    Abar = np.concatenate([Ca.T @ Ed for Ca, (_, Ed, _, _) in zip(Cas, parts)])
     Abar += Ba.T @ params.P  # sum_t a_t x_t per sentence
     Z0 = X0 + Abar @ params.Vp
     T1 = np.tanh(Z0 @ params.F1 + params.g1)
@@ -364,7 +329,7 @@ def _minitransformer_forward(params: MiniTransformerParams, batch: BatchLayout):
     return cls.T, (sent, starts, pcell, parts, firsts, X0, q0, r, a, Cas, Ba, Abar, Z0, T1)
 
 
-def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache, dD: np.ndarray):
+def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache, dD: np.ndarray, sums) -> None:
     sent, starts, pcell, parts, firsts, X0, q0, r, a, Cas, Ba, Abar, Z0, T1 = cache.saved
     dcls = dD.T
     # FFN with residual: cls = Z0 + tanh(Z0@F1 + g1)@F2 + g2
@@ -372,36 +337,33 @@ def _minitransformer_backward(params: MiniTransformerParams, cache: EncoderCache
     dZ0 = dcls + dH1 @ params.F1.T
     # attention with residual: Z0 = X0 + Abar @ Vp, Abar = sum_t a_t x_t, a = softmax_t(x_t . r)
     G = dZ0 @ params.Vp.T  # gradient at Abar
-    da = _stack([(Ed @ G[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
+    da = np.concatenate([(Ed @ G[cols].T).ravel()[doc.cell] for doc, Ed, cols, _ in parts])
     da += (params.P @ G.T).ravel()[pcell]
     ds = a * (da - np.add.reduceat(a * da, starts)[sent])
     Css = [_counts(doc.cell, len(Ed), len(doc), X0.dtype, ds[tokens]) for doc, Ed, _, tokens in parts]
     Bs = _counts(pcell, *Ba.shape, X0.dtype, ds)
-    dr = _stack([Cs.T @ Ed for Cs, (_, Ed, _, _) in zip(Css, parts)])
+    dr = np.concatenate([Cs.T @ Ed for Cs, (_, Ed, _, _) in zip(Css, parts)])
     dr += Bs.T @ params.P
     scale = np.sqrt(X0.dtype.type(X0.shape[1]))
     dq0 = dr @ params.K / scale
     dX0 = dZ0 + dq0 @ params.Q.T
 
     # each token's dx_t = a_t G_j + ds_t r_j, summed by cell; sentences may share a first id
-    E, blocks = _row_grad(cache.layout, G.shape[1], G.dtype)
-    for Ca, Cs, first, rows, (_, _, cols, _) in zip(Cas, Css, firsts, blocks, parts):
-        np.matmul(Ca, G[cols], out=rows)
+    for Ca, Cs, first, (doc, _, cols, _) in zip(Cas, Css, firsts, parts):
+        rows = Ca @ G[cols]
         rows += Cs @ r[cols]
         np.add.at(rows, first, dX0[cols])
+        sums["E"][doc.distinct] += rows
     dP = Ba @ G + Bs @ r
     dP[0] += dX0.sum(axis=0)
-    return {
-        "E": E,
-        "P": dP,
-        "Q": X0.T @ dq0,
-        "K": dr.T @ q0 / scale,
-        "Vp": Abar.T @ dZ0,
-        "F1": Z0.T @ dH1,
-        "F2": T1.T @ dcls,
-        "g1": dH1.sum(axis=0),
-        "g2": dcls.sum(axis=0),
-    }
+    sums["P"] += dP
+    sums["Q"] += X0.T @ dq0
+    sums["K"] += dr.T @ q0 / scale
+    sums["Vp"] += Abar.T @ dZ0
+    sums["F1"] += Z0.T @ dH1
+    sums["F2"] += T1.T @ dcls
+    sums["g1"] += dH1.sum(axis=0)
+    sums["g2"] += dcls.sum(axis=0)
 
 
 # each kind's (forward, backward) pair over a batch's layout
@@ -424,17 +386,17 @@ def encode_document(batch: BatchLayout, params: EncoderParams) -> tuple[np.ndarr
 
 
 def encoder_backward(
-    params: EncoderParams, cache: EncoderCache, dD: np.ndarray
-) -> dict[str, np.ndarray | RowGrad]:
-    """Exact gradients of the loss w.r.t. every encoder tensor, summed over the batch.
+    params: EncoderParams, cache: EncoderCache, dD: np.ndarray, sums: dict[str, np.ndarray]
+) -> None:
+    """Add the exact gradient of the loss w.r.t. every encoder tensor, summed over the batch, into `sums`.
 
-    dD holds the loss gradient for each column of D. The E gradient comes
-    back row-sparse: one block per document, of a row per distinct token id
-    of that document. Every other gradient is dense.
+    dD holds the loss gradient for each column of D. `sums` maps each
+    tensor's name to an array of its shape; E's gradient reaches only the
+    rows of the batch's distinct token ids.
     """
     k = len(cache.layout)
     if dD.ndim != 2 or dD.shape[1] != k:
         raise CacheMismatch(f"dD shape {dD.shape} does not match {k} cached sentences")
     if cache.kind != params.kind:
         raise CacheMismatch("cache kind does not match params kind")
-    return _PASSES[params.kind][1](params, cache, dD)
+    _PASSES[params.kind][1](params, cache, dD, sums)

@@ -18,7 +18,9 @@ documents' columns side by side, each document's softmax a segment of
 columns, reduced by np.maximum.reduceat and np.add.reduceat from its first
 column, whatever the number of documents. Since w_i is linear, w_i . l_i
 is the alpha-weighted sum of w_i . d_j, so each logit is a segment sum too
-and no l_i is built. The cache keeps what `head_backward` reads.
+and no l_i is built. The cache keeps what `head_backward` reads, which
+adds each gradient into the caller's arrays of the tensors' shapes, S's
+only when they hold S, so the ablation's frozen S is never stepped.
 """
 
 from __future__ import annotations
@@ -124,13 +126,15 @@ def head_forward(D: np.ndarray, params: HeadParams, bounds: Sequence[int] | None
 
 
 def head_backward(
-    params: HeadParams, cache: HeadCache, targets: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact BCE gradients w.r.t. S, W, b, summed over the batch, plus dD for the encoder.
+    params: HeadParams, cache: HeadCache, targets: np.ndarray, sums: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Add the exact BCE gradients w.r.t. S, W, b, summed over the batch, into `sums`; return dD.
 
     Chains through the sigmoid (dlogit_i = (score_i - y_i)/c), the
     per-label linear maps, the convex pooling, each document's softmax
-    Jacobian and the tanh. targets is (n, c), one row per document.
+    Jacobian and the tanh. targets is (n, c), one row per document. `sums`
+    maps each tensor's name to an array of its shape; a `sums` without "S"
+    (the frozen S of the uniform ablation) gets no S gradient.
     """
     c = params.S.shape[0]
     if targets.shape != cache.scores.shape or targets.shape[-1] != c:
@@ -151,8 +155,11 @@ def head_backward(
     slope = np.square(cache.zt)
     dpre *= np.subtract(1.0, slope, out=slope)
     del slope
-    grads = {"S": dpre @ cache.D.T, "W": dY @ cache.D.T, "b": dlogits.sum(axis=0)}
+    if "S" in sums:
+        sums["S"] += dpre @ cache.D.T
+    sums["W"] += dY @ cache.D.T
+    sums["b"] += dlogits.sum(axis=0)
     dD = params.S.T @ dpre
     del dpre
     dD += params.W.T @ dY
-    return grads, dD
+    return dD

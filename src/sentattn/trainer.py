@@ -10,7 +10,8 @@ Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
 training and validation pass over it reads. Each mini-batch runs as one
 forward and one backward pass over its documents' concatenated sentence
-columns (BatchLayout), whose gradients come back summed over the batch.
+columns (BatchLayout), whose gradients the backward passes add straight
+into the optimizer's per-tensor sums.
 Validation, evaluate and predict run the same pass, in batches of
 TrainConfig.batch_size's default.
 
@@ -52,7 +53,6 @@ from .encoder import (
     DocLayout,
     EncoderParams,
     ModelDims,
-    RowGrad,
     encode_document,
     encoder_backward,
     init_encoder,
@@ -147,14 +147,13 @@ class PreparedDoc:
 class Adam:
     """Mini-batch adaptive moment estimation with bias correction, one dense step per tensor.
 
-    `add` sums a batch's gradients into buffers allocated once per run,
-    scatter-adding a row-sparse gradient (RowGrad, the embedding table E's)
-    into its rows, one document's block at a time. Gradients of tensors it
-    does not hold, such as the frozen S of a uniform-attention run, are
-    dropped. `step` scales each sum to the batch mean, applies the textbook
-    update to the whole tensor one in-place operation at a time, and clears
-    the sums to +0.0. A row that has had no gradient yet has m = v = +0.0,
-    which the update leaves unchanged bit for bit.
+    `grad` holds one sum per tensor, allocated once per run, into which the
+    backward passes add a batch's gradients; a tensor it does not hold, such
+    as the frozen S of a uniform-attention run, has no sum and gets none.
+    `step` scales each sum to the batch mean, applies the textbook update to
+    the whole tensor one in-place operation at a time, and clears the sums
+    to +0.0. A row that has had no gradient yet has m = v = +0.0, which the
+    update leaves unchanged bit for bit.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float):
@@ -167,16 +166,6 @@ class Adam:
         self.grad = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.m = {name: np.zeros_like(p) for name, p in tensors.items()}
         self.v = {name: np.zeros_like(p) for name, p in tensors.items()}
-
-    def add(self, grads: dict[str, np.ndarray | RowGrad]) -> None:
-        """Add gradients to the batch sums."""
-        for name, g in grads.items():
-            if name not in self.grad:
-                continue
-            if isinstance(g, RowGrad):
-                g.add_to(self.grad[name])
-            else:
-                self.grad[name] += g
 
     def step(self, n_docs: int) -> None:
         """One update with the mean of the `n_docs` documents' gradients added since the last."""
@@ -275,10 +264,9 @@ def _step(enc_params, head_params, optimizer: Adam, batch: BatchLayout, targets:
     """
     cache, enc_cache = _forward(enc_params, head_params, batch)
     loss = bce_loss(cache.logits, targets)
-    head_grads, dD = head_backward(head_params, cache, targets)
+    dD = head_backward(head_params, cache, targets, optimizer.grad)
     del cache
-    optimizer.add(encoder_backward(enc_params, enc_cache, dD))
-    optimizer.add(head_grads)
+    encoder_backward(enc_params, enc_cache, dD, optimizer.grad)
     return loss
 
 
@@ -509,12 +497,9 @@ def grad_check(
     for tensor in tensors.values():
         tensor *= 10.0
     cache, enc_cache = _forward(enc_params, head_params, batch)
-    head_grads, dD = head_backward(head_params, cache, targets)
-    analytic = {**encoder_backward(enc_params, enc_cache, dD), **head_grads}
-    for name, g in analytic.items():
-        if isinstance(g, RowGrad):  # scatter the row-sparse E gradient into a dense table
-            analytic[name] = np.zeros_like(tensors[name])
-            g.add_to(analytic[name])
+    analytic = {name: np.zeros_like(tensor) for name, tensor in tensors.items()}
+    dD = head_backward(head_params, cache, targets, analytic)
+    encoder_backward(enc_params, enc_cache, dD, analytic)
 
     def loss() -> float:
         c, _ = _forward(enc_params, head_params, batch)

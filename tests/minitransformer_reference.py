@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sentattn.encoder import MiniTransformerParams, RowGrad
+from sentattn.encoder import MiniTransformerParams
 
 
 @dataclass
@@ -79,10 +79,8 @@ def _minitransformer_backward(params, cache, dcls, grads):
 
 
 def encoder_backward(params: MiniTransformerParams, caches: list[MiniTransformerCache], dD: np.ndarray):
-    """Gradients of every minitransformer tensor; E comes back as a RowGrad."""
-    grads = {name: np.zeros_like(t) for name, t in params.named_tensors() if name != "E"}
-    token_rows = [_minitransformer_backward(params, c, dD[:, j], grads) for j, c in enumerate(caches)]
-    distinct, slot = np.unique(np.concatenate([c.ids for c in caches]), return_inverse=True)
-    rows = np.zeros((len(distinct), params.E.shape[1]), dtype=params.E.dtype)
-    np.add.at(rows, slot, np.concatenate(token_rows))
-    return {"E": RowGrad(ids=distinct, rows=rows), **grads}
+    """Dense gradients of every minitransformer tensor."""
+    grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+    for j, c in enumerate(caches):
+        np.add.at(grads["E"], c.ids, _minitransformer_backward(params, c, dD[:, j], grads))
+    return grads

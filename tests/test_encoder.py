@@ -20,7 +20,6 @@ from sentattn.encoder import (
     DocLayout,
     MeanPoolParams,
     ModelDims,
-    RowGrad,
     ShapeMismatch,
     encode_document,
     encoder_backward,
@@ -58,12 +57,15 @@ def sentence_cls(ids, params):
     return D[:, 0]
 
 
-def dense(grad: RowGrad | np.ndarray, like: np.ndarray) -> np.ndarray:
-    if isinstance(grad, np.ndarray):
-        return grad
-    table = np.zeros_like(like)
-    grad.add_to(table)
-    return table
+def zero_sums(params) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(tensor) for name, tensor in params.named_tensors()}
+
+
+def backward_sums(params, cache, dD) -> dict[str, np.ndarray]:
+    """The batch's gradients, added by encoder_backward into zero arrays of each tensor's shape."""
+    sums = zero_sums(params)
+    encoder_backward(params, cache, dD, sums)
+    return sums
 
 
 def arrays(saved):
@@ -101,7 +103,7 @@ class TestMeanPool:
     def test_scalar_backward_oracle(self):
         params = scalar_meanpool()
         _, cache = encode_document(batch_of([seq(1, 4, 5, 2)]), params)
-        grads = encoder_backward(params, cache, np.ones((1, 1)))
+        grads = backward_sums(params, cache, np.ones((1, 1)))
         assert math.isclose(grads["M"][0, 0], DM_SCALAR, rel_tol=1e-12)
 
     def test_cls_stays_inside_tanh_range(self):
@@ -213,20 +215,18 @@ class TestBackward:
         for kind in (MINITRANSFORMER, MEANPOOL):
             params = init_encoder(kind, dims, np.random.default_rng(4))
             _, cache = encode_document(batch_of([seq(1, 5, 2), seq(1, 6, 2)]), params)
-            grads = encoder_backward(params, cache, np.zeros((4, 2)))
-            assert grads["E"].ids.tolist() == [1, 2, 5, 6]
+            grads = backward_sums(params, cache, np.zeros((4, 2)))
             for name, g in grads.items():
-                g = g.rows if isinstance(g, RowGrad) else g
                 assert not g.any(), (kind, name)
 
     def test_untouched_embedding_rows_stay_zero(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
         _, cache = encode_document(batch_of([seq(1, 5, 2)]), params)
-        grads = encoder_backward(params, cache, np.ones((4, 1)))
+        grads = backward_sums(params, cache, np.ones((4, 1)))
         touched = {1, 5, 2}
-        assert grads["E"].ids.tolist() == sorted(touched)
-        dE = dense(grads["E"], params.E)
+        dE = grads["E"]
+        assert np.flatnonzero(dE.any(axis=1)).tolist() == sorted(touched)
         for row in range(params.E.shape[0]):
             if row not in touched:
                 assert not dE[row].any()
@@ -238,7 +238,7 @@ class TestBackward:
         params = init_encoder(MEANPOOL, dims, np.random.default_rng(4))
         _, cache = encode_document(batch_of([seq(1, 5, 2)]), params)
         with pytest.raises(CacheMismatch):
-            encoder_backward(params, cache, np.ones((4, 3)))
+            encoder_backward(params, cache, np.ones((4, 3)), zero_sums(params))
 
     def test_cache_of_the_other_kind(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
@@ -247,33 +247,44 @@ class TestBackward:
         transformer = init_encoder(MINITRANSFORMER, dims, rng)
         _, cache = encode_document(batch_of([seq(1, 5, 2)]), transformer)
         with pytest.raises(CacheMismatch):
-            encoder_backward(meanpool, cache, np.ones((4, 1)))
+            encoder_backward(meanpool, cache, np.ones((4, 1)), zero_sums(meanpool))
 
     def test_backward_covers_every_tensor_with_its_shape(self):
         dims = ModelDims(h=4, c=2, v_buckets=8, t_max=6, f=4)
         for kind in (MEANPOOL, MINITRANSFORMER):
             params = init_encoder(kind, dims, np.random.default_rng(4))
             _, cache = encode_document(batch_of([seq(1, 5, 2), seq(1, 6, 7, 2)]), params)
-            grads = encoder_backward(params, cache, np.ones((4, 2), dtype=np.float32))
-            assert list(grads) == [name for name, _ in params.named_tensors()], kind
-            assert isinstance(grads["E"], RowGrad)
+            sums = {name: np.ones_like(tensor) for name, tensor in params.named_tensors()}
+            buffers = dict(sums)
+            assert encoder_backward(params, cache, np.ones((4, 2), dtype=np.float32), sums) is None
             for name, tensor in params.named_tensors():
-                g = dense(grads[name], tensor) if name == "E" else grads[name]
+                g = sums[name]
+                assert g is buffers[name], (kind, name)  # added in place
                 assert g.shape == tensor.shape and g.dtype == tensor.dtype, (kind, name)
+                assert (g != 1).any(), (kind, name)  # every tensor's sum was added to
 
 
-class TestRowGrad:
-    def test_add_to_accumulates(self):
-        table = np.ones((5, 2))
-        RowGrad(ids=np.array([1, 3]), rows=np.array([[1.0, 2.0], [3.0, 4.0]])).add_to(table)
-        assert table.tolist() == [[1, 1], [2, 3], [1, 1], [4, 5], [1, 1]]
+class TestBatchSums:
+    """A batch adds into the sums what its documents, each a batch alone, add together."""
 
-    def test_blocks_that_share_a_row_both_reach_it(self):
-        # two documents of a batch both read row 3: one fancy += would keep only one share
-        table = np.zeros((5, 1))
-        RowGrad(ids=np.array([1, 3, 0, 3, 4]), rows=np.array([[1.0], [2.0], [4.0], [8.0], [16.0]]),
-                ends=[2, 5]).add_to(table)
-        assert table.ravel().tolist() == [4, 1, 0, 10, 16]
+    @pytest.mark.parametrize("kind", [MEANPOOL, MINITRANSFORMER])
+    def test_documents_that_share_rows_both_reach_them(self, kind):
+        # CLS and SEP are rows of both documents, as are the ids they share;
+        # one fancy += over both documents' ids would keep only one share
+        params = normal_params(kind, ModelDims(h=3, c=2, v_buckets=6, t_max=6, f=2), seed=3)
+        documents = [[seq(1, 4, 5, 2), seq(1, 6, 7, 8, 2), seq(1, 4, 2)], [seq(1, 5, 9, 2), seq(1, 4, 4, 7, 2)]]
+        dD = np.random.default_rng(3).normal(size=(3, 5))
+        _, cache = encode_document(batch_of(*documents), params)
+        batch = backward_sums(params, cache, dD)
+        alone = []
+        for document, cols in zip(documents, (slice(0, 3), slice(3, 5))):
+            _, cache = encode_document(batch_of(document), params)
+            alone.append(backward_sums(params, cache, dD[:, cols]))
+        shared = np.flatnonzero(alone[0]["E"].any(axis=1) & alone[1]["E"].any(axis=1))
+        assert set(shared.tolist()) >= {1, 2, 4, 5, 7}
+        for name, tensor in params.named_tensors():
+            np.testing.assert_allclose(batch[name], alone[0][name] + alone[1][name], rtol=0, atol=1e-12,
+                                       err_msg=name)
 
 
 @st.composite
@@ -357,15 +368,14 @@ def assert_matches_reference(params, batch, dD, tol):
     D_ref, caches_ref = reference.encode_document(sentences, params)
     assert np.isfinite(D).all()
     np.testing.assert_allclose(D, D_ref, rtol=0, atol=tol)
-    grads = encoder_backward(params, cache, dD)
+    grads = backward_sums(params, cache, dD)
     expected = reference.encoder_backward(params, caches_ref, dD)
-    assert list(grads) == [name for name, _ in params.named_tensors()]
     assert sorted(expected) == sorted(grads)
-    # one block per document: its sorted distinct ids
-    blocks = [sorted(set(np.concatenate(document).tolist())) for document in batch]
-    assert grads["E"].ids.tolist() == [i for block in blocks for i in block]
+    # no row outside the batch's ids is added to
+    read = np.unique(np.concatenate(sentences))
+    assert not np.delete(grads["E"], read, axis=0).any()
     for name, tensor in params.named_tensors():
-        got, want = dense(grads[name], tensor), dense(expected[name], tensor)
+        got, want = grads[name], expected[name]
         assert np.isfinite(got).all(), name
         np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
 

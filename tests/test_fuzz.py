@@ -81,8 +81,10 @@ def load_checkpoint_bytes(data: bytes):
     assert ckpt.version == VERSION
 
 
+# No deadline: one example stalled by a busy machine (273 and 574 ms were seen,
+# on inputs that rerun in 0.2 ms) fails a 200 ms deadline as Flaky.
 class TestLoadCorpus:
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=2000))
     @example(b"[" * 100_000 + b"\n")
     @example(b'{"id": "p", "n": ' + b"1" * 5000 + b"}\n")
@@ -91,20 +93,20 @@ class TestLoadCorpus:
     def test_random_bytes(self, data):
         load_corpus_bytes(data)
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(flips, st.integers(0, len(VALID_CORPUS)))
     def test_flipped_and_truncated_valid_file(self, flips, keep):
         load_corpus_bytes(flip(VALID_CORPUS, flips)[:keep])
 
 
 class TestLoadCheckpoint:
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.binary(max_size=600),
                      st.binary(max_size=600).map(lambda b: MAGIC + struct.pack("<I", VERSION) + b)))
     def test_random_bytes(self, data):
         load_checkpoint_bytes(data)
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(flips, st.booleans(), st.integers(0, len(VALID_CHECKPOINT)))
     @example([(FIRST_CODE, 0xFF)], True, len(VALID_CHECKPOINT))  # first code not UTF-8
     @example([(FIRST_CODE + 6 + i, ord(a) ^ ord(g)) for i, (a, g) in enumerate(zip("A01B", "G06N"))],

@@ -39,12 +39,19 @@ def batch_loss(D, params, targets, bounds):
     return bce_loss(head_forward(D, params, bounds).logits, targets)
 
 
+def backward(params, cache, targets, frozen=()):
+    """head_backward's sums, added into zero arrays of S, W and b's shapes but the frozen ones, and dD."""
+    sums = {name: np.zeros_like(t) for name, t in params.named_tensors() if name not in frozen}
+    dD = head_backward(params, cache, targets, sums)
+    return sums, dD
+
+
 def assert_gradients_match_finite_differences(D, params, targets, eps=1e-5, bounds=None):
     """Every head_backward gradient (S, W, b and dD) against central differences.
 
     targets holds one row per document; bounds the documents' column offsets.
     """
-    grads, dD = head_backward(params, head_forward(D, params, bounds), targets)
+    grads, dD = backward(params, head_forward(D, params, bounds), targets)
     analytic = {**grads, "D": dD}
     tensors = {"S": params.S, "W": params.W, "b": params.b, "D": D}
     for name, tensor in tensors.items():
@@ -204,7 +211,7 @@ class TestHeadBackward:
         params = HeadParams(S=rng.normal(size=(2, 4)), W=np.zeros((2, 4)), b=np.array([0.3, -0.7]))
         cache = head_forward(D, params)
         targets = np.array([[1, 0]])
-        grads, _ = head_backward(params, cache, targets)
+        grads, _ = backward(params, cache, targets)
         expected = (1.0 / (1.0 + np.exp(-params.b)) - targets[0]) / 2
         np.testing.assert_allclose(grads["b"], expected, rtol=1e-12)
 
@@ -212,21 +219,37 @@ class TestHeadBackward:
         D = np.ones((2, 2))
         params = HeadParams(S=np.zeros((2, 2)), W=np.array([[50.0, 50.0], [-50.0, -50.0]]), b=np.zeros(2))
         cache = head_forward(D, params)
-        grads, dD = head_backward(params, cache, np.array([[1, 0]]))
+        grads, dD = backward(params, cache, np.array([[1, 0]]))
         for g in (*grads.values(), dD):
             assert np.max(np.abs(g)) < 1e-12
 
     def test_targets_of_another_label_count_are_refused(self):
         D, params = random_instance(np.random.default_rng(13), h=3, k=4, c=2)
         with pytest.raises(CacheMismatch, match="targets"):
-            head_backward(params, head_forward(D, params), np.array([[1, 0, 1]]))
+            backward(params, head_forward(D, params), np.array([[1, 0, 1]]))
 
     def test_inconsistent_cache_is_refused(self):
         D, params = random_instance(np.random.default_rng(14), h=3, k=4, c=2)
         cache = head_forward(D, params)
         cache.D = D[:, :3]  # one sentence fewer than alpha has columns
         with pytest.raises(CacheMismatch, match="internally inconsistent"):
-            head_backward(params, cache, np.array([[1, 0]]))
+            backward(params, cache, np.array([[1, 0]]))
+
+    def test_frozen_s_gets_no_gradient_and_changes_nothing_else(self):
+        # the uniform ablation's optimizer holds no S: its sums get the same
+        # W and b gradients, and the encoder the same dD, bit for bit
+        rng = np.random.default_rng(15)
+        D, params = random_instance(rng, h=3, k=5, c=2)
+        bounds = np.array([0, 2, 5])
+        targets = np.array([[1, 0], [0, 1]])
+        cache = head_forward(D, params, bounds)
+        learned, dD = backward(params, cache, targets)
+        frozen, dD_frozen = backward(params, cache, targets, frozen=("S",))
+        assert learned["S"].any()
+        assert set(frozen) == {"W", "b"}
+        assert dD_frozen.tobytes() == dD.tobytes()
+        for name in ("W", "b"):
+            assert frozen[name].tobytes() == learned[name].tobytes(), name
 
     def test_seed11_finite_difference_check(self):
         rng = np.random.default_rng(11)

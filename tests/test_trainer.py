@@ -37,7 +37,6 @@ from sentattn.encoder import (
     MEANPOOL,
     MINITRANSFORMER,
     ModelDims,
-    RowGrad,
     encode_document,
     encoder_backward,
     init_encoder,
@@ -151,9 +150,8 @@ class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         p = np.array([1.0], dtype=np.float32)
         opt = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        # a gradient of a tensor the optimizer does not hold (a frozen S) is dropped
-        opt.add({"p": np.array([4.0], dtype=np.float32), "S": np.array([1.0], dtype=np.float32)})
         assert set(opt.grad) == {"p"}
+        opt.grad["p"] += np.array([4.0], dtype=np.float32)
         opt.step(1)
         # bias-corrected m_hat/sqrt(v_hat) == g/|g| on step 1
         assert p[0] == pytest.approx(0.9, abs=1e-6)
@@ -162,7 +160,7 @@ class TestAdam:
         p = np.array([3.0], dtype=np.float64)
         opt = Adam({"p": p}, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
         for _ in range(400):
-            opt.add({"p": 2 * p.copy()})
+            opt.grad["p"] += 2 * p
             opt.step(1)
         assert abs(p[0]) < 1e-2
 
@@ -180,7 +178,8 @@ class TestAdam:
         for t in range(1, 6):
             grads = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
             grads["E"][::3] = 0.0  # rows a batch did not touch
-            opt.add(grads)
+            for n, g in grads.items():
+                opt.grad[n] += g
             opt.step(1)
             for n, g in grads.items():
                 m[n] = beta1 * m[n] + (1.0 - beta1) * g
@@ -228,7 +227,8 @@ class TestAdam:
             grads = {n: np.zeros_like(p) for n, p in params.items()}
             grads["E"][ids] = rng.normal(size=(len(ids), width)).astype(np.float32)
             grads["q"][:] = rng.normal(size=width).astype(np.float32)
-            opt.add({"E": RowGrad(ids=ids, rows=grads["E"][ids]), "q": grads["q"]})
+            opt.grad["E"][ids] += grads["E"][ids]  # as a backward pass adds a document's rows
+            opt.grad["q"] += grads["q"]
             opt.step(1)
             for n, g in grads.items():
                 expected[n] = self.textbook(*expected[n], g, t, lr, beta1, beta2, eps)
@@ -240,18 +240,26 @@ class TestAdam:
 
 
 def _document_grads(seed: int, dims: ModelDims, n_docs: int):
-    """Encoder and head-like gradients of a few random meanpool documents (float32)."""
+    """Adders of the encoder and head-like gradients of a few random meanpool documents (float32).
+
+    Each adder adds one document's gradients into the sums it is given.
+    """
     rng = np.random.default_rng(seed)
     params = init_encoder(MEANPOOL, dims, rng)
+
+    def adder(cache, dD, db):
+        def add(sums):
+            encoder_backward(params, cache, dD, sums)
+            sums["b"] += db
+        return add
+
     docs = []
     for _ in range(n_docs):
         lens = rng.integers(3, dims.t_max + 1, size=int(rng.integers(1, 5)))
         sentences = [rng.integers(4, 12, size=m) for m in lens]  # ids shared across documents
         D, cache = encode_document(batch_of(sentences), params)
         dD = rng.normal(size=D.shape).astype(np.float32)
-        grads = encoder_backward(params, cache, dD)
-        grads["b"] = rng.normal(size=3).astype(np.float32)
-        docs.append(grads)
+        docs.append(adder(cache, dD, rng.normal(size=3).astype(np.float32)))
     tensors = dict(params.named_tensors(), b=np.zeros(3, dtype=np.float32))
     return tensors, docs
 
@@ -260,15 +268,18 @@ class TestAdamBatch:
     DIMS = ModelDims(h=5, c=3, v_buckets=60, t_max=7, f=2)
     LR, BETA1, BETA2, EPS = 1e-2, 0.9, 0.999, 1e-8
 
+    @staticmethod
+    def alone(tensors, add):
+        """One document's gradients, added into full-size zeros."""
+        grads = {n: np.zeros_like(p) for n, p in tensors.items()}
+        add(grads)
+        return grads
+
     def dense_sum(self, tensors, docs):
-        """The per-batch sum as it was built before: full-size zeros plus each dense gradient."""
+        """The per-batch sum built densely: full-size zeros plus each document's own full-size gradient."""
         totals = {n: np.zeros_like(p) for n, p in tensors.items()}
-        for grads in docs:
-            for n, g in grads.items():
-                if isinstance(g, RowGrad):
-                    full = np.zeros_like(tensors[n])
-                    g.add_to(full)
-                    g = full
+        for add in docs:
+            for n, g in self.alone(tensors, add).items():
                 totals[n] += g
         return totals
 
@@ -278,13 +289,13 @@ class TestAdamBatch:
     def test_scatter_add_equals_dense_sum_bit_for_bit(self):
         tensors, docs = _document_grads(5, self.DIMS, n_docs=4)
         opt = self.adam(tensors)
-        for grads in docs:
-            opt.add(grads)
+        for add in docs:
+            add(opt.grad)
         expected = self.dense_sum(tensors, docs)
         for n in tensors:
             assert opt.grad[n].tobytes() == expected[n].tobytes(), n
-        used = np.unique(np.concatenate([g["E"].ids for g in docs]))
-        untouched = np.setdiff1d(np.arange(tensors["E"].shape[0]), used)
+        used = np.any([self.alone(tensors, add)["E"].any(axis=1) for add in docs], axis=0)
+        untouched = np.flatnonzero(~used)
         assert len(untouched) > 0
         assert not opt.grad["E"][untouched].any()
         assert not np.signbit(opt.grad["E"][untouched]).any()  # +0.0, never -0.0
@@ -297,8 +308,8 @@ class TestAdamBatch:
         buffers = dict(opt.grad)
         expected = {n: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for n, p in tensors.items()}
         for t, batch in enumerate((docs[:3], docs[3:]), start=1):
-            for grads in batch:
-                opt.add(grads)
+            for add in batch:
+                add(opt.grad)
             mean = self.dense_sum(tensors, batch)
             for n in mean:
                 mean[n] *= 1.0 / len(batch)
@@ -313,8 +324,8 @@ class TestAdamBatch:
     def test_step_finds_the_live_rows_without_a_set_operation(self, monkeypatch):
         tensors, docs = _document_grads(7, self.DIMS, n_docs=3)
         opt = self.adam(tensors)
-        for grads in docs:
-            opt.add(grads)
+        for add in docs:
+            add(opt.grad)
         calls = []
         for name in ("unique", "concatenate", "union1d"):
             func = getattr(np, name)
@@ -336,7 +347,7 @@ class TestAdamBatch:
         dD = rng.normal(size=D.shape).astype(np.float32)
         tracemalloc.start()
         try:
-            opt.add(encoder_backward(params, cache, dD))
+            encoder_backward(params, cache, dD, opt.grad)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1052,8 +1063,8 @@ class TestGradCheck:
         # dX0, so a zero Q there is exactly the backward without that term
         forward, backward = encoder._PASSES[MINITRANSFORMER]
 
-        def without_query_term(params, cache, dD):
-            return backward(dataclasses.replace(params, Q=np.zeros_like(params.Q)), cache, dD)
+        def without_query_term(params, cache, dD, sums):
+            backward(dataclasses.replace(params, Q=np.zeros_like(params.Q)), cache, dD, sums)
 
         monkeypatch.setitem(encoder._PASSES, MINITRANSFORMER, (forward, without_query_term))
         dims = ModelDims(h=8, c=3, v_buckets=8, t_max=6, f=6)
@@ -1064,10 +1075,9 @@ class TestGradCheck:
     def test_a_nan_gradient_is_the_worst_error_and_named(self, monkeypatch, rows, named):
         forward, backward = encoder._PASSES[MEANPOOL]
 
-        def nan_query_gradient(params, cache, dD):
-            grads = backward(params, cache, dD)
-            grads["q"][rows] = np.nan
-            return grads
+        def nan_query_gradient(params, cache, dD, sums):
+            backward(params, cache, dD, sums)
+            sums["q"][rows] = np.nan
 
         monkeypatch.setitem(encoder._PASSES, MEANPOOL, (forward, nan_query_gradient))
         report = grad_check(kind=MEANPOOL, seed=0)
