@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time preprocessing per document, from record text to encoder layout, at three document shapes.
+"""Time preprocessing per document, from record text to encoder layout, at four document shapes.
 
 Each shape is a seeded synthetic corpus built like a benchmark workload's
 documents. Per document it times four calls, in microseconds:
@@ -20,7 +20,8 @@ or words differ from those of the shapes before it. It is reported apart,
 under "cold"; its prepare_us follows a token_ids call over the same
 document, so only its tokenize_us is cold throughout. The warm rounds 1..N
 are the stages' own entries. Prints one JSON object (median and quartiles
-over documents and rounds), and writes it to --out when given.
+over documents and rounds); --out writes it under the key --side ("before"
+or "after") of that file, keeping the other key.
 
 A committed `before` and `after` come from separate processes, run one
 after the other, and on a shared VM such a pair cannot resolve a
@@ -38,8 +39,11 @@ both interleaved in one process, importing each from its own checkout.
   a 6-word title and 8 abstract sentences of 8-15 words drawn Zipf(1.1)
   over 30,000 word types, at the default dims. Its round 0 meets far more
   new words per document than the other shapes' do.
+* marks: the description shape with every sentence ending in "!" or "?"
+  instead of ".", so past the title, which `document_text` ends with ".",
+  the scanner runs the full boundary pattern.
 
-Usage: python scripts/prepare_bench.py [--repeats N] [--docs N] [--tiny] [--out PATH]
+Usage: python scripts/prepare_bench.py [--repeats N] [--docs N] [--tiny] [--out PATH] [--side before|after]
 """
 
 import argparse
@@ -70,36 +74,41 @@ VOCAB = (
 )
 
 # name -> (t_max, v_buckets, k_max, abstract sentences, description sentences, words per sentence,
-#          title words, Zipf word types or None for VOCAB)
+#          title words, Zipf word types or None for VOCAB, sentence terminators)
 SHAPES = {
-    "abstract": (64, 32768, 128, 32, 0, (4, 8), 4, None),
-    "description": (32, 4096, 128, 12, 150, (6, 13), 4, None),
-    "zipf": (64, 32768, 128, 8, 0, (8, 15), 6, 30_000),
+    "abstract": (64, 32768, 128, 32, 0, (4, 8), 4, None, "."),
+    "description": (32, 4096, 128, 12, 150, (6, 13), 4, None, "."),
+    "zipf": (64, 32768, 128, 8, 0, (8, 15), 6, 30_000, "."),
+    "marks": (32, 4096, 128, 12, 150, (6, 13), 4, None, "!?"),
 }
 TINY = {
-    "abstract": (16, 64, 8, 4, 0, (2, 4), 4, None),
-    "description": (8, 64, 8, 2, 10, (3, 6), 4, None),
-    "zipf": (16, 64, 8, 2, 0, (3, 6), 6, 300),
+    "abstract": (16, 64, 8, 4, 0, (2, 4), 4, None, "."),
+    "description": (8, 64, 8, 2, 10, (3, 6), 4, None, "."),
+    "zipf": (16, 64, 8, 2, 0, (3, 6), 6, 300, "."),
+    "marks": (8, 64, 8, 2, 10, (3, 6), 4, None, "!?"),
 }
 
 
-def _sentence(rng: np.random.Generator, words: tuple[int, int], n_types: int | None) -> str:
+def _sentence(rng: np.random.Generator, words: tuple[int, int], n_types: int | None, marks: str) -> str:
     n_words = int(rng.integers(words[0], words[1] + 1))
     if n_types is None:
         picked = [str(w) for w in rng.choice(VOCAB, size=n_words)]
     else:
         picked = [f"w{r}" for r in (rng.zipf(1.1, size=n_words) - 1) % n_types]
-    return " ".join([picked[0].capitalize(), *picked[1:]]) + "."
+    # one terminator draws nothing, so the "." shapes' words are the same as without marks
+    mark = marks if len(marks) == 1 else str(rng.choice(list(marks)))
+    return " ".join([picked[0].capitalize(), *picked[1:]]) + mark
 
 
 def make_records(n_docs: int, n_abstract: int, n_description: int, words: tuple[int, int],
-                 title_words: int, n_types: int | None, rng: np.random.Generator) -> list[PatentRecord]:
+                 title_words: int, n_types: int | None, marks: str,
+                 rng: np.random.Generator) -> list[PatentRecord]:
     return [
         PatentRecord(
             id=f"doc{i}",
-            title=_sentence(rng, (title_words, title_words), n_types)[:-1],
-            abstract=" ".join(_sentence(rng, words, n_types) for _ in range(n_abstract)),
-            description=" ".join(_sentence(rng, words, n_types) for _ in range(n_description)),
+            title=_sentence(rng, (title_words, title_words), n_types, marks)[:-1],
+            abstract=" ".join(_sentence(rng, words, n_types, marks) for _ in range(n_abstract)),
+            description=" ".join(_sentence(rng, words, n_types, marks) for _ in range(n_description)),
             ipc_codes=["G06N"],
         )
         for i in range(n_docs)
@@ -154,15 +163,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--docs", type=int, default=20, help="documents per shape")
     parser.add_argument("--tiny", action="store_true", help="toy-size documents, for tests")
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--side", choices=("before", "after"), default="after")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.docs < 1:
         parser.error("--repeats and --docs must be >= 1")
 
     rng = np.random.default_rng(0)
     results = {}
-    for name, (t_max, v_buckets, k_max, n_abstract, n_description, words, title_words, n_types) in \
+    for name, (t_max, v_buckets, k_max, n_abstract, n_description, words, title_words, n_types, marks) in \
             (TINY if args.tiny else SHAPES).items():
-        records = make_records(args.docs, n_abstract, n_description, words, title_words, n_types, rng)
+        records = make_records(args.docs, n_abstract, n_description, words, title_words, n_types, marks, rng)
         results[name] = {
             "t_max": t_max, "v_buckets": v_buckets, "k_max": k_max,
             "use_description": bool(n_description),
@@ -175,10 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         "docs": args.docs,
         "shapes": results,
     }
-    text = json.dumps(report, indent=2)
-    print(text)
+    print(json.dumps(report, indent=2))
     if args.out:
-        args.out.write_text(text + "\n")
+        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
+        sides[args.side] = report
+        args.out.write_text(json.dumps(sides, indent=2) + "\n")
     return 0
 
 

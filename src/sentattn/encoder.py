@@ -6,8 +6,8 @@ a batch's documents stand side by side, their columns concatenated into one
 h x K matrix (K the batch's sentence count). Each document keeps its own
 DocLayout: its sorted distinct ids, and each token, in document order, as
 its cell in the distinct-id x sentence count matrix. The layout is built
-once per document, from its one token-id array and its sentence lengths,
-when the document is prepared, and reused by every pass; a BatchLayout
+once per document, by one argsort of its token-id array, when the
+document is prepared, and reused by every pass; a BatchLayout
 lines a batch's layouts up column by column. The inputs are
 x = E[id] + P[position in sentence]. Two compact trainable encoders are
 provided. MeanPool is cls = tanh(M @ mean_p(x_p) + q). MiniTransformer is
@@ -179,15 +179,15 @@ class DocLayout:
     """Where each token of one document sits; built once, read by every pass over it.
 
     Built from the document's token ids, its sentences one after another,
-    and each sentence's length, by one np.unique(ids, return_inverse=True):
-    `distinct` holds the sorted distinct ids, and each token, in document
-    order, is stored as its cell, slot * k + sentence, where slot is its
-    id's index in `distinct`. The cells index the distinct-id x sentence
-    count matrix directly, so both kinds' E gradient is one row per distinct id.
-    Indices are int32, so the layout of a tokenized document of two or more
-    sentences is no larger than its int64 id array. len() is the sentence
-    count k. `train` renumbers `distinct` into its compact embedding table,
-    in the same order, so `cell` holds.
+    and each sentence's length, by one argsort of the ids: `distinct` holds
+    the sorted distinct ids, and each token, in document order, is stored as
+    its cell, slot * k + sentence, its slot (its id's index in `distinct`)
+    being the count of distinct ids up to it in sorted order, less one. The
+    cells index the distinct-id x sentence count matrix, so both kinds' E
+    gradient is one row per distinct id. Indices are int32: from two
+    sentences on, the layout is no larger than the int64 id array. len() is
+    the sentence count k. `train` renumbers `distinct` into its compact
+    embedding table in the same order, so `cell` holds.
     """
 
     def __init__(self, ids: np.ndarray, lens: Sequence[int] | np.ndarray):
@@ -198,13 +198,17 @@ class DocLayout:
         self.shortest, self.longest = int(self.lens.min()), int(self.lens.max())
         if self.shortest < 0 or self.lens.sum() != len(ids):
             raise ShapeMismatch(f"sentence lengths do not sum to the {len(ids)} token ids")
-        distinct, slot = np.unique(ids, return_inverse=True)
+        order = ids.argsort()
+        ordered = ids[order]
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))[: len(ids)]  # no ids: cut to no flags
+        distinct = ordered[first]
         if distinct.size and not _INDEX.min <= distinct[0] <= distinct[-1] <= _INDEX.max:
             raise ShapeMismatch("token id outside embedding table")
         if len(distinct) * k > _INDEX.max:
             raise ShapeMismatch(f"{len(distinct)} distinct ids x {k} sentences overflow the cell index")
         self.distinct = distinct.astype(np.int32)
-        self.cell = (slot * k + np.repeat(np.arange(k), self.lens)).astype(np.int32)
+        self.cell = np.repeat(np.arange(-k, 0, dtype=np.int32), self.lens)  # sentence - k
+        self.cell[order] += np.add.accumulate(first, dtype=np.int32) * k  # (slot + 1) * k
 
     def __len__(self) -> int:
         return len(self.lens)

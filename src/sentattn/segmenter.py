@@ -8,15 +8,17 @@ never splits. Nor does one between two digits, such as the point of
 "3.14": the boundary pattern needs whitespace right after the terminator
 and its closing marks, so a digit there never matches.
 
-Preprocessing is linear in the text it keeps. One scanner,
-`sentence_spans`, yields each sentence's [start, end) span and reads the
-text only up to the end of the k_max-th sentence; `prepare_documents`
-slices the spans itself, and `segment` wraps them in `Sentence` objects
-for the CLI `segment` command. The abbreviation check runs only where the
-char before the terminator is the last letter of a listed abbreviation, in
-either case. Only the first sentence and the tail are trimmed: every other
-sentence starts at the uppercase letter or digit after a boundary and ends
-at its terminator or closing mark.
+One scanner, `sentence_spans`, yields each sentence's [start, end) span
+and reads the text only up to the end of the k_max-th sentence;
+`prepare_documents` slices the spans, and `segment` wraps them in
+`Sentence` objects. Every boundary before the first "!" or "?" is a ".",
+so up to there the scan looks for "." alone, whose literal first char `re`
+skips ahead to, then for the full rule. Besides the two `str.find` calls
+that locate that mark, preprocessing is linear in the text it keeps. The
+abbreviation check runs only where the char before the terminator is the
+last letter of a listed abbreviation, in either case. Only the first
+sentence and the tail are trimmed: every other sentence starts at [A-Z0-9]
+after a boundary and ends at its terminator or closing mark.
 
 Tokenization splits a lowercased sentence on whitespace into at most
 t_max - 2 words and keeps the first t_max - 2 tokens of them. A word that
@@ -67,6 +69,7 @@ _ABBREVIATION_ENDS = frozenset("".join(a[-2] + a[-2].swapcase() for a in ABBREVI
 
 # terminator, optional closing quotes/brackets, whitespace, then upper/digit
 _BOUNDARY_RE = re.compile(r'([.!?])(["\'”’)\]}]*)(\s+)(?=[A-Z0-9])')
+_POINT_RE = re.compile(_BOUNDARY_RE.pattern.replace("[.!?]", r"\.", 1))  # the rule for "." alone
 # one token: an alphanumeric run up to the word's last alphanumeric char, or
 # any other single non-space char; [^\W_] is exactly str.isalnum and \s is
 # exactly str.isspace
@@ -120,25 +123,28 @@ def sentence_spans(text: str, k_max: int) -> list[tuple[int, int]]:
     """The [start, end) spans of at most k_max sentences under the pinned rule set.
 
     Nonempty text that yields no boundary comes back as a single span;
-    whitespace-only input raises EmptyText. Stops reading at the end of the
-    k_max-th sentence.
+    whitespace-only input raises EmptyText. Its scans stop at the end of the
+    k_max-th sentence; the finds for the first "!" or "?" may read further.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
     if not text or text.isspace():
         raise EmptyText("text has no non-whitespace character")
+    # the first "!" or "?", or len(text) when neither is found: find's -1 wraps to it
+    mark = min(text.find("!") % (len(text) + 1), text.find("?") % (len(text) + 1))
     spans: list[tuple[int, int]] = []
     start = 0
-    for match in _BOUNDARY_RE.finditer(text):
-        term_pos = match.start(1)
-        # at term_pos 0 this reads text[-1], and _is_abbreviation finds no letter before the point
-        if text[term_pos - 1] in _ABBREVIATION_ENDS and _is_abbreviation(text, term_pos):
-            continue
-        # a sentence holds its terminator, and after a boundary it starts at [A-Z0-9]
-        spans.append((start, match.end(2)) if spans else _trimmed(text, start, match.end(2)))
-        if len(spans) == k_max:
-            return spans
-        start = match.end()
+    for pattern, pos, end in ((_POINT_RE, 0, mark), (_BOUNDARY_RE, mark, len(text))):
+        for match in pattern.finditer(text, pos, end):
+            term_pos = match.start(1)
+            # at term_pos 0 this reads text[-1], and _is_abbreviation finds no letter before the point
+            if text[term_pos - 1] in _ABBREVIATION_ENDS and _is_abbreviation(text, term_pos):
+                continue
+            # a sentence holds its terminator, and after a boundary it starts at [A-Z0-9]
+            spans.append((start, match.end(2)) if spans else _trimmed(text, start, match.end(2)))
+            if len(spans) == k_max:
+                return spans
+            start = match.end()
     spans.append(_trimmed(text, start, len(text)))
     return spans
 

@@ -529,11 +529,12 @@ INT64 = np.iinfo(np.int64)
 
 
 @st.composite
-def id_documents(draw):
-    """(ids, lens): one to six sentences of ids drawn from a few values, the int32 edges among them."""
+def id_documents(draw, values=6, sentences=6, longest=8):
+    """(ids, lens): 1 to `sentences` sentences of 0 to `longest` ids each, drawn from at most
+    `values` values, the int32 edges among them."""
     edges = st.sampled_from([INT32.min, INT32.min + 1, -1, 0, 1, INT32.max - 1, INT32.max])
-    pool = draw(st.lists(st.one_of(edges, st.integers(INT32.min, INT32.max)), min_size=1, max_size=6))
-    lens = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    pool = draw(st.lists(st.one_of(edges, st.integers(INT32.min, INT32.max)), min_size=1, max_size=values))
+    lens = draw(st.lists(st.integers(0, longest), min_size=1, max_size=sentences))
     ids = draw(st.lists(st.sampled_from(pool), min_size=sum(lens), max_size=sum(lens)))
     return ids, lens
 
@@ -544,6 +545,13 @@ def layout_oracle(ids: list[int], lens: list[int]) -> tuple[list[int], list[int]
     slot = {x: i for i, x in enumerate(distinct)}
     sentence = [j for j, n in enumerate(lens) for _ in range(n)]
     return distinct, [slot[x] * len(lens) + j for x, j in zip(ids, sentence)]
+
+
+def unique_layout_oracle(ids: np.ndarray, lens: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, cell) as DocLayout built them with np.unique(ids, return_inverse=True)."""
+    distinct, slot = np.unique(ids, return_inverse=True)
+    k = len(lens)
+    return distinct.astype(np.int32), (slot * k + np.repeat(np.arange(k), lens)).astype(np.int32)
 
 
 class TestDocLayout:
@@ -584,6 +592,22 @@ class TestDocLayout:
         assert layout.distinct.dtype == np.int32 and layout.cell.dtype == np.int32
         assert layout.distinct.tolist() == distinct
         assert layout.cell.tolist() == cell
+
+    # documents of up to 2,560 ids, long enough for numpy's vectorized sorts
+    @given(st.one_of(id_documents(), id_documents(values=300, sentences=40, longest=64)))
+    @settings(max_examples=200, deadline=None)
+    @example(([5, 9, 5, 5, 9, 5], [2, 4]))  # repeated ids
+    @example(([7, 1, 7], [0, 3, 0, 0]))  # zero-length sentences
+    @example(([0, INT32.max, 0, INT32.max, 3], [5]))  # ids 0 and 2**31 - 1, k = 1
+    @example(([], [0]))  # an empty id array
+    @example(([], [0, 0, 0]))
+    def test_matches_the_np_unique_oracle(self, document):
+        ids, lens = document
+        ids = np.array(ids, dtype=np.int64)
+        layout = DocLayout(ids, lens)
+        distinct, cell = unique_layout_oracle(ids, lens)
+        assert layout.distinct.dtype == distinct.dtype and layout.cell.dtype == cell.dtype
+        assert np.array_equal(layout.distinct, distinct) and np.array_equal(layout.cell, cell)
 
     @given(id_documents(), st.data())
     @settings(max_examples=100, deadline=None)

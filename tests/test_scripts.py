@@ -5,6 +5,8 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -66,11 +68,19 @@ def test_encoder_bench_times_both_kinds_at_every_shape(capsys, tmp_path):
 
 def test_prepare_bench_times_every_stage_at_every_shape(capsys, tmp_path):
     out = tmp_path / "bench.json"
-    code = load_script("prepare_bench").main(["--tiny", "--repeats", "2", "--docs", "3", "--out", str(out)])
+    out.write_text(json.dumps({"after": {"kept": True}}))
+    bench = load_script("prepare_bench")
+    code = bench.main(["--tiny", "--repeats", "2", "--docs", "3", "--out", str(out), "--side", "before"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert json.loads(out.read_text()) == report
-    assert list(report["shapes"]) == ["abstract", "description", "zipf"]
+    assert json.loads(out.read_text()) == {"after": {"kept": True}, "before": report}
+    assert list(report["shapes"]) == ["abstract", "description", "zipf", "marks"]
+    # the marks shape ends every sentence in "!" or "?", so past the title the scan runs the full
+    # boundary pattern
+    _, _, _, *shape = bench.TINY["marks"]
+    for record in bench.make_records(3, *shape, np.random.default_rng(0)):
+        body = record.abstract + record.description
+        assert "." not in body and "!" in body and "?" in body
     assert report["shapes"]["description"]["first_document"]["sentences"] == \
         report["shapes"]["description"]["k_max"]
     for shape in report["shapes"].values():

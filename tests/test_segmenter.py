@@ -169,6 +169,12 @@ class TestAgainstReference:
     @example("İfig. X", 2)
     @example("Fig.) X", 2)
     @example(" \n\t First one. Second one. \n", 5)
+    # the scan looks for "." alone up to the first "!" or "?", and for the full rule past it
+    @example("One. Two e.g. Three. Four! Five? Six", 2)
+    @example("One. Two! Three e.g. Four? Five. Six", 3)
+    @example('Is it?" Yes. Why?)] No.\' End', 4)
+    @example("First point. Second i.e. point.) Third\n", 5)
+    @example("Wow!Now. Next?No. Fig. 2? Yes", 4)
     def test_segment_spans_and_errors_match(self, text, k_max):
         assert outcome(segment, text, k_max) == outcome(reference.segment, text, k_max)
 

@@ -1109,3 +1109,29 @@ class TestPrepareDocuments:
         docs, _ = prepare_documents(records, None, k_max=5, t_max=12, v_buckets=64,
                                     require_labels=False)
         assert all(1 <= len(d.layout) <= 5 for d in docs)
+
+    # Preprocessing runs no float arithmetic, so unlike PINNED its layouts are
+    # the same bits on every BLAS kernel. Recorded before the scanner read "."
+    # boundaries alone and the layout build became one argsort; neither moved
+    # a bit. The longdoc-shaped corpus keeps 128 of each document's 189
+    # sentences, and its "!" and "?" boundaries take the full rule's scan.
+    LAYOUT_DIGEST = "ac410017132dd29395599a9b6db7d2204a2d146a8057af63b27a815dca2765e3"
+
+    def test_prepared_layouts_are_pinned(self):
+        def longdoc(record):
+            body = make_needle_corpus(n_docs=1, k=150, seed=int(record.id[5:]))[0].abstract
+            return replace(record, description=body.replace(". C", "! C").replace(". G", "? G"))
+
+        digest = hashlib.sha256()
+        for records, dims, k_max, use_description in [
+            (make_needle_corpus(n_docs=24, k=32, seed=5), ModelDims(), TrainConfig.k_max, False),
+            ([longdoc(r) for r in make_needle_corpus(n_docs=8, k=40, seed=6)],
+             ModelDims(h=32, c=8, v_buckets=4096, t_max=32, f=32), 128, True),
+        ]:
+            docs, _ = prepare_documents(records, None, k_max, dims.t_max, dims.v_buckets, use_description,
+                                        require_labels=False)
+            for doc in docs:
+                for name in ("distinct", "cell", "lens"):
+                    digest.update(getattr(doc.layout, name).astype("<i4").tobytes())
+        assert sum(len(doc.layout) for doc in docs) == 8 * 128
+        assert digest.hexdigest() == self.LAYOUT_DIGEST
