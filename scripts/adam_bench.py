@@ -25,30 +25,16 @@
 Only `Adam(tensors, lr, beta1, beta2, eps)`, `step`, `train` and the init
 functions are called, and the untimed gradients are added straight into
 the optimizer's `grad` sums, so the script times every older version of
-the package whose `Adam` has a `grad` dict. BLAS runs on one thread.
-Prints one JSON object, and with --out writes it under the key --side
-("before" or "after") of that file, keeping the other key.
-
-A committed `before` and `after` come from separate processes, run one
-after the other, and on a shared VM such a pair cannot resolve a
-difference under about 2x: the `segment_us` of prepare_bench.py, whose
-code did not change, read 61 -> 120 us between two such runs. To compare
-two versions, time both interleaved in one process, importing each from
-its own checkout.
+the package whose `Adam` has a `grad` dict.
 
 Usage: python scripts/adam_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
        python scripts/adam_bench.py [--tiny] --train-corpus PATH   (the train section alone)
 """
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # read when numpy loads BLAS, so before the import
-
-import argparse
+import _bench  # pins BLAS to one thread, so before numpy
 import hashlib
 import json
-import platform
+import os
 import subprocess
 import sys
 import tempfile
@@ -69,21 +55,6 @@ TABLE_SHARES = (0.003, 0.1, 0.3, 0.5, 0.75, 1.0)  # of E's rows
 BATCH_ROWS = 1600  # distinct E rows of about 16 documents
 CORPUS_SEED = 1  # of the train section's Zipf corpus
 CODES = [f"{'ABCDEFGH'[i % 8]}{10 + i:02d}{'ABCDEFGHJK'[i % 10]}" for i in range(50)]
-
-
-def _cpu() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _stats(seconds: list[float]) -> dict[str, float]:
-    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e3, [25, 50, 75])
-    return {"median": round(float(median), 3), "q1": round(float(q1), 3), "q3": round(float(q3), 3)}
 
 
 def _tensors(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -118,7 +89,7 @@ def time_steps(dims: ModelDims, repeats: int, rng: np.random.Generator) -> dict[
             t0 = perf_counter()
             opt.step(16)
             times.append(perf_counter() - t0)
-    return {name: {"live_rows": n_rows, "step_ms": _stats(times)}
+    return {name: {"live_rows": n_rows, "step_ms": _bench.stats(times, 1e3, 3)}
             for name, (_, _, n_rows, times) in cases.items()}
 
 
@@ -196,36 +167,18 @@ def time_train_fresh(tiny: bool, n_records: int, n_types: int, rng: np.random.Ge
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=50)
-    parser.add_argument("--tiny", action="store_true", help="toy-size tables and corpus, for tests")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--side", choices=("before", "after"), default="after")
+    parser = _bench.parser(__doc__, 50, "toy-size tables and corpus, for tests")
     parser.add_argument("--train-corpus", type=Path, help="only time one train() on this corpus")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     dims = TINY_DIMS if args.tiny else DEFAULT_DIMS
     rng = np.random.default_rng(0)  # loads numpy.random, so a train run does not count it
     if args.train_corpus:
         print(json.dumps(time_train(dims, args.train_corpus)))
         return 0
-    report = {
-        "machine": {"cpu": _cpu(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
-        "repeats": args.repeats,
-        "steps": time_steps(dims, args.repeats, rng),
-        "train": time_train_fresh(args.tiny, *((80, 300) if args.tiny else (3000, 30000)),
-                                  np.random.default_rng(CORPUS_SEED)),
-    }
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
-        sides[args.side] = report
-        args.out.write_text(json.dumps(sides, indent=2) + "\n")
+    _bench.report(args, steps=time_steps(dims, args.repeats, rng),
+                  train=time_train_fresh(args.tiny, *((80, 300) if args.tiny else (3000, 30000)),
+                                         np.random.default_rng(CORPUS_SEED)))
     return 0
 
 

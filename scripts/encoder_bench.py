@@ -11,20 +11,11 @@ its BatchLayout built inside the timed call, as `predict_records` builds
 it), and that forward followed by the head's (`document_forward_us`), which
 is what scoring one request costs once it is prepared. At the `bench` and
 `longdoc` shapes it also times one training step over a batch of 16 such
-documents: the forward passes, the BCE loss and the backward passes, which
-add the gradients into the optimizer's sums, reported per document
+documents: the forward pass, the BCE loss and the backward pass, which
+adds the gradients into the optimizer's sums, reported per document
 (`batch16_step_us`).
-Each round times every shape and kind in turn, ten calls in a row. BLAS
-runs on one thread. Prints one JSON object (times in microseconds: median
-and quartiles over about --repeats calls); --out writes it under the key
---side ("before" or "after") of that file, keeping the other key.
-
-The script also runs on the versions before the batch pass, whose
-`encode_document` took one document's DocLayout: there every document
-runs its own forward and backward passes, which return their gradients,
-and the step adds each document's gradients to the sums (`Adam.add`), as
-`train()` did. Batch-pass versions whose backward passes still returned
-their gradients are not covered.
+Each round times every shape and kind in turn, ten calls in a row. Times
+are in microseconds: median and quartiles over about --repeats calls.
 
 * bench: the train-meanpool benchmark's documents: 32 sentences of 5-13
   tokens over a 60-word vocabulary, at the default dims.
@@ -35,36 +26,19 @@ their gradients are not covered.
 * worst: 128 sentences of t_max = 64 tokens, ids uniform over the 32,768
   buckets (about 7,000 distinct ids).
 
-A committed `before` and `after` come from separate processes, run one
-after the other, and on a shared VM such a pair cannot resolve a
-difference under about 2x: the `segment_us` of prepare_bench.py, whose
-code did not change, read 61 -> 120 us between two such runs. To compare
-two versions, time both interleaved in one process, importing each from
-its own checkout.
-
 Usage: python scripts/encoder_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
 """
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # read when numpy loads BLAS, so before the import
-
-import argparse
-import json
-import platform
+import _bench  # pins BLAS to one thread, so before numpy
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from sentattn import encoder
-from sentattn.encoder import ENCODER_KINDS, DocLayout, ModelDims, encode_document, encoder_backward, init_encoder
+from sentattn.encoder import (ENCODER_KINDS, BatchLayout, DocLayout, ModelDims, encode_document,
+                              encoder_backward, init_encoder)
 from sentattn.head import bce_loss, head_backward, head_forward, init_head
 from sentattn.trainer import Adam
-
-BatchLayout = getattr(encoder, "BatchLayout", None)  # None: the per-document passes
 
 DEFAULT_DIMS = ModelDims(h=64, c=50, v_buckets=32768, t_max=64, f=128)
 LONGDOC_DIMS = ModelDims(h=32, c=8, v_buckets=4096, t_max=32, f=32)
@@ -104,52 +78,14 @@ def make_document(dims: ModelDims, k: int, lens: tuple[int, int], ids: str,
     return np.concatenate(sentences), counts
 
 
-def _cpu() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _stats(seconds: list[float]) -> dict[str, float]:
-    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e6, [25, 50, 75])
-    return {"median": round(float(median), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2)}
-
-
-def _encode(layout, params):
-    return encode_document(layout if BatchLayout is None else BatchLayout([layout]), params)
-
-
 def _document_forward(layout, params, head):
     """One document's encoder and head forward, as scoring one prepared request runs them."""
-    if BatchLayout is None:
-        return head_forward(encode_document(layout, params)[0], head)
     batch = BatchLayout([layout])
     return head_forward(encode_document(batch, params)[0], head, batch.bounds)
 
 
-def _backward(params, cache, dD, sums):
-    """The encoder's backward pass into `sums`; before the batch pass it returned the gradients instead."""
-    if BatchLayout is None:
-        return encoder_backward(params, cache, dD)
-    encoder_backward(params, cache, dD, sums)
-
-
 def _training_step(layouts, targets, params, head, optimizer) -> float:
     """Forward, BCE, backward and gradient sums over one batch of documents."""
-    if BatchLayout is None:
-        loss = 0.0
-        for layout, target in zip(layouts, targets):
-            D, cache = encode_document(layout, params)
-            head_cache = head_forward(D, head)
-            loss += bce_loss(head_cache.logits, target)
-            head_grads, dD = head_backward(head, head_cache, target)
-            optimizer.add(encoder_backward(params, cache, dD))
-            optimizer.add(head_grads)
-        return loss
     batch = BatchLayout(layouts)
     D, cache = encode_document(batch, params)
     head_cache = head_forward(D, head, batch.bounds)
@@ -194,9 +130,9 @@ def time_shapes(documents: dict[str, tuple[ModelDims, list[tuple[np.ndarray, np.
         for key, (params, head, layout, dD, sums) in cases.items():
             for _ in range(BLOCK):
                 t0 = perf_counter()
-                _, cache = _encode(layout, params)
+                _, cache = encode_document(BatchLayout([layout]), params)
                 t1 = perf_counter()
-                _backward(params, cache, dD, sums)
+                encoder_backward(params, cache, dD, sums)
                 t2 = perf_counter()
                 _document_forward(layout, params, head)
                 t3 = perf_counter()
@@ -212,26 +148,18 @@ def time_shapes(documents: dict[str, tuple[ModelDims, list[tuple[np.ndarray, np.
                     step_times[key].append((perf_counter() - t0) / len(layouts))
                 for total in optimizer.grad.values():  # the sums restart, as a step clears them
                     total[...] = 0.0
-    results = {name: {"layout_us": _stats(layout_times[name])} for name in documents}
+    results = {name: {"layout_us": _bench.stats(layout_times[name])} for name in documents}
     for (name, kind), (forward, backward, document) in times.items():
-        results[name][kind] = {"forward_us": _stats(forward), "backward_us": _stats(backward),
-                               "total_us": _stats([f + b for f, b in zip(forward, backward)]),
-                               "document_forward_us": _stats(document)}
+        results[name][kind] = {"forward_us": _bench.stats(forward), "backward_us": _bench.stats(backward),
+                               "total_us": _bench.stats([f + b for f, b in zip(forward, backward)]),
+                               "document_forward_us": _bench.stats(document)}
     for (name, kind), step in step_times.items():
-        results[name][kind]["batch16_step_us"] = _stats(step)
+        results[name][kind]["batch16_step_us"] = _bench.stats(step)
     return results
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument("--repeats", type=int, default=200)
-    parser.add_argument("--tiny", action="store_true", help="toy-size documents, for tests")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--side", choices=("before", "after"), default="after")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
+    args = _bench.parser(__doc__, 200, "toy-size documents, for tests").parse_args(argv)
     rng = np.random.default_rng(0)
     documents = {name: (dims, [make_document(dims, k, lens, ids, rng)
                                for _ in range(BATCH if name in BATCH_SHAPES else 1)])
@@ -245,18 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             "k": len(lens), "tokens": len(ids), "distinct_ids": len(np.unique(ids)), "batch": len(docs),
             **timed[name],
         }
-    report = {
-        "machine": {"cpu": _cpu(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
-        "repeats": args.repeats,
-        "shapes": results,
-    }
-    print(json.dumps(report, indent=2))
-    if args.out:
-        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
-        sides[args.side] = report
-        args.out.write_text(json.dumps(sides, indent=2) + "\n")
+    _bench.report(args, shapes=results)
     return 0
 
 

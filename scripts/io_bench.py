@@ -28,20 +28,12 @@ that allocates nothing leaves the load after it to fault in its pages.
 Only `load_corpus`, `save_checkpoint`, `load_checkpoint`, `Checkpoint`,
 `LabelVocabulary`, `ModelDims`, `init_encoder`, `init_head` and
 `write_jsonl` are called, so the script times older versions of the
-package too. Prints one JSON object, and with --out writes it under the
-key --side ("before" or "after") of that file, keeping the other key.
-
-A committed `before` and `after` come from separate processes, run one
-after the other, so they share no page cache state or CPU contention; on a
-shared VM such a pair resolves only differences well above its own spread.
+package too.
 
 Usage: python scripts/io_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
 """
 
-import argparse
-import json
-import os
-import platform
+import _bench  # pins BLAS to one thread, so before numpy
 import sys
 import tempfile
 import tracemalloc
@@ -122,16 +114,6 @@ def make_checkpoint(dims: ModelDims, kind: str) -> Checkpoint:
                       head_params=init_head(dims.c, dims.h, rng))
 
 
-def _cpu() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -163,39 +145,17 @@ def run(tiny: bool, repeats: int, directory: Path) -> dict:
                 times[name].append(perf_counter() - t0)
     report = {}
     for name, (call, path) in stages.items():
-        q1, median, q3 = np.percentile(np.asarray(times[name]) * 1e3, [25, 50, 75])
         size = path.stat().st_size
-        report[name] = {"file_bytes": size,
-                        "ms": {"median": round(float(median), 4), "q1": round(float(q1), 4),
-                               "q3": round(float(q3), 4)},
+        report[name] = {"file_bytes": size, "ms": _bench.stats(times[name], 1e3, 4),
                         "peak_x_file": round(_traced_peak(call) / size, 4)}
     return report
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument("--tiny", action="store_true", help="toy-size corpora and checkpoints, for tests")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--side", choices=("before", "after"), default="after")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
+    args = _bench.parser(__doc__, 30, "toy-size corpora and checkpoints, for tests").parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         stages = run(args.tiny, args.repeats, Path(tmp))
-    report = {
-        "machine": {"cpu": _cpu(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "repeats": args.repeats,
-        "stages": stages,
-    }
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
-        sides[args.side] = report
-        args.out.write_text(json.dumps(sides, indent=2) + "\n")
+    _bench.report(args, stages=stages)
     return 0
 
 

@@ -8,9 +8,8 @@ documents. Per document it times four calls, in microseconds:
 * tokenize_us: one `token_ids` call per document, over all of those
   sentences, as `prepare_documents` makes it;
 * layout_us: the `DocLayout` build alone, from that `token_ids` output;
-* prepare_us: `prepare_documents` of the one record, then reading its
-  `layout`: the whole path from text to the layout that every encoder pass
-  reads.
+* prepare_us: `prepare_documents` of the one record: the whole path from
+  text to the layout that every encoder pass reads.
 
 Only `segment`, `token_ids`, `DocLayout`, `prepare_documents` and
 `document_text` are called, so the script times any version of the package
@@ -19,15 +18,8 @@ Round 0 meets the shape's words with a cold token memo: each shape's dims
 or words differ from those of the shapes before it. It is reported apart,
 under "cold"; its prepare_us follows a token_ids call over the same
 document, so only its tokenize_us is cold throughout. The warm rounds 1..N
-are the stages' own entries. Prints one JSON object (median and quartiles
-over documents and rounds); --out writes it under the key --side ("before"
-or "after") of that file, keeping the other key.
-
-A committed `before` and `after` come from separate processes, run one
-after the other, and on a shared VM such a pair cannot resolve a
-difference under about 2x: `segment_us`, whose code did not change,
-read 61 -> 120 us between two such runs. To compare two versions, time
-both interleaved in one process, importing each from its own checkout.
+are the stages' own entries. Times are medians and quartiles over
+documents and rounds.
 
 * abstract: the train-meanpool benchmark's documents, a 4-word title and
   32 abstract sentences of 4-8 words over a 60-word vocabulary, at the
@@ -46,12 +38,8 @@ both interleaved in one process, importing each from its own checkout.
 Usage: python scripts/prepare_bench.py [--repeats N] [--docs N] [--tiny] [--out PATH] [--side before|after]
 """
 
-import argparse
-import json
-import os
-import platform
+import _bench  # pins BLAS to one thread, so before numpy
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -115,21 +103,6 @@ def make_records(n_docs: int, n_abstract: int, n_description: int, words: tuple[
     ]
 
 
-def _cpu() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _stats(seconds: list[float]) -> dict[str, float]:
-    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e6, [25, 50, 75])
-    return {"median": round(float(median), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2)}
-
-
 def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: int,
                use_description: bool, rounds: int) -> dict:
     times = {"segment_us": [], "tokenize_us": [], "layout_us": [], "prepare_us": []}
@@ -144,30 +117,21 @@ def time_shape(records: list[PatentRecord], t_max: int, v_buckets: int, k_max: i
             t2 = perf_counter()
             DocLayout(ids, lens)
             t3 = perf_counter()
-            docs, _ = prepare_documents([record], None, k_max, t_max, v_buckets, use_description,
-                                        require_labels=False)
-            docs[0].layout  # a version that builds layouts on first read builds it here
+            prepare_documents([record], None, k_max, t_max, v_buckets, use_description, require_labels=False)
             t4 = perf_counter()
             for name, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 (times if i else cold)[name].append(seconds)
             if not i and record is records[0]:
                 sentences, tokens = len(kept), len(ids)
     return {"first_document": {"sentences": sentences, "tokens": tokens},
-            "cold": {name: _stats(seconds) for name, seconds in cold.items()},
-            **{name: _stats(seconds) for name, seconds in times.items()}}
+            "cold": {name: _bench.stats(seconds) for name, seconds in cold.items()},
+            **{name: _bench.stats(seconds) for name, seconds in times.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=10, help="timed rounds over each corpus")
-    parser.add_argument("--docs", type=int, default=20, help="documents per shape")
-    parser.add_argument("--tiny", action="store_true", help="toy-size documents, for tests")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--side", choices=("before", "after"), default="after")
+    parser = _bench.parser(__doc__, 10, "toy-size documents, for tests")
+    parser.add_argument("--docs", type=_bench.positive, default=20, help="documents per shape")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.docs < 1:
-        parser.error("--repeats and --docs must be >= 1")
-
     rng = np.random.default_rng(0)
     results = {}
     for name, (t_max, v_buckets, k_max, n_abstract, n_description, words, title_words, n_types, marks) in \
@@ -178,18 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             "use_description": bool(n_description),
             **time_shape(records, t_max, v_buckets, k_max, bool(n_description), args.repeats),
         }
-    report = {
-        "machine": {"cpu": _cpu(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "repeats": args.repeats,
-        "docs": args.docs,
-        "shapes": results,
-    }
-    print(json.dumps(report, indent=2))
-    if args.out:
-        sides = json.loads(args.out.read_text()) if args.out.exists() else {}
-        sides[args.side] = report
-        args.out.write_text(json.dumps(sides, indent=2) + "\n")
+    _bench.report(args, docs=args.docs, shapes=results)
     return 0
 
 

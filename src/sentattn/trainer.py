@@ -11,9 +11,9 @@ tokenized into one id array, and laid out as the DocLayout that every
 training and validation pass over it reads. Each mini-batch runs as one
 forward and one backward pass over its documents' concatenated sentence
 columns (BatchLayout), whose gradients the backward passes add straight
-into the optimizer's per-tensor sums.
-Validation, evaluate and predict run the same pass, in batches of
-TrainConfig.batch_size's default.
+into the optimizer's per-tensor sums. Training batches each epoch's
+shuffle by `batch_size`; validation, evaluate and predict run the same
+pass, in order, in batches of TrainConfig.batch_size's default.
 
 Training runs on a compact embedding table: the rows of E that some
 prepared training or validation document reads, in table order, found by a
@@ -331,19 +331,17 @@ def train(
         del tensors["S"]
     optimizer = Adam(tensors, config.lr, config.beta1, config.beta2, config.adam_eps)
 
-    targets = np.stack([doc.target for doc in train_docs])
     best_f1, since_best, best = -math.inf, 0, None
     epochs: list[EpochLog] = []
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = order[start : start + config.batch_size]
-            batch = BatchLayout([train_docs[i].layout for i in chunk])
-            batch_loss = _step(enc_params, head_params, optimizer, batch, targets[chunk])
+        for index, (chunk, batch) in enumerate(_batches([train_docs[j] for j in order], config.batch_size)):
+            targets = np.stack([doc.target for doc in chunk])
+            batch_loss = _step(enc_params, head_params, optimizer, batch, targets)
             if not math.isfinite(batch_loss):
-                raise NonFiniteLoss(f"epoch {epoch}, batch {start // config.batch_size}")
+                raise NonFiniteLoss(f"epoch {epoch}, batch {index}")
             optimizer.step(len(chunk))
             loss_sum += batch_loss
         val_counts = _confusion(enc_params, head_params, val_docs, dims.c)

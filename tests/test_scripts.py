@@ -2,12 +2,16 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))  # so scripts import their shared `_bench`, as `python scripts/x.py` does
+MACHINE_KEYS = {"cpu", "cpus", "python", "numpy", "blas_threads"}
 
 
 def load_script(name: str):
@@ -56,6 +60,7 @@ def test_encoder_bench_times_both_kinds_at_every_shape(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert json.loads(out.read_text()) == {"after": report}
+    assert set(report["machine"]) == MACHINE_KEYS
     assert list(report["shapes"]) == ["bench", "longdoc", "zipf-k128", "worst"]
     for name, shape in report["shapes"].items():
         assert shape["k"] == 3 and shape["layout_us"]["median"] > 0
@@ -74,6 +79,7 @@ def test_prepare_bench_times_every_stage_at_every_shape(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert json.loads(out.read_text()) == {"after": {"kept": True}, "before": report}
+    assert set(report["machine"]) == MACHINE_KEYS
     assert list(report["shapes"]) == ["abstract", "description", "zipf", "marks"]
     # the marks shape ends every sentence in "!" or "?", so past the title the scan runs the full
     # boundary pattern
@@ -97,6 +103,7 @@ def test_adam_bench_times_every_live_share_and_a_train_run(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
+    assert set(report["machine"]) == MACHINE_KEYS
     assert list(report["steps"]) == ["0.3%", "10.0%", "30.0%", "50.0%", "75.0%", "100.0%"]
     assert report["steps"]["100.0%"]["live_rows"] == report["train"]["table_rows"]
     for share in report["steps"].values():
@@ -127,6 +134,7 @@ def test_io_bench_times_every_stage(capsys, monkeypatch, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
+    assert set(report["machine"]) == MACHINE_KEYS
     checkpoints = [f"checkpoint/{dims}/{kind}/{op}" for dims in ("default", "longdoc")
                    for kind in ("meanpool", "minitransformer") for op in ("save", "load")]
     assert list(report["stages"]) == ["corpus/long_description", "corpus/short_lines", *checkpoints]
@@ -134,3 +142,13 @@ def test_io_bench_times_every_stage(capsys, monkeypatch, tmp_path):
         assert stage["file_bytes"] > 0 and stage["peak_x_file"] > 0, name
         assert 0 < stage["ms"]["q1"] <= stage["ms"]["median"] <= stage["ms"]["q3"], name
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("name", ["adam_bench", "encoder_bench", "io_bench", "prepare_bench"])
+def test_bench_help_describes_the_script(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps the description to the terminal's width
+    script = load_script(name)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--help"])
+    assert exit_.value.code == 0
+    assert script.__doc__.splitlines()[0] in capsys.readouterr().out
