@@ -1,4 +1,4 @@
-"""What the per-layer bench scripts share: one BLAS thread, the common flags, quartiles, the report.
+"""What the per-layer bench scripts share: one BLAS thread, the common flags, quartiles, memory, the report.
 
 A report is one JSON object; --out writes it under the key --side of that
 file, keeping the other key. A `before` and an `after` from separate
@@ -42,6 +42,15 @@ def stats(seconds: list[float], scale: float = 1e6, digits: int = 2) -> dict[str
     """Median and quartiles of the times, multiplied by `scale` (to microseconds by default), rounded."""
     q1, median, q3 = np.percentile(np.asarray(seconds) * scale, [25, 50, 75])
     return {"median": round(float(median), digits), "q1": round(float(q1), digits), "q3": round(float(q3), digits)}
+
+
+def status_mb(field: str) -> float | None:
+    """One memory field of /proc/self/status (VmRSS, VmHWM) in MB, or None where it cannot be read."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith(field + ":")) / 1024
+    except (OSError, StopIteration):
+        return None
 
 
 def _cpu() -> str:

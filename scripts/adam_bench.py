@@ -111,15 +111,6 @@ def make_zipf_corpus(n_records: int, n_types: int, rng: np.random.Generator) -> 
     return records
 
 
-def _status_mb(field: str) -> float | None:
-    """One memory field of /proc/self/status in MB, or None where it cannot be read."""
-    try:
-        with open("/proc/self/status") as status:
-            return next(int(line.split()[1]) for line in status if line.startswith(field + ":")) / 1024
-    except (OSError, StopIteration):
-        return None
-
-
 def time_train(dims: ModelDims, path: Path) -> dict:
     """One train() on the corpus at `path`, with its Adam.step calls timed."""
     config = trainer.TrainConfig(dims=dims, max_epochs=2, patience=2, seed=0)
@@ -136,11 +127,11 @@ def time_train(dims: ModelDims, path: Path) -> dict:
 
     trainer.Adam.step = timed_step
     try:
-        rss_before = _status_mb("VmRSS")
+        rss_before = _bench.status_mb("VmRSS")
         t0 = perf_counter()
         result = trainer.train(config, path)
         train_s = perf_counter() - t0
-        peak = _status_mb("VmHWM")
+        peak = _bench.status_mb("VmHWM")
     finally:
         trainer.Adam.step = step
     ckpt = result.checkpoint

@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import errno
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -31,7 +32,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, checkpoint_temp_path, load_checkpoint, save_checkpoint
 from .corpus import (
-    SPLIT_NAMES, CorpusError, EmptyInput, build_vocabulary, label_stats, load_corpus, split_records,
+    SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, PatentRecord, build_vocabulary, iter_corpus,
+    label_stats, split_records,
 )
 from .encoder import ENCODER_KINDS, ModelDims
 from .segmenter import EmptyText, segment
@@ -129,11 +131,19 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, ensure_ascii=False, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-    else:
-        sys.stdout.write(text + "\n")
+    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    # written beside the target and renamed over it, as save_checkpoint does,
+    # so a failed write leaves the previous file whole
+    tmp = checkpoint_temp_path(out_path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _progress(message: str) -> None:
@@ -220,16 +230,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _ids_and_codes(corpus_path: str, report: LoadReport) -> list[PatentRecord]:
+    """The corpus file's records without their text: one pass keeps only ids and codes."""
+    return [record.without_text() for record in iter_corpus(corpus_path, report)]
+
+
 def _cmd_build_vocab(args, settings):
-    records, report = load_corpus(args.corpus)
-    records = split_records(records, settings.get("seed", TrainConfig.seed), args.split)
+    report = LoadReport()
+    records = split_records(iter_corpus(args.corpus, report), settings.get("seed", TrainConfig.seed),
+                            args.split)
     vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
     _progress(f"read {report.read} lines, retained {report.retained} records")
     return {"codes": vocab.codes, "counts": vocab.counts}
 
 
 def _cmd_split(args, settings):
-    records, _ = load_corpus(args.corpus)
+    records = _ids_and_codes(args.corpus, LoadReport())
     if not records:
         raise EmptyInput("corpus holds no usable records")
     seed = settings.get("seed", TrainConfig.seed)
@@ -239,7 +255,8 @@ def _cmd_split(args, settings):
 
 
 def _cmd_stats(args, settings):
-    records, report = load_corpus(args.corpus)
+    report = LoadReport()
+    records = _ids_and_codes(args.corpus, report)
     vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
     counts = label_stats(records, vocab)
     dropped = sum(1 for r in records if corpus_mod.encode_labels(r, vocab) is None)
@@ -298,8 +315,8 @@ def _cmd_evaluate(args, settings):
 
 def _cmd_predict(args, settings):
     ckpt = load_checkpoint(args.model)
-    records, _ = load_corpus(args.corpus)
-    records = split_records(records, settings.pop("seed", TrainConfig.seed), args.split)
+    records = split_records(iter_corpus(args.corpus, LoadReport()), settings.pop("seed", TrainConfig.seed),
+                            args.split)
     return predict_records(ckpt, records, with_attention=args.attention, **settings)
 
 

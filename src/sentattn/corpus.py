@@ -6,13 +6,17 @@ The corpus file format is JSON lines: one object per line with fields
 subclasses, i.e. the 4-character prefix like "B82Y"; anything after the
 subclass letter (main group / subgroup) is discarded.
 
-`load_corpus` reads the file through a fixed 256 KiB buffer
-(`_READ_BUFFER`), not the file system's block size: a patent description
-runs to tens of kilobytes, and a small buffer makes hundreds of reads per
-megabyte.
+A file is read by one iterator, `iter_corpus`, which yields each record as
+its line is parsed and counts what it reads in a LoadReport; `load_corpus`
+is its list. Training, evaluation and the CLI commands iterate it, so a
+caller holds a record's text only while it works on that record. The file
+is read through a fixed 256 KiB buffer (`_READ_BUFFER`), not the file
+system's block size: a patent description runs to tens of kilobytes, and a
+small buffer makes hundreds of reads per megabyte.
 
 The train/validation/test split is one per-id rule, `split_of`, and every
-command selects its records through `split_records`, which filters with it.
+command selects its records through `split_records`, which filters with it
+as the records go by.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .hashing import stable_hash64
 IPC_SUBCLASS_RE = re.compile(r"^[A-H][0-9][0-9][A-Z]$")
 SPLIT_NAMES = ("train", "validation", "test")
 
-# load_corpus skip reasons, in report order
+# iter_corpus skip reasons, in report order
 SKIP_CORRUPT_LINE = "corrupt_line"
 SKIP_BAD_ID = "bad_id"
 SKIP_DUPLICATE_ID = "duplicate_id"
@@ -87,6 +91,10 @@ class PatentRecord:
     def normalized_codes(self) -> list[str]:
         """Distinct parseable subclasses, sorted; malformed codes are skipped."""
         return self._codes
+
+    def without_text(self) -> PatentRecord:
+        """The record's id and codes, its text dropped: what a pass that is done with the text keeps."""
+        return replace(self, title="", abstract="", description="")
 
 
 @dataclass
@@ -181,23 +189,25 @@ def _record_from_obj(obj: object, seen_ids: set[str], report: LoadReport) -> Pat
     return PatentRecord(id=rid, ipc_codes=codes, **texts)
 
 
-def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
-    """Read a JSONL corpus file; malformed lines are counted, never fatal.
+def iter_corpus(path: str | Path, report: LoadReport) -> Iterator[PatentRecord]:
+    """Yield a JSONL corpus file's records in file order; malformed lines are counted, never fatal.
 
-    The file is read as bytes, one LF-terminated line at a time (CRLF works
-    too). A line that is not valid UTF-8 or not valid JSON, or that the JSON
-    decoder refuses (nesting past the recursion limit, an integer past the
-    digit limit), counts as a corrupt line; lines of ASCII whitespace are
-    skipped. A string that does not encode as UTF-8 (a JSON-escaped lone
-    surrogate) is refused as bad_id, bad_field or bad_ipc, by its field.
+    The file is opened at the first next(), which raises FileUnreadable if
+    it cannot be, and read as bytes, one LF-terminated line at a time (CRLF
+    works too); `report` counts each line as it is read, so it is complete
+    once the iterator is. A line that
+    is not valid UTF-8 or not valid JSON, or that the JSON decoder refuses
+    (nesting past the recursion limit, an integer past the digit limit),
+    counts as a corrupt line; lines of ASCII whitespace are skipped. A
+    string that does not encode as UTF-8 (a JSON-escaped lone surrogate) is
+    refused as bad_id, bad_field or bad_ipc, by its field. The first record
+    of an id wins; a later one is skipped as duplicate_id.
     """
     path = Path(path)
     try:
         fh = path.open("rb", buffering=_READ_BUFFER)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    report = LoadReport()
-    records: list[PatentRecord] = []
     seen_ids: set[str] = set()
     with fh:
         for line in fh:
@@ -213,9 +223,14 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
             if record is None:
                 continue
             report.malformed_codes += record.malformed_codes
-            records.append(record)
             report.retained += 1
-    return records, report
+            yield record
+
+
+def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
+    """Every record `iter_corpus` yields from the file, in a list, and its finished report."""
+    report = LoadReport()
+    return list(iter_corpus(path, report)), report
 
 
 def build_vocabulary(records: Iterable[PatentRecord], top_c: int) -> LabelVocabulary:
@@ -262,15 +277,19 @@ def split_of(seed: int, rid: str) -> str:
     return "train" if bucket <= 7 else "validation" if bucket == 8 else "test"
 
 
-def split_records(records: list[PatentRecord], seed: int, name: str) -> list[PatentRecord]:
-    """The records that `split_of` puts in part `name` ("all" for every record), in input order."""
+def split_records(records: Iterable[PatentRecord], seed: int, name: str) -> Iterable[PatentRecord]:
+    """An iterator over the records that `split_of` puts in part `name`, in input order.
+
+    For "all" the records themselves are returned. The seed and the name
+    are checked here, before any record is read.
+    """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if name == "all":
         return records
     if name not in SPLIT_NAMES:
         raise ValueError(f"unknown split name: {name!r}")
-    return [r for r in records if split_of(seed, r.id) == name]
+    return (r for r in records if split_of(seed, r.id) == name)
 
 
 def label_stats(records: Iterable[PatentRecord], vocab: LabelVocabulary) -> dict[str, int]:

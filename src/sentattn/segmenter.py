@@ -10,7 +10,7 @@ and its closing marks, so a digit there never matches.
 
 One scanner, `sentence_spans`, yields each sentence's [start, end) span
 and reads the text only up to the end of the k_max-th sentence;
-`prepare_documents` slices the spans, and `segment` wraps them in
+the trainer slices the spans, and `segment` wraps them in
 `Sentence` objects. Every boundary before the first "!" or "?" is a ".",
 so up to there the scan looks for "." alone, whose literal first char `re`
 skips ahead to, then for the full rule. Besides the two `str.find` calls

@@ -8,7 +8,15 @@ config on the same kernel produce byte-identical checkpoints and logs.
 
 Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
-training and validation pass over it reads. Each mini-batch runs as one
+training and validation pass over it reads. `train` reads the corpus file
+once, through `iter_corpus`: it tokenizes each training and validation
+record as it is read, keeps only its id, codes and token ids, and drops
+each test record once it is counted; once the vocabulary is built from the training codes,
+it lays out each document that carries a vocabulary label, freeing its ids
+as it goes. `evaluate` prepares the records of its split as they are
+read, holding at most `batch_size` records' model text at a time, and
+`predict_records` prepares and scores `batch_size` records at a time, so
+none of them holds the file's text. Each mini-batch runs as one
 forward and one backward pass over its documents' concatenated sentence
 columns (BatchLayout), whose gradients the backward passes add straight
 into the optimizer's per-tensor sums. Training batches each epoch's
@@ -38,14 +46,18 @@ finite differences.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from .checkpoint import Checkpoint, TrainMeta, model_tensors
-from .corpus import LabelVocabulary, PatentRecord, load_corpus, split_records
+from .corpus import (
+    SPLIT_NAMES, LabelVocabulary, LoadReport, PatentRecord, iter_corpus, split_of, split_records,
+)
 from .encoder import (
     ENCODER_KINDS,
     MEANPOOL,
@@ -204,8 +216,20 @@ def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_
     return ". ".join(filter(None, (p.strip() for p in parts)))
 
 
+def _token_ids(text: str, k_max: int, t_max: int, v_buckets: int) -> tuple[np.ndarray, list[int]]:
+    """The text segmented and tokenized into one id array, with each sentence's length."""
+    return token_ids((text[start:end] for start, end in sentence_spans(text, k_max)), t_max, v_buckets)
+
+
+def _prepare_texts(texts: list[tuple[str, np.ndarray | None, str]], k_max: int, t_max: int,
+                   v_buckets: int) -> list[PreparedDoc]:
+    """PreparedDocs of (id, target, text) triples, each text tokenized and laid out."""
+    return [PreparedDoc(id=rid, layout=DocLayout(*_token_ids(text, k_max, t_max, v_buckets)), target=target)
+            for rid, target, text in texts]
+
+
 def prepare_documents(
-    records: list[PatentRecord],
+    records: Iterable[PatentRecord],
     vocab: LabelVocabulary | None,
     k_max: int,
     t_max: int,
@@ -213,14 +237,18 @@ def prepare_documents(
     use_description: bool = TrainConfig.use_description,
     require_labels: bool = True,
 ) -> tuple[list[PreparedDoc], int]:
-    """Segment, tokenize and lay out records; returns (docs, dropped-for-no-label count).
+    """Segment, tokenize and lay out records as they come; returns (docs, dropped-for-no-label count).
 
-    Each document's sentences are tokenized into one id array, each word's
-    ids served from the segmenter's word memo, and its DocLayout is built
-    from that array here, once.
+    A record is kept as its id, label bits and model text (`document_text`)
+    until `TrainConfig.batch_size` records are read, so no unread description
+    is held; then each text's sentences are tokenized into one id array,
+    each word's ids served from the segmenter's word memo, and its DocLayout
+    is built from that array, once. Tokenizing each record right after its
+    line is parsed made `evaluate` about 8% slower on short documents.
     """
     docs: list[PreparedDoc] = []
     dropped = 0
+    texts = []
     for record in records:
         target = None
         if vocab is not None:
@@ -228,10 +256,46 @@ def prepare_documents(
             if target is None and require_labels:
                 dropped += 1
                 continue
-        text = document_text(record, use_description)
-        sentences = (text[start:end] for start, end in sentence_spans(text, k_max))
-        layout = DocLayout(*token_ids(sentences, t_max, v_buckets))
-        docs.append(PreparedDoc(id=record.id, layout=layout, target=target))
+        texts.append((record.id, target, document_text(record, use_description)))
+        if len(texts) == TrainConfig.batch_size:
+            docs += _prepare_texts(texts, k_max, t_max, v_buckets)
+            texts.clear()
+    docs += _prepare_texts(texts, k_max, t_max, v_buckets)
+    return docs, dropped
+
+
+def _read_splits(config: TrainConfig, corpus_path,
+                 report: LoadReport) -> tuple[dict[str, int], dict[str, deque]]:
+    """One pass over the corpus file: each part's record count, and the training and validation
+    records, tokenized as they are read, as (record without its text, token ids, sentence lengths)
+    in file order. A test record is dropped as soon as it is counted.
+    """
+    sizes = dict.fromkeys(SPLIT_NAMES, 0)
+    tokenized = {"train": deque(), "validation": deque()}
+    for record in iter_corpus(corpus_path, report):
+        part = split_of(config.seed, record.id)
+        sizes[part] += 1
+        if part in tokenized:
+            tokens = _token_ids(document_text(record, config.use_description), config.k_max,
+                                config.dims.t_max, config.dims.v_buckets)
+            tokenized[part].append((record.without_text(), *tokens))
+    return sizes, tokenized
+
+
+def _lay_out_labelled(tokenized: deque, vocab: LabelVocabulary) -> tuple[list[PreparedDoc], int]:
+    """PreparedDocs of the (record, ids, lens) triples whose record has a vocabulary label, and
+    how many have none; empties `tokenized` as it goes, so each document's ids are freed once
+    its layout is built. A document without a label gets no layout.
+    """
+    docs: list[PreparedDoc] = []
+    dropped = 0
+    while tokenized:
+        record, ids, lens = tokenized.popleft()
+        target = corpus_mod.encode_labels(record, vocab)
+        if target is None:
+            dropped += 1
+        else:
+            docs.append(PreparedDoc(id=record.id, layout=DocLayout(ids, lens), target=target))
     return docs, dropped
 
 
@@ -298,20 +362,19 @@ def train(
     `on_epoch`, when given, is called with each epoch's log as soon as the
     epoch ends, so a caller can report progress while training runs.
     """
-    records, load_report = load_corpus(corpus_path)
-    if not records:
+    load_report = LoadReport()
+    split_sizes, tokenized = _read_splits(config, corpus_path, load_report)
+    if not load_report.retained:
         raise EmptySplit("corpus holds no usable records")
-    train_records = split_records(records, config.seed, "train")
-    val_records = split_records(records, config.seed, "validation")
-    if not train_records:
+    if not tokenized["train"]:
         raise EmptySplit("training split is empty")
-    vocab = corpus_mod.build_vocabulary(train_records, config.dims.c)
+    vocab = corpus_mod.build_vocabulary((record for record, _, _ in tokenized["train"]),
+                                        config.dims.c)
     dims = replace(config.dims, c=len(vocab))
 
-    train_docs, dropped_train = prepare_documents(
-        train_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
-    val_docs, dropped_val = prepare_documents(
-        val_records, vocab, config.k_max, dims.t_max, dims.v_buckets, config.use_description)
+    # laid out only now, so that a document the vocabulary drops gets no layout
+    train_docs, dropped_train = _lay_out_labelled(tokenized["train"], vocab)
+    val_docs, dropped_val = _lay_out_labelled(tokenized["validation"], vocab)
     if not val_docs:
         raise EmptySplit("validation split is empty")
 
@@ -383,8 +446,7 @@ def train(
         checkpoint=ckpt,
         epochs=epochs,
         load_report=load_report,
-        split_sizes={"train": len(train_records), "validation": len(val_records),
-                     "test": len(records) - len(train_records) - len(val_records)},
+        split_sizes=split_sizes,
         dropped={"train": dropped_train, "validation": dropped_val},
     )
 
@@ -400,14 +462,14 @@ def evaluate(
     """Forward + threshold-0.5 predict over one split, with the checkpoint's vocabulary."""
     if k_max <= 0:  # refused before any record is read, so an empty corpus gets the same answer
         raise ValueError("k_max must be positive")
-    records, load_report = load_corpus(corpus_path)
-    if not records:
-        raise EmptySplit("corpus holds no usable records")
-    selected = split_records(records, seed, split_name)
-    if not selected:
-        raise EmptySplit(f"split {split_name!r} is empty")
+    load_report = LoadReport()
     docs, dropped = prepare_documents(
-        selected, ckpt.vocab, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
+        split_records(iter_corpus(corpus_path, load_report), seed, split_name),
+        ckpt.vocab, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
+    if not load_report.retained:
+        raise EmptySplit("corpus holds no usable records")
+    if not docs and not dropped:
+        raise EmptySplit(f"split {split_name!r} is empty")
     if not docs:
         raise DimsMismatch(f"no record in split {split_name!r} carries a vocabulary label")
     counts = _confusion(ckpt.encoder_params, ckpt.head_params, docs, ckpt.dims.c)
@@ -418,25 +480,31 @@ def evaluate(
 
 def predict_records(
     ckpt: Checkpoint,
-    records: list[PatentRecord],
+    records: Iterable[PatentRecord],
     k_max: int = TrainConfig.k_max,
     threshold: float = 0.5,
     with_attention: bool = False,
     use_description: bool = TrainConfig.use_description,
 ) -> list[dict]:
-    """Score records against the checkpoint; labels in the input are ignored."""
+    """Score records against the checkpoint; labels in the input are ignored.
+
+    Records are prepared and scored `TrainConfig.batch_size` at a time, as
+    they come, so an iterator over a file is read once and never held whole.
+    """
     if not 0.0 <= threshold <= 1.0:  # NaN too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    docs, _ = prepare_documents(
-        records, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
-        require_labels=False)
+    records = iter(records)
     results = []
-    for chunk, batch in _batches(docs):
+    while chunk := list(islice(records, TrainConfig.batch_size)):
+        docs, _ = prepare_documents(
+            chunk, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
+            require_labels=False)
+        batch = BatchLayout([doc.layout for doc in docs])
         cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, batch)
         bits = predict(cache.scores, threshold).tolist()
-        for d, (doc, scores) in enumerate(zip(chunk, cache.scores.tolist())):
+        for d, (doc, scores) in enumerate(zip(docs, cache.scores.tolist())):
             entry = {
                 "id": doc.id,
                 "scores": dict(zip(ckpt.vocab.codes, scores)),

@@ -121,7 +121,7 @@ def test_needle_experiment(tmp_path):
 def test_pipeline_determinism(tmp_path):
     """Split ratios, byte-identical reruns, bit-exact round-trip, segmenter goldens."""
     records = [PatentRecord(id=f"p{i}", title="t") for i in range(10000)]
-    fractions = [len(split_records(records, 42, name)) / 1e4 for name in SPLIT_NAMES]
+    fractions = [len(list(split_records(records, 42, name))) / 1e4 for name in SPLIT_NAMES]
     ok = abs(fractions[0] - 0.80) <= 0.01 and all(abs(f - 0.10) <= 0.01 for f in fractions[1:])
 
     corpus = tmp_path / "train.jsonl"

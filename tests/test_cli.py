@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import sentattn.cli as cli_mod
-from sentattn.cli import EXIT_MEMORY, EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main
+from sentattn.cli import (
+    EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main,
+)
 from sentattn.encoder import MINITRANSFORMER, ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
@@ -177,6 +180,32 @@ sys.exit(main(sys.argv[1:]))
         assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: MemoryError: "), done.stderr
         assert "Traceback" not in done.stderr
         assert not model.exists()
+
+    # Run in a child process whose files may grow to 500 bytes, with SIGXFSZ
+    # ignored, so that a write past the limit fails with EFBIG instead of
+    # killing the process.
+    FILE_TOO_LARGE = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (500, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from sentattn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="caps RLIMIT_FSIZE, as on POSIX")
+    def test_a_failed_out_write_keeps_the_previous_file(self, capsys, corpus, tmp_path):
+        out = tmp_path / "split.json"
+        assert main(["split", str(corpus), "--out", str(out)]) == 0
+        capsys.readouterr()
+        previous = out.read_bytes()
+        assert len(previous) > 500
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", self.FILE_TOO_LARGE, "split", str(corpus), "--seed", "5",
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_DATA, done.stderr
+        assert done.stderr.startswith("error: OSError: [Errno 27] File too large"), done.stderr
+        assert out.read_bytes() == previous
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],

@@ -294,16 +294,16 @@ class TestSplitDataset:
     def test_order_independence(self):
         records = [PatentRecord(id=f"id{i}", title="t") for i in range(200)]
         for name in SPLIT_NAMES:
-            forward = split_records(records, 7, name)
-            assert split_records(records[::-1], 7, name) == forward[::-1]
+            forward = list(split_records(records, 7, name))
+            assert list(split_records(records[::-1], 7, name)) == forward[::-1]
 
     def test_single_id_lands_in_one_set(self):
         records = [PatentRecord(id="only", title="t")]
-        assert [name for name in SPLIT_NAMES if split_records(records, 0, name)] == [split_of(0, "only")]
+        assert [name for name in SPLIT_NAMES if list(split_records(records, 0, name))] == [split_of(0, "only")]
 
     def test_empty_input(self):
         for name in (*SPLIT_NAMES, "all"):
-            assert split_records([], 0, name) == []
+            assert list(split_records([], 0, name)) == []
 
     @settings(max_examples=25)
     @given(st.lists(st.text(min_size=1, max_size=12), max_size=60), st.integers(0, 2**63))
@@ -320,6 +320,26 @@ class TestSplitDataset:
             placed += where
         assert sorted(placed) == list(range(len(records)))
         assert split_records(records, seed, "all") is records
+
+    def test_yields_as_the_records_come(self):
+        """The seed and name are checked before a record is read; then a record is read per answer."""
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
+        for seed, name in ((-1, "train"), (0, "dev")):
+            with pytest.raises(ValueError):
+                split_records(unread(), seed, name)
+        records = [PatentRecord(id=f"id{i}", title="t") for i in range(20)]
+        pulled = []
+
+        def source():
+            for record in records:
+                pulled.append(record)
+                yield record
+
+        first = next(iter(split_records(source(), 7, "train")))
+        assert pulled == records[: records.index(first) + 1]
 
     @pytest.mark.parametrize("seed, name, match", [
         (0, "dev", "unknown split name"), (0, "", "unknown split name"),

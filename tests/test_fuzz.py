@@ -2,7 +2,9 @@
 
 `load_corpus` must return a report or raise a `CorpusError`, and
 `load_checkpoint` must return a checkpoint or raise a `CheckpointError`;
-any other exception is a crash.
+any other exception is a crash. `iter_corpus`, which the commands read
+through, must yield what `load_corpus` returns, counting each record in
+its report before yielding it.
 """
 
 import struct
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentattn.checkpoint import MAGIC, VERSION, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from sentattn.corpus import CorpusError, LabelVocabulary, load_corpus
+from sentattn.corpus import CorpusError, LabelVocabulary, LoadReport, iter_corpus, load_corpus
 from sentattn.encoder import MEANPOOL, ModelDims, init_encoder
 from sentattn.head import init_head
 
@@ -70,6 +72,23 @@ def load_corpus_bytes(data: bytes):
     assert report.read == report.retained + report.total_skipped
 
 
+def iterate_corpus_bytes(data: bytes):
+    """iter_corpus, consumed one record at a time, against load_corpus on the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        try:
+            expected = load_corpus(path)
+        except CorpusError:
+            return
+        report = LoadReport()
+        records = []
+        for record in iter_corpus(path, report):
+            assert report.retained == len(records) + 1
+            records.append(record)
+    assert (records, report) == expected
+
+
 def load_checkpoint_bytes(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.satn"
@@ -97,6 +116,15 @@ class TestLoadCorpus:
     @given(flips, st.integers(0, len(VALID_CORPUS)))
     def test_flipped_and_truncated_valid_file(self, flips, keep):
         load_corpus_bytes(flip(VALID_CORPUS, flips)[:keep])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=2000),
+                     st.tuples(flips, st.integers(0, len(VALID_CORPUS)))
+                     .map(lambda fk: flip(VALID_CORPUS, fk[0])[:fk[1]])))
+    @example(VALID_CORPUS + VALID_CORPUS)  # every record again, each a duplicate id
+    @example(b"[" * 100_000 + b"\n" + VALID_CORPUS)
+    def test_iterator_yields_the_loaded_list(self, data):
+        iterate_corpus_bytes(data)
 
 
 class TestLoadCheckpoint:

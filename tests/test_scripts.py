@@ -144,7 +144,28 @@ def test_io_bench_times_every_stage(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
-@pytest.mark.parametrize("name", ["adam_bench", "encoder_bench", "io_bench", "prepare_bench"])
+def test_corpus_bench_measures_every_stage_at_every_point(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"before": {"kept": True}}))
+    code = load_script("corpus_bench").main(["--tiny", "--repeats", "1", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
+    assert set(report["machine"]) == MACHINE_KEYS
+    assert list(report["points"]) == ["longdoc_10", "longdoc_30", "abstract_30"]
+    stages = ["train", "evaluate", "predict"]
+    for name, point in report["points"].items():
+        assert point["records"] == int(name.split("_")[1]) and point["file_bytes"] > 0
+        for stage in stages:
+            assert point[stage]["s"]["median"] > 0, (name, stage)
+            if Path("/proc/self/status").exists():
+                assert point[stage]["peak_growth_mb"]["median"] > 0, (name, stage)
+    assert list(report["slope_kb_per_doc"]) == stages
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("name", ["adam_bench", "corpus_bench", "encoder_bench", "io_bench", "prepare_bench"])
 def test_bench_help_describes_the_script(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "200")  # argparse wraps the description to the terminal's width
     script = load_script(name)

@@ -840,6 +840,54 @@ class TestPredictRecords:
                                        rtol=0, atol=self.TOL)
             np.testing.assert_allclose(alone["attention"], row["attention"], rtol=0, atol=self.TOL)
 
+    def test_a_generator_scores_like_the_list_one_batch_at_a_time(self, monkeypatch):
+        ckpt = fresh_checkpoint(seed=5)
+        records = make_needle_corpus(n_docs=41, n_labels=3, k=8, seed=1)
+        as_list = predict_records(ckpt, records, k_max=8, with_attention=True)
+        prepared = []
+        prepare = trainer.prepare_documents
+
+        def spy(chunk, *args, **kwargs):
+            prepared.append(len(chunk))
+            return prepare(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "prepare_documents", spy)
+        assert predict_records(ckpt, (r for r in records), k_max=8, with_attention=True) == as_list
+        assert [row["id"] for row in as_list] == [r.id for r in records]
+        assert prepared == [TrainConfig.batch_size, TrainConfig.batch_size, 41 - 2 * TrainConfig.batch_size]
+
+
+class TestStreamedCorpus:
+    # train and evaluate read the file one record at a time. A record is in
+    # flight from its line to the next record's: its line's bytes, its
+    # decoded text and its parsed fields, beside the record before it,
+    # which the caller holds while the next is read. So descriptions that
+    # use_description leaves unread raise the peak by about two records'
+    # size (a record's line plus its text), not by one per record, as a list
+    # of the file's records would (50 descriptions here, measured on such a list).
+    DESCRIPTION = 100_000
+
+    def test_long_descriptions_raise_the_peak_by_about_two_records(self, tmp_path):
+        records = make_needle_corpus(n_docs=48, n_labels=4, k=8, seed=1)
+        config = tiny_config(max_epochs=1, patience=1)
+        long = ("Word here. " * (self.DESCRIPTION // 11 + 1))[: self.DESCRIPTION]
+        peaks = {}
+        for name, description in (("empty", ""), ("long", long)):
+            path = tmp_path / f"{name}.jsonl"
+            write_jsonl([replace(r, description=description) for r in records], path)
+            ckpt = train(config, path).checkpoint  # first calls fill the word memo
+            for stage, call in (("train", lambda: train(config, path)),
+                                ("evaluate", lambda: evaluate(ckpt, path, split_name="all", seed=3, k_max=8))):
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks[stage, name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        record_size = 2 * self.DESCRIPTION
+        for stage in ("train", "evaluate"):
+            assert peaks[stage, "long"] - peaks[stage, "empty"] < 2.5 * record_size, peaks
+
 
 # The committed version-1 files hold fresh_checkpoint(kind, dims=V1_DIMS),
 # written by the save_checkpoint that built the whole file in memory first.
