@@ -22,6 +22,7 @@ import contextlib
 import errno
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, checkpoint_temp_path, load_checkpoint, save_checkpoint
 from .corpus import (
-    SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, PatentRecord, build_vocabulary, iter_corpus,
+    SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, RecordLabels, build_vocabulary, iter_corpus,
     label_stats, split_records,
 )
 from .encoder import ENCODER_KINDS, ModelDims
@@ -135,11 +136,25 @@ def _emit(payload, out_path: str | None) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
+    try:
+        previous = os.lstat(out_path)
+    except FileNotFoundError:
+        previous = None
+    if previous is not None and not stat.S_ISREG(previous.st_mode):
+        # a symlink, device or pipe is written through, never replaced
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     # written beside the target and renamed over it, as save_checkpoint does,
-    # so a failed write leaves the previous file whole
+    # so a failed write leaves the previous file whole, with its permissions
     tmp = checkpoint_temp_path(out_path)
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if previous is not None:
+            os.chmod(tmp, stat.S_IMODE(previous.st_mode))
         os.replace(tmp, out_path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -230,7 +245,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _ids_and_codes(corpus_path: str, report: LoadReport) -> list[PatentRecord]:
+def _ids_and_codes(corpus_path: str, report: LoadReport) -> list[RecordLabels]:
     """The corpus file's records without their text: one pass keeps only ids and codes."""
     return [record.without_text() for record in iter_corpus(corpus_path, report)]
 

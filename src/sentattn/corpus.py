@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,9 +92,25 @@ class PatentRecord:
         """Distinct parseable subclasses, sorted; malformed codes are skipped."""
         return self._codes
 
-    def without_text(self) -> PatentRecord:
-        """The record's id and codes, its text dropped: what a pass that is done with the text keeps."""
-        return replace(self, title="", abstract="", description="")
+    def without_text(self) -> RecordLabels:
+        """The record's id and parsed codes, its text dropped: what a pass that is done with the text keeps."""
+        return RecordLabels(self.id, self._codes)
+
+
+class RecordLabels(NamedTuple):
+    """A record's id and parsed codes, without its text.
+
+    It answers `normalized_codes` as the record does, so `build_vocabulary`,
+    `encode_labels` and `label_stats` take it in the record's place. A tuple,
+    not a copy of the record, because a pass over short documents makes one
+    for every record it reads.
+    """
+
+    id: str
+    codes: list[str]
+
+    def normalized_codes(self) -> list[str]:
+        return self.codes
 
 
 @dataclass
@@ -233,7 +249,7 @@ def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:
     return list(iter_corpus(path, report)), report
 
 
-def build_vocabulary(records: Iterable[PatentRecord], top_c: int) -> LabelVocabulary:
+def build_vocabulary(records: Iterable[PatentRecord | RecordLabels], top_c: int) -> LabelVocabulary:
     """Top-C most frequent subclasses; each record counts a code at most once.
 
     Ties break lexicographically ascending; with fewer than top_c distinct
@@ -250,7 +266,7 @@ def build_vocabulary(records: Iterable[PatentRecord], top_c: int) -> LabelVocabu
     return LabelVocabulary(codes=[c for c, _ in ranked], counts=[n for _, n in ranked])
 
 
-def encode_labels(record: PatentRecord, vocab: LabelVocabulary) -> np.ndarray | None:
+def encode_labels(record: PatentRecord | RecordLabels, vocab: LabelVocabulary) -> np.ndarray | None:
     """Binarize a record's labels against the vocabulary.
 
     Returns None (record dropped) when no code falls inside the vocabulary;
@@ -292,7 +308,7 @@ def split_records(records: Iterable[PatentRecord], seed: int, name: str) -> Iter
     return (r for r in records if split_of(seed, r.id) == name)
 
 
-def label_stats(records: Iterable[PatentRecord], vocab: LabelVocabulary) -> dict[str, int]:
+def label_stats(records: Iterable[PatentRecord | RecordLabels], vocab: LabelVocabulary) -> dict[str, int]:
     """Per-code document counts in vocabulary order (duplicates collapse per record)."""
     counts = {code: 0 for code in vocab.codes}
     for record in records:

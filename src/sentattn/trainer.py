@@ -8,15 +8,18 @@ config on the same kernel produce byte-identical checkpoints and logs.
 
 Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
-training and validation pass over it reads. `train` reads the corpus file
-once, through `iter_corpus`: it tokenizes each training and validation
-record as it is read, keeps only its id, codes and token ids, and drops
-each test record once it is counted; once the vocabulary is built from the training codes,
-it lays out each document that carries a vocabulary label, freeing its ids
-as it goes. `evaluate` prepares the records of its split as they are
-read, holding at most `batch_size` records' model text at a time, and
-`predict_records` prepares and scores `batch_size` records at a time, so
-none of them holds the file's text. Each mini-batch runs as one
+training and validation pass over it reads. `train`, `evaluate` and
+`predict_records` prepare along one path: records are tokenized as they
+are read, `READ_WINDOW` records' model text at a time, keeping only each
+record's id, codes and token ids, and one step checks labels and builds
+the layouts. `train` reads the corpus file once, through `iter_corpus`,
+and drops each test record once it is counted; it builds the vocabulary
+from the training codes and only then lays out each training and
+validation document that carries a vocabulary label, freeing its ids as
+it goes, so a document the vocabulary drops is tokenized but gets no
+layout. `evaluate` lays out each record of its split as it is tokenized,
+and `predict_records` scores `batch_size` records at a time, so none of
+them holds the file's text. Each mini-batch runs as one
 forward and one backward pass over its documents' concatenated sentence
 columns (BatchLayout), whose gradients the backward passes add straight
 into the optimizer's per-tensor sums. Training batches each epoch's
@@ -49,14 +52,15 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from .checkpoint import Checkpoint, TrainMeta, model_tensors
 from .corpus import (
-    SPLIT_NAMES, LabelVocabulary, LoadReport, PatentRecord, iter_corpus, split_of, split_records,
+    SPLIT_NAMES, LabelVocabulary, LoadReport, PatentRecord, RecordLabels, iter_corpus, split_of,
+    split_records,
 )
 from .encoder import (
     ENCODER_KINDS,
@@ -216,16 +220,44 @@ def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_
     return ". ".join(filter(None, (p.strip() for p in parts)))
 
 
-def _token_ids(text: str, k_max: int, t_max: int, v_buckets: int) -> tuple[np.ndarray, list[int]]:
-    """The text segmented and tokenized into one id array, with each sentence's length."""
-    return token_ids((text[start:end] for start, end in sentence_spans(text, k_max)), t_max, v_buckets)
+READ_WINDOW = 16  # records whose model text is held at once before they are tokenized
 
 
-def _prepare_texts(texts: list[tuple[str, np.ndarray | None, str]], k_max: int, t_max: int,
-                   v_buckets: int) -> list[PreparedDoc]:
-    """PreparedDocs of (id, target, text) triples, each text tokenized and laid out."""
-    return [PreparedDoc(id=rid, layout=DocLayout(*_token_ids(text, k_max, t_max, v_buckets)), target=target)
-            for rid, target, text in texts]
+def _tokenized(records: Iterable[PatentRecord], k_max: int, t_max: int, v_buckets: int,
+               use_description: bool) -> Iterator[tuple[RecordLabels, np.ndarray, list[int]]]:
+    """Each record's id and codes (`without_text`), with its text's sentences tokenized into one id
+    array and each sentence's length, in input order.
+
+    Records are read `READ_WINDOW` at a time, keeping only their model text
+    (`document_text`), and then tokenized, so no more than a window's text
+    is held. Tokenizing each record right after its line was parsed ran
+    about 7% slower on short documents.
+    """
+    records = iter(records)
+    while window := [(record.without_text(), document_text(record, use_description))
+                     for record in islice(records, READ_WINDOW)]:
+        for record, text in window:
+            yield (record, *token_ids((text[start:end] for start, end in sentence_spans(text, k_max)),
+                                      t_max, v_buckets))
+
+
+def _lay_out(tokenized: Iterable[tuple[RecordLabels, np.ndarray, list[int]]], vocab: LabelVocabulary | None,
+             require_labels: bool = True) -> tuple[list[PreparedDoc], int]:
+    """PreparedDocs of tokenized records, each DocLayout built once, and how many were dropped.
+
+    With a vocabulary, a record that carries none of its labels is dropped
+    and gets no layout, unless `require_labels` is off; then, as without a
+    vocabulary, its target is None.
+    """
+    docs: list[PreparedDoc] = []
+    dropped = 0
+    for record, ids, lens in tokenized:
+        target = None if vocab is None else corpus_mod.encode_labels(record, vocab)
+        if target is None and vocab is not None and require_labels:
+            dropped += 1
+        else:
+            docs.append(PreparedDoc(id=record.id, layout=DocLayout(ids, lens), target=target))
+    return docs, dropped
 
 
 def prepare_documents(
@@ -239,64 +271,42 @@ def prepare_documents(
 ) -> tuple[list[PreparedDoc], int]:
     """Segment, tokenize and lay out records as they come; returns (docs, dropped-for-no-label count).
 
-    A record is kept as its id, label bits and model text (`document_text`)
-    until `TrainConfig.batch_size` records are read, so no unread description
-    is held; then each text's sentences are tokenized into one id array,
-    each word's ids served from the segmenter's word memo, and its DocLayout
-    is built from that array, once. Tokenizing each record right after its
-    line is parsed made `evaluate` about 8% slower on short documents.
+    Each text's sentences are tokenized into one id array, each word's ids
+    served from the segmenter's word memo, and its DocLayout is built from
+    that array, once. As in `train`, which cannot know the vocabulary while
+    it reads, a record is tokenized before its labels are checked.
     """
-    docs: list[PreparedDoc] = []
-    dropped = 0
-    texts = []
-    for record in records:
-        target = None
-        if vocab is not None:
-            target = corpus_mod.encode_labels(record, vocab)
-            if target is None and require_labels:
-                dropped += 1
-                continue
-        texts.append((record.id, target, document_text(record, use_description)))
-        if len(texts) == TrainConfig.batch_size:
-            docs += _prepare_texts(texts, k_max, t_max, v_buckets)
-            texts.clear()
-    docs += _prepare_texts(texts, k_max, t_max, v_buckets)
-    return docs, dropped
+    return _lay_out(_tokenized(records, k_max, t_max, v_buckets, use_description), vocab, require_labels)
 
 
 def _read_splits(config: TrainConfig, corpus_path,
                  report: LoadReport) -> tuple[dict[str, int], dict[str, deque]]:
     """One pass over the corpus file: each part's record count, and the training and validation
-    records, tokenized as they are read, as (record without its text, token ids, sentence lengths)
-    in file order. A test record is dropped as soon as it is counted.
+    records, tokenized as they are read (`_tokenized`), in file order. A test record is dropped
+    as soon as it is counted.
     """
     sizes = dict.fromkeys(SPLIT_NAMES, 0)
+    parts = deque()  # the part of each record passed on, in order: _tokenized yields in input order
+
+    def counted():
+        for record in iter_corpus(corpus_path, report):
+            part = split_of(config.seed, record.id)
+            sizes[part] += 1
+            if part != "test":
+                parts.append(part)
+                yield record
+
     tokenized = {"train": deque(), "validation": deque()}
-    for record in iter_corpus(corpus_path, report):
-        part = split_of(config.seed, record.id)
-        sizes[part] += 1
-        if part in tokenized:
-            tokens = _token_ids(document_text(record, config.use_description), config.k_max,
-                                config.dims.t_max, config.dims.v_buckets)
-            tokenized[part].append((record.without_text(), *tokens))
+    for item in _tokenized(counted(), config.k_max, config.dims.t_max, config.dims.v_buckets,
+                           config.use_description):
+        tokenized[parts.popleft()].append(item)
     return sizes, tokenized
 
 
-def _lay_out_labelled(tokenized: deque, vocab: LabelVocabulary) -> tuple[list[PreparedDoc], int]:
-    """PreparedDocs of the (record, ids, lens) triples whose record has a vocabulary label, and
-    how many have none; empties `tokenized` as it goes, so each document's ids are freed once
-    its layout is built. A document without a label gets no layout.
-    """
-    docs: list[PreparedDoc] = []
-    dropped = 0
-    while tokenized:
-        record, ids, lens = tokenized.popleft()
-        target = corpus_mod.encode_labels(record, vocab)
-        if target is None:
-            dropped += 1
-        else:
-            docs.append(PreparedDoc(id=record.id, layout=DocLayout(ids, lens), target=target))
-    return docs, dropped
+def _drain(queue: deque):
+    """The queue's items in order, each removed as it is yielded, so each is freed once used."""
+    while queue:
+        yield queue.popleft()
 
 
 def _forward(enc_params: EncoderParams, head_params: HeadParams, batch: BatchLayout):
@@ -373,8 +383,8 @@ def train(
     dims = replace(config.dims, c=len(vocab))
 
     # laid out only now, so that a document the vocabulary drops gets no layout
-    train_docs, dropped_train = _lay_out_labelled(tokenized["train"], vocab)
-    val_docs, dropped_val = _lay_out_labelled(tokenized["validation"], vocab)
+    train_docs, dropped_train = _lay_out(_drain(tokenized["train"]), vocab)
+    val_docs, dropped_val = _lay_out(_drain(tokenized["validation"]), vocab)
     if not val_docs:
         raise EmptySplit("validation split is empty")
 
@@ -495,12 +505,10 @@ def predict_records(
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    records = iter(records)
+    tokenized = _tokenized(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
     results = []
-    while chunk := list(islice(records, TrainConfig.batch_size)):
-        docs, _ = prepare_documents(
-            chunk, None, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description,
-            require_labels=False)
+    while chunk := list(islice(tokenized, TrainConfig.batch_size)):
+        docs, _ = _lay_out(chunk, None)
         batch = BatchLayout([doc.layout for doc in docs])
         cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, batch)
         bits = predict(cache.scores, threshold).tolist()

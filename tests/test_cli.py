@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 
@@ -206,6 +207,25 @@ sys.exit(main(sys.argv[1:]))
         assert done.stderr.startswith("error: OSError: [Errno 27] File too large"), done.stderr
         assert out.read_bytes() == previous
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_through_a_symlink_writes_its_target(self, capsys, corpus, tmp_path):
+        target = tmp_path / "split.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["split", str(corpus), "--out", str(link)]) == 0
+        assert main(["split", str(corpus)]) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_out_keeps_the_previous_file_mode(self, capsys, corpus, tmp_path):
+        out = tmp_path / "split.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert main(["split", str(corpus), "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],

@@ -313,7 +313,7 @@ class TestSplitDataset:
         position = {id(record): i for i, record in enumerate(records)}
         placed = []
         for name in SPLIT_NAMES:
-            part = split_records(records, seed, name)
+            part = list(split_records(records, seed, name))
             where = [position[id(record)] for record in part]
             assert where == sorted(where)
             assert all(split_of(seed, record.id) == name for record in part)

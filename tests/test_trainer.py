@@ -844,17 +844,24 @@ class TestPredictRecords:
         ckpt = fresh_checkpoint(seed=5)
         records = make_needle_corpus(n_docs=41, n_labels=3, k=8, seed=1)
         as_list = predict_records(ckpt, records, k_max=8, with_attention=True)
-        prepared = []
-        prepare = trainer.prepare_documents
+        read, laid_out = [], []
+        lay_out = trainer._lay_out
 
         def spy(chunk, *args, **kwargs):
-            prepared.append(len(chunk))
-            return prepare(chunk, *args, **kwargs)
+            laid_out.append((len(chunk), len(read)))
+            return lay_out(chunk, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "prepare_documents", spy)
-        assert predict_records(ckpt, (r for r in records), k_max=8, with_attention=True) == as_list
-        assert [row["id"] for row in as_list] == [r.id for r in records]
-        assert prepared == [TrainConfig.batch_size, TrainConfig.batch_size, 41 - 2 * TrainConfig.batch_size]
+        def reading():
+            for record in records:
+                read.append(record.id)
+                yield record
+
+        monkeypatch.setattr(trainer, "_lay_out", spy)
+        assert predict_records(ckpt, reading(), k_max=8, with_attention=True) == as_list
+        assert [row["id"] for row in as_list] == read == [r.id for r in records]
+        # each batch is laid out when its last record has been read, and no later record
+        batch = TrainConfig.batch_size
+        assert laid_out == [(batch, batch), (batch, 2 * batch), (41 - 2 * batch, 41)]
 
 
 class TestStreamedCorpus:
