@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from sentattn.checkpoint import output_file
+
 
 def positive(text: str) -> int:
     if int(text) < 1:
@@ -69,4 +71,5 @@ def report(args: argparse.Namespace, **sections) -> None:
     print(json.dumps(report, indent=2))
     if args.out:
         sides = json.loads(args.out.read_text()) if args.out.exists() else {}
-        args.out.write_text(json.dumps({**sides, args.side: report}, indent=2) + "\n")
+        with output_file(args.out) as fh:  # a failed write keeps the file, and the other side's report
+            fh.write((json.dumps({**sides, args.side: report}, indent=2) + "\n").encode())

@@ -19,21 +19,25 @@ every tensor bit-exactly. Training metadata (epochs run, best validation
 micro-F1, seed) lives only on the in-memory object; the byte layout above
 is the whole on-disk contract.
 
-Saving streams the header and then each tensor's own buffer into the temp
-file, folding each part into a running CRC, so it builds no file-sized
-copy. Loading reads the file into one bytes object and walks one
-`memoryview` of it, so the only other copy is each tensor's aligned,
-writable float32 array.
+Saving streams the header and then each tensor's own buffer into the file
+that `output_file` opens, folding each part into a running CRC, so it
+builds no file-sized copy. Loading reads the file into one bytes object
+and walks one `memoryview` of it, so the only other copy is each tensor's
+aligned, writable float32 array.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -96,15 +100,37 @@ def model_tensors(encoder_params: EncoderParams, head_params: HeadParams) -> lis
     return encoder_params.named_tensors() + head_params.named_tensors()
 
 
-def checkpoint_temp_path(path: str | Path) -> Path:
-    """The temp file that save_checkpoint writes beside `path` and renames over it."""
-    path = Path(path)
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+@contextmanager
+def output_file(path: str | Path) -> Iterator[BinaryIO]:
+    """`path` opened for writing in binary: the package's one rule for replacing an output file.
+
+    Symlinks are followed. A regular or missing target is written to a temp
+    file beside it, synced, given the previous file's mode and renamed over
+    it; on any exception the temp file is removed and the target left whole.
+    A device or pipe is written through; a directory fails to open.
+    """
+    path = Path(os.path.realpath(path))
+    previous = path.stat() if path.exists() else None
+    if previous is not None and not stat.S_ISREG(previous.st_mode):
+        with path.open("wb") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        if previous is not None:
+            os.chmod(tmp, stat.S_IMODE(previous.st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Serialize to the pinned byte layout, append the CRC-32 trailer, and
-    replace the file at `path` atomically."""
+def write_checkpoint(ckpt: Checkpoint, fh: BinaryIO) -> None:
+    """Write the pinned byte layout and its CRC-32 trailer into the binary file `fh`."""
     d = ckpt.dims
     if len(ckpt.vocab) != d.c:
         raise CheckpointError(f"{len(ckpt.vocab)} label codes for c = {d.c}")
@@ -121,22 +147,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         if t.shape != shape:
             raise CheckpointError(f"tensor {name} has shape {t.shape}, expected {shape}")
         parts.append(np.ascontiguousarray(t, dtype="<f4"))
-    # Write a temp file beside the target and rename it over the target, so a
-    # failed or interrupted write never truncates the previous checkpoint.
-    tmp = checkpoint_temp_path(path)
-    try:
-        with tmp.open("wb") as fh:
-            crc = 0
-            for part in parts:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    crc = 0
+    for part in parts:
+        fh.write(part)
+        crc = zlib.crc32(part, crc)
+    fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write the checkpoint to `path` through `output_file`, so a failed save leaves the previous file whole."""
+    with output_file(path) as fh:
+        write_checkpoint(ckpt, fh)
 
 
 class _Reader:

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import json
-import os
-import stat
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -31,7 +28,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import corpus as corpus_mod
-from .checkpoint import CheckpointError, checkpoint_temp_path, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, output_file, write_checkpoint
 from .corpus import (
     SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, RecordLabels, build_vocabulary, iter_corpus,
     label_stats, split_records,
@@ -136,29 +133,8 @@ def _emit(payload, out_path: str | None) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
-    try:
-        previous = os.lstat(out_path)
-    except FileNotFoundError:
-        previous = None
-    if previous is not None and not stat.S_ISREG(previous.st_mode):
-        # a symlink, device or pipe is written through, never replaced
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    # written beside the target and renamed over it, as save_checkpoint does,
-    # so a failed write leaves the previous file whole, with its permissions
-    tmp = checkpoint_temp_path(out_path)
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if previous is not None:
-            os.chmod(tmp, stat.S_IMODE(previous.st_mode))
-        os.replace(tmp, out_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with output_file(out_path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _progress(message: str) -> None:
@@ -281,31 +257,24 @@ def _cmd_stats(args, settings):
 def _cmd_train(args, settings):
     dims = ModelDims(**{key: settings.pop(key) for key in _DIMS_KEYS if key in settings})
     config = TrainConfig(dims=dims, **settings)
-    # an unusable MODEL_OUT fails now, not after training: the temp file that
-    # save_checkpoint writes must be creatable, and the rename over MODEL_OUT
-    # fails on a directory (a symlink is replaced, not followed)
-    model_out = Path(args.model_out)
-    if model_out.is_dir() and not model_out.is_symlink():
-        raise IsADirectoryError(errno.EISDIR, "MODEL_OUT is a directory", str(model_out))
-    probe = checkpoint_temp_path(model_out)
-    probe.open("wb").close()
-    probe.unlink()
-    log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()
-    with log_file as log:
+    # MODEL_OUT is opened before training, so an unusable one fails first
+    with output_file(args.model_out) as model_file:
+        log_file = Path(args.log_out).open("w", encoding="utf-8") if args.log_out else contextlib.nullcontext()
+        with log_file as log:
 
-        def on_epoch(entry: EpochLog) -> None:
-            _progress(f"epoch {entry.epoch}: loss {entry.train_loss:.4f} "
-                      f"val_micro_f1 {entry.val_micro_f1:.4f}")
-            if log is not None:
-                row = {k: v for k, v in asdict(entry).items() if v is not None}
-                log.write(json.dumps(row) + "\n")
-                log.flush()
+            def on_epoch(entry: EpochLog) -> None:
+                _progress(f"epoch {entry.epoch}: loss {entry.train_loss:.4f} "
+                          f"val_micro_f1 {entry.val_micro_f1:.4f}")
+                if log is not None:
+                    row = {k: v for k, v in asdict(entry).items() if v is not None}
+                    log.write(json.dumps(row) + "\n")
+                    log.flush()
 
-        # a run that overflows ends in NonFiniteLoss, its one report: numpy's
-        # warnings on the way there would only be noise on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train(config, args.corpus, on_epoch=on_epoch)
-    save_checkpoint(result.checkpoint, args.model_out)
+            # a run that overflows ends in NonFiniteLoss, its one report: numpy's
+            # warnings on the way there would only be noise on stderr
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = train(config, args.corpus, on_epoch=on_epoch)
+        write_checkpoint(result.checkpoint, model_file)
     meta = result.checkpoint.meta
     if meta.best_val_micro_f1 == 0.0:
         _progress("warning: best validation micro-F1 is 0; "

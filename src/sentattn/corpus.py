@@ -241,6 +241,7 @@ def iter_corpus(path: str | Path, report: LoadReport) -> Iterator[PatentRecord]:
             report.malformed_codes += record.malformed_codes
             report.retained += 1
             yield record
+            del obj, record  # not held while the next line is read
 
 
 def load_corpus(path: str | Path) -> tuple[list[PatentRecord], LoadReport]:

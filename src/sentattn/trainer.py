@@ -295,6 +295,7 @@ def _read_splits(config: TrainConfig, corpus_path,
             if part != "test":
                 parts.append(part)
                 yield record
+            del record  # a dropped test record is not held while the next one is read
 
     tokenized = {"train": deque(), "validation": deque()}
     for item in _tokenized(counted(), config.k_max, config.dims.t_max, config.dims.v_buckets,

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import signal
 import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +33,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+TINY_TRAIN_FLAGS = ["--h", "8", "--f", "8", "--c", "4", "--v-buckets", "256", "--t-max", "12",
+                    "--k-max", "8", "--batch-size", "8", "--seed", "3"]
+
+# The two callers of output_file, as commands that write the file {out}:
+# --out (split's here) and train's MODEL_OUT. {seed} changes the bytes written.
+WRITERS = {
+    "--out": ["split", "{corpus}", "--seed", "{seed}", "--out", "{out}"],
+    "MODEL_OUT": ["train", "{corpus}", "{out}", *TINY_TRAIN_FLAGS, "--max-epochs", "1", "--patience", "1",
+                  "--seed", "{seed}"],
+}
+
+
+def writer_argv(writer: str, out, corpus, seed: int = 3) -> list[str]:
+    return [arg.format(out=out, corpus=corpus, seed=seed) for arg in WRITERS[writer]]
+
+
+@pytest.fixture(scope="module")
+def expected_bytes(corpus, tmp_path_factory):
+    """What each writer writes at seed 3: split's stdout, and train's checkpoint at a new path."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["split", str(corpus), "--seed", "3"]) == 0
+    model = tmp_path_factory.mktemp("expected") / "m.satn"
+    assert main(writer_argv("MODEL_OUT", model, corpus)) == 0
+    return {"--out": stdout.getvalue().encode("utf-8"), "MODEL_OUT": model.read_bytes()}
 
 
 class TestLoadConfig:
@@ -160,6 +190,16 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: NonFiniteLoss: epoch "), err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_loss_keeps_the_previous_model(self, capsys, corpus, tmp_path):
+        model = tmp_path / "m.satn"
+        model.write_bytes(b"the previous model")
+        code, out, err = run(capsys, "train", str(corpus), str(model), *TINY_TRAIN_FLAGS,
+                             "--encoder", "minitransformer", "--lr", "1e30",
+                             "--max-epochs", "50", "--patience", "50")
+        assert code == EXIT_NUMERIC, err
+        assert model.read_bytes() == b"the previous model"
+        assert list(tmp_path.iterdir()) == [model]
+
     # Run in a child process whose address space is capped at 2 GB, so the
     # 23.8 GiB embedding table that --v-buckets 100000000 asks for at h = 64
     # cannot be allocated, whatever the machine's overcommit policy.
@@ -194,38 +234,65 @@ sys.exit(main(sys.argv[1:]))
 """
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="caps RLIMIT_FSIZE, as on POSIX")
-    def test_a_failed_out_write_keeps_the_previous_file(self, capsys, corpus, tmp_path):
-        out = tmp_path / "split.json"
-        assert main(["split", str(corpus), "--out", str(out)]) == 0
+    @pytest.mark.parametrize("target", ["file", "symlink"])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_failed_out_write_keeps_the_previous_file(self, capsys, corpus, tmp_path, writer, target):
+        out = tmp_path / "out"
+        assert main(writer_argv(writer, out, corpus)) == 0
         capsys.readouterr()
         previous = out.read_bytes()
         assert len(previous) > 500
+        path = out
+        if target == "symlink":  # its target keeps its bytes too: it is not written through
+            path = tmp_path / "link"
+            path.symlink_to(out)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", self.FILE_TOO_LARGE, "split", str(corpus), "--seed", "5",
-                               "--out", str(out)], env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-c", self.FILE_TOO_LARGE, *writer_argv(writer, path, corpus, seed=5)],
+                              env=env, capture_output=True, text=True)
         assert done.returncode == EXIT_DATA, done.stderr
-        assert done.stderr.startswith("error: OSError: [Errno 27] File too large"), done.stderr
+        *progress, error = done.stderr.splitlines()
+        assert error.startswith("error: OSError: [Errno 27] File too large"), done.stderr
+        assert all(line.startswith("epoch ") for line in progress), done.stderr
         assert out.read_bytes() == previous
-        assert list(tmp_path.iterdir()) == [out]
+        assert sorted(tmp_path.iterdir()) == sorted({out, path})
 
-    def test_out_through_a_symlink_writes_its_target(self, capsys, corpus, tmp_path):
-        target = tmp_path / "split.json"
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_out_through_a_symlink_writes_its_target(self, capsys, corpus, expected_bytes, tmp_path, writer):
+        target = tmp_path / "target"
         target.write_text("old")
-        link = tmp_path / "link.json"
+        link = tmp_path / "link"
         link.symlink_to(target)
-        assert main(["split", str(corpus), "--out", str(link)]) == 0
-        assert main(["split", str(corpus)]) == 0
+        assert main(writer_argv(writer, link, corpus)) == 0
         assert link.is_symlink() and link.readlink() == target
-        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert target.read_bytes() == expected_bytes[writer]
         assert sorted(tmp_path.iterdir()) == [link, target]
 
-    def test_out_keeps_the_previous_file_mode(self, capsys, corpus, tmp_path):
-        out = tmp_path / "split.json"
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_out_keeps_the_previous_file_mode(self, capsys, corpus, expected_bytes, tmp_path, writer):
+        out = tmp_path / "out"
         out.write_text("old")
         out.chmod(0o640)
-        assert main(["split", str(corpus), "--out", str(out)]) == 0
+        assert main(writer_argv(writer, out, corpus)) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
-        assert json.loads(out.read_text(encoding="utf-8"))
+        assert out.read_bytes() == expected_bytes[writer]
+
+    # A FIFO stands for any target that is not a regular file: it is written
+    # through, never replaced. (Never /dev/null: run as root, a wrong replace
+    # would swap out the machine's device node.)
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO, as on POSIX")
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_pipe_is_written_through(self, capsys, corpus, expected_bytes, tmp_path, writer):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(writer_argv(writer, fifo, corpus)) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [expected_bytes[writer]]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{model}", "{corpus}", "--k-max", "0"],
@@ -352,10 +419,6 @@ class TestSegmentCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("   "))
         code, _, _ = run(capsys, "segment")
         assert code == 2
-
-
-TINY_TRAIN_FLAGS = ["--h", "8", "--f", "8", "--c", "4", "--v-buckets", "256", "--t-max", "12",
-                    "--k-max", "8", "--batch-size", "8", "--seed", "3"]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import sentattn
 
 
@@ -10,3 +12,11 @@ def test_star_import():
     namespace = {}
     exec("from sentattn import *", namespace)
     assert set(sentattn.__all__) <= set(namespace)
+
+
+def test_one_writer_replaces_output_files():
+    # output_file holds the package's one file-replace rule; a second copy of it
+    # would bring back writers that disagree on symlinks and permissions
+    source = "".join(path.read_text(encoding="utf-8") for path in Path(sentattn.__file__).parent.glob("*.py"))
+    assert source.count("os.replace(") == 1
+    assert source.count("os.fsync(") == 1

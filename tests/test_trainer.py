@@ -991,12 +991,30 @@ class TestCheckpointFile:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("failing", ["write", "fsync", "replace"])
-    def test_failed_save_keeps_the_old_file_whole(self, tmp_path, monkeypatch, failing):
+    # Both callers of output_file: save_checkpoint (the ids without a prefix)
+    # and the CLI's --out, whose failure main reports as exit 2.
+    @pytest.mark.parametrize("writer, failing", [(writer, failing) for writer in ("checkpoint", "--out")
+                                                 for failing in ("write", "fsync", "replace")],
+                             ids=["write", "fsync", "replace", "--out-write", "--out-fsync", "--out-replace"])
+    def test_failed_save_keeps_the_old_file_whole(self, tmp_path, tmp_path_factory, monkeypatch, writer, failing):
         import os
 
+        from sentattn.cli import EXIT_DATA, main
+
         path = tmp_path / "m.satn"
-        save_checkpoint(fresh_checkpoint(seed=0), path)
+        corpus = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        write_jsonl(make_needle_corpus(n_docs=24, n_labels=4, k=8, seed=1), corpus)
+
+        def save(seed):
+            if writer == "checkpoint":
+                save_checkpoint(fresh_checkpoint(seed=seed), path)
+                return
+            code = main(["split", str(corpus), "--seed", str(seed), "--out", str(path)])
+            if code == EXIT_DATA:
+                raise OSError("split --out failed")
+            assert code == 0
+
+        save(0)
         old = path.read_bytes()
 
         def fail(*args, **kwargs):
@@ -1027,11 +1045,11 @@ class TestCheckpointFile:
         else:
             monkeypatch.setattr(os, failing, fail)
         with pytest.raises(OSError):
-            save_checkpoint(fresh_checkpoint(seed=1), path)
+            save(1)
         monkeypatch.undo()
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.satn"]
-        save_checkpoint(fresh_checkpoint(seed=1), path)
+        save(1)
         assert path.read_bytes() != old
         assert [p.name for p in tmp_path.iterdir()] == ["m.satn"]
 
