@@ -33,7 +33,7 @@ from .corpus import (
     SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, RecordLabels, build_vocabulary, iter_corpus,
     label_stats, split_records,
 )
-from .encoder import ENCODER_KINDS, ModelDims
+from .encoder import ENCODER_KINDS, ModelDims, ShapeMismatch
 from .segmenter import EmptyText, segment
 from .trainer import (
     ATTENTION_MODES,
@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, EmptySplit, DimsMismatch, EmptyText, OSError) as exc:
+    except (CorpusError, CheckpointError, EmptySplit, DimsMismatch, EmptyText, ShapeMismatch, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteLoss as exc:

@@ -56,6 +56,9 @@ class CacheMismatch(Exception):
     """Backward called with a cache that does not match the forward pass."""
 
 
+_INDEX = np.iinfo(np.int32)
+
+
 @dataclass(frozen=True)
 class ModelDims:
     """Fixed model dimensions; the per-document sentence count k varies."""
@@ -70,6 +73,8 @@ class ModelDims:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
+        if self.v_buckets > _INDEX.max - 3:  # token ids run to 3 + v_buckets, and layouts hold them as int32
+            raise ValueError(f"v_buckets must be at most {_INDEX.max - 3}")
 
 
 TensorSpec = list[tuple[str, tuple[int, ...]]]
@@ -170,9 +175,6 @@ def init_encoder(
         raise ValueError(f"unknown encoder kind: {kind!r}")
     cls = ENCODER_PARAMS[kind]
     return init_tensors(cls, cls.spec(dims), rng, dtype)
-
-
-_INDEX = np.iinfo(np.int32)
 
 
 class DocLayout:

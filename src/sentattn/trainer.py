@@ -9,22 +9,23 @@ config on the same kernel produce byte-identical checkpoints and logs.
 Every document is prepared once, before any pass over it: segmented,
 tokenized into one id array, and laid out as the DocLayout that every
 training and validation pass over it reads. `train`, `evaluate` and
-`predict_records` prepare along one path: records are tokenized as they
-are read, `READ_WINDOW` records' model text at a time, keeping only each
-record's id, codes and token ids, and one step checks labels and builds
-the layouts. `train` reads the corpus file once, through `iter_corpus`,
-and drops each test record once it is counted; it builds the vocabulary
-from the training codes and only then lays out each training and
-validation document that carries a vocabulary label, freeing its ids as
-it goes, so a document the vocabulary drops is tokenized but gets no
-layout. `evaluate` lays out each record of its split as it is tokenized,
-and `predict_records` scores `batch_size` records at a time, so none of
-them holds the file's text. Each mini-batch runs as one
-forward and one backward pass over its documents' concatenated sentence
-columns (BatchLayout), whose gradients the backward passes add straight
-into the optimizer's per-tensor sums. Training batches each epoch's
-shuffle by `batch_size`; validation, evaluate and predict run the same
-pass, in order, in batches of TrainConfig.batch_size's default.
+`predict_records` prepare along one path, `_prepared`: records are read
+`READ_WINDOW` at a time, keeping only each record's id, codes and model
+text; the window's texts are tokenized and let go, and then the window's
+records are laid out. One label step, `_labelled`, then sets each
+document's target. `train` reads the corpus file once, through
+`iter_corpus`, and drops each test record once it is counted; it builds
+the vocabulary from the training codes and then labels its laid-out
+training and validation documents, so a document the vocabulary drops is
+laid out before it is dropped. `evaluate` labels each record of its split
+as it is laid out, and `predict_records` scores `batch_size` laid-out
+records at a time, so none of them holds the file's text. Each mini-batch
+runs as one forward and one backward pass over its documents'
+concatenated sentence columns (BatchLayout), whose gradients the backward
+passes add straight into the optimizer's per-tensor sums. Training
+batches each epoch's shuffle by `batch_size`; validation, evaluate and
+predict run the same pass, in order, in batches of
+TrainConfig.batch_size's default.
 
 Training runs on a compact embedding table: the rows of E that some
 prepared training or validation document reads, in table order, found by a
@@ -220,43 +221,45 @@ def document_text(record: PatentRecord, use_description: bool = TrainConfig.use_
     return ". ".join(filter(None, (p.strip() for p in parts)))
 
 
-READ_WINDOW = 16  # records whose model text is held at once before they are tokenized
+READ_WINDOW = 16  # records whose model text is held at once, and then whose id arrays wait for layout
 
 
-def _tokenized(records: Iterable[PatentRecord], k_max: int, t_max: int, v_buckets: int,
-               use_description: bool) -> Iterator[tuple[RecordLabels, np.ndarray, list[int]]]:
-    """Each record's id and codes (`without_text`), with its text's sentences tokenized into one id
-    array and each sentence's length, in input order.
+def _prepared(records: Iterable[PatentRecord], k_max: int, t_max: int, v_buckets: int,
+              use_description: bool) -> Iterator[tuple[RecordLabels, DocLayout]]:
+    """Each record's id and codes (`without_text`), with its text's DocLayout, in input order.
 
     Records are read `READ_WINDOW` at a time, keeping only their model text
-    (`document_text`), and then tokenized, so no more than a window's text
-    is held. Tokenizing each record right after its line was parsed ran
-    about 7% slower on short documents.
+    (`document_text`); the window's texts are tokenized and let go, and its
+    id arrays then laid out, each freed as its layout is built. Tokenizing
+    each record right after its line was parsed ran about 7% slower on short
+    documents, and laying each out right after its own tokenizing 1-4% slower.
     """
     records = iter(records)
     while window := [(record.without_text(), document_text(record, use_description))
                      for record in islice(records, READ_WINDOW)]:
-        for record, text in window:
-            yield (record, *token_ids((text[start:end] for start, end in sentence_spans(text, k_max)),
-                                      t_max, v_buckets))
+        window = deque((record, token_ids((text[start:end] for start, end in sentence_spans(text, k_max)),
+                                          t_max, v_buckets)) for record, text in window)
+        while window:
+            record, (ids, lens) = window.popleft()
+            yield record, DocLayout(ids, lens)
 
 
-def _lay_out(tokenized: Iterable[tuple[RecordLabels, np.ndarray, list[int]]], vocab: LabelVocabulary | None,
-             require_labels: bool = True) -> tuple[list[PreparedDoc], int]:
-    """PreparedDocs of tokenized records, each DocLayout built once, and how many were dropped.
+def _labelled(prepared: Iterable[tuple[RecordLabels, DocLayout]], vocab: LabelVocabulary | None,
+              require_labels: bool = True) -> tuple[list[PreparedDoc], int]:
+    """PreparedDocs of laid-out records, each with its target, and how many were dropped.
 
-    With a vocabulary, a record that carries none of its labels is dropped
-    and gets no layout, unless `require_labels` is off; then, as without a
-    vocabulary, its target is None.
+    With a vocabulary, a record that carries none of its labels is dropped,
+    unless `require_labels` is off; then, as without a vocabulary, its
+    target is None.
     """
     docs: list[PreparedDoc] = []
     dropped = 0
-    for record, ids, lens in tokenized:
+    for record, layout in prepared:
         target = None if vocab is None else corpus_mod.encode_labels(record, vocab)
         if target is None and vocab is not None and require_labels:
             dropped += 1
         else:
-            docs.append(PreparedDoc(id=record.id, layout=DocLayout(ids, lens), target=target))
+            docs.append(PreparedDoc(id=record.id, layout=layout, target=target))
     return docs, dropped
 
 
@@ -274,19 +277,19 @@ def prepare_documents(
     Each text's sentences are tokenized into one id array, each word's ids
     served from the segmenter's word memo, and its DocLayout is built from
     that array, once. As in `train`, which cannot know the vocabulary while
-    it reads, a record is tokenized before its labels are checked.
+    it reads, a record is laid out before its labels are checked.
     """
-    return _lay_out(_tokenized(records, k_max, t_max, v_buckets, use_description), vocab, require_labels)
+    return _labelled(_prepared(records, k_max, t_max, v_buckets, use_description), vocab, require_labels)
 
 
 def _read_splits(config: TrainConfig, corpus_path,
-                 report: LoadReport) -> tuple[dict[str, int], dict[str, deque]]:
+                 report: LoadReport) -> tuple[dict[str, int], dict[str, list]]:
     """One pass over the corpus file: each part's record count, and the training and validation
-    records, tokenized as they are read (`_tokenized`), in file order. A test record is dropped
+    records, laid out as they are read (`_prepared`), in file order. A test record is dropped
     as soon as it is counted.
     """
     sizes = dict.fromkeys(SPLIT_NAMES, 0)
-    parts = deque()  # the part of each record passed on, in order: _tokenized yields in input order
+    parts = deque()  # the part of each record passed on, in order: _prepared yields in input order
 
     def counted():
         for record in iter_corpus(corpus_path, report):
@@ -297,17 +300,11 @@ def _read_splits(config: TrainConfig, corpus_path,
                 yield record
             del record  # a dropped test record is not held while the next one is read
 
-    tokenized = {"train": deque(), "validation": deque()}
-    for item in _tokenized(counted(), config.k_max, config.dims.t_max, config.dims.v_buckets,
-                           config.use_description):
-        tokenized[parts.popleft()].append(item)
-    return sizes, tokenized
-
-
-def _drain(queue: deque):
-    """The queue's items in order, each removed as it is yielded, so each is freed once used."""
-    while queue:
-        yield queue.popleft()
+    prepared = {"train": [], "validation": []}
+    for item in _prepared(counted(), config.k_max, config.dims.t_max, config.dims.v_buckets,
+                          config.use_description):
+        prepared[parts.popleft()].append(item)
+    return sizes, prepared
 
 
 def _forward(enc_params: EncoderParams, head_params: HeadParams, batch: BatchLayout):
@@ -374,18 +371,16 @@ def train(
     epoch ends, so a caller can report progress while training runs.
     """
     load_report = LoadReport()
-    split_sizes, tokenized = _read_splits(config, corpus_path, load_report)
+    split_sizes, prepared = _read_splits(config, corpus_path, load_report)
     if not load_report.retained:
         raise EmptySplit("corpus holds no usable records")
-    if not tokenized["train"]:
+    if not prepared["train"]:
         raise EmptySplit("training split is empty")
-    vocab = corpus_mod.build_vocabulary((record for record, _, _ in tokenized["train"]),
-                                        config.dims.c)
+    vocab = corpus_mod.build_vocabulary((record for record, _ in prepared["train"]), config.dims.c)
     dims = replace(config.dims, c=len(vocab))
-
-    # laid out only now, so that a document the vocabulary drops gets no layout
-    train_docs, dropped_train = _lay_out(_drain(tokenized["train"]), vocab)
-    val_docs, dropped_val = _lay_out(_drain(tokenized["validation"]), vocab)
+    # each list is popped, so a record's codes are freed once its document is labelled
+    train_docs, dropped_train = _labelled(prepared.pop("train"), vocab)
+    val_docs, dropped_val = _labelled(prepared.pop("validation"), vocab)
     if not val_docs:
         raise EmptySplit("validation split is empty")
 
@@ -506,16 +501,15 @@ def predict_records(
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    tokenized = _tokenized(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
+    prepared = _prepared(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
     results = []
-    while chunk := list(islice(tokenized, TrainConfig.batch_size)):
-        docs, _ = _lay_out(chunk, None)
-        batch = BatchLayout([doc.layout for doc in docs])
+    while chunk := list(islice(prepared, TrainConfig.batch_size)):
+        batch = BatchLayout([layout for _, layout in chunk])
         cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, batch)
         bits = predict(cache.scores, threshold).tolist()
-        for d, (doc, scores) in enumerate(zip(docs, cache.scores.tolist())):
+        for d, ((record, _), scores) in enumerate(zip(chunk, cache.scores.tolist())):
             entry = {
-                "id": doc.id,
+                "id": record.id,
                 "scores": dict(zip(ckpt.vocab.codes, scores)),
                 "predicted": [code for code, bit in zip(ckpt.vocab.codes, bits[d]) if bit],
             }

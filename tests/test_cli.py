@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -306,6 +307,7 @@ sys.exit(main(sys.argv[1:]))
         ["train", "{corpus}", "{out}", "--seed", "-1"],
         ["train", "{corpus}", "{out}", "--beta2", "1.5"],
         ["train", "{corpus}", "{out}", "--lr", "nan"],
+        ["train", "{corpus}", "{out}", "--v-buckets", "2147483645"],
         ["split", "{corpus}", "--seed", "-1"],
         ["build-vocab", "{corpus}", "--seed", "-1"],
         ["evaluate", "{model}", "{corpus}", "--seed", "-1"],
@@ -326,6 +328,21 @@ sys.exit(main(sys.argv[1:]))
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_a_document_too_large_for_the_cell_index_is_data_error(self, capsys, monkeypatch, corpus, tmp_path):
+        # with the cell index capped at 150, a model of 64 buckets still loads, and
+        # every needle document (152 to 216 distinct ids x sentences) overflows it
+        model = tmp_path / "m.satn"
+        assert main(["train", str(corpus), str(model), *TINY_TRAIN_FLAGS, "--v-buckets", "64",
+                     "--max-epochs", "1", "--patience", "1"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sentattn.encoder._INDEX", types.SimpleNamespace(min=np.iinfo(np.int32).min, max=150))
+        for command in ("evaluate", "predict"):
+            code, out, err = run(capsys, command, str(model), str(corpus), "--k-max", "8")
+            assert code == EXIT_DATA
+            assert out == ""
+            assert err.startswith("error: ShapeMismatch: ") and "overflow the cell index" in err, err
+            assert len(err.splitlines()) == 1, err
 
     def test_undecodable_config_is_usage_error(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "latin1.cfg"
