@@ -11,7 +11,6 @@ from .corpus import (
     PatentRecord,
     build_vocabulary,
     encode_labels,
-    label_stats,
     load_corpus,
     parse_ipc,
     split_of,
@@ -39,7 +38,7 @@ __all__ = [
     "ModelDims", "PatentRecord", "Sentence", "TrainConfig",
     "bce_loss", "build_vocabulary", "encode_document", "encode_labels",
     "encoder_backward", "evaluate", "grad_check", "head_backward",
-    "head_forward", "init_encoder", "init_head", "label_stats",
+    "head_forward", "init_encoder", "init_head",
     "load_checkpoint", "load_corpus", "macro_scores", "micro_scores",
     "parse_ipc", "predict", "save_checkpoint", "segment", "split_of",
     "train",

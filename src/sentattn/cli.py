@@ -30,8 +30,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, load_checkpoint, output_file, write_checkpoint
 from .corpus import (
-    SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, RecordLabels, build_vocabulary, iter_corpus,
-    label_stats, split_records,
+    SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, build_vocabulary, iter_corpus, split_of, split_records,
 )
 from .encoder import ENCODER_KINDS, ModelDims, ShapeMismatch
 from .segmenter import EmptyText, segment
@@ -221,11 +220,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _ids_and_codes(corpus_path: str, report: LoadReport) -> list[RecordLabels]:
-    """The corpus file's records without their text: one pass keeps only ids and codes."""
-    return [record.without_text() for record in iter_corpus(corpus_path, report)]
-
-
 def _cmd_build_vocab(args, settings):
     report = LoadReport()
     records = split_records(iter_corpus(args.corpus, report), settings.get("seed", TrainConfig.seed),
@@ -236,22 +230,26 @@ def _cmd_build_vocab(args, settings):
 
 
 def _cmd_split(args, settings):
-    records = _ids_and_codes(args.corpus, LoadReport())
-    if not records:
-        raise EmptyInput("corpus holds no usable records")
     seed = settings.get("seed", TrainConfig.seed)
-    payload = {name: sorted(r.id for r in split_records(records, seed, name)) for name in SPLIT_NAMES}
+    ids = {name: [] for name in SPLIT_NAMES}
+    # "all" checks the seed before the file is opened; each record's part is then hashed once
+    for record in split_records(iter_corpus(args.corpus, LoadReport()), seed, "all"):
+        ids[split_of(seed, record.id)].append(record.id)
+    if not any(ids.values()):
+        raise EmptyInput("corpus holds no usable records")
+    payload = {name: sorted(part) for name, part in ids.items()}
     payload["counts"] = {name: len(payload[name]) for name in SPLIT_NAMES}
     return payload
 
 
 def _cmd_stats(args, settings):
     report = LoadReport()
-    records = _ids_and_codes(args.corpus, report)
+    records = [record.without_text() for record in iter_corpus(args.corpus, report)]
     vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
-    counts = label_stats(records, vocab)
     dropped = sum(1 for r in records if corpus_mod.encode_labels(r, vocab) is None)
-    return {"counts": counts, "dropped": dropped, "skipped": report.total_skipped}
+    # the vocabulary's counts are the per-code document counts: each record counts a code once
+    return {"counts": dict(zip(vocab.codes, vocab.counts)), "dropped": dropped,
+            "skipped": report.total_skipped}
 
 
 def _cmd_train(args, settings):
@@ -270,10 +268,7 @@ def _cmd_train(args, settings):
                     log.write(json.dumps(row) + "\n")
                     log.flush()
 
-            # a run that overflows ends in NonFiniteLoss, its one report: numpy's
-            # warnings on the way there would only be noise on stderr
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = train(config, args.corpus, on_epoch=on_epoch)
+            result = train(config, args.corpus, on_epoch=on_epoch)
         write_checkpoint(result.checkpoint, model_file)
     meta = result.checkpoint.meta
     if meta.best_val_micro_f1 == 0.0:
@@ -327,7 +322,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help lands here
         return int(exc.code or 0)
     try:
-        _emit(args.func(args, _resolve(args, args.keys)), getattr(args, "out", None))
+        # a model that overflows ends in NonFiniteLoss, its one report: numpy's
+        # warnings on the way there would only be noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            _emit(args.func(args, _resolve(args, args.keys)), getattr(args, "out", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

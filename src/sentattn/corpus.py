@@ -100,10 +100,10 @@ class PatentRecord:
 class RecordLabels(NamedTuple):
     """A record's id and parsed codes, without its text.
 
-    It answers `normalized_codes` as the record does, so `build_vocabulary`,
-    `encode_labels` and `label_stats` take it in the record's place. A tuple,
-    not a copy of the record, because a pass over short documents makes one
-    for every record it reads.
+    It answers `normalized_codes` as the record does, so `build_vocabulary`
+    and `encode_labels` take it in the record's place. A tuple, not a copy
+    of the record, because a pass over short documents makes one for every
+    record it reads.
     """
 
     id: str
@@ -307,13 +307,3 @@ def split_records(records: Iterable[PatentRecord], seed: int, name: str) -> Iter
     if name not in SPLIT_NAMES:
         raise ValueError(f"unknown split name: {name!r}")
     return (r for r in records if split_of(seed, r.id) == name)
-
-
-def label_stats(records: Iterable[PatentRecord | RecordLabels], vocab: LabelVocabulary) -> dict[str, int]:
-    """Per-code document counts in vocabulary order (duplicates collapse per record)."""
-    counts = {code: 0 for code in vocab.codes}
-    for record in records:
-        for code in record.normalized_codes():
-            if code in counts:
-                counts[code] += 1
-    return counts

@@ -73,6 +73,8 @@ class ModelDims:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
+        if self.t_max < 3:  # a sentence holds CLS, at least one token and SEP
+            raise ValueError("t_max must be at least 3")
         if self.v_buckets > _INDEX.max - 3:  # token ids run to 3 + v_buckets, and layouts hold them as int32
             raise ValueError(f"v_buckets must be at most {_INDEX.max - 3}")
 

@@ -18,14 +18,14 @@ document's target. `train` reads the corpus file once, through
 the vocabulary from the training codes and then labels its laid-out
 training and validation documents, so a document the vocabulary drops is
 laid out before it is dropped. `evaluate` labels each record of its split
-as it is laid out, and `predict_records` scores `batch_size` laid-out
-records at a time, so none of them holds the file's text. Each mini-batch
-runs as one forward and one backward pass over its documents'
-concatenated sentence columns (BatchLayout), whose gradients the backward
-passes add straight into the optimizer's per-tensor sums. Training
-batches each epoch's shuffle by `batch_size`; validation, evaluate and
-predict run the same pass, in order, in batches of
-TrainConfig.batch_size's default.
+as it is laid out, and `predict_records` scores each batch once its last
+record is laid out, so none of them holds the file's text. Every pass
+batches through one loop, `_batches`; each batch runs as one forward (and
+in training one backward) pass over its documents' concatenated sentence
+columns (BatchLayout), whose gradients go straight into the optimizer's
+per-tensor sums. Training batches each epoch's shuffle by `batch_size`;
+validation, evaluate and predict score in order, in batches of
+TrainConfig.batch_size's default, and refuse a score that is not finite.
 
 Training runs on a compact embedding table: the rows of E that some
 prepared training or validation document reads, in table order, found by a
@@ -53,7 +53,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class DimsMismatch(Exception):
 
 
 class NonFiniteLoss(Exception):
-    """Training loss became NaN or infinite."""
+    """Training loss, or a model's score, became NaN or infinite."""
 
 
 @dataclass
@@ -152,13 +152,11 @@ class TrainResult:
     dropped: dict[str, int]
 
 
-@dataclass
-class PreparedDoc:
-    """One document as every pass reads it: its token layout, built once, and its label bits."""
+class PreparedDoc(NamedTuple):
+    """One document as every pass reads it: its label bits and its layout, built once; `_batches` cuts it."""
 
-    id: str
-    layout: DocLayout
     target: np.ndarray | None
+    layout: DocLayout
 
 
 class Adam:
@@ -259,7 +257,7 @@ def _labelled(prepared: Iterable[tuple[RecordLabels, DocLayout]], vocab: LabelVo
         if target is None and vocab is not None and require_labels:
             dropped += 1
         else:
-            docs.append(PreparedDoc(id=record.id, layout=layout, target=target))
+            docs.append(PreparedDoc(target, layout))
     return docs, dropped
 
 
@@ -312,19 +310,29 @@ def _forward(enc_params: EncoderParams, head_params: HeadParams, batch: BatchLay
     return head_forward(D, head_params, batch.bounds), enc_cache
 
 
-def _batches(docs: list[PreparedDoc], size: int = TrainConfig.batch_size):
-    """(documents, their BatchLayout), `size` documents at a time, in order."""
-    for start in range(0, len(docs), size):
-        chunk = docs[start : start + size]
-        yield chunk, BatchLayout([doc.layout for doc in chunk])
+def _batches(pairs: Iterable[tuple[object, DocLayout]], size: int = TrainConfig.batch_size):
+    """(items, their BatchLayout) of `size` (item, layout) pairs at a time, each once its last is read."""
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, size)):
+        items, layouts = zip(*chunk)
+        yield items, BatchLayout(layouts)
 
 
-def _confusion(enc_params, head_params, docs, c: int) -> ConfusionCounts:
+def _scored(enc_params, head_params, batch: BatchLayout):
+    """The head's forward cache of a batch that is only scored; NonFiniteLoss if a score is not finite."""
+    cache, _ = _forward(enc_params, head_params, batch)
+    # scores lie in [0, 1], so their sum is finite unless one is not; one reduction, not two
+    if not math.isfinite(cache.scores.sum()):
+        raise NonFiniteLoss("the model scores a document NaN or infinite")
+    return cache
+
+
+def _confusion(enc_params, head_params, docs: list[PreparedDoc], c: int) -> ConfusionCounts:
     """Threshold-0.5 predictions of every document, counted against its target."""
     counts = ConfusionCounts(c)
-    for chunk, batch in _batches(docs):
-        for doc, bits in zip(chunk, predict(_forward(enc_params, head_params, batch)[0].scores)):
-            counts.accumulate(bits, doc.target)
+    for targets, batch in _batches(docs):
+        for target, bits in zip(targets, predict(_scored(enc_params, head_params, batch).scores)):
+            counts.accumulate(bits, target)
     return counts
 
 
@@ -351,12 +359,12 @@ def _compact_rows(docs: list[PreparedDoc], n_rows: int) -> np.ndarray:
     and its `cell` holds.
     """
     read = np.zeros(n_rows, dtype=bool)
-    for doc in docs:
-        read[doc.layout.distinct] = True
+    for _, layout in docs:
+        read[layout.distinct] = True
     renumbered = np.cumsum(read, dtype=np.int32)  # a read row's index among them, plus one
     renumbered -= 1
-    for doc in docs:
-        renumbered.take(doc.layout.distinct, out=doc.layout.distinct)
+    for _, layout in docs:
+        renumbered.take(layout.distinct, out=layout.distinct)
     return np.flatnonzero(read)
 
 
@@ -406,12 +414,11 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         loss_sum = 0.0
-        for index, (chunk, batch) in enumerate(_batches([train_docs[j] for j in order], config.batch_size)):
-            targets = np.stack([doc.target for doc in chunk])
-            batch_loss = _step(enc_params, head_params, optimizer, batch, targets)
+        for index, (targets, batch) in enumerate(_batches((train_docs[j] for j in order), config.batch_size)):
+            batch_loss = _step(enc_params, head_params, optimizer, batch, np.stack(targets))
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {index}")
-            optimizer.step(len(chunk))
+            optimizer.step(len(targets))
             loss_sum += batch_loss
         val_counts = _confusion(enc_params, head_params, val_docs, dims.c)
         val_micro = micro_scores(val_counts)[2]
@@ -501,13 +508,12 @@ def predict_records(
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    prepared = _prepared(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets, use_description)
     results = []
-    while chunk := list(islice(prepared, TrainConfig.batch_size)):
-        batch = BatchLayout([layout for _, layout in chunk])
-        cache, _ = _forward(ckpt.encoder_params, ckpt.head_params, batch)
+    for chunk, batch in _batches(_prepared(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets,
+                                           use_description)):
+        cache = _scored(ckpt.encoder_params, ckpt.head_params, batch)
         bits = predict(cache.scores, threshold).tolist()
-        for d, ((record, _), scores) in enumerate(zip(chunk, cache.scores.tolist())):
+        for d, (record, scores) in enumerate(zip(chunk, cache.scores.tolist())):
             entry = {
                 "id": record.id,
                 "scores": dict(zip(ckpt.vocab.codes, scores)),

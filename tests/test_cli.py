@@ -6,16 +6,23 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sentattn.cli as cli_mod
+import sentattn.corpus as corpus_mod
+from sentattn.checkpoint import load_checkpoint, output_file, save_checkpoint, write_checkpoint
 from sentattn.cli import (
     EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main,
 )
+from sentattn.corpus import SPLIT_NAMES
 from sentattn.encoder import MINITRANSFORMER, ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
@@ -200,6 +207,60 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC, err
         assert model.read_bytes() == b"the previous model"
         assert list(tmp_path.iterdir()) == [model]
+
+    def test_non_finite_validation_score_is_three_and_writes_no_model(self, capsys, tmp_path):
+        # one batch of 64 holds the whole training split, so its loss is taken
+        # before the step that overflows; the validation scores that follow are NaN
+        write_jsonl(make_needle_corpus(n_docs=48), tmp_path / "c.jsonl")
+        code, out, err = run(capsys, "train", str(tmp_path / "c.jsonl"), str(tmp_path / "m.satn"),
+                             "--h", "8", "--c", "8", "--v-buckets", "256", "--t-max", "8", "--f", "8",
+                             "--encoder", "minitransformer", "--max-epochs", "1", "--patience", "1",
+                             "--lr", "1e30", "--batch-size", "64")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: NonFiniteLoss: "), err
+        assert [path.name for path in tmp_path.iterdir()] == ["c.jsonl"]
+
+    @pytest.fixture(scope="class")
+    def overflowing_model(self, corpus, tmp_path_factory):
+        """A minitransformer model whose tensors, scaled by 1e30, are finite but score every document NaN."""
+        model = tmp_path_factory.mktemp("overflow") / "m.satn"
+        assert main(["train", str(corpus), str(model), *TINY_TRAIN_FLAGS, "--encoder", "minitransformer",
+                     "--max-epochs", "1", "--patience", "1"]) == 0
+        ckpt = load_checkpoint(model)
+        for _, tensor in ckpt.tensors():
+            tensor *= np.float32(1e30)
+        save_checkpoint(ckpt, model)
+        return model
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_a_model_that_scores_nan_is_three(self, capsys, corpus, overflowing_model, command):
+        code, out, err = run(capsys, command, str(overflowing_model), str(corpus), "--split", "all")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: NonFiniteLoss: "), err
+
+    def test_t_max_below_three_is_usage_error_before_the_corpus_is_read(self, capsys, tmp_path):
+        # a sentence holds CLS, a token and SEP
+        code, out, err = run(capsys, "train", str(tmp_path / "missing.jsonl"), str(tmp_path / "m.satn"),
+                             "--t-max", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: t_max must be at least 3\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_model_of_t_max_below_three_is_data_error(self, capsys, trained, corpus, tmp_path):
+        # no constructor makes such dims, so the header is written from dims set after construction
+        ckpt = load_checkpoint(trained[0])
+        object.__setattr__(ckpt.dims, "t_max", 2)
+        ckpt.encoder_params.P = ckpt.encoder_params.P[:2]  # one row per token position
+        model = tmp_path / "m.satn"
+        with output_file(model) as fh:
+            write_checkpoint(ckpt, fh)
+        code, out, err = run(capsys, "predict", str(model), str(corpus))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "error: CheckpointError: bad dimensions in header: t_max must be at least 3\n"
 
     # Run in a child process whose address space is capped at 2 GB, so the
     # 23.8 GiB embedding table that --v-buckets 100000000 asks for at h = 64
@@ -408,6 +469,54 @@ class TestStdoutDiscipline:
         assert main(["split", str(corpus), "--seed", "5", "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestCorpusCommands:
+    def test_stats_counts_each_record_once_per_code(self, capsys, toy_records, tmp_path):
+        write_jsonl(toy_records, tmp_path / "toy.jsonl")
+        code, out, _ = run(capsys, "stats", str(tmp_path / "toy.jsonl"), "--top-c", "2")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"G06N": 3, "H04L": 2}
+        path = write_corpus(tmp_path / "dup.jsonl", [record_line("1", ["G06N", "G06N 3/00"])])
+        code, out, _ = run(capsys, "stats", str(path))
+        assert code == 0
+        assert json.loads(out)["counts"] == {"G06N": 1}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["G06N", "G06N 3/00", "H04L", "B82Y 20/00", "A01B", "bogus"]),
+                             max_size=4), min_size=1, max_size=12),
+           st.integers(1, 6))
+    def test_stats_counts_are_build_vocab_counts(self, code_lists, top_c):
+        def quietly(command, path):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                return main([command, str(path), "--top-c", str(top_c)]), stdout.getvalue()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_corpus(Path(tmp) / "c.jsonl", [record_line(f"p{i}", codes)
+                                                        for i, codes in enumerate(code_lists)])
+            (stats_code, stats), (vocab_code, vocab) = (quietly(command, path) for command in ("stats", "build-vocab"))
+        assert stats_code == vocab_code  # a corpus with no parseable code fails both alike
+        if stats_code == 0:
+            vocab = json.loads(vocab)
+            assert json.loads(stats)["counts"] == dict(zip(vocab["codes"], vocab["counts"]))
+
+    def test_split_hashes_each_id_once(self, capsys, monkeypatch, corpus):
+        hashed = []
+        stable_hash64 = corpus_mod.stable_hash64
+        monkeypatch.setattr(corpus_mod, "stable_hash64",
+                            lambda seed, rid: hashed.append(rid) or stable_hash64(seed, rid))
+        code, out, _ = run(capsys, "split", str(corpus))
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(hashed) == sorted(rid for name in SPLIT_NAMES for rid in payload[name])
+        assert len(hashed) == 48
+
+    def test_split_checks_the_seed_before_reading(self, capsys, tmp_path):
+        code, out, err = run(capsys, "split", str(tmp_path / "missing.jsonl"), "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
 
 
 class TestSegmentCommand:

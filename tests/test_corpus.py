@@ -19,7 +19,6 @@ from sentattn.corpus import (
     PatentRecord,
     build_vocabulary,
     encode_labels,
-    label_stats,
     load_corpus,
     parse_ipc,
     split_of,
@@ -218,7 +217,6 @@ class TestLoadCorpus:
         assert calls == ["G06N 3/00", "ZZZZ", "H04L", "G06N"]
         assert report.malformed_codes == 1
         vocab = build_vocabulary(records, top_c=5)
-        label_stats(records, vocab)
         for r in records:
             encode_labels(r, vocab)
         assert records[0].normalized_codes() == ["G06N", "H04L"]
@@ -359,21 +357,6 @@ class TestSplitDataset:
                 for part, name in enumerate(SPLIT_NAMES):
                     rid = inputs._id_in_split(base, seed, part)
                     assert split_of(seed, rid) == name
-
-
-class TestLabelStats:
-    def test_toy_counts(self, toy_records):
-        vocab = build_vocabulary(toy_records, top_c=2)
-        assert label_stats(toy_records, vocab) == {"G06N": 3, "H04L": 2}
-
-    def test_empty_stream(self, toy_records):
-        vocab = build_vocabulary(toy_records, top_c=2)
-        assert label_stats([], vocab) == {"G06N": 0, "H04L": 0}
-
-    def test_duplicate_codes_count_once(self):
-        vocab = LabelVocabulary(codes=["G06N"])
-        record = PatentRecord(id="1", title="t", ipc_codes=["G06N", "G06N 3/00"])
-        assert label_stats([record], vocab) == {"G06N": 1}
 
 
 def test_vocabulary_against_brute_force_oracle():

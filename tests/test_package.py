@@ -20,3 +20,9 @@ def test_one_writer_replaces_output_files():
     source = "".join(path.read_text(encoding="utf-8") for path in Path(sentattn.__file__).parent.glob("*.py"))
     assert source.count("os.replace(") == 1
     assert source.count("os.fsync(") == 1
+
+
+def test_one_batch_loop():
+    # _batches cuts every pass's documents into batches; grad_check builds its own two-document one
+    source = (Path(sentattn.__file__).parent / "trainer.py").read_text(encoding="utf-8")
+    assert source.count("BatchLayout(") == 2

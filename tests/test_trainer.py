@@ -359,7 +359,7 @@ class TestCompactRows:
 
     def prepared(self, n_docs, seed=0):
         rng = np.random.default_rng(seed)
-        return [PreparedDoc(id=str(i), target=None,
+        return [PreparedDoc(target=None,
                             layout=encoder.DocLayout(rng.integers(4, self.N_ROWS, size=90), [30, 30, 30]))
                 for i in range(n_docs)]
 
