@@ -472,16 +472,6 @@ class TestStdoutDiscipline:
 
 
 class TestCorpusCommands:
-    def test_stats_counts_each_record_once_per_code(self, capsys, toy_records, tmp_path):
-        write_jsonl(toy_records, tmp_path / "toy.jsonl")
-        code, out, _ = run(capsys, "stats", str(tmp_path / "toy.jsonl"), "--top-c", "2")
-        assert code == 0
-        assert json.loads(out)["counts"] == {"G06N": 3, "H04L": 2}
-        path = write_corpus(tmp_path / "dup.jsonl", [record_line("1", ["G06N", "G06N 3/00"])])
-        code, out, _ = run(capsys, "stats", str(path))
-        assert code == 0
-        assert json.loads(out)["counts"] == {"G06N": 1}
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(["G06N", "G06N 3/00", "H04L", "B82Y 20/00", "A01B", "bogus"]),
                              max_size=4), min_size=1, max_size=12),

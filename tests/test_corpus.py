@@ -25,7 +25,9 @@ from sentattn.corpus import (
     split_records,
 )
 from sentattn import corpus as corpus_mod
+from sentattn.cli import main
 from sentattn.hashing import fnv1a64, stable_hash64
+from sentattn.synth import write_jsonl
 
 from conftest import record_line, write_corpus
 
@@ -357,6 +359,23 @@ class TestSplitDataset:
                 for part, name in enumerate(SPLIT_NAMES):
                     rid = inputs._id_in_split(base, seed, part)
                     assert split_of(seed, rid) == name
+
+
+class TestLabelStats:
+    """The per-code counts `stats` reports are `build_vocabulary`'s: each record counts once per code."""
+
+    def stats_counts(self, capsys, path, *flags):
+        code = main(["stats", str(path), *flags])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)["counts"]
+
+    def test_toy_counts(self, capsys, toy_records, tmp_path):
+        write_jsonl(toy_records, tmp_path / "toy.jsonl")
+        assert self.stats_counts(capsys, tmp_path / "toy.jsonl", "--top-c", "2") == {"G06N": 3, "H04L": 2}
+
+    def test_duplicate_codes_count_once(self, capsys, tmp_path):
+        path = write_corpus(tmp_path / "dup.jsonl", [record_line("1", ["G06N", "G06N 3/00"])])
+        assert self.stats_counts(capsys, path) == {"G06N": 1}
 
 
 def test_vocabulary_against_brute_force_oracle():
