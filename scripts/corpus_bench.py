@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure how far train, evaluate and predict raise peak memory, by corpus size and shape.
+"""Measure how far train, evaluate, predict and stats raise peak memory, by corpus size and shape.
 
 Points, each a corpus generated here from a fixed seed by
 `io_bench.make_corpus`:
@@ -16,7 +16,9 @@ c=8, v_buckets=4096, t_max=32, f=32, k_max=128, use_description):
 * train: one `train()` of one epoch on the file;
 * evaluate: `evaluate` of split "all" with that run's checkpoint;
 * predict: the `sentattn predict` command over every record, with that
-  checkpoint, its JSON written to a file.
+  checkpoint, its JSON written to a file;
+* stats: the `sentattn stats` command over every record, its JSON written
+  to a file.
 
 Each stage of each point runs --repeats times, each in a fresh
 interpreter, because a process's peak resident set only grows: it reports
@@ -26,8 +28,8 @@ and quartiles. `slope_kb_per_doc` is, per stage, the growth from
 longdoc_300 to longdoc_1200 per added record, in KB: what one more long
 document costs in memory. Only `train`, `evaluate`, `TrainConfig`,
 `load_checkpoint`, `save_checkpoint`, `ModelDims`, `write_jsonl` and the
-CLI's `predict` are called, so the script measures older versions of the
-package too.
+CLI's `predict` and `stats` are called, so the script measures older
+versions of the package too.
 
 Usage: python scripts/corpus_bench.py [--repeats N] [--tiny] [--out PATH] [--side before|after]
        python scripts/corpus_bench.py --stage STAGE CORPUS MODEL   (one stage, in this process)
@@ -59,14 +61,14 @@ POINTS = {"longdoc_300": (300, *LONGDOC), "longdoc_1200": (1200, *LONGDOC),
           "abstract_1200": (1200, *ABSTRACT)}
 TINY_POINTS = {"longdoc_10": (10, 2, (300, 3_000)), "longdoc_30": (30, 2, (300, 3_000)),
                "abstract_30": (30, 4, None)}  # each holds a validation record, as train() needs
-STAGES = ("train", "evaluate", "predict")
+STAGES = ("train", "evaluate", "predict", "stats")
 CONFIG = TrainConfig(dims=ModelDims(h=32, c=8, v_buckets=4096, t_max=32, f=32), k_max=128,
                      use_description=True, lr=1e-2, max_epochs=1, patience=1)
 
 
 def run_stage(stage: str, corpus: Path, model: Path) -> dict:
     """One stage on one corpus file, its peak-RSS growth measured in this process."""
-    ckpt = None if stage == "train" else load_checkpoint(model)
+    ckpt = None if stage in ("train", "stats") else load_checkpoint(model)
     gc.collect()
     rss_before = _bench.status_mb("VmRSS")
     t0 = perf_counter()
@@ -75,9 +77,11 @@ def run_stage(stage: str, corpus: Path, model: Path) -> dict:
     elif stage == "evaluate":
         evaluate(ckpt, corpus, split_name="all", seed=CONFIG.seed, k_max=CONFIG.k_max,
                  use_description=CONFIG.use_description)
-    elif cli.main(["predict", str(model), str(corpus), "--k-max", str(CONFIG.k_max), "--use-description",
-                   "--out", str(model.with_suffix(".predict.json"))]):
-        sys.exit(f"predict failed on {corpus}")
+    else:
+        argv = ([stage, str(model), str(corpus), "--k-max", str(CONFIG.k_max), "--use-description"]
+                if stage == "predict" else [stage, str(corpus)])
+        if cli.main([*argv, "--out", str(model.with_suffix(f".{stage}.json"))]):
+            sys.exit(f"{stage} failed on {corpus}")
     seconds = perf_counter() - t0
     peak = _bench.status_mb("VmHWM")
     if stage == "train":
@@ -117,7 +121,7 @@ def slopes(small: dict, large: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _bench.parser(__doc__, 3, "toy-size corpora, for tests")
     parser.add_argument("--stage", nargs=3, metavar=("STAGE", "CORPUS", "MODEL"),
-                        help="only run one stage (train, evaluate or predict) on CORPUS, in this process")
+                        help="only run one stage (train, evaluate, predict or stats) on CORPUS, in this process")
     args = parser.parse_args(argv)
     if args.stage:
         stage, corpus, model = args.stage

@@ -21,13 +21,11 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
-from . import corpus as corpus_mod
 from .checkpoint import CheckpointError, load_checkpoint, output_file, write_checkpoint
 from .corpus import (
     SPLIT_NAMES, CorpusError, EmptyInput, LoadReport, build_vocabulary, iter_corpus, split_of, split_records,
@@ -244,9 +242,14 @@ def _cmd_split(args, settings):
 
 def _cmd_stats(args, settings):
     report = LoadReport()
-    records = [record.without_text() for record in iter_corpus(args.corpus, report)]
-    vocab = build_vocabulary(records, settings.get("top_c", ModelDims.c))
-    dropped = sum(1 for r in records if corpus_mod.encode_labels(r, vocab) is None)
+    code_sets = Counter()  # records per distinct code set, counted as they stream into the vocabulary
+
+    def tally(record):
+        code_sets[tuple(record.normalized_codes())] += 1
+        return record
+
+    vocab = build_vocabulary(map(tally, iter_corpus(args.corpus, report)), settings.get("top_c", ModelDims.c))
+    dropped = sum(n for codes, n in code_sets.items() if all(vocab.index(code) is None for code in codes))
     # the vocabulary's counts are the per-code document counts: each record counts a code once
     return {"counts": dict(zip(vocab.codes, vocab.counts)), "dropped": dropped,
             "skipped": report.total_skipped}
@@ -322,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help lands here
         return int(exc.code or 0)
     try:
-        # a model that overflows ends in NonFiniteLoss, its one report: numpy's
-        # warnings on the way there would only be noise on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            _emit(args.func(args, _resolve(args, args.keys)), getattr(args, "out", None))
+        _emit(args.func(args, _resolve(args, args.keys)), getattr(args, "out", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,8 +15,8 @@ system's block size: a patent description runs to tens of kilobytes, and a
 small buffer makes hundreds of reads per megabyte.
 
 The train/validation/test split is one per-id rule, `split_of`, and every
-command selects its records through `split_records`, which filters with it
-as the records go by.
+command selects its records by it as they go by: `train` itself, the others
+through `split_records`.
 """
 
 from __future__ import annotations
@@ -297,8 +297,9 @@ def split_of(seed: int, rid: str) -> str:
 def split_records(records: Iterable[PatentRecord], seed: int, name: str) -> Iterable[PatentRecord]:
     """An iterator over the records that `split_of` puts in part `name`, in input order.
 
-    For "all" the records themselves are returned. The seed and the name
-    are checked here, before any record is read.
+    It is a `filter`, which lets a record of another part go before it reads
+    the next one. For "all" the records themselves are returned. The seed and
+    the name are checked here, before any record is read.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -306,4 +307,4 @@ def split_records(records: Iterable[PatentRecord], seed: int, name: str) -> Iter
         return records
     if name not in SPLIT_NAMES:
         raise ValueError(f"unknown split name: {name!r}")
-    return (r for r in records if split_of(seed, r.id) == name)
+    return filter(lambda r: split_of(seed, r.id) == name, records)

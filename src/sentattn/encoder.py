@@ -44,6 +44,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .hashing import RESERVED_IDS
+
 MEANPOOL = "meanpool"
 MINITRANSFORMER = "minitransformer"
 
@@ -75,8 +77,8 @@ class ModelDims:
                 raise ValueError(f"{f.name} must be positive")
         if self.t_max < 3:  # a sentence holds CLS, at least one token and SEP
             raise ValueError("t_max must be at least 3")
-        if self.v_buckets > _INDEX.max - 3:  # token ids run to 3 + v_buckets, and layouts hold them as int32
-            raise ValueError(f"v_buckets must be at most {_INDEX.max - 3}")
+        if self.v_buckets > _INDEX.max + 1 - RESERVED_IDS:  # layouts hold token ids, the buckets' too, as int32
+            raise ValueError(f"v_buckets must be at most {_INDEX.max + 1 - RESERVED_IDS}")
 
 
 TensorSpec = list[tuple[str, tuple[int, ...]]]
@@ -119,8 +121,8 @@ def init_tensors(cls, spec: TensorSpec, rng: np.random.Generator, dtype: np.dtyp
 
 
 def _embedding_spec(dims: ModelDims) -> TensorSpec:
-    """Token table (the 4 reserved ids, then the hash buckets) and positions, shared by both kinds."""
-    return [("E", (4 + dims.v_buckets, dims.h)), ("P", (dims.t_max, dims.h))]
+    """Token table (the reserved ids, then the hash buckets) and positions, shared by both kinds."""
+    return [("E", (RESERVED_IDS + dims.v_buckets, dims.h)), ("P", (dims.t_max, dims.h))]
 
 
 @dataclass

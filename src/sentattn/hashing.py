@@ -9,6 +9,7 @@ tokenizer memoizes whole words' ids (`segmenter._WordIds`).
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
+RESERVED_IDS = 4  # token ids below this are reserved (PAD, CLS, SEP, UNK); the hash buckets follow them
 
 
 def fnv1a64(data: bytes) -> int:
@@ -26,5 +27,5 @@ def stable_hash64(seed: int, ident: str) -> int:
 
 
 def token_bucket(token: str, v_buckets: int) -> int:
-    """Map a token into the id space [4, 4 + v_buckets); 0-3 are reserved ids."""
-    return 4 + fnv1a64(token.encode("utf-8")) % v_buckets
+    """Map a token into the id space [RESERVED_IDS, RESERVED_IDS + v_buckets)."""
+    return RESERVED_IDS + fnv1a64(token.encode("utf-8")) % v_buckets

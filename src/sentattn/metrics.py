@@ -32,14 +32,15 @@ class ConfusionCounts:
         self.fn = np.zeros(self.c, dtype=np.int64)
 
     def accumulate(self, predicted: np.ndarray, target: np.ndarray) -> None:
-        """Add one example: TP += pred&target, FP += pred&~target, FN += ~pred&target."""
-        if len(predicted) != self.c or len(target) != self.c:
+        """Add one example (c,) or a block of them (n, c), in one step: per class, summed over the
+        rows, TP += pred&target, FP += pred&~target, FN += ~pred&target."""
+        p = np.atleast_2d(np.asarray(predicted, dtype=bool))
+        t = np.atleast_2d(np.asarray(target, dtype=bool))
+        if p.shape != t.shape or p.ndim != 2 or p.shape[1] != self.c:
             raise LengthMismatch(f"expected length {self.c}")
-        p = np.asarray(predicted, dtype=bool)
-        t = np.asarray(target, dtype=bool)
-        self.tp += p & t
-        self.fp += p & ~t
-        self.fn += ~p & t
+        self.tp += (p & t).sum(axis=0)
+        self.fp += (p & ~t).sum(axis=0)
+        self.fn += (~p & t).sum(axis=0)
 
 
 def _safe_div(num: np.ndarray | float, den: np.ndarray | float) -> np.ndarray:

@@ -14,10 +14,11 @@ training and validation pass over it reads. `train`, `evaluate` and
 text; the window's texts are tokenized and let go, and then the window's
 records are laid out. One label step, `_labelled`, then sets each
 document's target. `train` reads the corpus file once, through
-`iter_corpus`, and drops each test record once it is counted; it builds
-the vocabulary from the training codes and then labels its laid-out
-training and validation documents, so a document the vocabulary drops is
-laid out before it is dropped. `evaluate` labels each record of its split
+`iter_corpus`: a `filter` lets each test record go before the next is read,
+and each laid-out record is filed by `split_of`. It builds the vocabulary
+from the training codes and then labels its laid-out training and
+validation documents, so a document the vocabulary drops is laid out
+before it is dropped. `evaluate` labels each record of its split
 as it is laid out, and `predict_records` scores each batch once its last
 record is laid out, so none of them holds the file's text. Every pass
 batches through one loop, `_batches`; each batch runs as one forward (and
@@ -25,7 +26,8 @@ in training one backward) pass over its documents' concatenated sentence
 columns (BatchLayout), whose gradients go straight into the optimizer's
 per-tensor sums. Training batches each epoch's shuffle by `batch_size`;
 validation, evaluate and predict score in order, in batches of
-TrainConfig.batch_size's default, and refuse a score that is not finite.
+TrainConfig.batch_size's default. In every pass an overflow, or a loss or
+score that is not finite, raises NonFiniteLoss.
 
 Training runs on a compact embedding table: the rows of E that some
 prepared training or validation document reads, in table order, found by a
@@ -74,6 +76,7 @@ from .encoder import (
     encoder_backward,
     init_encoder,
 )
+from .hashing import RESERVED_IDS
 from .head import HeadParams, bce_loss, head_backward, head_forward, init_head, predict
 from .metrics import ConfusionCounts, macro_scores, micro_scores
 from .metrics import report as metrics_report
@@ -280,31 +283,6 @@ def prepare_documents(
     return _labelled(_prepared(records, k_max, t_max, v_buckets, use_description), vocab, require_labels)
 
 
-def _read_splits(config: TrainConfig, corpus_path,
-                 report: LoadReport) -> tuple[dict[str, int], dict[str, list]]:
-    """One pass over the corpus file: each part's record count, and the training and validation
-    records, laid out as they are read (`_prepared`), in file order. A test record is dropped
-    as soon as it is counted.
-    """
-    sizes = dict.fromkeys(SPLIT_NAMES, 0)
-    parts = deque()  # the part of each record passed on, in order: _prepared yields in input order
-
-    def counted():
-        for record in iter_corpus(corpus_path, report):
-            part = split_of(config.seed, record.id)
-            sizes[part] += 1
-            if part != "test":
-                parts.append(part)
-                yield record
-            del record  # a dropped test record is not held while the next one is read
-
-    prepared = {"train": [], "validation": []}
-    for item in _prepared(counted(), config.k_max, config.dims.t_max, config.dims.v_buckets,
-                          config.use_description):
-        prepared[parts.popleft()].append(item)
-    return sizes, prepared
-
-
 def _forward(enc_params: EncoderParams, head_params: HeadParams, batch: BatchLayout):
     D, enc_cache = encode_document(batch, enc_params)
     return head_forward(D, head_params, batch.bounds), enc_cache
@@ -319,20 +297,24 @@ def _batches(pairs: Iterable[tuple[object, DocLayout]], size: int = TrainConfig.
 
 
 def _scored(enc_params, head_params, batch: BatchLayout):
-    """The head's forward cache of a batch that is only scored; NonFiniteLoss if a score is not finite."""
-    cache, _ = _forward(enc_params, head_params, batch)
-    # scores lie in [0, 1], so their sum is finite unless one is not; one reduction, not two
+    """The head's forward cache of a batch that is only scored, under the caller's np.errstate(over="raise",
+    invalid="raise"); NonFiniteLoss if the pass overflows, even to finite scores, or a score is not finite."""
+    try:
+        cache, _ = _forward(enc_params, head_params, batch)
+    except FloatingPointError as exc:
+        raise NonFiniteLoss(f"the model's forward pass: {exc}") from exc
+    # NaN bytes raise no flag; scores lie in [0, 1], so their sum is finite unless one is not
     if not math.isfinite(cache.scores.sum()):
         raise NonFiniteLoss("the model scores a document NaN or infinite")
     return cache
 
 
 def _confusion(enc_params, head_params, docs: list[PreparedDoc], c: int) -> ConfusionCounts:
-    """Threshold-0.5 predictions of every document, counted against its target."""
+    """Threshold-0.5 predictions of every document, counted against its target, a batch at a time."""
     counts = ConfusionCounts(c)
-    for targets, batch in _batches(docs):
-        for target, bits in zip(targets, predict(_scored(enc_params, head_params, batch).scores)):
-            counts.accumulate(bits, target)
+    with np.errstate(over="raise", invalid="raise"):
+        for targets, batch in _batches(docs):
+            counts.accumulate(predict(_scored(enc_params, head_params, batch).scores), np.stack(targets))
     return counts
 
 
@@ -379,7 +361,14 @@ def train(
     epoch ends, so a caller can report progress while training runs.
     """
     load_report = LoadReport()
-    split_sizes, prepared = _read_splits(config, corpus_path, load_report)
+    # filter drops a test record before it reads the next; the others are filed by part once laid out
+    records = filter(lambda r: split_of(config.seed, r.id) != "test", iter_corpus(corpus_path, load_report))
+    prepared = {"train": [], "validation": []}
+    for labels, layout in _prepared(records, config.k_max, config.dims.t_max, config.dims.v_buckets,
+                                    config.use_description):
+        prepared[split_of(config.seed, labels.id)].append((labels, layout))
+    n_train, n_val = len(prepared["train"]), len(prepared["validation"])
+    split_sizes = dict(zip(SPLIT_NAMES, (n_train, n_val, load_report.retained - n_train - n_val)))
     if not load_report.retained:
         raise EmptySplit("corpus holds no usable records")
     if not prepared["train"]:
@@ -414,12 +403,16 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         loss_sum = 0.0
-        for index, (targets, batch) in enumerate(_batches((train_docs[j] for j in order), config.batch_size)):
-            batch_loss = _step(enc_params, head_params, optimizer, batch, np.stack(targets))
-            if not math.isfinite(batch_loss):
-                raise NonFiniteLoss(f"epoch {epoch}, batch {index}")
-            optimizer.step(len(targets))
-            loss_sum += batch_loss
+        with np.errstate(over="raise", invalid="raise"):  # once per epoch, not per batch: entering costs 1.2 us
+            for index, (targets, batch) in enumerate(_batches((train_docs[j] for j in order), config.batch_size)):
+                try:
+                    batch_loss = _step(enc_params, head_params, optimizer, batch, np.stack(targets))
+                    if not math.isfinite(batch_loss):  # a quiet NaN raises no flag
+                        raise FloatingPointError("the loss is not finite")
+                    optimizer.step(len(targets))
+                except FloatingPointError as exc:
+                    raise NonFiniteLoss(f"epoch {epoch}, batch {index}") from exc
+                loss_sum += batch_loss
         val_counts = _confusion(enc_params, head_params, val_docs, dims.c)
         val_micro = micro_scores(val_counts)[2]
         entry = EpochLog(
@@ -509,19 +502,20 @@ def predict_records(
     if k_max <= 0:
         raise ValueError("k_max must be positive")
     results = []
-    for chunk, batch in _batches(_prepared(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets,
-                                           use_description)):
-        cache = _scored(ckpt.encoder_params, ckpt.head_params, batch)
-        bits = predict(cache.scores, threshold).tolist()
-        for d, (record, scores) in enumerate(zip(chunk, cache.scores.tolist())):
-            entry = {
-                "id": record.id,
-                "scores": dict(zip(ckpt.vocab.codes, scores)),
-                "predicted": [code for code, bit in zip(ckpt.vocab.codes, bits[d]) if bit],
-            }
-            if with_attention:
-                entry["attention"] = cache.alpha[:, batch.bounds[d] : batch.bounds[d + 1]].tolist()
-            results.append(entry)
+    with np.errstate(over="raise", invalid="raise"):
+        for chunk, batch in _batches(_prepared(records, k_max, ckpt.dims.t_max, ckpt.dims.v_buckets,
+                                               use_description)):
+            cache = _scored(ckpt.encoder_params, ckpt.head_params, batch)
+            bits = predict(cache.scores, threshold).tolist()
+            for d, (record, scores) in enumerate(zip(chunk, cache.scores.tolist())):
+                entry = {
+                    "id": record.id,
+                    "scores": dict(zip(ckpt.vocab.codes, scores)),
+                    "predicted": [code for code, bit in zip(ckpt.vocab.codes, bits[d]) if bit],
+                }
+                if with_attention:
+                    entry["attention"] = cache.alpha[:, batch.bounds[d] : batch.bounds[d + 1]].tolist()
+                results.append(entry)
     return results
 
 
@@ -562,7 +556,7 @@ def grad_check(
         lens = []
         for _ in range(doc_k):
             m = int(rng.integers(3, dims.t_max + 1))
-            ids += (CLS_ID, *rng.integers(4, 4 + dims.v_buckets, size=m - 2), SEP_ID)
+            ids += (CLS_ID, *rng.integers(RESERVED_IDS, RESERVED_IDS + dims.v_buckets, size=m - 2), SEP_ID)
             lens.append(m)
         layouts.append(DocLayout(np.array(ids, dtype=np.int64), lens))
     targets = rng.integers(0, 2, size=(len(layouts), dims.c)).astype(np.int8)

@@ -22,8 +22,8 @@ from sentattn.checkpoint import load_checkpoint, output_file, save_checkpoint, w
 from sentattn.cli import (
     EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_USAGE, BadValue, UnknownKey, load_config, main,
 )
-from sentattn.corpus import SPLIT_NAMES
-from sentattn.encoder import MINITRANSFORMER, ModelDims
+from sentattn.corpus import SPLIT_NAMES, PatentRecord
+from sentattn.encoder import MEANPOOL, MINITRANSFORMER, ModelDims
 from sentattn.synth import make_needle_corpus, write_jsonl
 from sentattn.trainer import EmptySplit, TrainConfig, grad_check
 
@@ -221,11 +221,15 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: NonFiniteLoss: "), err
         assert [path.name for path in tmp_path.iterdir()] == ["c.jsonl"]
 
-    @pytest.fixture(scope="class")
-    def overflowing_model(self, corpus, tmp_path_factory):
-        """A minitransformer model whose tensors, scaled by 1e30, are finite but score every document NaN."""
+    @pytest.fixture(scope="class", params=[MEANPOOL, MINITRANSFORMER])
+    def overflowing_model(self, request, corpus, tmp_path_factory):
+        """A model whose tensors, scaled by 1e30, are finite but overflow its forward pass.
+
+        The minitransformer then scores every document NaN; meanpool's scores
+        stay finite, every one exactly 0.0 or 1.0, so only the overflow shows.
+        """
         model = tmp_path_factory.mktemp("overflow") / "m.satn"
-        assert main(["train", str(corpus), str(model), *TINY_TRAIN_FLAGS, "--encoder", "minitransformer",
+        assert main(["train", str(corpus), str(model), *TINY_TRAIN_FLAGS, "--encoder", request.param,
                      "--max-epochs", "1", "--patience", "1"]) == 0
         ckpt = load_checkpoint(model)
         for _, tensor in ckpt.tensors():
@@ -234,7 +238,7 @@ class TestExitCodes:
         return model
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
-    def test_a_model_that_scores_nan_is_three(self, capsys, corpus, overflowing_model, command):
+    def test_a_model_that_overflows_is_three(self, capsys, corpus, overflowing_model, command):
         code, out, err = run(capsys, command, str(overflowing_model), str(corpus), "--split", "all")
         assert code == EXIT_NUMERIC
         assert out == ""
@@ -488,8 +492,12 @@ class TestCorpusCommands:
             (stats_code, stats), (vocab_code, vocab) = (quietly(command, path) for command in ("stats", "build-vocab"))
         assert stats_code == vocab_code  # a corpus with no parseable code fails both alike
         if stats_code == 0:
-            vocab = json.loads(vocab)
-            assert json.loads(stats)["counts"] == dict(zip(vocab["codes"], vocab["counts"]))
+            vocab, stats = json.loads(vocab), json.loads(stats)
+            assert stats["counts"] == dict(zip(vocab["codes"], vocab["counts"]))
+            # a record is dropped when no code of it is in the vocabulary
+            kept = set(vocab["codes"])
+            parsed = [PatentRecord(id="p", ipc_codes=codes).normalized_codes() for codes in code_lists]
+            assert stats["dropped"] == sum(not kept.intersection(codes) for codes in parsed)
 
     def test_split_hashes_each_id_once(self, capsys, monkeypatch, corpus):
         hashed = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentattn.metrics import (
     ConfusionCounts,
@@ -75,6 +77,21 @@ class TestAccumulate:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             ConfusionCounts(2).accumulate(np.array([1]), np.array([1, 0]))
+        with pytest.raises(LengthMismatch):
+            ConfusionCounts(2).accumulate(np.ones((3, 2)), np.ones((2, 2)))
+
+    @given(st.integers(1, 6).flatmap(lambda c: st.lists(
+        st.tuples(st.lists(st.booleans(), min_size=c, max_size=c), st.lists(st.booleans(), min_size=c, max_size=c)),
+        min_size=1, max_size=20)))
+    def test_a_block_counts_as_its_rows_one_at_a_time(self, rows):
+        predicted, target = (np.array(column, dtype=np.int8) for column in zip(*rows))
+        c = predicted.shape[1]
+        block, one_by_one = ConfusionCounts(c), ConfusionCounts(c)
+        block.accumulate(predicted, target)
+        for p, t in zip(predicted, target):
+            one_by_one.accumulate(p, t)
+        for name in ("tp", "fp", "fn"):
+            assert getattr(block, name).tolist() == getattr(one_by_one, name).tolist(), name
 
 
 class TestMacroMicro:

@@ -154,7 +154,7 @@ def test_corpus_bench_measures_every_stage_at_every_point(capsys, monkeypatch, t
     assert json.loads(out.read_text()) == {"before": {"kept": True}, "after": report}
     assert set(report["machine"]) == MACHINE_KEYS
     assert list(report["points"]) == ["longdoc_10", "longdoc_30", "abstract_30"]
-    stages = ["train", "evaluate", "predict"]
+    stages = ["train", "evaluate", "predict", "stats"]
     for name, point in report["points"].items():
         assert point["records"] == int(name.split("_")[1]) and point["file_bytes"] > 0
         for stage in stages:
